@@ -8,7 +8,10 @@ discs and m-points, classify the equation as limit point or limit
 circle, and check two coefficient-based limit-point criteria.
 """
 
-from .backends import big_backend_name
+# the one version string: reports and the package metadata read it
+__version__ = "0.1.0"
+
+from .backends import big_backend_name  # noqa: E402
 from .criteria import (
     CriterionVerdict,
     asymptotic_class,
@@ -46,6 +49,7 @@ from .model import (
 from .recurrence import (
     BoundaryData,
     StepMatrix,
+    StepTable,
     Trajectory,
     fundamental_matrix,
     oracle_three_term,
@@ -53,6 +57,7 @@ from .recurrence import (
     propagate_backward,
     reconstruct_y2,
     step_matrix,
+    step_table,
 )
 from .scenarios import (
     Scenario,
@@ -86,5 +91,3 @@ from .weyl import (
     regular_eigen_residual,
     weyl_disc,
 )
-
-__version__ = "0.1.0"

@@ -11,7 +11,8 @@ All arithmetic in the solvers runs on one of three scalar kernels:
 The big-float kernel is chosen once at import time; set the environment
 variable ``WEYLDISC_BACKEND`` to ``gmpy2`` or ``mpmath`` to force one.
 Both kernels implement the same small protocol (duck-typed), so every
-solver is written once; ``bench/benchmark_backends.py`` compares them.
+solver is written once; ``perfbench/run.py --trace 1`` times a complex
+multiply-add on every importable kernel.
 
 A kernel's ``workprec(bits)`` context manager must be active while
 arithmetic runs; public operations in the other modules take care of
@@ -36,14 +37,6 @@ try:  # compiled kernel is optional
     import gmpy2
 except ImportError:  # pragma: no cover - exercised only on gmpy2-less installs
     gmpy2 = None
-
-
-def _mpf_exact(x) -> mpmath.mpf:
-    """Exact conversion of an int/float/Fraction/mpfr mantissa-exponent pair
-    to an mpmath mpf (no rounding beyond the ambient precision)."""
-    if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-    return mpmath.mpf(x)
 
 
 class MpmathKernel:

@@ -21,7 +21,7 @@ from .recurrence import (
     max_relative_residual,
     oracle_three_term,
     propagate,
-    _step_matrix,
+    step_table,
 )
 from .structure import (
     _apply_operator,
@@ -78,10 +78,10 @@ def oracle_deviation(model: CoefficientSet, lam, top: int, bd=BoundaryData(1, 0)
 def transfer_det_deviation(model: CoefficientSet, lam, top: int) -> float:
     k = model.kernel
     with model.workprec():
-        lam_s = as_lambda_scalar(model, lam)
+        table = step_table(model, lam, top)
         worst = 0.0
         for t in range(model.a, top + 1):
-            sm = _step_matrix(model, t, lam_s)
+            sm = table.matrix(t)
             worst = max(worst, _f(k, k.absval(sm.det_i_minus_a() - 1)))
         return worst
 

@@ -15,7 +15,8 @@ For a spectral parameter lam the derived quantities are
 
 lam is admissible when it avoids the closures of the ranges of d and
 m_excl; there p_tilde and its reciprocal stay well defined, because
-p_tilde * (lam - d) = p * (lam - m_excl).
+p_tilde * (lam - d) = p * (lam - m_excl).  ``recurrence.step_table``
+computes them; ``derived_at`` reads one point from it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 from . import expr as ex
 from . import growth
-from .backends import BIG_KERNEL, checked_div, native_kernel
+from .backends import BIG_KERNEL, native_kernel
 from .errors import CoefficientRangeError, EvaluationError, InadmissibleLambdaError
 
 
@@ -232,41 +233,18 @@ def eval_coefficient(expr: ex.CoefficientExpr, t: int, precision: PrecisionConfi
         return ex.evaluate(expr, t, precision.kernel)
 
 
-def _alpha_at(model: CoefficientSet, t: int, lam):
-    den = lam - model.coeff("d", t)
-    if den == 0:
-        raise InadmissibleLambdaError(f"lam equals d({t})", t=t)
-    return checked_div(model.coeff("h", t) * model.coeff("c", t), den)
-
-
 def derived_at(model: CoefficientSet, t: int, lam) -> DerivedSample:
-    """All derived quantities at t; q_tilde/h_shift only for t >= a."""
-    with model.workprec():
-        return _derived_at(model, t, as_lambda_scalar(model, lam))
+    """All derived quantities at t; q_tilde/h_shift only for t >= a.
 
+    They come from a step table over t-1 .. t (alpha(t-1) enters q_tilde),
+    so they are the bits every solver uses.
+    """
+    from .recurrence import step_table  # recurrence builds on this module
 
-def _derived_at(model: CoefficientSet, t: int, lam) -> DerivedSample:
-    p = model.coeff("p", t)
-    c = model.coeff("c", t)
-    h = model.coeff("h", t)
-    d = model.coeff("d", t)
-    den = lam - d
-    if den == 0:
-        raise InadmissibleLambdaError(f"lam equals d({t})", t=t)
-    off = c * c - h * c
-    p_tilde = p + off / den
-    alpha = h * c / den
-    m_excl = d - off / p
-    if t >= model.a:
-        common = model.coeff("q", t) + h * h / den
-        q_tilde = common - (alpha - _alpha_at(model, t - 1, lam))
-        h_shift = common - lam
-    else:
-        q_tilde = None
-        h_shift = None
+    table = step_table(model, lam, t, start=max(model.a - 1, t - 1))
     return DerivedSample(
-        t=t, p_tilde=p_tilde, q_tilde=q_tilde, alpha=alpha,
-        h_shift=h_shift, m_excl=m_excl,
+        t=t, p_tilde=table.p_tilde[-1], q_tilde=table.q_tilde[-1],
+        alpha=table.alpha[-1], h_shift=table.h_shift[-1], m_excl=table.m_excl[-1],
     )
 
 

@@ -8,6 +8,20 @@ y2 is reconstructed algebraically from the state.  The values at t = a-1
 come from a 2x2 boundary system whose determinant is -p_eff(a-1), nonzero
 for admissible lam.
 
+Everything a propagation needs at one (model, lam) comes from a step
+table: ``step_table`` walks t = a-1 .. top once and keeps, per t, the
+derived quantities (p_tilde, alpha, q_tilde, h_shift, m_excl), the
+entries of A(t) and the y2-reconstruction coefficients
+
+    y2(t) = r1(t) y1(t+1) + r2(t) y1q(t),
+    r1 = alpha*(h - c)/(den*p_tilde) + h/den,  r2 = (c - h)/(den*p_tilde),
+
+with den = lam - d.  alpha(t-1), which q_tilde(t) needs, is the previous
+row.  A table is built per call and dropped with it; callers that step
+several solutions at one (model, lam) pass the same table along.  Every
+solver steps one or more columns through the same table, so the two
+solutions of a fundamental pair are one pass.
+
 ``oracle_three_term`` is the independent check: it never touches the
 transfer matrices, solving instead the scalar three-term recurrence
 
@@ -28,7 +42,7 @@ from .errors import (
     PrecisionExhaustedError,
     WindowError,
 )
-from .model import CoefficientSet, as_lambda_scalar, _derived_at
+from .model import CoefficientSet, as_lambda_scalar
 
 
 @dataclass(frozen=True)
@@ -43,6 +57,112 @@ class StepMatrix:
 
     def det_i_minus_a(self):
         return (1 - self.a11) * (1 - self.a22) - self.a12 * self.a21
+
+
+@dataclass(frozen=True)
+class StepTable:
+    """Per-t quantities of one (model, lam) for t = start .. top, one
+    column per quantity, indexed by t - start.
+
+    The first row has no predecessor, so its q_tilde, h_shift and step
+    entries are None; a table starting at a-1 therefore has step matrices
+    exactly for t = a .. top.
+    """
+
+    model: CoefficientSet
+    lam: object
+    start: int
+    top: int
+    p_tilde: tuple
+    alpha: tuple
+    q_tilde: tuple
+    h_shift: tuple
+    m_excl: tuple
+    a11: tuple
+    a12: tuple
+    a21: tuple
+    a22: tuple
+    r1: tuple
+    r2: tuple
+
+    def index(self, t: int) -> int:
+        if t < self.start or t > self.top:
+            raise WindowError(
+                f"step table covers {self.start} <= t <= {self.top}, got t={t}"
+            )
+        return t - self.start
+
+    def matrix(self, t: int) -> StepMatrix:
+        i = self.index(t)
+        if i == 0:
+            raise WindowError(f"the first row of a step table (t={t}) has no step")
+        return StepMatrix(
+            t=t, a11=self.a11[i], a12=self.a12[i], a21=self.a21[i], a22=self.a22[i]
+        )
+
+
+def step_table(model: CoefficientSet, lam, top: int, start: int | None = None) -> StepTable:
+    """Walk t = start .. top once (start defaults to a-1) and tabulate
+    every derived quantity, step matrix and y2 coefficient on the way.
+
+    Raises InadmissibleLambdaError where lam equals d(t) or p_tilde(t)
+    vanishes.
+    """
+    start = model.a - 1 if start is None else start
+    if top < start:
+        raise ValueError(f"top ({top}) lies below start ({start})")
+    coeff = model.coeff
+    with model.workprec():
+        lam = as_lambda_scalar(model, lam)
+        rows = []
+        alpha_prev = None
+        for t in range(start, top + 1):
+            p = coeff("p", t)
+            c = coeff("c", t)
+            h = coeff("h", t)
+            d = coeff("d", t)
+            den = lam - d
+            if den == 0:
+                raise InadmissibleLambdaError(f"lam equals d({t})", t=t)
+            off = c * c - h * c
+            p_tilde = p + off / den
+            alpha = h * c / den
+            if p_tilde == 0:
+                raise InadmissibleLambdaError(
+                    f"effective leading coefficient vanishes at t={t}", t=t
+                )
+            m_excl = d - off / p
+            denp = den * p_tilde
+            r1 = alpha * (h - c) / denp + h / den
+            r2 = (c - h) / denp
+            if alpha_prev is None:
+                q_tilde = h_shift = a11 = a12 = a21 = a22 = None
+            else:
+                common = coeff("q", t) + h * h / den
+                q_tilde = common - (alpha - alpha_prev)
+                h_shift = common - lam
+                inv_p = 1 / p_tilde
+                a11 = -alpha * inv_p
+                a12 = inv_p
+                a21 = (h_shift - alpha) * alpha * inv_p + h_shift
+                a22 = (alpha - h_shift) * inv_p
+            rows.append(
+                (p_tilde, alpha, q_tilde, h_shift, m_excl, a11, a12, a21, a22, r1, r2)
+            )
+            alpha_prev = alpha
+        return StepTable(model, lam, start, top, *zip(*rows))
+
+
+def _full_table(model: CoefficientSet, lam, top: int, table: StepTable | None) -> StepTable:
+    """The step table on a-1 .. top: ``table`` when given (it must be that
+    table), else a new one."""
+    if table is None:
+        return step_table(model, lam, top)
+    with model.workprec():
+        same_lam = table.lam == as_lambda_scalar(model, lam)
+    if not same_lam or table.model != model or (table.start, table.top) != (model.a - 1, top):
+        raise ValueError("step table does not match the model, lam and window")
+    return table
 
 
 @dataclass(frozen=True)
@@ -117,10 +237,12 @@ class Trajectory:
 
 
 def step_matrix(model: CoefficientSet, t: int, lam) -> StepMatrix:
-    """A(t, lam); verifies det(I - A) = 1 to working tolerance."""
+    """A(t, lam) for t >= a; verifies det(I - A) = 1 to working tolerance."""
+    if t < model.a:
+        raise WindowError(f"step matrices exist for t >= {model.a}, got t={t}")
+    sm = step_table(model, lam, t, start=t - 1).matrix(t)
+    k = model.kernel
     with model.workprec():
-        sm = _step_matrix(model, t, as_lambda_scalar(model, lam))
-        k = model.kernel
         dev = k.absval(sm.det_i_minus_a() - 1)
         if not dev < k.real(2) ** (-(model.precision.bits - 8)):
             raise NumericalInvariantError(
@@ -129,57 +251,11 @@ def step_matrix(model: CoefficientSet, t: int, lam) -> StepMatrix:
         return sm
 
 
-def _step_matrix(model: CoefficientSet, t: int, lam) -> StepMatrix:
-    s = _derived_at(model, t, lam)
-    if s.p_tilde == 0:
-        raise InadmissibleLambdaError(f"effective leading coefficient vanishes at t={t}", t=t)
-    inv_p = 1 / s.p_tilde
-    alpha, shift = s.alpha, s.h_shift
-    return StepMatrix(
-        t=t,
-        a11=-alpha * inv_p,
-        a12=inv_p,
-        a21=(shift - alpha) * alpha * inv_p + shift,
-        a22=(alpha - shift) * inv_p,
-    )
-
-
-def _step_forward(sm: StepMatrix, state: tuple) -> tuple:
-    # (I - A)^{-1} in closed form; det(I - A) == 1
-    m11 = 1 - sm.a22
-    m12 = sm.a12
-    m21 = sm.a21
-    m22 = 1 - sm.a11
-    return (m11 * state[0] + m12 * state[1], m21 * state[0] + m22 * state[1])
-
-
-def _step_backward(sm: StepMatrix, state: tuple) -> tuple:
-    # v(t-1) = (I - A(t)) v(t)
-    return (
-        (1 - sm.a11) * state[0] - sm.a12 * state[1],
-        -sm.a21 * state[0] + (1 - sm.a22) * state[1],
-    )
-
-
 def reconstruct_y2(model: CoefficientSet, lam, y1_next, y1q, t: int):
     """y2(t) from the state (y1(t+1), y1q(t))."""
+    table = step_table(model, lam, t, start=t)
     with model.workprec():
-        return _reconstruct_y2(model, as_lambda_scalar(model, lam), y1_next, y1q, t)
-
-
-def _reconstruct_y2(model: CoefficientSet, lam, y1_next, y1q, t: int):
-    s = _derived_at(model, t, lam)
-    if s.p_tilde == 0:
-        raise InadmissibleLambdaError(
-            f"effective leading coefficient vanishes at t={t}", t=t
-        )
-    c = model.coeff("c", t)
-    h = model.coeff("h", t)
-    den = lam - model.coeff("d", t)
-    if den == 0:
-        raise InadmissibleLambdaError(f"lam equals d({t})", t=t)
-    denp = den * s.p_tilde
-    return (s.alpha * (h - c) / denp + h / den) * y1_next + (c - h) / denp * y1q
+        return table.r1[0] * y1_next + table.r2[0] * y1q
 
 
 def _left_boundary_values(model: CoefficientSet, lam, c1, c2) -> tuple:
@@ -214,16 +290,37 @@ def _check_finite(model: CoefficientSet, state: tuple, t: int) -> None:
         )
 
 
-def _assemble(model: CoefficientSet, lam, states: list, top: int) -> Trajectory:
+def _forward_states(table: StepTable, starts) -> list:
+    """States v(t), t = a-1 .. top, of every initial state in ``starts``
+    stepped together: entry t-(a-1) lists one state per start."""
+    model = table.model
+    k = model.kernel
+    check = k.needs_finite_checks
+    cols = [(k.complex(0) + s0, k.complex(0) + s1) for s0, s1 in starts]
+    out = [cols]
+    rows = zip(table.a11[1:], table.a12[1:], table.a21[1:], table.a22[1:])
+    for t, (a11, a12, a21, a22) in enumerate(rows, table.start + 1):
+        # (I - A)^{-1} in closed form; det(I - A) == 1
+        m11 = 1 - a22
+        m22 = 1 - a11
+        cols = [(m11 * s0 + a12 * s1, a21 * s0 + m22 * s1) for s0, s1 in cols]
+        if check:
+            for state in cols:
+                _check_finite(model, state, t)
+        out.append(cols)
+    return out
+
+
+def _assemble(table: StepTable, states: list) -> Trajectory:
     """Build a Trajectory from states v(t) for t = a-1 .. top."""
-    a = model.a
+    model, lam = table.model, table.lam
     first = states[0]
     y1_left, y2_left = _left_boundary_values(model, lam, first[0], first[1])
     y1 = [y1_left] + [st[0] for st in states]
     y1q = [st[1] for st in states]
     y2 = [y2_left] + [
-        _reconstruct_y2(model, lam, states[i][0], states[i][1], a + i - 1)
-        for i in range(1, len(states))
+        r1 * st[0] + r2 * st[1]
+        for r1, r2, st in zip(table.r1[1:], table.r2[1:], states[1:])
     ]
     k = model.kernel
     if k.needs_finite_checks and not all(
@@ -234,50 +331,59 @@ def _assemble(model: CoefficientSet, lam, states: list, top: int) -> Trajectory:
             "raise mantissa_bits or switch to big-float mode"
         )
     return Trajectory(
-        model=model, lam=lam, top=top,
+        model=model, lam=lam, top=table.top,
         y1=tuple(y1), y2=tuple(y2), y1q=tuple(y1q),
     )
+
+
+def propagate_columns(table: StepTable, data) -> tuple:
+    """One forward pass through ``table`` for every BoundaryData in
+    ``data``; returns their trajectories on a-1 .. table.top."""
+    if table.start != table.model.a - 1:
+        raise ValueError("propagation needs a step table that starts at a-1")
+    with table.model.workprec():
+        rows = _forward_states(table, [(bd.c1, bd.c2) for bd in data])
+        return tuple(
+            _assemble(table, [row[j] for row in rows]) for j in range(len(data))
+        )
 
 
 def propagate(model: CoefficientSet, lam, bd: BoundaryData, top: int) -> Trajectory:
     """Unique solution of the initial value problem on a-1 .. top."""
     if top < model.a:
         raise ValueError("top must be at least the grid origin a")
-    k = model.kernel
-    with model.workprec():
-        lam = as_lambda_scalar(model, lam)
-        check = k.needs_finite_checks
-        state = (k.complex(0) + bd.c1, k.complex(0) + bd.c2)
-        states = [state]
-        for t in range(model.a, top + 1):
-            state = _step_forward(_step_matrix(model, t, lam), state)
-            if check:
-                _check_finite(model, state, t)
-            states.append(state)
-        return _assemble(model, lam, states, top)
+    return propagate_columns(step_table(model, lam, top), (bd,))[0]
 
 
 def propagate_backward(
-    model: CoefficientSet, lam, terminal_state: tuple, top: int
+    model: CoefficientSet, lam, terminal_state: tuple, top: int,
+    *, table: StepTable | None = None,
 ) -> Trajectory:
     """Solve from a terminal state v(top) = (y1(top+1), y1q(top)) down to
     the left endpoint.  Used for stable recovery of forward-decaying
-    solutions (backward stepping amplifies them instead of burying them)."""
+    solutions (backward stepping amplifies them instead of burying them).
+    ``table``, when given, is the step table of (model, lam) on a-1 .. top.
+    """
     if top < model.a:
         raise ValueError("top must be at least the grid origin a")
+    table = _full_table(model, lam, top, table)
     k = model.kernel
     with model.workprec():
-        lam = as_lambda_scalar(model, lam)
         check = k.needs_finite_checks
         state = (k.complex(0) + terminal_state[0], k.complex(0) + terminal_state[1])
         states = [state]
         for t in range(top, model.a - 1, -1):
-            state = _step_backward(_step_matrix(model, t, lam), state)
+            i = t - table.start
+            # v(t-1) = (I - A(t)) v(t)
+            state = (
+                (1 - table.a11[i]) * state[0] - table.a12[i] * state[1],
+                -table.a21[i] * state[0] + (1 - table.a22[i]) * state[1],
+            )
             if check:
                 _check_finite(model, state, t)
             states.append(state)
         states.reverse()
-        return _assemble(model, lam, states, top)
+        return _assemble(table, states)
 
 
 def fundamental_matrix(model: CoefficientSet, lam, top: int) -> tuple:
@@ -289,19 +395,10 @@ def fundamental_matrix(model: CoefficientSet, lam, top: int) -> tuple:
     """
     if top < model.a:
         raise ValueError("top must be at least the grid origin a")
-    k = model.kernel
+    table = step_table(model, lam, top)
     with model.workprec():
-        lam = as_lambda_scalar(model, lam)
-        one, zero = k.complex(1), k.complex(0)
-        mat = ((one, zero), (zero, one))
-        out = [mat]
-        for t in range(model.a, top + 1):
-            sm = _step_matrix(model, t, lam)
-            col0 = _step_forward(sm, (mat[0][0], mat[1][0]))
-            col1 = _step_forward(sm, (mat[0][1], mat[1][1]))
-            mat = ((col0[0], col1[0]), (col0[1], col1[1]))
-            out.append(mat)
-        return tuple(out)
+        rows = _forward_states(table, ((1, 0), (0, 1)))
+        return tuple(((c0[0], c1[0]), (c0[1], c1[1])) for c0, c1 in rows)
 
 
 def oracle_three_term(
@@ -310,28 +407,21 @@ def oracle_three_term(
     """Independent scalar-recurrence solver (the oracle for propagate)."""
     if top < model.a:
         raise ValueError("top must be at least the grid origin a")
+    table = step_table(model, lam, top)
     k = model.kernel
     with model.workprec():
-        lam = as_lambda_scalar(model, lam)
+        lam = table.lam
         a = model.a
         check = k.needs_finite_checks
-        p_eff = {}
-        for t in range(a - 1, top + 1):
-            s = _derived_at(model, t, lam)
-            p_eff[t] = s.p_tilde
-            if s.p_tilde == 0:
-                raise InadmissibleLambdaError(
-                    f"effective leading coefficient vanishes at t={t}", t=t
-                )
+        p_eff = dict(enumerate(table.p_tilde, a - 1))
         c1 = k.complex(0) + bd.c1
         c2 = k.complex(0) + bd.c2
-        alpha_left = _derived_at(model, a - 1, lam).alpha
+        alpha_left = table.alpha[0]
         # quasi-difference seed: y1q(a-1) = p_eff(a-1) dy1(a-1) + alpha(a-1) y1(a)
         y1 = {a: c1, a - 1: c1 - (c2 - alpha_left * c1) / p_eff[a - 1]}
-        for t in range(a, top + 1):
-            s = _derived_at(model, t, lam)
+        for t, q_tilde in enumerate(table.q_tilde[1:], a):
             y1[t + 1] = (
-                (p_eff[t] + p_eff[t - 1] + s.q_tilde - lam) * y1[t]
+                (p_eff[t] + p_eff[t - 1] + q_tilde - lam) * y1[t]
                 - p_eff[t - 1] * y1[t - 1]
             ) / p_eff[t]
             if check and not k.isfinite(y1[t + 1]):
@@ -355,33 +445,37 @@ def oracle_three_term(
         )
 
 
+def operator_rows(model: CoefficientSet, y1, y2, t: int) -> tuple:
+    """Both rows of the difference operator, without the lam terms, applied
+    to a pair sequence given as functions y1(s), y2(s); row 1 exists for
+    t >= a (it needs t-1), row 2 from a-1 on (None stands for a missing
+    row).  A precision context must be active."""
+    c_t = model.coeff("c", t)
+    h_t = model.coeff("h", t)
+    row2 = c_t * (y1(t + 1) - y1(t)) + h_t * y1(t) + model.coeff("d", t) * y2(t)
+    if t < model.a:
+        return None, row2
+    p_t = model.coeff("p", t)
+    p_prev = model.coeff("p", t - 1)
+    c_prev = model.coeff("c", t - 1)
+    row1 = (
+        -(p_t * (y1(t + 1) - y1(t)) - p_prev * (y1(t) - y1(t - 1)))
+        + model.coeff("q", t) * y1(t)
+        - (c_t * y2(t) - c_prev * y2(t - 1))
+        + h_t * y2(t)
+    )
+    return row1, row2
+
+
 def residual_rows(model: CoefficientSet, traj: Trajectory, t: int) -> tuple:
-    """Raw residuals of both equation rows at an interior t (row 1 needs
-    a <= t <= top-? values up to t+1; row 2 holds from a-1)."""
+    """Raw residuals (L y - lam y) of both equation rows at t; row 1 is
+    None at t = a-1."""
     with model.workprec():
         lam = traj.lam
-        c_t = model.coeff("c", t)
-        h_t = model.coeff("h", t)
-        d_t = model.coeff("d", t)
-        row2 = (
-            c_t * (traj.y1_at(t + 1) - traj.y1_at(t))
-            + h_t * traj.y1_at(t)
-            + d_t * traj.y2_at(t)
-            - lam * traj.y2_at(t)
-        )
-        if t < model.a:
-            return None, row2
-        p_t = model.coeff("p", t)
-        p_prev = model.coeff("p", t - 1)
-        c_prev = model.coeff("c", t - 1)
-        row1 = (
-            -(p_t * (traj.y1_at(t + 1) - traj.y1_at(t))
-              - p_prev * (traj.y1_at(t) - traj.y1_at(t - 1)))
-            + model.coeff("q", t) * traj.y1_at(t)
-            - (c_t * traj.y2_at(t) - c_prev * traj.y2_at(t - 1))
-            + h_t * traj.y2_at(t)
-            - lam * traj.y1_at(t)
-        )
+        row1, row2 = operator_rows(model, traj.y1_at, traj.y2_at, t)
+        row2 = row2 - lam * traj.y2_at(t)
+        if row1 is not None:
+            row1 = row1 - lam * traj.y1_at(t)
         return row1, row2
 
 

@@ -13,11 +13,11 @@ import csv
 import json
 from pathlib import Path
 
+from . import __version__ as TOOL_VERSION
 from .backends import big_backend_name, format_complex, format_real
 from .scenarios import Scenario
 
 SCHEMA_VERSION = 1
-TOOL_VERSION = "0.1.0"
 DIGITS = 40
 
 

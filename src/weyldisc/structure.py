@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MatchingSingularError, WindowError
-from .model import CoefficientSet, _derived_at
-from .recurrence import Trajectory, max_relative_residual
+from .model import CoefficientSet, derived_at
+from .recurrence import Trajectory, max_relative_residual, operator_rows
 
 
 def quasi_difference(model: CoefficientSet, y1_t, y1_next, y2_t, t: int):
@@ -40,45 +40,21 @@ def bracket(y: Trajectory, z: Trajectory, t: int):
         )
 
 
-def _seq_value(seq, a: int, t: int, top: int, what: str):
-    idx = t - (a - 1)
-    if idx < 0 or idx > top - (a - 1):
-        raise WindowError(f"{what} covers {a - 1} <= t <= {top}, got t={t}")
-    return seq[idx]
-
-
 def _apply_operator(model: CoefficientSet, seq, t: int):
-    """Row values of the difference operator on a raw pair sequence."""
-    c_t = model.coeff("c", t)
-    h_t = model.coeff("h", t)
-    y1 = lambda s: seq[s - (model.a - 1)][0]
-    y2 = lambda s: seq[s - (model.a - 1)][1]
-    row2 = c_t * (y1(t + 1) - y1(t)) + h_t * y1(t) + model.coeff("d", t) * y2(t)
-    if t == model.a - 1:
-        return None, row2
-    p_t = model.coeff("p", t)
-    p_prev = model.coeff("p", t - 1)
-    c_prev = model.coeff("c", t - 1)
-    row1 = (
-        -(p_t * (y1(t + 1) - y1(t)) - p_prev * (y1(t) - y1(t - 1)))
-        + model.coeff("q", t) * y1(t)
-        - (c_t * y2(t) - c_prev * y2(t - 1))
-        + h_t * y2(t)
+    """Row values of the difference operator on a raw pair sequence
+    indexed from a-1."""
+    off = model.a - 1
+    return operator_rows(
+        model, lambda s: seq[s - off][0], lambda s: seq[s - off][1], t
     )
-    return row1, row2
-
-
-def _raw_quasi(model: CoefficientSet, seq, t: int):
-    y1 = lambda s: seq[s - (model.a - 1)][0]
-    y2 = lambda s: seq[s - (model.a - 1)][1]
-    return model.coeff("p", t) * (y1(t + 1) - y1(t)) + model.coeff("c", t) * y2(t)
 
 
 def _raw_bracket(model: CoefficientSet, y, z, t: int):
     k = model.kernel
-    y1 = y[t + 1 - (model.a - 1)][0]
-    z1 = z[t + 1 - (model.a - 1)][0]
-    return y1 * k.conj(_raw_quasi(model, z, t)) - _raw_quasi(model, y, t) * k.conj(z1)
+    i = t - (model.a - 1)
+    y_quasi = quasi_difference(model, y[i][0], y[i + 1][0], y[i][1], t)
+    z_quasi = quasi_difference(model, z[i][0], z[i + 1][0], z[i][1], t)
+    return y[i + 1][0] * k.conj(z_quasi) - y_quasi * k.conj(z[i + 1][0])
 
 
 def green_defect(model: CoefficientSet, y, z, top: int):
@@ -227,7 +203,7 @@ def vop_reconstruct(
 
         f_full = f_prev + transposed_dot(phi, t_check)
         g_full = g_prev + transposed_dot(psi, t_check)
-        m_val = _derived_at(model, t_check, lam).m_excl
+        m_val = derived_at(model, t_check, lam).m_excl
         ratio = (lam0 - m_val) / (lam - m_val)
         defect_y2 = z.y2_at(t_check) - ratio * (
             k1 * psi.y2_at(t_check)

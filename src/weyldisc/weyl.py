@@ -22,9 +22,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import InadmissibleLambdaError, NumericalInvariantError
+from .errors import (
+    InadmissibleLambdaError,
+    NumericalInvariantError,
+    PrecisionExhaustedError,
+)
 from .model import CoefficientSet, as_lambda_scalar, spectral_gap
-from .recurrence import BoundaryData, Trajectory, propagate, propagate_backward
+from .recurrence import (
+    BoundaryData,
+    StepTable,
+    Trajectory,
+    _full_table,
+    propagate_backward,
+    propagate_columns,
+    step_table,
+)
 from .structure import bracket
 
 
@@ -94,18 +106,20 @@ class ClassificationReport:
 
 
 def fundamental_pair(
-    model: CoefficientSet, lam, alpha: float, top: int
+    model: CoefficientSet, lam, alpha: float, top: int,
+    *, table: StepTable | None = None,
 ) -> tuple[Trajectory, Trajectory]:
     """Canonical solutions phi (data sin a, -cos a) and psi (cos a, sin a);
-    their Wronskian pairing is 1, so they are independent."""
+    their Wronskian pairing is 1, so they are independent.  Both are
+    stepped in one pass; ``table``, when given, is the step table of
+    (model, lam) on a-1 .. top."""
     if not 0 <= alpha < math.pi:
         raise ValueError(f"alpha must lie in [0, pi), got {alpha}")
+    table = _full_table(model, lam, top, table)
     k = model.kernel
     with model.workprec():
         sa, ca = k.sin(alpha), k.cos(alpha)
-        phi = propagate(model, lam, BoundaryData(sa, -ca), top)
-        psi = propagate(model, lam, BoundaryData(ca, sa), top)
-        return phi, psi
+        return propagate_columns(table, (BoundaryData(sa, -ca), BoundaryData(ca, sa)))
 
 
 def corner_values(pair: tuple[Trajectory, Trajectory], n: int) -> CornerValues:
@@ -150,18 +164,33 @@ def _disc_rows(model, phi, psi, lam, n_hi):
     w_run = k.complex(0)
     psi_sums = []
     discs = []
-    for t in range(model.a, n_hi + 1):
-        s1, s2 = psi.component_pair(t)
-        p1, p2 = phi.component_pair(t)
-        s_run = s_run + k.absval(s1) ** 2 + k.absval(s2) ** 2
-        w_run = w_run + k.conj(s1) * p1 + k.conj(s2) * p2
-        psi_sums.append((t, s_run))
-        diag = diag0 + factor * s_run
-        if diag == 0:
-            continue
-        mixed = mixed0 + factor * w_run
-        discs.append(_disc_from_brackets(k, t, mixed, diag))
+    try:
+        for t in range(model.a, n_hi + 1):
+            s1, s2 = psi.component_pair(t)
+            p1, p2 = phi.component_pair(t)
+            s_run = s_run + k.absval(s1) ** 2 + k.absval(s2) ** 2
+            w_run = w_run + k.conj(s1) * p1 + k.conj(s2) * p2
+            psi_sums.append((t, s_run))
+            diag = diag0 + factor * s_run
+            if diag == 0:
+                continue
+            mixed = mixed0 + factor * w_run
+            discs.append(_disc_from_brackets(k, t, mixed, diag))
+    except OverflowError:
+        raise _sums_exhausted(t) from None
+    # an overflowed running sum stays inf or nan, so the last one tells
+    if k.needs_finite_checks and not (k.isfinite(s_run) and k.isfinite(w_run)):
+        raise _sums_exhausted(n_hi)
     return discs, psi_sums
+
+
+def _sums_exhausted(t: int) -> PrecisionExhaustedError:
+    """Native floats raise OverflowError or turn inf when a partial sum
+    outgrows them; both are precision exhaustion."""
+    return PrecisionExhaustedError(
+        f"partial sums left the representable range by t={t}; "
+        "switch to big-float mode"
+    )
 
 
 def weyl_disc(model: CoefficientSet, lam, alpha: float, n: int) -> WeylDisc:
@@ -244,10 +273,11 @@ def _norm1(state, k):
     return k.absval(state[0]) + k.absval(state[1])
 
 
-def _stable_chi(model, lam, phi, psi, m, n_max, radius_last):
+def _stable_chi(model, lam, phi, psi, m, n_max, radius_last, table):
     """chi = phi + m psi, by the forward combination when it keeps at least
-    half the mantissa everywhere, else by backward propagation matched to
-    chi's left boundary state.  Returns (trajectory or None, method)."""
+    half the mantissa everywhere, else by backward propagation (through
+    the pair's step table) matched to chi's left boundary state.  Returns
+    (trajectory or None, method)."""
     k = model.kernel
     bits = model.precision.bits
     chi_fwd = phi.combined(psi, m)
@@ -261,6 +291,7 @@ def _stable_chi(model, lam, phi, psi, m, n_max, radius_last):
             break
     if trusted:
         return chi_fwd, "forward"
+    del chi_fwd  # release its samples before the backward seeds are built
 
     left_target = (
         phi.y1_at(model.a) + m * psi.y1_at(model.a),
@@ -272,7 +303,8 @@ def _stable_chi(model, lam, phi, psi, m, n_max, radius_last):
     thresh = norm_left * k.real(2) ** (-(bits // 4)) + 8 * radius_last * (1 + m_abs)
     for seed in ((1, 0), (0, 1), (1, 1)):
         w = propagate_backward(
-            model, lam, (k.complex(seed[0]), k.complex(seed[1])), n_max
+            model, lam, (k.complex(seed[0]), k.complex(seed[1])), n_max,
+            table=table,
         )
         w_left = w.state(model.a - 1)
         j = 0 if k.absval(left_target[0]) >= k.absval(left_target[1]) else 1
@@ -289,10 +321,15 @@ def _profile(model, traj, n_max) -> list:
     k = model.kernel
     total = k.real(0)
     sums = []
-    for t in range(model.a, n_max + 1):
-        c1, c2 = traj.component_pair(t)
-        total = total + k.absval(c1) ** 2 + k.absval(c2) ** 2
-        sums.append((t, total))
+    try:
+        for t in range(model.a, n_max + 1):
+            c1, c2 = traj.component_pair(t)
+            total = total + k.absval(c1) ** 2 + k.absval(c2) ** 2
+            sums.append((t, total))
+    except OverflowError:
+        raise _sums_exhausted(t) from None
+    if k.needs_finite_checks and not k.isfinite(total):
+        raise _sums_exhausted(n_max)
     return sums
 
 
@@ -337,12 +374,14 @@ def classify(
         if not point.admissible:
             raise InadmissibleLambdaError("lam is not admissible over the horizon")
 
-        phi, psi = fundamental_pair(model, lam, alpha, options.n_max)
+        # one step table feeds phi, psi and every backward chi seed
+        table = step_table(model, lam, options.n_max)
+        phi, psi = fundamental_pair(model, lam, alpha, options.n_max, table=table)
         discs, psi_sums = _disc_rows(model, phi, psi, lam, options.n_max)
         m_limit = discs[-1].center
 
         chi_traj, chi_method = _stable_chi(
-            model, lam, phi, psi, m_limit, options.n_max, discs[-1].radius
+            model, lam, phi, psi, m_limit, options.n_max, discs[-1].radius, table
         )
         psi_verdict = _growth_verdict(psi_sums, model, options)
         psi_profile = L2Profile(tuple(psi_sums), psi_verdict)

@@ -220,3 +220,51 @@ def test_native_mode_works_within_range():
     assert traj.y1_at(1) == (1 - 1j)
     oracle = oracle_three_term(model, 1j, BoundaryData(1, 0), 10)
     assert max(abs(a - b) for a, b in zip(traj.y1, oracle.y1)) < 1e-12
+
+
+def test_step_matrix_is_the_table_row(models):
+    """The det-checked public step matrix, built from a two-row walk,
+    equals the row of a table walked from the origin."""
+    from weyldisc.recurrence import step_table
+
+    for name, model in models.items():
+        table = step_table(model, 0.3 + 1j, 14)
+        for t in range(model.a, 15):
+            assert step_matrix(model, t, 0.3 + 1j) == table.matrix(t), (name, t)
+
+
+def test_derived_at_is_the_table_row(models):
+    from weyldisc import derived_at
+    from weyldisc.recurrence import step_table
+
+    model = models["ex4.1b"]
+    table = step_table(model, 1j, 9)
+    for t in range(model.a - 1, 10):
+        s = derived_at(model, t, 1j)
+        i = table.index(t)
+        assert (s.p_tilde, s.q_tilde, s.alpha, s.h_shift, s.m_excl) == (
+            table.p_tilde[i], table.q_tilde[i], table.alpha[i],
+            table.h_shift[i], table.m_excl[i])
+
+
+def test_fundamental_pair_is_two_propagations_in_one_pass(models):
+    from weyldisc import fundamental_pair
+
+    model = models["ex4.1b"]
+    phi, psi = fundamental_pair(model, 1j, 0.4, 30)
+    with model.workprec():
+        k = model.kernel
+        sa, ca = k.sin(0.4), k.cos(0.4)
+        assert phi == propagate(model, 1j, BoundaryData(sa, -ca), 30)
+        assert psi == propagate(model, 1j, BoundaryData(ca, sa), 30)
+
+
+def test_foreign_step_table_is_refused(models):
+    from weyldisc import fundamental_pair
+    from weyldisc.recurrence import step_table
+
+    model = models["free"]
+    with pytest.raises(ValueError):
+        fundamental_pair(model, 1j, 0.0, 10, table=step_table(model, 1j, 12))
+    with pytest.raises(ValueError):
+        propagate_backward(model, 1j, (1, 0), 10, table=step_table(model, 2j, 10))

@@ -273,3 +273,63 @@ def test_degenerate_origin_disc_is_skipped(models):
     assert sums[0][1] == 0
     assert discs[0].n == 1
     assert len(discs) == 10
+
+
+def test_classify_derives_each_grid_point_once(models, monkeypatch):
+    """One classify builds one step table over a-1 .. n_max and looks each
+    coefficient up a bounded number of times per grid point."""
+    from weyldisc import CoefficientSet, recurrence, weyl
+
+    rows = []
+    build = recurrence.step_table
+
+    def counting_table(model, lam, top, start=None):
+        table = build(model, lam, top, start)
+        rows.append((table.start, table.top))
+        return table
+
+    lookups = []
+    coeff = CoefficientSet.coeff
+
+    def counting_coeff(self, name, t):
+        lookups.append((name, t))
+        return coeff(self, name, t)
+
+    monkeypatch.setattr(recurrence, "step_table", counting_table)
+    monkeypatch.setattr(weyl, "step_table", counting_table)
+    monkeypatch.setattr(CoefficientSet, "coeff", counting_coeff)
+    model = models["ex4.2a"]
+    n_max = 120
+    report = classify(model, 1j, 0.0, ClassifyOptions(n_max=n_max))
+    assert report.chi_method == "backward"  # backward seeds reuse the table
+    assert rows == [(model.a - 1, n_max)]
+    points = n_max + 3  # a-1 .. n_max+1, the admissibility scan's horizon
+    # 4 per point for the admissibility scan, 5 for the table, a few more
+    # at the left boundary
+    assert len(lookups) <= 10 * points
+
+
+def test_native_overflow_in_disc_sums_is_typed():
+    """Native floats once let a raw OverflowError out of the psi sums."""
+    from weyldisc import PrecisionConfig, PrecisionExhaustedError
+
+    scenario = builtin_scenario("ex4.1b")
+    model = scenario.model().with_precision(PrecisionConfig(mode="native-float"))
+    with pytest.raises(PrecisionExhaustedError):
+        classify(model, 1 + 0.3j, 1.0, ClassifyOptions(n_max=200))
+
+
+def test_native_profile_sum_turning_inf_is_typed():
+    """Finite samples whose squared norms add up past the float range."""
+    from weyldisc import CoefficientSet, PrecisionConfig, PrecisionExhaustedError
+    from weyldisc.recurrence import Trajectory
+    from weyldisc.weyl import _profile
+
+    model = CoefficientSet.from_expressions(
+        precision=PrecisionConfig(mode="native-float")
+    )
+    big = complex(1e154, 0)
+    traj = Trajectory(model=model, lam=1j, top=10,
+                      y1=(big,) * 13, y2=(big,) * 12, y1q=(big,) * 12)
+    with pytest.raises(PrecisionExhaustedError):
+        _profile(model, traj, 10)
