@@ -39,6 +39,11 @@ except ImportError:  # pragma: no cover - exercised only on gmpy2-less installs
     gmpy2 = None
 
 
+# an mpc's parts and an mpf itself are taken as they are, never rounded to
+# the ambient precision (mpmath.mpc(z) would round them)
+_MP_TYPES = (mpmath.mpc, mpmath.mpf)
+
+
 class MpmathKernel:
     """Python big-float kernel backed by mpmath."""
 
@@ -62,10 +67,10 @@ class MpmathKernel:
         return mpmath.mpc(self.real(re), self.real(im))
 
     def re(self, z):
-        return mpmath.mpc(z).real
+        return z.real if isinstance(z, _MP_TYPES) else mpmath.mpc(z).real
 
     def im(self, z):
-        return mpmath.mpc(z).imag
+        return z.imag if isinstance(z, _MP_TYPES) else mpmath.mpc(z).imag
 
     def conj(self, z):
         return mpmath.conj(z)
@@ -98,7 +103,9 @@ class MpmathKernel:
         return -frac if sign else frac
 
     def to_mpf(self, x) -> mpmath.mpf:
-        return mpmath.mpf(x)
+        """x as an mpf, exactly: an mpf is returned as it is, not rounded
+        to the ambient precision."""
+        return x if isinstance(x, mpmath.mpf) else mpmath.mpf(x)
 
 
 class Gmpy2Kernel:
@@ -166,7 +173,7 @@ class Gmpy2Kernel:
         if gmpy2.is_zero(x):
             return mpmath.mpf(0)
         man, exp = x.as_mantissa_exp()
-        return mpmath.ldexp(mpmath.mpf(int(man)), int(exp))
+        return mpmath.mp.make_mpf(mpmath.libmp.from_man_exp(int(man), int(exp)))
 
 
 class NativeKernel:
@@ -227,7 +234,7 @@ class NativeKernel:
         return Fraction(float(x))
 
     def to_mpf(self, x) -> mpmath.mpf:
-        return mpmath.mpf(float(x))
+        return mpmath.mp.make_mpf(mpmath.libmp.from_float(float(x)))
 
 
 def _pow_real(kernel, base, expo):
@@ -301,10 +308,10 @@ def native_kernel() -> NativeKernel:
 
 
 def format_real(kernel, x, digits: int = 40) -> str:
-    """Deterministic decimal rendering, identical across kernels."""
-    m = kernel.to_mpf(x)
-    with mpmath.mp.workprec(max(mpmath.mp.prec, 4 * digits)):
-        return mpmath.nstr(m, digits)
+    """Deterministic decimal rendering, identical across kernels: the
+    exact value of x to ``digits`` significant digits, whatever precision
+    context is active (``to_mpf`` is exact and ``nstr`` ignores it)."""
+    return mpmath.nstr(kernel.to_mpf(x), digits)
 
 
 def format_complex(kernel, z, digits: int = 40) -> dict:

@@ -1,10 +1,13 @@
 """Byte-identity of the classify artifacts.
 
 The digests pin the exact bytes of `weyldisc classify <builtin> --n-max 200`
-at the default 256 bits, per big-float kernel.  A refactor of the solvers
-must keep them; a deliberate change of the numbers or of the report format
-updates them in the same change.  Kernels without stored digests are
-skipped.
+at the default 256 bits, per big-float kernel, plus ex4.2a at n_max 800
+(growth like 2^(t^2), backward chi route), so drift that builds up over a
+long window cannot hide behind the short one.  Every value is printed to
+40 digits of its working-precision value.  A refactor of the solvers must
+keep the digests; a deliberate change of the numbers or of the report
+format updates them in the same change.  Kernels without stored digests
+are skipped.
 """
 
 import contextlib
@@ -19,28 +22,42 @@ from weyldisc.cli import main
 
 DIGESTS = {
     "mpmath": {
-        "free_report.json": "072545f4fce8bc25f4b2547df3dd799b79bde742d0c9b00c63d62354ad0cdb96",
-        "free_discs.csv": "d3fcac77fcab95b726dd4767b91ceb2203cdd91c2dfe1dee030cc7d100268617",
-        "ex4.1a_report.json": "aa555e3ffde298bda56eed88bd63589061d29729cc2edc13ddd78db26581782e",
-        "ex4.1a_discs.csv": "94bfb91252f8ee6908928d7fa23f1d2083064e4546ad5a5ee4d25cbc85f19b07",
-        "ex4.1b_report.json": "5aa9aaaa4917201ffc1d838315d365ac883910f3e793b7ceb3803c39f7336c67",
-        "ex4.1b_discs.csv": "5ca3e055cd744fe7d3c85d9413db30367bd9612cf8d29b400a6b0be8178f8dee",
-        "ex4.2a_report.json": "95c9d607a41ae0e49a5fd7d9d6233e50771a11f5a8ec3f2061fd085f1a4da7da",
-        "ex4.2a_discs.csv": "63c8633b10fde6ff48660fc930869c92b57244ec02285a178656bdbc0e475efb",
-        "ex4.2b_report.json": "f34ef8f90b0f0b1d05fb4a8e8e47a236d611d708949bb92b0b1377e5673abdce",
-        "ex4.2b_discs.csv": "edfa0960bdf101e2559e9962e2bcc94887e65981327e8a87e3d931de10f9f35d",
+        "free_report.json": "b06a6fa6bb502105dea91a18472658ca07a3215825844c36b878c162419002d1",
+        "free_discs.csv": "41efbcc157c85fa10d4f768b8aa4acc9f0924c4318b845e46526502a9101496c",
+        "ex4.1a_report.json": "9379251baf0e0c5627cfe9fc6de3c0bd866d9f0d1dc290ad16f2fd14a895f656",
+        "ex4.1a_discs.csv": "a2bd58c6536af868f343838f54d9d73fed300ca233213ae2bd94e3eee0ec7a6f",
+        "ex4.1b_report.json": "d7c191bd73bed0fe5ba9c4abbc69d9efdb1c443d15826efc7bb9e3a929f74feb",
+        "ex4.1b_discs.csv": "518133df7d31a4ed512cc0ffac7c1e370af9db70f0bf4736652ec520081f82ed",
+        "ex4.2a_report.json": "4762b4fc0d33dd3c0924143922acfea4a8f581c54f96b245ecfa2b2acdd31f58",
+        "ex4.2a_discs.csv": "0468ff8e1318a26c2ec3c900b2868cff0a9531af64c3b9fc2ca9fef729c195fc",
+        "ex4.2b_report.json": "5ce650c0e2416a048b0b53b3ee345eb68ad3a5a4d3cf4cc65bdd3f8f9339f674",
+        "ex4.2b_discs.csv": "13fe7953109bcb99b39b81743674d1fe9908d47b0dad9ef149a9e4767f8050c5",
+    },
+}
+
+LONG_WINDOW_DIGESTS = {
+    "mpmath": {
+        "ex4.2a_report.json": "96096425bb4c80b29b84a45cd23916b3b1a8ffeecf0ba34d38beeffad045e97e",
+        "ex4.2a_discs.csv": "1db00e06fb578a90995abc1657fb49d1b15872996d7eec4ea9d7546d0b2a9c95",
     },
 }
 
 
-@pytest.mark.parametrize("name", builtin_names())
-def test_classify_artifacts_are_byte_identical(tmp_path, name):
-    digests = DIGESTS.get(big_backend_name())
+def _check_digests(out, name, n_max, digests):
     if digests is None:
         pytest.skip(f"no stored digests for the {big_backend_name()} kernel")
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["classify", name, "--n-max", "200", "--out", str(tmp_path)]) == 0
+        assert main(["classify", name, "--n-max", str(n_max), "--out", str(out)]) == 0
     for suffix in ("_report.json", "_discs.csv"):
         file_name = name + suffix
-        got = hashlib.sha256((tmp_path / file_name).read_bytes()).hexdigest()
+        got = hashlib.sha256((out / file_name).read_bytes()).hexdigest()
         assert got == digests[file_name], file_name
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_classify_artifacts_are_byte_identical(tmp_path, name):
+    _check_digests(tmp_path, name, 200, DIGESTS.get(big_backend_name()))
+
+
+def test_long_window_artifacts_are_byte_identical(tmp_path):
+    _check_digests(tmp_path, "ex4.2a", 800, LONG_WINDOW_DIGESTS.get(big_backend_name()))

@@ -76,6 +76,17 @@ def test_formatting_is_backend_independent():
     assert entry == {"re": "0.0", "im": "1.0"}
 
 
+def test_formatting_uses_the_working_precision_value():
+    """Rendered outside any precision context, a 256-bit value keeps all
+    of its forty printed digits (the ambient context has 53 bits)."""
+    k = BIG_KERNEL
+    with k.workprec(256):
+        third = k.real(1) / 3
+        z = k.complex(1, -1) / 3
+    assert format_real(k, third, 40) == "0." + "3" * 40
+    assert format_complex(k, z, 40) == {"re": "0." + "3" * 40, "im": "-0." + "3" * 40}
+
+
 def test_huge_exponents_format():
     k = BIG_KERNEL
     with k.workprec(256):
