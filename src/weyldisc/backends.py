@@ -30,6 +30,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath
+from mpmath import libmp as _libmp
 
 from .errors import EvaluationError, NativeOverflowError
 
@@ -78,6 +79,16 @@ class MpmathKernel:
     def absval(self, z):
         return abs(z)
 
+    def abs2(self, z):
+        """|z|^2 as re^2 + im^2: exact squares, one rounding, no square root."""
+        if not isinstance(z, mpmath.mpc):
+            return z * z
+        re, im = z._mpc_
+        prec, rounding = mpmath.mp._prec_rounding
+        return mpmath.mp.make_mpf(
+            _libmp.mpf_add(_libmp.mpf_mul(re, re), _libmp.mpf_mul(im, im), prec, rounding)
+        )
+
     def sqrt_nonneg(self, x):
         if x < 0:
             raise EvaluationError(f"square root of negative value {mpmath.nstr(x, 12)}")
@@ -85,6 +96,9 @@ class MpmathKernel:
 
     def pow_real(self, base, expo):
         return _pow_real(self, base, expo)
+
+    def pow_positive(self, base, expo):
+        return mpmath.power(base, expo)
 
     def sin(self, x):
         return mpmath.sin(self.real(x))
@@ -144,6 +158,9 @@ class Gmpy2Kernel:
     def absval(self, z):
         return abs(z)
 
+    def abs2(self, z):
+        return gmpy2.norm(z) if isinstance(z, gmpy2.mpc) else z * z
+
     def sqrt_nonneg(self, x):
         if x < 0:
             raise EvaluationError(f"square root of negative value {x!s}")
@@ -151,6 +168,9 @@ class Gmpy2Kernel:
 
     def pow_real(self, base, expo):
         return _pow_real(self, base, expo)
+
+    def pow_positive(self, base, expo):
+        return base ** expo
 
     def sin(self, x):
         return gmpy2.sin(self.real(x))
@@ -173,7 +193,7 @@ class Gmpy2Kernel:
         if gmpy2.is_zero(x):
             return mpmath.mpf(0)
         man, exp = x.as_mantissa_exp()
-        return mpmath.mp.make_mpf(mpmath.libmp.from_man_exp(int(man), int(exp)))
+        return mpmath.mp.make_mpf(_libmp.from_man_exp(int(man), int(exp)))
 
 
 class NativeKernel:
@@ -207,6 +227,10 @@ class NativeKernel:
     def absval(self, z):
         return abs(z)
 
+    def abs2(self, z):
+        # an overflow gives inf here, which the finite checks report
+        return z.real * z.real + z.imag * z.imag
+
     def sqrt_nonneg(self, x):
         if x < 0:
             raise EvaluationError(f"square root of negative value {x}")
@@ -219,6 +243,14 @@ class NativeKernel:
                 f"overflow at native-float precision: {base} ^ {expo}"
             )
         return out
+
+    def pow_positive(self, base, expo):
+        try:
+            return math.pow(base, expo)
+        except OverflowError:
+            raise NativeOverflowError(
+                f"overflow at native-float precision: {base} ^ {expo}"
+            ) from None
 
     def sin(self, x):
         return math.sin(self.real(x))
@@ -234,7 +266,7 @@ class NativeKernel:
         return Fraction(float(x))
 
     def to_mpf(self, x) -> mpmath.mpf:
-        return mpmath.mp.make_mpf(mpmath.libmp.from_float(float(x)))
+        return mpmath.mp.make_mpf(_libmp.from_float(float(x)))
 
 
 def _pow_real(kernel, base, expo):
@@ -250,16 +282,7 @@ def _pow_real(kernel, base, expo):
             return kernel.real(1)
         return kernel.real(0)
     if base > 0:
-        if kernel.name == "mpmath":
-            return mpmath.power(base, expo)
-        if kernel.name == "gmpy2":
-            return base ** expo
-        try:
-            return math.pow(base, expo)
-        except OverflowError:
-            raise NativeOverflowError(
-                f"overflow at native-float precision: {base} ^ {expo}"
-            ) from None
+        return kernel.pow_positive(base, expo)
     # negative base: exponent must be an integer
     frac = kernel.to_fraction(expo)
     if frac.denominator != 1:
@@ -309,9 +332,9 @@ def native_kernel() -> NativeKernel:
 
 def format_real(kernel, x, digits: int = 40) -> str:
     """Deterministic decimal rendering, identical across kernels: the
-    exact value of x to ``digits`` significant digits, whatever precision
-    context is active (``to_mpf`` is exact and ``nstr`` ignores it)."""
-    return mpmath.nstr(kernel.to_mpf(x), digits)
+    exact value of x to ``digits`` significant digits, formatted from its
+    own mantissa and exponent, whatever precision context is active."""
+    return _libmp.to_str(kernel.to_mpf(x)._mpf_, digits)
 
 
 def format_complex(kernel, z, digits: int = 40) -> dict:

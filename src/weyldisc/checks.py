@@ -24,9 +24,8 @@ from .recurrence import (
     step_table,
 )
 from .structure import (
-    _apply_operator,
     bracket,
-    green_defect,
+    green_terms,
     lagrange_identity_defect,
     vop_reconstruct,
     wronskian,
@@ -126,25 +125,28 @@ def residual_deviation(model: CoefficientSet, lam, alpha: float, top: int) -> fl
         )
 
 
+def _draw_complex(k, rng: random.Random, count: int) -> list:
+    """``count`` complex values with both parts uniform in [-1, 1], real
+    part drawn first."""
+    return [k.complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(count)]
+
+
 def random_pair_sequences(model: CoefficientSet, top: int, rng: random.Random):
     k = model.kernel
     n = top + 1 - (model.a - 1) + 1
-    def draw():
-        return k.complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    return ([(draw(), draw()) for _ in range(n)],
-            [(draw(), draw()) for _ in range(n)])
+    y = _draw_complex(k, rng, 2 * n)
+    z = _draw_complex(k, rng, 2 * n)
+    return list(zip(y[0::2], y[1::2])), list(zip(z[0::2], z[1::2]))
 
 
 def green_relative_defect(model: CoefficientSet, y, z, top: int) -> float:
     """Green's formula defect normalized by the inner-product magnitudes."""
     k = model.kernel
     with model.workprec():
-        defect = green_defect(model, y, z, top)
+        defect, rows = green_terms(model, y, z, top)
         scale = k.real(1)
-        for t in range(model.a, top + 1):
-            ly1, ly2 = _apply_operator(model, y, t)
-            lz1, lz2 = _apply_operator(model, z, t)
-            idx = t - (model.a - 1)
+        # rows start at t = a, which is index 1 of sequences from a-1
+        for idx, ((ly1, ly2), (lz1, lz2)) in enumerate(rows, 1):
             scale = scale + (k.absval(ly1) + k.absval(ly2)) * (
                 k.absval(z[idx][0]) + k.absval(z[idx][1])
             )
@@ -200,12 +202,9 @@ def bracket_antisymmetry_worst(
             n = top + 1 - (model.a - 1)
             return Trajectory(
                 model=model, lam=k.complex(0, 1), top=top,
-                y1=tuple(k.complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                         for _ in range(n + 1)),
-                y2=tuple(k.complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                         for _ in range(n)),
-                y1q=tuple(k.complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                          for _ in range(n)),
+                y1=tuple(_draw_complex(k, rng, n + 1)),
+                y2=tuple(_draw_complex(k, rng, n)),
+                y1q=tuple(_draw_complex(k, rng, n)),
             )
         for _ in range(pairs):
             y, z = draw_traj(), draw_traj()

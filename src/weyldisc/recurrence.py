@@ -16,8 +16,10 @@ entries of A(t) and the y2-reconstruction coefficients
     y2(t) = r1(t) y1(t+1) + r2(t) y1q(t),
     r1 = alpha*(h - c)/(den*p_tilde) + h/den,  r2 = (c - h)/(den*p_tilde),
 
-with den = lam - d.  alpha(t-1), which q_tilde(t) needs, is the previous
-row.  A table is built per call and dropped with it; callers that step
+with den = lam - d.  Each row takes one complex reciprocal of den and one
+of p_tilde and multiplies by them wherever these formulas divide, so the
+entries agree with the quotients to within a few units in the last place.
+alpha(t-1), which q_tilde(t) needs, is the previous row.  A table is built per call and dropped with it; callers that step
 several solutions at one (model, lam) pass the same table along.  Every
 solver steps one or more columns through the same table, so the two
 solutions of a fundamental pair are one pass.
@@ -124,24 +126,25 @@ def step_table(model: CoefficientSet, lam, top: int, start: int | None = None) -
             den = lam - d
             if den == 0:
                 raise InadmissibleLambdaError(f"lam equals d({t})", t=t)
+            inv_den = 1 / den
             off = c * c - h * c
-            p_tilde = p + off / den
-            alpha = h * c / den
+            p_tilde = p + off * inv_den
+            alpha = h * c * inv_den
             if p_tilde == 0:
                 raise InadmissibleLambdaError(
                     f"effective leading coefficient vanishes at t={t}", t=t
                 )
+            inv_p = 1 / p_tilde
             m_excl = d - off / p
-            denp = den * p_tilde
-            r1 = alpha * (h - c) / denp + h / den
-            r2 = (c - h) / denp
+            inv_denp = inv_den * inv_p
+            r1 = alpha * (h - c) * inv_denp + h * inv_den
+            r2 = (c - h) * inv_denp
             if alpha_prev is None:
                 q_tilde = h_shift = a11 = a12 = a21 = a22 = None
             else:
-                common = coeff("q", t) + h * h / den
+                common = coeff("q", t) + h * h * inv_den
                 q_tilde = common - (alpha - alpha_prev)
                 h_shift = common - lam
-                inv_p = 1 / p_tilde
                 a11 = -alpha * inv_p
                 a12 = inv_p
                 a21 = (h_shift - alpha) * alpha * inv_p + h_shift

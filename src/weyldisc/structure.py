@@ -63,6 +63,14 @@ def green_defect(model: CoefficientSet, y, z, top: int):
     ``y`` and ``z`` are sequences of (first, second) component pairs on
     a-1 .. top+1; they need not solve anything.  Zero in exact arithmetic.
     """
+    return green_terms(model, y, z, top)[0]
+
+
+def green_terms(model: CoefficientSet, y, z, top: int) -> tuple:
+    """Green's formula defect together with the operator rows it used:
+    (defect, [(Ly(t), Lz(t)) for t = a .. top]), each row a pair of the
+    two equation rows.  A caller that also needs the rows for a scale
+    applies the operator once."""
     expected = top + 1 - (model.a - 1) + 1
     if len(y) != expected or len(z) != expected:
         raise WindowError(
@@ -72,9 +80,11 @@ def green_defect(model: CoefficientSet, y, z, top: int):
     k = model.kernel
     with model.workprec():
         inner = k.complex(0)
+        rows = []
         for t in range(model.a, top + 1):
             ly1, ly2 = _apply_operator(model, y, t)
             lz1, lz2 = _apply_operator(model, z, t)
+            rows.append(((ly1, ly2), (lz1, lz2)))
             z1, z2 = z[t - (model.a - 1)]
             y1, y2 = y[t - (model.a - 1)]
             inner += k.conj(z1) * ly1 + k.conj(z2) * ly2
@@ -82,7 +92,7 @@ def green_defect(model: CoefficientSet, y, z, top: int):
         boundary = _raw_bracket(model, y, z, top) - _raw_bracket(
             model, y, z, model.a - 1
         )
-        return inner - boundary
+        return inner - boundary, rows
 
 
 _RESIDUAL_GATE_SHIFT = 3  # non-solution detection threshold: 2^-(bits/3)

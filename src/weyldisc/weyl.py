@@ -138,14 +138,6 @@ def corner_values(pair: tuple[Trajectory, Trajectory], n: int) -> CornerValues:
         return CornerValues(n=n, A=a_val, B=b_val, C=c_val, D=d_val)
 
 
-def _disc_from_brackets(k, n, mixed, diag) -> WeylDisc:
-    if diag == 0:
-        raise InadmissibleLambdaError(
-            "disc is degenerate: the defining bracket vanishes (real lam?)"
-        )
-    return WeylDisc(n=n, center=-mixed / diag, radius=1 / k.absval(diag))
-
-
 def _disc_rows(model, phi, psi, lam, n_hi):
     """Disc sequence and psi partial sums for N = a .. n_hi.
 
@@ -153,13 +145,21 @@ def _disc_rows(model, phi, psi, lam, n_hi):
     (bracket at a-1 plus 2i Im(lam) times a running inner-product sum),
     which is an exact identity of the system and, unlike the product of
     the corner values, loses no precision when the solutions grow fast.
-    A leading window with an identically zero psi sample (possible only
-    at N = a) is skipped: its circle degenerates to a line.
+
+    The diagonal bracket diag = [psi, psi](a-1) + 2i Im(lam) S_N is purely
+    imaginary in floating point too: [psi, psi](a-1) is w - conj(w) for
+    w = psi1(a) conj(psi1q(a-1)), and both products have the same real
+    part on every kernel.  So only D = Im(diag) is kept, and the disc is
+    center = -mixed/diag = (-Im(mixed) + i Re(mixed)) / D, radius = 1/|D|,
+    by real divisions.  A leading window with an identically zero psi
+    sample (possible only at N = a) is skipped: its circle degenerates to
+    a line.
     """
     k = model.kernel
-    diag0 = bracket(psi, psi, model.a - 1)
+    d_im0 = k.im(bracket(psi, psi, model.a - 1))
     mixed0 = bracket(phi, psi, model.a - 1)
-    factor = k.complex(0, 2) * k.im(lam)
+    two_im = 2 * k.im(lam)
+    factor = k.complex(0, two_im)
     s_run = k.real(0)
     w_run = k.complex(0)
     psi_sums = []
@@ -168,14 +168,15 @@ def _disc_rows(model, phi, psi, lam, n_hi):
         for t in range(model.a, n_hi + 1):
             s1, s2 = psi.component_pair(t)
             p1, p2 = phi.component_pair(t)
-            s_run = s_run + k.absval(s1) ** 2 + k.absval(s2) ** 2
+            s_run = s_run + k.abs2(s1) + k.abs2(s2)
             w_run = w_run + k.conj(s1) * p1 + k.conj(s2) * p2
             psi_sums.append((t, s_run))
-            diag = diag0 + factor * s_run
-            if diag == 0:
+            d_im = d_im0 + two_im * s_run
+            if d_im == 0:
                 continue
             mixed = mixed0 + factor * w_run
-            discs.append(_disc_from_brackets(k, t, mixed, diag))
+            center = k.complex(-k.im(mixed) / d_im, k.re(mixed) / d_im)
+            discs.append(WeylDisc(n=t, center=center, radius=1 / k.absval(d_im)))
     except OverflowError:
         raise _sums_exhausted(t) from None
     # an overflowed running sum stays inf or nan, so the last one tells
@@ -241,7 +242,7 @@ def on_circle_defect(model: CoefficientSet, chi_traj: Trajectory, m, lam, n: int
         total = k.real(0)
         for t in range(model.a, n + 1):
             c1, c2 = chi_traj.component_pair(t)
-            total = total + k.absval(c1) ** 2 + k.absval(c2) ** 2
+            total = total + k.abs2(c1) + k.abs2(c2)
         return total - k.im(m) / k.im(lam)
 
 
@@ -277,21 +278,36 @@ def _stable_chi(model, lam, phi, psi, m, n_max, radius_last, table):
     """chi = phi + m psi, by the forward combination when it keeps at least
     half the mantissa everywhere, else by backward propagation (through
     the pair's step table) matched to chi's left boundary state.  Returns
-    (trajectory or None, method)."""
+    (trajectory or None, method).
+
+    The forward states are tested one point at a time; the combination is
+    completed (y1(a-1) and y2, with the same arithmetic as
+    ``Trajectory.combined``) only when every state passes, so a
+    cancelling chi stops the scan at its first lost state."""
     k = model.kernel
     bits = model.precision.bits
-    chi_fwd = phi.combined(psi, m)
     m_abs = k.absval(m)
     floor = k.real(2) ** (-(bits // 2))
-    trusted = True
+    y1, y1q = [], []
     for t in range(model.a - 1, n_max + 1):
-        mag = _norm1(phi.state(t), k) + m_abs * _norm1(psi.state(t), k)
-        if _norm1(chi_fwd.state(t), k) < mag * floor:
-            trusted = False
+        phi_state, psi_state = phi.state(t), psi.state(t)
+        state = (
+            phi_state[0] + m * psi_state[0],
+            phi_state[1] + m * psi_state[1],
+        )
+        mag = _norm1(phi_state, k) + m_abs * _norm1(psi_state, k)
+        if _norm1(state, k) < mag * floor:
             break
-    if trusted:
+        y1.append(state[0])
+        y1q.append(state[1])
+    else:
+        chi_fwd = Trajectory(
+            model=model, lam=phi.lam, top=phi.top,
+            y1=(phi.y1[0] + m * psi.y1[0], *y1),
+            y2=tuple(u + m * v for u, v in zip(phi.y2, psi.y2)),
+            y1q=tuple(y1q),
+        )
         return chi_fwd, "forward"
-    del chi_fwd  # release its samples before the backward seeds are built
 
     left_target = (
         phi.y1_at(model.a) + m * psi.y1_at(model.a),
@@ -324,7 +340,7 @@ def _profile(model, traj, n_max) -> list:
     try:
         for t in range(model.a, n_max + 1):
             c1, c2 = traj.component_pair(t)
-            total = total + k.absval(c1) ** 2 + k.absval(c2) ** 2
+            total = total + k.abs2(c1) + k.abs2(c2)
             sums.append((t, total))
     except OverflowError:
         raise _sums_exhausted(t) from None
@@ -368,11 +384,10 @@ def classify(
     k = model.kernel
     with model.workprec():
         lam = as_lambda_scalar(model, lam)
+        # a nonreal lam is admissible (the excluded values are real), so no
+        # horizon scan is needed; the step table still refuses an exact hit
         if k.im(lam) == 0:
             raise InadmissibleLambdaError("classification requires a nonreal lam")
-        point = spectral_gap(model, lam, options.n_max + 1)
-        if not point.admissible:
-            raise InadmissibleLambdaError("lam is not admissible over the horizon")
 
         # one step table feeds phi, psi and every backward chi seed
         table = step_table(model, lam, options.n_max)

@@ -87,6 +87,21 @@ def test_formatting_uses_the_working_precision_value():
     assert format_complex(k, z, 40) == {"re": "0." + "3" * 40, "im": "-0." + "3" * 40}
 
 
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+def test_abs2_is_the_squared_modulus(kernel):
+    bits = 256 if kernel is BIG_KERNEL else 53
+    tol = 2.0 ** (-(bits - 4))
+    with kernel.workprec(bits):
+        for re, im in ((3, 4), (0.1, -2.5), (-1e-30, 7e20), (0, 0), (5, 0)):
+            z = kernel.complex(re, im)
+            got = kernel.abs2(z)
+            want = kernel.absval(z) ** 2
+            assert float(kernel.to_mpf(kernel.absval(got - want))) <= tol * float(
+                kernel.to_mpf(want)
+            )
+        assert kernel.abs2(kernel.real(-3)) == 9
+
+
 def test_huge_exponents_format():
     k = BIG_KERNEL
     with k.workprec(256):

@@ -268,3 +268,44 @@ def test_foreign_step_table_is_refused(models):
         fundamental_pair(model, 1j, 0.0, 10, table=step_table(model, 1j, 12))
     with pytest.raises(ValueError):
         propagate_backward(model, 1j, (1, 0), 10, table=step_table(model, 2j, 10))
+
+
+@pytest.mark.parametrize("name", ["free", "ex4.1a", "ex4.1b", "ex4.2a", "ex4.2b"])
+def test_step_table_matches_the_division_formulas(models, name):
+    """Multiplying by the reciprocals of lam - d and p_tilde gives the
+    quotients of the defining formulas to within 2^-(bits-8)."""
+    from weyldisc import step_table
+
+    model = models[name]
+    k = model.kernel
+    tol = 2.0 ** (-(model.precision.bits - 8))
+    top = 40
+    table = step_table(model, 0.5 + 1j, top)
+    with model.workprec():
+        lam = table.lam
+        alpha_prev = None
+        for i, t in enumerate(range(model.a - 1, top + 1)):
+            p, c, h, d = (model.coeff(n, t) for n in "pchd")
+            den = lam - d
+            off = c * c - h * c
+            p_tilde = p + off / den
+            alpha = h * c / den
+            denp = den * p_tilde
+            want = {
+                "p_tilde": p_tilde,
+                "alpha": alpha,
+                "r1": alpha * (h - c) / denp + h / den,
+                "r2": (c - h) / denp,
+            }
+            if alpha_prev is not None:
+                common = model.coeff("q", t) + h * h / den
+                want["q_tilde"] = common - (alpha - alpha_prev)
+                want["h_shift"] = h_shift = common - lam
+                want["a11"] = -alpha / p_tilde
+                want["a12"] = 1 / p_tilde
+                want["a21"] = (h_shift - alpha) * alpha / p_tilde + h_shift
+                want["a22"] = (alpha - h_shift) / p_tilde
+            for column, value in want.items():
+                got = getattr(table, column)[i]
+                assert fdiff(model, got, value) <= tol * (fabs(model, value) + 1), (column, t)
+            alpha_prev = alpha

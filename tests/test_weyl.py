@@ -20,7 +20,8 @@ from weyldisc import (
     weyl_disc,
     wronskian,
 )
-from weyldisc.recurrence import max_relative_residual
+from weyldisc.recurrence import max_relative_residual, step_table
+from weyldisc.structure import bracket
 
 from conftest import EXPECTED_VERDICTS, fabs, fdiff
 
@@ -303,10 +304,98 @@ def test_classify_derives_each_grid_point_once(models, monkeypatch):
     report = classify(model, 1j, 0.0, ClassifyOptions(n_max=n_max))
     assert report.chi_method == "backward"  # backward seeds reuse the table
     assert rows == [(model.a - 1, n_max)]
-    points = n_max + 3  # a-1 .. n_max+1, the admissibility scan's horizon
-    # 4 per point for the admissibility scan, 5 for the table, a few more
-    # at the left boundary
-    assert len(lookups) <= 10 * points
+    assert max(t for _, t in lookups) == n_max  # no admissibility scan beyond
+    points = n_max - model.a + 2  # a-1 .. n_max
+    # 5 per point for the table, a few more at the left boundary
+    assert len(lookups) <= 6 * points
+
+
+def test_nonreal_classify_skips_the_admissibility_scan(models, monkeypatch):
+    """A nonreal lam is admissible outright; classify does not scan for it."""
+    from weyldisc import weyl
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("spectral_gap called")
+
+    monkeypatch.setattr(weyl, "spectral_gap", refuse)
+    report = classify(models["free"], 1j, 0.0, ClassifyOptions(n_max=60))
+    assert report.verdict == "LPC"
+
+
+@pytest.mark.parametrize("name", ["free", "ex4.2a"])
+def test_backward_route_builds_no_forward_chi(models, monkeypatch, name):
+    """The forward chi scan stops at its first cancelling state; the
+    forward trajectory is never built when the backward route is taken."""
+    from weyldisc.recurrence import Trajectory
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("Trajectory.combined called")
+
+    monkeypatch.setattr(Trajectory, "combined", refuse)
+    report = classify(models[name], 1j, 0.0, ClassifyOptions(n_max=120))
+    assert report.chi_method == "backward"
+    assert report.verdict == EXPECTED_VERDICTS[name]
+
+
+@pytest.mark.parametrize("name", ["ex4.1a", "ex4.2b"])
+def test_forward_chi_equals_the_combination(models, name):
+    """The forward route's chi is phi + m psi with combined's arithmetic."""
+    from weyldisc.weyl import _stable_chi
+
+    model = models[name]
+    n_max = 120
+    report = classify(model, 1j, 0.0, ClassifyOptions(n_max=n_max))
+    assert report.chi_method == "forward"
+    with model.workprec():
+        lam = model.kernel.complex(0, 1)
+        table = step_table(model, lam, n_max)
+        phi, psi = fundamental_pair(model, lam, 0.0, n_max, table=table)
+        got, method = _stable_chi(
+            model, lam, phi, psi, report.m_limit, n_max,
+            report.disc_samples[-1].radius, table,
+        )
+        want = phi.combined(psi, report.m_limit)
+    assert method == "forward"
+    assert (got.y1, got.y2, got.y1q) == (want.y1, want.y2, want.y1q)
+
+
+def _old_disc(model, phi, psi, lam, n):
+    """The disc at N = n by the complex division and modulus of the
+    summed diagonal bracket, with |.|^2 taken as a squared modulus."""
+    k = model.kernel
+    factor = k.complex(0, 2) * k.im(lam)
+    s_run = k.real(0)
+    w_run = k.complex(0)
+    for t in range(model.a, n + 1):
+        s1, s2 = psi.component_pair(t)
+        p1, p2 = phi.component_pair(t)
+        s_run = s_run + k.absval(s1) ** 2 + k.absval(s2) ** 2
+        w_run = w_run + k.conj(s1) * p1 + k.conj(s2) * p2
+    diag = bracket(psi, psi, model.a - 1) + factor * s_run
+    mixed = bracket(phi, psi, model.a - 1) + factor * w_run
+    return -mixed / diag, 1 / k.absval(diag)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_VERDICTS))
+def test_disc_rows_match_the_division_formulas(models, name):
+    """Real divisions by Im(diag) give the complex-division discs to
+    within 2^-(bits-8), relative to the disc scale."""
+    from weyldisc.weyl import _disc_rows
+
+    model = models[name]
+    k = model.kernel
+    top = 60
+    tol = 2.0 ** (-(model.precision.bits - 8))
+    with model.workprec():
+        lam = k.complex(0.5, 1)
+        phi, psi = fundamental_pair(model, lam, 0.3, top)
+        discs, _ = _disc_rows(model, phi, psi, lam, top)
+        assert k.re(bracket(psi, psi, model.a - 1)) == 0
+        for disc in discs[:: 7] + [discs[-1]]:
+            center, radius = _old_disc(model, phi, psi, lam, disc.n)
+            assert fdiff(model, disc.radius, radius) <= tol * fabs(model, radius)
+            scale = fabs(model, center) + fabs(model, radius)
+            assert fdiff(model, disc.center, center) <= tol * scale
 
 
 def test_native_overflow_in_disc_sums_is_typed():
