@@ -19,10 +19,11 @@ entries of A(t) and the y2-reconstruction coefficients
 with den = lam - d.  Each row takes one complex reciprocal of den and one
 of p_tilde and multiplies by them wherever these formulas divide, so the
 entries agree with the quotients to within a few units in the last place.
-alpha(t-1), which q_tilde(t) needs, is the previous row.  A table is built per call and dropped with it; callers that step
-several solutions at one (model, lam) pass the same table along.  Every
-solver steps one or more columns through the same table, so the two
-solutions of a fundamental pair are one pass.
+alpha(t-1), which q_tilde(t) needs, is the previous row.  A table is
+built per call and dropped with it; callers that step several solutions
+at one (model, lam) pass the same table along.  Every solver steps one
+or more columns through the same table, so the two solutions of a
+fundamental pair are one pass.
 
 ``oracle_three_term`` is the independent check: it never touches the
 transfer matrices, solving instead the scalar three-term recurrence

@@ -391,7 +391,7 @@ def test_disc_rows_match_the_division_formulas(models, name):
         phi, psi = fundamental_pair(model, lam, 0.3, top)
         discs, _ = _disc_rows(model, phi, psi, lam, top)
         assert k.re(bracket(psi, psi, model.a - 1)) == 0
-        for disc in discs[:: 7] + [discs[-1]]:
+        for disc in discs[::7] + [discs[-1]]:
             center, radius = _old_disc(model, phi, psi, lam, disc.n)
             assert fdiff(model, disc.radius, radius) <= tol * fabs(model, radius)
             scale = fabs(model, center) + fabs(model, radius)
