@@ -5,6 +5,13 @@ and reported as a named, normalized worst-case defect.  The CLI `check`
 subcommand prints one line per entry; the acceptance tests reuse the
 helpers with their own pinned tolerances.
 
+``run_suite`` is the one place that solves: it builds one step table per
+(lam, window), steps every solution the suite needs through it and
+computes the disc rows once.  The helpers take that solved data (step
+table, trajectories, disc list) together with the window they evaluate,
+which may be shorter than the data: a table or trajectory on a-1 .. span
+agrees bit for bit with one built on a-1 .. top on their common part.
+
 Defects are normalized by the magnitude of the terms entering each
 identity, so a PASS means "the identity holds to roughly the working
 precision", independent of how violently the solutions grow.
@@ -15,12 +22,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .errors import MatchingSingularError
 from .model import CoefficientSet, as_lambda_scalar
 from .recurrence import (
     BoundaryData,
+    StepTable,
+    Trajectory,
     max_relative_residual,
     oracle_three_term,
-    propagate,
+    propagate_columns,
     step_table,
 )
 from .structure import (
@@ -58,13 +68,17 @@ def _f(kernel, x) -> float:
         return float("inf")
 
 
-def oracle_deviation(model: CoefficientSet, lam, top: int, bd=BoundaryData(1, 0)) -> float:
-    """Pointwise deviation between the transfer-matrix solver and the
-    scalar three-term oracle, relative to the largest sample."""
+def oracle_deviation(direct: Trajectory, top: int) -> float:
+    """Pointwise deviation on a-1 .. top between a transfer-matrix solution
+    and the scalar three-term oracle solved from the same boundary data,
+    relative to the largest sample."""
+    model = direct.model
     k = model.kernel
+    direct = direct.cut(top)
     with model.workprec():
-        direct = propagate(model, lam, bd, top)
-        oracle = oracle_three_term(model, lam, bd, top)
+        # BoundaryData is (y1(a), y1q(a-1)), which the solution carries
+        bd = BoundaryData(direct.y1_at(model.a), direct.y1q_at(model.a - 1))
+        oracle = oracle_three_term(model, direct.lam, bd, top)
         worst = 0.0
         for seq_d, seq_o in ((direct.y1, oracle.y1), (direct.y2, oracle.y2),
                              (direct.y1q, oracle.y1q)):
@@ -74,10 +88,11 @@ def oracle_deviation(model: CoefficientSet, lam, top: int, bd=BoundaryData(1, 0)
         return worst
 
 
-def transfer_det_deviation(model: CoefficientSet, lam, top: int) -> float:
+def transfer_det_deviation(table: StepTable, top: int) -> float:
+    """|det(I - A(t)) - 1| over t = a .. top."""
+    model = table.model
     k = model.kernel
     with model.workprec():
-        table = step_table(model, lam, top)
         worst = 0.0
         for t in range(model.a, top + 1):
             sm = table.matrix(t)
@@ -85,11 +100,11 @@ def transfer_det_deviation(model: CoefficientSet, lam, top: int) -> float:
         return worst
 
 
-def pair_det_deviation(model: CoefficientSet, lam, alpha: float, top: int) -> float:
-    """AD - BC - 1 relative to the product magnitudes, over all N."""
+def pair_det_deviation(phi: Trajectory, psi: Trajectory, top: int) -> float:
+    """AD - BC - 1 relative to the product magnitudes, over N = a .. top."""
+    model = phi.model
     k = model.kernel
     with model.workprec():
-        phi, psi = fundamental_pair(model, lam, alpha, top)
         worst = 0.0
         for n in range(model.a, top + 1):
             a_v, b_v = phi.state(n)
@@ -99,12 +114,12 @@ def pair_det_deviation(model: CoefficientSet, lam, alpha: float, top: int) -> fl
         return worst
 
 
-def wronskian_deviation(model: CoefficientSet, lam, alpha: float, top: int) -> float:
-    """Deviation of the canonical-pair pairing from 1, relative to the
-    sampled product magnitudes."""
+def wronskian_deviation(phi: Trajectory, psi: Trajectory, top: int) -> float:
+    """Deviation of the canonical-pair pairing from 1 over a-1 .. top,
+    relative to the sampled product magnitudes."""
+    model = phi.model
     k = model.kernel
     with model.workprec():
-        phi, psi = fundamental_pair(model, lam, alpha, top)
         worst = 0.0
         for t in range(model.a - 1, top + 1):
             w = wronskian(phi, psi, t)
@@ -117,11 +132,13 @@ def wronskian_deviation(model: CoefficientSet, lam, alpha: float, top: int) -> f
         return worst
 
 
-def residual_deviation(model: CoefficientSet, lam, alpha: float, top: int) -> float:
+def residual_deviation(phi: Trajectory, psi: Trajectory, top: int) -> float:
+    """Largest relative equation residual of either solution on a-1 .. top."""
+    model = phi.model
     with model.workprec():
-        phi, psi = fundamental_pair(model, lam, alpha, top)
         return max(
-            max_relative_residual(model, phi), max_relative_residual(model, psi)
+            max_relative_residual(model, phi.cut(top)),
+            max_relative_residual(model, psi.cut(top)),
         )
 
 
@@ -243,21 +260,22 @@ def disc_nesting_worst(model, discs) -> float:
         return max(worst, 0.0)
 
 
-def disc_corner_route_worst(model, lam, alpha: float, top: int) -> float:
-    """Agreement of the summed-bracket disc with the direct corner-value
-    brackets, checked where the corner products keep enough mantissa
-    headroom over the bracket value for a meaningful comparison."""
+def disc_corner_route_worst(phi: Trajectory, psi: Trajectory, discs, top: int) -> float:
+    """Agreement of the summed-bracket discs of (phi, psi) up to N = top
+    with the direct corner-value brackets, checked where the corner
+    products keep enough mantissa headroom over the bracket value for a
+    meaningful comparison."""
+    model = phi.model
     k = model.kernel
     bits = model.precision.bits
     with model.workprec():
-        lam_s = as_lambda_scalar(model, lam)
-        phi, psi = fundamental_pair(model, lam_s, alpha, top)
-        discs, _ = _disc_rows(model, phi, psi, lam_s, top)
         headroom = k.real(2) ** (bits // 4)
         worst = 0.0
         checked = 0
         for disc in discs:
             n = disc.n
+            if n > top:
+                break
             c_v, d_v = psi.state(n)
             a_v, b_v = phi.state(n)
             prod = (
@@ -281,21 +299,22 @@ def disc_corner_route_worst(model, lam, alpha: float, top: int) -> float:
         return worst if checked else float("inf")
 
 
-def m_sweep_worst(model, lam, alpha: float, top: int, betas: int = 8) -> float:
+def m_sweep_worst(phi: Trajectory, psi: Trajectory, discs, top: int, betas: int = 8) -> float:
     """m-points for a beta sweep must lie on the circle and satisfy the
     on-circle sum identity, relative to the disc radius.
 
-    The sweep runs at the largest window whose radius keeps comfortable
-    headroom above the absolute accuracy of the O(1)-sized m-points;
-    beyond that the relative comparison measures only roundoff.
+    The sweep runs at the largest window up to N = top whose radius keeps
+    comfortable headroom above the absolute accuracy of the O(1)-sized
+    m-points; beyond that the relative comparison measures only roundoff.
     """
     import math
 
+    model = phi.model
     k = model.kernel
+    phi, psi = phi.cut(top), psi.cut(top)
+    lam_s = phi.lam
     with model.workprec():
-        lam_s = as_lambda_scalar(model, lam)
-        phi, psi = fundamental_pair(model, lam_s, alpha, top)
-        discs, _ = _disc_rows(model, phi, psi, lam_s, top)
+        discs = [d for d in discs if d.n <= top]
         usable = [d for d in discs if _f(k, d.radius) >= 1e-8]
         disc = usable[-1] if usable else discs[0]
         n = disc.n
@@ -316,13 +335,14 @@ def m_sweep_worst(model, lam, alpha: float, top: int, betas: int = 8) -> float:
         return worst
 
 
-def y2_two_route_worst(model, lam, top: int, bd=BoundaryData(1, 1)) -> float:
+def y2_two_route_worst(traj: Trajectory, top: int) -> float:
     """The state-based reconstruction of y2 against its defining relation
-    c/(lam-d) dy1 + h/(lam-d) y1 along a propagated solution."""
+    c/(lam-d) dy1 + h/(lam-d) y1 along a propagated solution on a-1 .. top."""
+    model = traj.model
     k = model.kernel
+    traj = traj.cut(top)
+    lam_s = traj.lam
     with model.workprec():
-        lam_s = as_lambda_scalar(model, lam)
-        traj = propagate(model, lam_s, bd, top)
         sup = max(_f(k, k.absval(v)) for v in traj.y2)
         sup = max(sup, max(_f(k, k.absval(v)) for v in traj.y1))
         worst = 0.0
@@ -336,19 +356,24 @@ def y2_two_route_worst(model, lam, top: int, bd=BoundaryData(1, 1)) -> float:
         return worst
 
 
-def vop_worst(model, lam0, lam, anchor: int, t_check: int) -> float:
-    """Reconstruction defects normalized by the magnitudes of the summed
-    terms: the sums telescope, so the individual terms can tower over the
-    reconstructed value for fast-growing families."""
+def vop_worst(basis: tuple[Trajectory, Trajectory], solutions, anchor: int,
+              t_check: int) -> float:
+    """Reconstruction defects of each solution (all at one lam) from the
+    basis (phi, psi) at another lam, normalized by the magnitudes of the
+    summed terms: the sums telescope, so the individual terms can tower
+    over the reconstructed value for fast-growing families.  A singular
+    matching system leaves nothing to check and reads as inf."""
+    phi, psi = basis
+    model = phi.model
     k = model.kernel
     with model.workprec():
-        top = t_check + 4
-        phi, psi = fundamental_pair(model, lam0, 0.0, top)
         worst = 0.0
-        gap = k.absval(phi.lam - as_lambda_scalar(model, lam))
-        for bd in (BoundaryData(1, 0), BoundaryData(1, 1)):
-            z = propagate(model, lam, bd, top)
-            res = vop_reconstruct((phi, psi), z, anchor, t_check)
+        for z in solutions:
+            gap = k.absval(phi.lam - z.lam)
+            try:
+                res = vop_reconstruct(basis, z, anchor, t_check)
+            except MatchingSingularError:
+                return float("inf")
             term_mag = k.real(0)
             for s in range(anchor + 1, t_check + 1):
                 z1, z2 = z.component_pair(s)
@@ -373,39 +398,48 @@ def vop_worst(model, lam0, lam, anchor: int, t_check: int) -> float:
 
 def run_suite(model: CoefficientSet, lam, alpha: float = 0.0,
               top: int = 40, pairs: int = 25) -> list[CheckResult]:
-    """The named invariants on one model at one nonreal lam."""
+    """The named invariants on one model at one nonreal lam.
+
+    Solves once per (lam, window): one step table at lam and one at
+    lam + i over a-1 .. span, where span reaches the four points past
+    t_check that the variation-of-parameters check reads, and one disc
+    pass over a .. top.
+    """
     bits = model.precision.bits
     point_tol = 2.0 ** (-(bits - 8))
     # aggregate identities accumulate roundoff over the window; at low
     # (native) precision the margin shrinks to half the mantissa
     agg_tol = 2.0 ** (-(bits - 56)) if bits >= 150 else 2.0 ** (-(bits // 2))
+    t_vop = min(top, 16)
+    span = max(top, t_vop + 4)
     k = model.kernel
     with model.workprec():
         lam_s = as_lambda_scalar(model, lam)
-        phi, psi = fundamental_pair(model, lam_s, alpha, top)
+        table = step_table(model, lam_s, span)
+        phi, psi = fundamental_pair(model, lam_s, alpha, span, table=table)
+        basis = fundamental_pair(model, lam_s, 0.0, span, table=table)
+        data = (BoundaryData(1, 0), BoundaryData(1, 1))
+        sol10, sol11 = propagate_columns(table, data)
+        shifted = propagate_columns(step_table(model, lam_s + k.complex(0, 1), span), data)
         discs, psi_sums = _disc_rows(model, phi, psi, lam_s, top)
-        phi2 = propagate(model, _second_lam(model, lam_s), BoundaryData(1, 0), top)
+    # the Lagrange check gates on the residual of the whole trajectory
+    psi_top = psi.cut(top)
 
     results = [
-        CheckResult("transfer_det_unit", transfer_det_deviation(model, lam, top), point_tol),
-        CheckResult("oracle_agreement", oracle_deviation(model, lam, top), agg_tol),
-        CheckResult("pair_det_unit", pair_det_deviation(model, lam, alpha, top), agg_tol),
-        CheckResult("wronskian_constant", wronskian_deviation(model, lam, alpha, top), agg_tol),
-        CheckResult("equation_residual", residual_deviation(model, lam, alpha, top), agg_tol),
+        CheckResult("transfer_det_unit", transfer_det_deviation(table, top), point_tol),
+        CheckResult("oracle_agreement", oracle_deviation(sol10, top), agg_tol),
+        CheckResult("pair_det_unit", pair_det_deviation(phi, psi, top), agg_tol),
+        CheckResult("wronskian_constant", wronskian_deviation(phi, psi, top), agg_tol),
+        CheckResult("equation_residual", residual_deviation(phi, psi, top), agg_tol),
         CheckResult("green_identity_random", green_random_worst(model, min(top, 20), pairs), agg_tol),
         CheckResult("bracket_antisymmetry", bracket_antisymmetry_worst(model, min(top, 20), pairs), point_tol),
-        CheckResult("lagrange_identity_equal_lam", lagrange_relative_defect(model, psi, psi, top), agg_tol),
-        CheckResult("lagrange_identity_two_lams", lagrange_relative_defect(model, phi2, psi, top), agg_tol),
+        CheckResult("lagrange_identity_equal_lam", lagrange_relative_defect(model, psi_top, psi_top, top), agg_tol),
+        CheckResult("lagrange_identity_two_lams", lagrange_relative_defect(model, shifted[0].cut(top), psi_top, top), agg_tol),
         CheckResult("disc_radius_sum_identity", disc_sum_identity_worst(model, discs, psi_sums, lam), agg_tol),
         CheckResult("disc_nesting", disc_nesting_worst(model, discs), agg_tol),
-        CheckResult("disc_corner_route", disc_corner_route_worst(model, lam, alpha, min(top, 24)), agg_tol),
-        CheckResult("m_sweep_on_circle", m_sweep_worst(model, lam, alpha, min(top, 16)), agg_tol),
-        CheckResult("y2_reconstruction", y2_two_route_worst(model, lam, top), agg_tol),
-        CheckResult("variation_of_parameters", vop_worst(model, lam, _second_lam(model, lam), 3, min(top, 16)), agg_tol),
+        CheckResult("disc_corner_route", disc_corner_route_worst(phi, psi, discs, min(top, 24)), agg_tol),
+        CheckResult("m_sweep_on_circle", m_sweep_worst(phi, psi, discs, min(top, 16)), agg_tol),
+        CheckResult("y2_reconstruction", y2_two_route_worst(sol11, top), agg_tol),
+        CheckResult("variation_of_parameters", vop_worst(basis, shifted, 3, t_vop), agg_tol),
     ]
     return results
-
-
-def _second_lam(model, lam):
-    k = model.kernel
-    return as_lambda_scalar(model, lam) + k.complex(0, 1)

@@ -27,7 +27,6 @@ from fractions import Fraction
 from . import expr as ex
 from . import growth
 from .errors import EvaluationError
-from .growth import GrowthClass
 from .model import Coefficient, CoefficientSet, ExprCoefficient
 
 asymptotic_class = growth.class_of_expr
@@ -40,10 +39,6 @@ class CriterionVerdict:
     witnesses: dict
     failing_condition: str | None = None
     reason: str | None = None
-
-
-def _coefficient_class(coeff: Coefficient) -> GrowthClass | None:
-    return coeff.growth_class()
 
 
 def _float_of(model: CoefficientSet, value) -> float:
@@ -63,8 +58,8 @@ def _scan_sup(model: CoefficientSet, horizon: int, fn, lo: int | None = None) ->
 
 def ratio_limit_point_check(model: CoefficientSet, horizon: int = 200) -> CriterionVerdict:
     """Bounded |c/p| plus divergent sum of 1/|p| force the limit point case."""
-    c_cls = _coefficient_class(model.c)
-    p_cls = _coefficient_class(model.p)
+    c_cls = model.c.growth_class()
+    p_cls = model.p.growth_class()
     witnesses: dict = {"N": model.a}
 
     if c_cls is not None and c_cls.is_zero:
@@ -163,116 +158,62 @@ def weighted_limit_point_check(
             reason="positivity of p beyond the horizon could not be certified",
         )
 
+    outcome, failing_condition, reason = _weighted_conditions(model, weight)
+    witnesses.update(_weighted_witnesses(model, weight, horizon))
+    return CriterionVerdict(
+        outcome=outcome, which="weighted", witnesses=witnesses,
+        failing_condition=failing_condition, reason=reason,
+    )
+
+
+def _weighted_conditions(
+    model: CoefficientSet, weight: ExprCoefficient
+) -> tuple[str, str | None, str | None]:
+    """(outcome, failing_condition, reason) of the weighted criterion's
+    four conditions, decided from the exact growth classes for positive p."""
     m_cls = weight.growth_class()
-    c_cls = _coefficient_class(model.c)
-    h_cls = _coefficient_class(model.h)
-    q_cls = _coefficient_class(model.q)
-    p_cls = _coefficient_class(model.p)
-
-    def scan_witnesses():
-        k = model.kernel
-        witnesses["k1"] = _scan_sup(
-            model, horizon,
-            lambda t: (abs(model.coeff("c", t)) + abs(model.coeff("c", t - 1)))
-            / weight.value(t, k),
-        )
-        witnesses["k2"] = _scan_sup(
-            model, horizon,
-            lambda t: abs(model.coeff("h", t)) / weight.value(t, k),
-        )
-        witnesses["k3"] = _scan_sup(
-            model, horizon,
-            lambda t: max(-model.coeff("q", t), k.real(0)) / weight.value(t, k),
-        )
-
-        def variation(t):
-            m_t = weight.value(t, k)
-            m_prev = weight.value(t - 1, k)
-            grad = abs(m_t - m_prev)
-            p_prev = model.coeff("p", t - 1)
-            return k.sqrt_nonneg(p_prev) * grad / (k.sqrt_nonneg(m_t) * m_prev)
-
-        # the variation ratio needs M(t-1): usable only from a+1, where
-        # the validated positive range covers the previous index
-        witnesses["k4"] = _scan_sup(
-            model, min(horizon, model.a + 200), variation, lo=model.a + 1
-        )
+    c_cls = model.c.growth_class()
+    h_cls = model.h.growth_class()
+    q_cls = model.q.growth_class()
+    p_cls = model.p.growth_class()
 
     if m_cls is None or m_cls.is_zero:
-        scan_witnesses()
-        return CriterionVerdict(
-            outcome="unknown", which="weighted", witnesses=witnesses,
-            reason="weight has no certified asymptotics",
-        )
+        return "unknown", None, "weight has no certified asymptotics"
     m_order = growth.order_of(m_cls)
 
     # condition 1: |c| and |h| dominated by M
     for cls, name in ((c_cls, "c"), (h_cls, "h")):
         if cls is None:
-            scan_witnesses()
-            return CriterionVerdict(
-                outcome="unknown", which="weighted", witnesses=witnesses,
-                reason=f"{name} has no certified asymptotics",
-            )
-        bounded = growth.ratio_bounded(growth.order_of(cls), m_order)
-        if bounded is not True:
-            scan_witnesses()
-            return CriterionVerdict(
-                outcome="fails", which="weighted", witnesses=witnesses,
-                failing_condition="coupling_bound",
-            )
+            return "unknown", None, f"{name} has no certified asymptotics"
+        if growth.ratio_bounded(growth.order_of(cls), m_order) is not True:
+            return "fails", "coupling_bound", None
 
     # condition 2: q bounded below by a multiple of -M
     if q_cls is None:
-        scan_witnesses()
-        return CriterionVerdict(
-            outcome="unknown", which="weighted", witnesses=witnesses,
-            reason="q has no certified asymptotics",
-        )
+        return "unknown", None, "q has no certified asymptotics"
     if not q_cls.is_zero:
         sign = growth.eventual_sign(q_cls, model.a)
         if sign is None:
-            scan_witnesses()
-            return CriterionVerdict(
-                outcome="unknown", which="weighted", witnesses=witnesses,
-                reason="sign of q could not be certified",
-            )
+            return "unknown", None, "sign of q could not be certified"
         if sign[0] < 0:
-            bounded = growth.ratio_bounded(growth.order_of(q_cls), m_order)
-            if bounded is not True:
-                scan_witnesses()
-                return CriterionVerdict(
-                    outcome="fails", which="weighted", witnesses=witnesses,
-                    failing_condition="potential_lower_bound",
-                )
+            if growth.ratio_bounded(growth.order_of(q_cls), m_order) is not True:
+                return "fails", "potential_lower_bound", None
 
     # condition 3: normalized variation of M stays bounded
     if p_cls is None:
-        scan_witnesses()
-        return CriterionVerdict(
-            outcome="unknown", which="weighted", witnesses=witnesses,
-            reason="p has no certified asymptotics",
-        )
+        return "unknown", None, "p has no certified asymptotics"
     p_order = growth.order_of(p_cls)
     if p_order is None:
         raise EvaluationError("p is identically zero")  # p != 0 by contract
     if m_cls.sqrt_wrapped:
-        scan_witnesses()
-        return CriterionVerdict(
-            outcome="unknown", which="weighted", witnesses=witnesses,
-            reason="variation of a sqrt-wrapped weight is not certified",
-        )
+        return "unknown", None, "variation of a sqrt-wrapped weight is not certified"
     nabla_m = growth.nabla_poly(m_cls.poly())
     if nabla_m:
         nabla_cls = growth._class_from_poly(nabla_m)
         num_order = p_order.pow(Fraction(1, 2)).mul(growth.order_of(nabla_cls))
         den_order = m_order.pow(Fraction(3, 2))
         if growth.order_cmp(num_order, den_order) > 0:
-            scan_witnesses()
-            return CriterionVerdict(
-                outcome="fails", which="weighted", witnesses=witnesses,
-                failing_condition="weight_variation",
-            )
+            return "fails", "weight_variation", None
 
     # condition 4: divergence of sum 1/((p^2+c^2)^(1/4) sqrt(M))
     c_order = growth.order_of(c_cls) if not c_cls.is_zero else None
@@ -282,10 +223,41 @@ def weighted_limit_point_check(
         if growth.order_cmp(c_sq, pc_order) > 0:
             pc_order = c_sq
     term_order = pc_order.pow(Fraction(1, 4)).mul(m_order.pow(Fraction(1, 2)))
-    scan_witnesses()
     if growth.recip_sum_diverges(term_order):
-        return CriterionVerdict(outcome="holds", which="weighted", witnesses=witnesses)
-    return CriterionVerdict(
-        outcome="fails", which="weighted", witnesses=witnesses,
-        failing_condition="weighted_series_divergence",
-    )
+        return "holds", None, None
+    return "fails", "weighted_series_divergence", None
+
+
+def _weighted_witnesses(
+    model: CoefficientSet, weight: ExprCoefficient, horizon: int
+) -> dict:
+    """Numeric sups k1..k4 of the bound ratios over the scanned range;
+    they witness the conditions but cannot certify them."""
+    k = model.kernel
+
+    def variation(t):
+        m_t = weight.value(t, k)
+        m_prev = weight.value(t - 1, k)
+        grad = abs(m_t - m_prev)
+        p_prev = model.coeff("p", t - 1)
+        return k.sqrt_nonneg(p_prev) * grad / (k.sqrt_nonneg(m_t) * m_prev)
+
+    return {
+        "k1": _scan_sup(
+            model, horizon,
+            lambda t: (abs(model.coeff("c", t)) + abs(model.coeff("c", t - 1)))
+            / weight.value(t, k),
+        ),
+        "k2": _scan_sup(
+            model, horizon, lambda t: abs(model.coeff("h", t)) / weight.value(t, k)
+        ),
+        "k3": _scan_sup(
+            model, horizon,
+            lambda t: max(-model.coeff("q", t), k.real(0)) / weight.value(t, k),
+        ),
+        # the variation ratio needs M(t-1): usable only from a+1, where
+        # the validated positive range covers the previous index
+        "k4": _scan_sup(
+            model, min(horizon, model.a + 200), variation, lo=model.a + 1
+        ),
+    }

@@ -414,16 +414,3 @@ def closure_contains(
     else:
         return None
     return any(exact_value(poly, s) == value for s in range(t_start, t + 1))
-
-
-def finite_limit(cls: GrowthClass) -> Fraction | None:
-    """The finite limit of f(t) as t grows, when one exists exactly."""
-    if cls.is_zero:
-        return Fraction(0)
-    poly = cls.poly() if not cls.sqrt_wrapped else None
-    if poly is None:
-        return None
-    _, bd, kd = dominant_of(poly)
-    if bd > 1 or (bd == 1 and kd >= 1):
-        return None
-    return poly.get((Fraction(1), 0), Fraction(0))

@@ -27,7 +27,7 @@ from fractions import Fraction
 from . import expr as ex
 from . import growth
 from .backends import BIG_KERNEL, native_kernel
-from .errors import CoefficientRangeError, EvaluationError, InadmissibleLambdaError
+from .errors import CoefficientRangeError, EvaluationError
 
 
 @dataclass(frozen=True)
@@ -343,14 +343,6 @@ def spectral_gap(model: CoefficientSet, lam, horizon: int) -> SpectralPoint:
             # the true infimum is zero even if the horizon scan missed it
             return SpectralPoint(lam=lam, margin=0.0, decided_symbolically=True)
         return SpectralPoint(lam=lam, margin=margin_f, decided_symbolically=True)
-
-
-def require_admissible(model: CoefficientSet, lam, horizon: int) -> None:
-    point = spectral_gap(model, lam, horizon)
-    if not point.admissible:
-        raise InadmissibleLambdaError(
-            "lam lies in the closure of the excluded values (margin 0)"
-        )
 
 
 def split_perturbation(model: CoefficientSet) -> tuple[CoefficientSet, PerturbationDelta]:

@@ -220,6 +220,16 @@ class Trajectory:
         """(y1(t), y2(t)) for a-1 <= t <= top."""
         return (self.y1_at(t), self.y2_at(t))
 
+    def cut(self, top: int) -> "Trajectory":
+        """The same solution on the window a-1 .. top (top <= self.top)."""
+        if top == self.top:
+            return self
+        n = self._idx(top, self.top, "window end") + 1
+        return Trajectory(
+            model=self.model, lam=self.lam, top=top,
+            y1=self.y1[:n + 1], y2=self.y2[:n], y1q=self.y1q[:n],
+        )
+
     def scaled(self, factor) -> "Trajectory":
         return Trajectory(
             model=self.model, lam=self.lam, top=self.top,

@@ -27,8 +27,8 @@ from weyldisc.checks import (
     wronskian_deviation,
 )
 from weyldisc.cli import main
-from weyldisc.recurrence import propagate
-from weyldisc.weyl import fundamental_pair
+from weyldisc.recurrence import propagate, step_table
+from weyldisc.weyl import _disc_rows, fundamental_pair
 
 from conftest import EXPECTED_VERDICTS, fabs, fdiff
 
@@ -81,13 +81,17 @@ def test_criterion_3_identity_suite(models):
     tol = 1e-60
     for name, model in models.items():
         assert green_random_worst(model, 20, pairs=100) < tol, name
-        phi, psi = fundamental_pair(model, LAM, 0.0, 40)
+        table = step_table(model, LAM, 100)
+        phi, psi = fundamental_pair(model, LAM, 0.0, 100, table=table)
+        phi40, psi40 = phi.cut(40), psi.cut(40)
         other = propagate(model, 2j, BoundaryData(1, 0), 40)
-        assert lagrange_relative_defect(model, psi, psi, 40) < tol, name
-        assert lagrange_relative_defect(model, other, psi, 40) < tol, name
-        assert m_sweep_worst(model, LAM, 0.0, 40) < tol, name
-        assert wronskian_deviation(model, LAM, 0.0, 100) < tol, name
-        assert transfer_det_deviation(model, LAM, 100) < tol, name
+        with model.workprec():
+            discs, _ = _disc_rows(model, phi40, psi40, table.lam, 40)
+        assert lagrange_relative_defect(model, psi40, psi40, 40) < tol, name
+        assert lagrange_relative_defect(model, other, psi40, 40) < tol, name
+        assert m_sweep_worst(phi40, psi40, discs, 40) < tol, name
+        assert wronskian_deviation(phi, psi, 100) < tol, name
+        assert transfer_det_deviation(table, 100) < tol, name
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
     print(f"ACCEPTANCE 3 PASS - identity suite on 5 scenarios in {elapsed:.1f}s")
@@ -97,7 +101,7 @@ def test_criterion_4_oracle_equivalence(models):
     """Transfer solver against the scalar three-term oracle, both lams."""
     for name, model in models.items():
         for lam in (1j, 1 + 1j):
-            dev = oracle_deviation(model, lam, 100)
+            dev = oracle_deviation(propagate(model, lam, BoundaryData(1, 0), 100), 100)
             assert dev < 1e-60, (name, lam, dev)
     print("ACCEPTANCE 4 PASS - oracle equivalence on all builtins, lam in {i, 1+i}")
 
