@@ -167,13 +167,6 @@ def test_cli_criteria(tmp_path, capsys):
     assert payload["weighted_criterion"]["outcome"] == "holds"
 
 
-def test_cli_check_passes_on_builtin(capsys, tmp_path):
-    assert main(["check", "ex4.1b", "--out", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert "invariants hold" in out
-
-
 INVARIANTS = [
     "transfer_det_unit", "oracle_agreement", "pair_det_unit",
     "wronskian_constant", "equation_residual", "green_identity_random",
@@ -199,11 +192,13 @@ def test_cli_check_statuses_on_builtins(capsys, name):
     not digits: the printed defects sit at roundoff level.  ex4.2a's
     disc_corner_route failure is the known one."""
     code = main(["check", name])
-    lines = _check_lines(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    lines = _check_lines(out)
     assert list(lines) == INVARIANTS
     failing = {inv for inv, (status, _) in lines.items() if status == "FAIL"}
     expected = {"disc_corner_route"} if name == "ex4.2a" else set()
     assert failing == expected
+    assert f"{name}: {15 - len(expected)}/15 invariants hold" in out
     assert code == (1 if expected else 0)
 
 
