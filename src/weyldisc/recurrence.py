@@ -220,6 +220,20 @@ class Trajectory:
         """(y1(t), y2(t)) for a-1 <= t <= top."""
         return (self.y1_at(t), self.y2_at(t))
 
+    def state_columns(self, first: int, last: int) -> tuple:
+        """The states of t = first .. last as two columns: (y1(t+1) for
+        each t, y1q(t) for each t), for a-1 <= first and last <= top."""
+        i = self._idx(first, self.top, "quasi-difference")
+        j = self._idx(last, self.top, "quasi-difference") + 1
+        return self.y1[i + 1:j + 1], self.y1q[i:j]
+
+    def component_columns(self, first: int, last: int) -> tuple:
+        """(y1(t) for each t, y2(t) for each t), t = first .. last, for
+        a-1 <= first and last <= top."""
+        i = self._idx(first, self.top, "y2")
+        j = self._idx(last, self.top, "y2") + 1
+        return self.y1[i:j], self.y2[i:j]
+
     def cut(self, top: int) -> "Trajectory":
         """The same solution on the window a-1 .. top (top <= self.top)."""
         if top == self.top:
@@ -296,6 +310,7 @@ def _left_boundary_values(model: CoefficientSet, lam, c1, c2) -> tuple:
 
 
 def _check_finite(model: CoefficientSet, state: tuple, t: int) -> None:
+    """Refuse a stepped state v(t) with a non-finite entry."""
     k = model.kernel
     if not (k.isfinite(state[0]) and k.isfinite(state[1])):
         raise PrecisionExhaustedError(
@@ -310,6 +325,7 @@ def _forward_states(table: StepTable, starts) -> list:
     model = table.model
     k = model.kernel
     check = k.needs_finite_checks
+    isfinite = k.isfinite
     cols = [(k.complex(0) + s0, k.complex(0) + s1) for s0, s1 in starts]
     out = [cols]
     rows = zip(table.a11[1:], table.a12[1:], table.a21[1:], table.a22[1:])
@@ -319,8 +335,9 @@ def _forward_states(table: StepTable, starts) -> list:
         m22 = 1 - a11
         cols = [(m11 * s0 + a12 * s1, a21 * s0 + m22 * s1) for s0, s1 in cols]
         if check:
-            for state in cols:
-                _check_finite(model, state, t)
+            for s0, s1 in cols:
+                if not (isfinite(s0) and isfinite(s1)):
+                    _check_finite(model, (s0, s1), t)
         out.append(cols)
     return out
 
@@ -338,7 +355,7 @@ def _assemble(table: StepTable, states: list) -> Trajectory:
     ]
     k = model.kernel
     if k.needs_finite_checks and not all(
-        k.isfinite(v) for seq in (y1, y2, y1q) for v in seq
+        all(map(k.isfinite, seq)) for seq in (y1, y2, y1q)
     ):
         raise PrecisionExhaustedError(
             "trajectory magnitude left the representable range; "
@@ -384,18 +401,22 @@ def propagate_backward(
     k = model.kernel
     with model.workprec():
         check = k.needs_finite_checks
-        state = (k.complex(0) + terminal_state[0], k.complex(0) + terminal_state[1])
-        states = [state]
-        for t in range(top, model.a - 1, -1):
-            i = t - table.start
+        isfinite = k.isfinite
+        s0 = k.complex(0) + terminal_state[0]
+        s1 = k.complex(0) + terminal_state[1]
+        states = [(s0, s1)]
+        # rows t = top .. a of the table (row 0 is t = a-1, which has no step)
+        rows = zip(
+            range(top, model.a - 1, -1),
+            reversed(table.a11[1:]), reversed(table.a12[1:]),
+            reversed(table.a21[1:]), reversed(table.a22[1:]),
+        )
+        for t, a11, a12, a21, a22 in rows:
             # v(t-1) = (I - A(t)) v(t)
-            state = (
-                (1 - table.a11[i]) * state[0] - table.a12[i] * state[1],
-                -table.a21[i] * state[0] + (1 - table.a22[i]) * state[1],
-            )
-            if check:
-                _check_finite(model, state, t)
-            states.append(state)
+            s0, s1 = (1 - a11) * s0 - a12 * s1, -a21 * s0 + (1 - a22) * s1
+            if check and not (isfinite(s0) and isfinite(s1)):
+                _check_finite(model, (s0, s1), t)
+            states.append((s0, s1))
         states.reverse()
         return _assemble(table, states)
 

@@ -156,27 +156,32 @@ def _disc_rows(model, phi, psi, lam, n_hi):
     a line.
     """
     k = model.kernel
-    d_im0 = k.im(bracket(psi, psi, model.a - 1))
+    abs2, conj, re, im = k.abs2, k.conj, k.re, k.im
+    cplx, absval = k.complex, k.absval
+    d_im0 = im(bracket(psi, psi, model.a - 1))
     mixed0 = bracket(phi, psi, model.a - 1)
-    two_im = 2 * k.im(lam)
-    factor = k.complex(0, two_im)
+    two_im = 2 * im(lam)
+    factor = cplx(0, two_im)
     s_run = k.real(0)
-    w_run = k.complex(0)
+    w_run = cplx(0)
     psi_sums = []
     discs = []
+    samples = zip(
+        range(model.a, n_hi + 1),
+        *psi.component_columns(model.a, n_hi),
+        *phi.component_columns(model.a, n_hi),
+    )
     try:
-        for t in range(model.a, n_hi + 1):
-            s1, s2 = psi.component_pair(t)
-            p1, p2 = phi.component_pair(t)
-            s_run = s_run + k.abs2(s1) + k.abs2(s2)
-            w_run = w_run + k.conj(s1) * p1 + k.conj(s2) * p2
+        for t, s1, s2, p1, p2 in samples:
+            s_run = s_run + abs2(s1) + abs2(s2)
+            w_run = w_run + conj(s1) * p1 + conj(s2) * p2
             psi_sums.append((t, s_run))
             d_im = d_im0 + two_im * s_run
             if d_im == 0:
                 continue
             mixed = mixed0 + factor * w_run
-            center = k.complex(-k.im(mixed) / d_im, k.re(mixed) / d_im)
-            discs.append(WeylDisc(n=t, center=center, radius=1 / k.absval(d_im)))
+            center = cplx(-im(mixed) / d_im, re(mixed) / d_im)
+            discs.append(WeylDisc(n=t, center=center, radius=1 / absval(d_im)))
     except OverflowError:
         raise _sums_exhausted(t) from None
     # an overflowed running sum stays inf or nan, so the last one tells
@@ -239,10 +244,10 @@ def on_circle_defect(model: CoefficientSet, chi_traj: Trajectory, m, lam, n: int
         lam = as_lambda_scalar(model, lam)
         if k.im(lam) == 0:
             raise InadmissibleLambdaError("circle membership requires nonreal lam")
+        abs2 = k.abs2
         total = k.real(0)
-        for t in range(model.a, n + 1):
-            c1, c2 = chi_traj.component_pair(t)
-            total = total + k.abs2(c1) + k.abs2(c2)
+        for c1, c2 in zip(*chi_traj.component_columns(model.a, n)):
+            total = total + abs2(c1) + abs2(c2)
         return total - k.im(m) / k.im(lam)
 
 
@@ -285,21 +290,23 @@ def _stable_chi(model, lam, phi, psi, m, n_max, radius_last, table):
     ``Trajectory.combined``) only when every state passes, so a
     cancelling chi stops the scan at its first lost state."""
     k = model.kernel
+    absval = k.absval
     bits = model.precision.bits
-    m_abs = k.absval(m)
+    m_abs = absval(m)
     floor = k.real(2) ** (-(bits // 2))
     y1, y1q = [], []
-    for t in range(model.a - 1, n_max + 1):
-        phi_state, psi_state = phi.state(t), psi.state(t)
-        state = (
-            phi_state[0] + m * psi_state[0],
-            phi_state[1] + m * psi_state[1],
-        )
-        mag = _norm1(phi_state, k) + m_abs * _norm1(psi_state, k)
-        if _norm1(state, k) < mag * floor:
+    states = zip(
+        *phi.state_columns(model.a - 1, n_max),
+        *psi.state_columns(model.a - 1, n_max),
+    )
+    for f0, f1, s0, s1 in states:
+        c0 = f0 + m * s0
+        c1 = f1 + m * s1
+        mag = (absval(f0) + absval(f1)) + m_abs * (absval(s0) + absval(s1))
+        if absval(c0) + absval(c1) < mag * floor:
             break
-        y1.append(state[0])
-        y1q.append(state[1])
+        y1.append(c0)
+        y1q.append(c1)
     else:
         chi_fwd = Trajectory(
             model=model, lam=phi.lam, top=phi.top,
@@ -335,12 +342,13 @@ def _stable_chi(model, lam, phi, psi, m, n_max, radius_last, table):
 
 def _profile(model, traj, n_max) -> list:
     k = model.kernel
+    abs2 = k.abs2
     total = k.real(0)
     sums = []
+    samples = zip(range(model.a, n_max + 1), *traj.component_columns(model.a, n_max))
     try:
-        for t in range(model.a, n_max + 1):
-            c1, c2 = traj.component_pair(t)
-            total = total + k.abs2(c1) + k.abs2(c2)
+        for t, c1, c2 in samples:
+            total = total + abs2(c1) + abs2(c2)
             sums.append((t, total))
     except OverflowError:
         raise _sums_exhausted(t) from None

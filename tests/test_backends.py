@@ -108,3 +108,16 @@ def test_huge_exponents_format():
         big = k.pow_real(k.real(4), k.real(20000))
         text = format_real(k, big, 12)
     assert "e+12041" in text
+
+
+def test_native_isfinite_matches_the_two_part_test():
+    """The builtin finite test gives the answers of testing both parts of
+    complex(z) with math.isfinite."""
+    import math
+
+    n = native_kernel()
+    inf, nan = float("inf"), float("nan")
+    for z in (1.5, -0.0, 7, 0, 2 + 3j, complex(inf, 0), complex(0, nan),
+              complex(-inf, 1), -inf, inf, nan):
+        w = complex(z)
+        assert n.isfinite(z) is (math.isfinite(w.real) and math.isfinite(w.imag)), z

@@ -212,6 +212,25 @@ def test_native_mode_overflow_is_reported(models):
         propagate(model, 1j, BoundaryData(1, 0), 120)
 
 
+def test_native_propagation_refuses_a_non_finite_y2_alone():
+    """States that stay finite do not excuse an overflowing y2: the
+    assembled trajectory checks every y2 value too."""
+    import dataclasses
+
+    from weyldisc.recurrence import propagate_columns, step_table
+
+    model = CoefficientSet.from_expressions(
+        precision=PrecisionConfig(mode="native-float")
+    )
+    table = step_table(model, 1j, 60)
+    (traj,) = propagate_columns(table, (BoundaryData(1, 0),))
+    assert max(abs(v) for v in traj.y1) > 1e10  # finite states, y2 == 0
+    # the same states, but a y2 coefficient that overflows r1 * y1(t+1)
+    huge = dataclasses.replace(table, r1=(1e300,) * len(table.r1))
+    with pytest.raises(PrecisionExhaustedError, match="trajectory magnitude"):
+        propagate_columns(huge, (BoundaryData(1, 0),))
+
+
 def test_native_mode_works_within_range():
     model = CoefficientSet.from_expressions(
         precision=PrecisionConfig(mode="native-float")
