@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import MatchingSingularError
+from .errors import InadmissibleLambdaError, MatchingSingularError
 from .model import CoefficientSet, as_lambda_scalar
 from .recurrence import (
     BoundaryData,
@@ -134,12 +134,14 @@ def wronskian_deviation(phi: Trajectory, psi: Trajectory, top: int) -> float:
 
 def residual_deviation(phi: Trajectory, psi: Trajectory, top: int) -> float:
     """Largest relative equation residual of either solution on a-1 .. top."""
-    model = phi.model
+    return max(_residual(phi, top), _residual(psi, top))
+
+
+def _residual(traj: Trajectory, top: int) -> float:
+    """Largest relative equation residual of one solution on a-1 .. top."""
+    model = traj.model
     with model.workprec():
-        return max(
-            max_relative_residual(model, phi.cut(top)),
-            max_relative_residual(model, psi.cut(top)),
-        )
+        return max_relative_residual(model, traj.cut(top))
 
 
 def _draw_complex(k, rng: random.Random, count: int) -> list:
@@ -184,13 +186,15 @@ def green_random_worst(
     return worst
 
 
-def lagrange_relative_defect(model, phi, psi, top: int) -> float:
+def lagrange_relative_defect(model, phi, psi, top: int, *, residuals=None) -> float:
     """Defect normalized by the magnitudes of every term entering the
     identity, including the bracket products (which may individually dwarf
-    the bracket values when the solutions grow fast)."""
+    the bracket values when the solutions grow fast).  ``residuals`` are
+    the max relative residuals of phi and psi when already swept (see
+    ``lagrange_identity_defect``)."""
     k = model.kernel
     with model.workprec():
-        defect = lagrange_identity_defect(phi, psi, top)
+        defect = lagrange_identity_defect(phi, psi, top, residuals=residuals)
         scale = k.real(1)
         for n in (top, model.a - 1):
             scale = scale + k.absval(phi.y1_at(n + 1)) * k.absval(psi.y1q_at(n))
@@ -415,6 +419,9 @@ def run_suite(model: CoefficientSet, lam, alpha: float = 0.0,
     k = model.kernel
     with model.workprec():
         lam_s = as_lambda_scalar(model, lam)
+        # the disc lines need a nonreal lam: refuse a real one before solving
+        if k.im(lam_s) == 0:
+            raise InadmissibleLambdaError("the invariant suite requires a nonreal lam")
         table = step_table(model, lam_s, span)
         phi, psi = fundamental_pair(model, lam_s, alpha, span, table=table)
         basis = fundamental_pair(model, lam_s, 0.0, span, table=table)
@@ -422,19 +429,24 @@ def run_suite(model: CoefficientSet, lam, alpha: float = 0.0,
         sol10, sol11 = propagate_columns(table, data)
         shifted = propagate_columns(step_table(model, lam_s + k.complex(0, 1), span), data)
         discs, psi_sums = _disc_rows(model, phi, psi, lam_s, top)
-    # the Lagrange check gates on the residual of the whole trajectory
-    psi_top = psi.cut(top)
+    # one residual sweep per distinct solution: phi and psi make the
+    # equation-residual line, psi and the lam + i solution are the Lagrange
+    # lines' solution gates (each on its whole a-1 .. top trajectory)
+    psi_top, other_top = psi.cut(top), shifted[0].cut(top)
+    res_phi, res_psi, res_other = (_residual(s, top) for s in (phi, psi, other_top))
 
     results = [
         CheckResult("transfer_det_unit", transfer_det_deviation(table, top), point_tol),
         CheckResult("oracle_agreement", oracle_deviation(sol10, top), agg_tol),
         CheckResult("pair_det_unit", pair_det_deviation(phi, psi, top), agg_tol),
         CheckResult("wronskian_constant", wronskian_deviation(phi, psi, top), agg_tol),
-        CheckResult("equation_residual", residual_deviation(phi, psi, top), agg_tol),
+        CheckResult("equation_residual", max(res_phi, res_psi), agg_tol),
         CheckResult("green_identity_random", green_random_worst(model, min(top, 20), pairs), agg_tol),
         CheckResult("bracket_antisymmetry", bracket_antisymmetry_worst(model, min(top, 20), pairs), point_tol),
-        CheckResult("lagrange_identity_equal_lam", lagrange_relative_defect(model, psi_top, psi_top, top), agg_tol),
-        CheckResult("lagrange_identity_two_lams", lagrange_relative_defect(model, shifted[0].cut(top), psi_top, top), agg_tol),
+        CheckResult("lagrange_identity_equal_lam", lagrange_relative_defect(
+            model, psi_top, psi_top, top, residuals=(res_psi, res_psi)), agg_tol),
+        CheckResult("lagrange_identity_two_lams", lagrange_relative_defect(
+            model, other_top, psi_top, top, residuals=(res_other, res_psi)), agg_tol),
         CheckResult("disc_radius_sum_identity", disc_sum_identity_worst(model, discs, psi_sums, lam), agg_tol),
         CheckResult("disc_nesting", disc_nesting_worst(model, discs), agg_tol),
         CheckResult("disc_corner_route", disc_corner_route_worst(phi, psi, discs, min(top, 24)), agg_tol),

@@ -98,9 +98,12 @@ def green_terms(model: CoefficientSet, y, z, top: int) -> tuple:
 _RESIDUAL_GATE_SHIFT = 3  # non-solution detection threshold: 2^-(bits/3)
 
 
-def _require_solution(traj: Trajectory, what: str) -> None:
+def _require_solution(traj: Trajectory, what: str, worst: float | None) -> None:
+    """Refuse a trajectory whose max relative residual ``worst`` (swept
+    here when None) exceeds 2^-(bits/3)."""
     bits = traj.model.precision.bits
-    worst = max_relative_residual(traj.model, traj)
+    if worst is None:
+        worst = max_relative_residual(traj.model, traj)
     if worst > 2.0 ** (-(bits // _RESIDUAL_GATE_SHIFT)):
         raise ValueError(
             f"{what} does not solve its equation "
@@ -108,13 +111,21 @@ def _require_solution(traj: Trajectory, what: str) -> None:
         )
 
 
-def lagrange_identity_defect(phi: Trajectory, psi: Trajectory, top: int):
+def lagrange_identity_defect(
+    phi: Trajectory, psi: Trajectory, top: int, *, residuals: tuple | None = None
+):
     """Defect of the summed Green's identity for solutions phi at lam and
-    psi at mu:  (lam - conj(mu)) * sum psi~(t) phi(t) - bracket increment."""
+    psi at mu:  (lam - conj(mu)) * sum psi~(t) phi(t) - bracket increment.
+
+    Both trajectories must solve their equations over their whole windows;
+    ``residuals``, when given, are their max relative residuals as the
+    caller already swept them, and are gated instead of sweeping again.
+    """
     if phi.model is not psi.model and phi.model != psi.model:
         raise WindowError("trajectories belong to different models")
-    _require_solution(phi, "first trajectory")
-    _require_solution(psi, "second trajectory")
+    worst_phi, worst_psi = residuals or (None, None)
+    _require_solution(phi, "first trajectory", worst_phi)
+    _require_solution(psi, "second trajectory", worst_psi)
     model = phi.model
     k = model.kernel
     with model.workprec():

@@ -120,6 +120,16 @@ def test_cli_exit_code_inadmissible(tmp_path):
     assert code == 3
 
 
+def test_cli_check_refuses_a_real_lam(capsys):
+    """A real lam has no Weyl discs: `check` reports it as inadmissible,
+    without a traceback."""
+    code = main(["check", "ex4.1a", "--lambda-re", "0.5", "--lambda-im", "0"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "inadmissible lam: the invariant suite requires a nonreal lam\n"
+
+
 def test_cli_exit_code_precision_exhausted(tmp_path):
     scenario = builtin_scenario("ex4.2a").to_dict()
     scenario["precision"] = {"mode": "native-float", "bits": 256}
