@@ -35,28 +35,21 @@ from .expr import parse_coefficient_expr, to_text
 from .growth import GrowthClass
 from .model import (
     CoefficientSet,
-    DerivedSample,
     ExprCoefficient,
-    PerturbationDelta,
     PrecisionConfig,
     SpectralPoint,
     TableCoefficient,
-    derived_at,
-    eval_coefficient,
     spectral_gap,
-    split_perturbation,
 )
 from .recurrence import (
     BoundaryData,
-    StepMatrix,
     StepTable,
     Trajectory,
     fundamental_matrix,
     oracle_three_term,
     propagate,
     propagate_backward,
-    reconstruct_y2,
-    step_matrix,
+    quasi_difference,
     step_table,
 )
 from .scenarios import (
@@ -71,7 +64,6 @@ from .structure import (
     bracket,
     green_defect,
     lagrange_identity_defect,
-    quasi_difference,
     vop_reconstruct,
     wronskian,
 )

@@ -209,8 +209,6 @@ class NativeKernel:
         yield
 
     def real(self, x):
-        if isinstance(x, Fraction):
-            return float(x)
         return float(x)
 
     def complex(self, re, im=0):

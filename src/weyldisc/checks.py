@@ -19,6 +19,7 @@ precision", independent of how violently the solutions grow.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ from .recurrence import (
     oracle_three_term,
     propagate_columns,
     step_table,
+    y2_relation,
 )
 from .structure import (
     bracket,
@@ -92,11 +94,14 @@ def transfer_det_deviation(table: StepTable, top: int) -> float:
     """|det(I - A(t)) - 1| over t = a .. top."""
     model = table.model
     k = model.kernel
+    rows = slice(table.index(model.a), table.index(top) + 1)
     with model.workprec():
         worst = 0.0
-        for t in range(model.a, top + 1):
-            sm = table.matrix(t)
-            worst = max(worst, _f(k, k.absval(sm.det_i_minus_a() - 1)))
+        for a11, a12, a21, a22 in zip(
+            table.a11[rows], table.a12[rows], table.a21[rows], table.a22[rows]
+        ):
+            det = (1 - a11) * (1 - a22) - a12 * a21
+            worst = max(worst, _f(k, k.absval(det - 1)))
         return worst
 
 
@@ -213,8 +218,6 @@ def bracket_antisymmetry_worst(
     model: CoefficientSet, top: int, pairs: int, seed: int = 20260811
 ) -> float:
     """[y, z] = -conj([z, y]) on random synthetic trajectories."""
-    from .recurrence import Trajectory
-
     k = model.kernel
     rng = random.Random(seed)
     worst = 0.0
@@ -311,8 +314,6 @@ def m_sweep_worst(phi: Trajectory, psi: Trajectory, discs, top: int, betas: int 
     comfortable headroom above the absolute accuracy of the O(1)-sized
     m-points; beyond that the relative comparison measures only roundoff.
     """
-    import math
-
     model = phi.model
     k = model.kernel
     phi, psi = phi.cut(top), psi.cut(top)
@@ -351,11 +352,7 @@ def y2_two_route_worst(traj: Trajectory, top: int) -> float:
         sup = max(sup, max(_f(k, k.absval(v)) for v in traj.y1))
         worst = 0.0
         for t in range(model.a - 1, top + 1):
-            den = lam_s - model.coeff("d", t)
-            direct = (
-                model.coeff("c", t) / den * (traj.y1_at(t + 1) - traj.y1_at(t))
-                + model.coeff("h", t) / den * traj.y1_at(t)
-            )
+            direct = y2_relation(model, lam_s, traj.y1_at(t), traj.y1_at(t + 1), t)
             worst = max(worst, _f(k, k.absval(direct - traj.y2_at(t))) / sup)
         return worst
 

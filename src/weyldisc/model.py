@@ -16,7 +16,7 @@ For a spectral parameter lam the derived quantities are
 lam is admissible when it avoids the closures of the ranges of d and
 m_excl; there p_tilde and its reciprocal stay well defined, because
 p_tilde * (lam - d) = p * (lam - m_excl).  ``recurrence.step_table``
-computes them; ``derived_at`` reads one point from it.
+computes them; ``m_excl_at`` gives the one lam-free value on its own.
 """
 
 from __future__ import annotations
@@ -189,19 +189,6 @@ class CoefficientSet:
 
 
 @dataclass(frozen=True)
-class DerivedSample:
-    """Derived quantities at one grid point (q_eff and h_shift need the
-    previous point and are None at t = a-1)."""
-
-    t: int
-    p_tilde: object
-    q_tilde: object | None
-    alpha: object
-    h_shift: object | None
-    m_excl: object
-
-
-@dataclass(frozen=True)
 class SpectralPoint:
     """Admissibility record for one spectral parameter.
 
@@ -219,35 +206,6 @@ class SpectralPoint:
         return self.margin > 0
 
 
-@dataclass(frozen=True)
-class PerturbationDelta:
-    """The off-diagonal pair split off a model."""
-
-    c: Coefficient
-    h: Coefficient
-
-
-def eval_coefficient(expr: ex.CoefficientExpr, t: int, precision: PrecisionConfig):
-    """Evaluate a parsed coefficient expression at integer t."""
-    with precision.workprec():
-        return ex.evaluate(expr, t, precision.kernel)
-
-
-def derived_at(model: CoefficientSet, t: int, lam) -> DerivedSample:
-    """All derived quantities at t; q_tilde/h_shift only for t >= a.
-
-    They come from a step table over t-1 .. t (alpha(t-1) enters q_tilde),
-    so they are the bits every solver uses.
-    """
-    from .recurrence import step_table  # recurrence builds on this module
-
-    table = step_table(model, lam, t, start=max(model.a - 1, t - 1))
-    return DerivedSample(
-        t=t, p_tilde=table.p_tilde[-1], q_tilde=table.q_tilde[-1],
-        alpha=table.alpha[-1], h_shift=table.h_shift[-1], m_excl=table.m_excl[-1],
-    )
-
-
 def as_lambda_scalar(model: CoefficientSet, lam):
     """Coerce a python number (or pass through a kernel scalar)."""
     k = model.kernel
@@ -256,6 +214,16 @@ def as_lambda_scalar(model: CoefficientSet, lam):
     if isinstance(lam, (int, float, Fraction)):
         return k.complex(lam, 0)
     return lam
+
+
+def m_excl_at(model: CoefficientSet, t: int):
+    """The excluded value m_excl(t) = d - (c^2 - h*c)/p, with the operands
+    and order of ``recurrence.step_table``.  A precision context must be
+    active."""
+    p = model.coeff("p", t)
+    c = model.coeff("c", t)
+    h = model.coeff("h", t)
+    return model.coeff("d", t) - (c * c - h * c) / p
 
 
 def m_excl_growth_class(model: CoefficientSet) -> growth.GrowthClass | None:
@@ -315,10 +283,7 @@ def spectral_gap(model: CoefficientSet, lam, horizon: int) -> SpectralPoint:
         margin = None
         for t in range(model.a - 1, horizon + 1):
             d_val = model.coeff("d", t)
-            p = model.coeff("p", t)
-            c = model.coeff("c", t)
-            h = model.coeff("h", t)
-            m_val = d_val - (c * c - h * c) / p
+            m_val = m_excl_at(model, t)
             gap = min(k.absval(lam - d_val), k.absval(lam - m_val))
             margin = gap if margin is None else min(margin, gap)
         try:
@@ -343,16 +308,6 @@ def spectral_gap(model: CoefficientSet, lam, horizon: int) -> SpectralPoint:
             # the true infimum is zero even if the horizon scan missed it
             return SpectralPoint(lam=lam, margin=0.0, decided_symbolically=True)
         return SpectralPoint(lam=lam, margin=margin_f, decided_symbolically=True)
-
-
-def split_perturbation(model: CoefficientSet) -> tuple[CoefficientSet, PerturbationDelta]:
-    """Diagonal part (c and h zeroed) plus the off-diagonal remainder."""
-    zero = ExprCoefficient.parse("0")
-    diagonal = CoefficientSet(
-        a=model.a, p=model.p, q=model.q, c=zero, h=zero, d=model.d,
-        precision=model.precision,
-    )
-    return diagonal, PerturbationDelta(c=model.c, h=model.h)
 
 
 # spec-facing aliases

@@ -49,27 +49,12 @@ from .model import CoefficientSet, as_lambda_scalar
 
 
 @dataclass(frozen=True)
-class StepMatrix:
-    """One-step coefficient matrix A(t) of the first-order system."""
-
-    t: int
-    a11: object
-    a12: object
-    a21: object
-    a22: object
-
-    def det_i_minus_a(self):
-        return (1 - self.a11) * (1 - self.a22) - self.a12 * self.a21
-
-
-@dataclass(frozen=True)
 class StepTable:
-    """Per-t quantities of one (model, lam) for t = start .. top, one
-    column per quantity, indexed by t - start.
+    """Per-t quantities of one (model, lam) for t = start .. top, where
+    start = a-1, one column per quantity, indexed by t - start.
 
     The first row has no predecessor, so its q_tilde, h_shift and step
-    entries are None; a table starting at a-1 therefore has step matrices
-    exactly for t = a .. top.
+    entries are None: the table has step matrices exactly for t = a .. top.
     """
 
     model: CoefficientSet
@@ -95,23 +80,15 @@ class StepTable:
             )
         return t - self.start
 
-    def matrix(self, t: int) -> StepMatrix:
-        i = self.index(t)
-        if i == 0:
-            raise WindowError(f"the first row of a step table (t={t}) has no step")
-        return StepMatrix(
-            t=t, a11=self.a11[i], a12=self.a12[i], a21=self.a21[i], a22=self.a22[i]
-        )
 
-
-def step_table(model: CoefficientSet, lam, top: int, start: int | None = None) -> StepTable:
-    """Walk t = start .. top once (start defaults to a-1) and tabulate
-    every derived quantity, step matrix and y2 coefficient on the way.
+def step_table(model: CoefficientSet, lam, top: int) -> StepTable:
+    """Walk t = a-1 .. top once and tabulate every derived quantity, step
+    matrix and y2 coefficient on the way.
 
     Raises InadmissibleLambdaError where lam equals d(t) or p_tilde(t)
     vanishes.
     """
-    start = model.a - 1 if start is None else start
+    start = model.a - 1
     if top < start:
         raise ValueError(f"top ({top}) lies below start ({start})")
     coeff = model.coeff
@@ -164,7 +141,7 @@ def _full_table(model: CoefficientSet, lam, top: int, table: StepTable | None) -
         return step_table(model, lam, top)
     with model.workprec():
         same_lam = table.lam == as_lambda_scalar(model, lam)
-    if not same_lam or table.model != model or (table.start, table.top) != (model.a - 1, top):
+    if not same_lam or table.model != model or table.top != top:
         raise ValueError("step table does not match the model, lam and window")
     return table
 
@@ -264,28 +241,6 @@ class Trajectory:
         )
 
 
-def step_matrix(model: CoefficientSet, t: int, lam) -> StepMatrix:
-    """A(t, lam) for t >= a; verifies det(I - A) = 1 to working tolerance."""
-    if t < model.a:
-        raise WindowError(f"step matrices exist for t >= {model.a}, got t={t}")
-    sm = step_table(model, lam, t, start=t - 1).matrix(t)
-    k = model.kernel
-    with model.workprec():
-        dev = k.absval(sm.det_i_minus_a() - 1)
-        if not dev < k.real(2) ** (-(model.precision.bits - 8)):
-            raise NumericalInvariantError(
-                f"det(I - A({t})) deviates from 1 by {float(k.to_mpf(dev)):.3e}"
-            )
-        return sm
-
-
-def reconstruct_y2(model: CoefficientSet, lam, y1_next, y1q, t: int):
-    """y2(t) from the state (y1(t+1), y1q(t))."""
-    table = step_table(model, lam, t, start=t)
-    with model.workprec():
-        return table.r1[0] * y1_next + table.r2[0] * y1q
-
-
 def _left_boundary_values(model: CoefficientSet, lam, c1, c2) -> tuple:
     """(y1(a-1), y2(a-1)) from the 2x2 boundary system; its determinant
     is -p_eff(a-1), nonzero for admissible lam."""
@@ -370,8 +325,6 @@ def _assemble(table: StepTable, states: list) -> Trajectory:
 def propagate_columns(table: StepTable, data) -> tuple:
     """One forward pass through ``table`` for every BoundaryData in
     ``data``; returns their trajectories on a-1 .. table.top."""
-    if table.start != table.model.a - 1:
-        raise ValueError("propagation needs a step table that starts at a-1")
     with table.model.workprec():
         rows = _forward_states(table, [(bd.c1, bd.c2) for bd in data])
         return tuple(
@@ -463,21 +416,34 @@ def oracle_three_term(
                 raise PrecisionExhaustedError(
                     f"oracle value left the representable range near t={t}"
                 )
-        y2 = {}
-        y1q = {}
-        for t in range(a - 1, top + 1):
-            c = model.coeff("c", t)
-            h = model.coeff("h", t)
-            den = lam - model.coeff("d", t)
-            dy1 = y1[t + 1] - y1[t]
-            y2[t] = c / den * dy1 + h / den * y1[t]
-            y1q[t] = model.coeff("p", t) * dy1 + c * y2[t]
+        window = range(a - 1, top + 1)
+        y2 = [y2_relation(model, lam, y1[t], y1[t + 1], t) for t in window]
+        y1q = [
+            quasi_difference(model, y1[t], y1[t + 1], y2_t, t)
+            for t, y2_t in zip(window, y2)
+        ]
         return Trajectory(
             model=model, lam=lam, top=top,
             y1=tuple(y1[t] for t in range(a - 1, top + 2)),
-            y2=tuple(y2[t] for t in range(a - 1, top + 1)),
-            y1q=tuple(y1q[t] for t in range(a - 1, top + 1)),
+            y2=tuple(y2), y1q=tuple(y1q),
         )
+
+
+def y2_relation(model: CoefficientSet, lam, y1_t, y1_next, t: int):
+    """y2(t) from y1 by the defining algebraic relation (the second
+    equation row solved for y2): c/(lam-d) dy1 + h/(lam-d) y1.  A
+    precision context must be active."""
+    den = lam - model.coeff("d", t)
+    return (
+        model.coeff("c", t) / den * (y1_next - y1_t)
+        + model.coeff("h", t) / den * y1_t
+    )
+
+
+def quasi_difference(model: CoefficientSet, y1_t, y1_next, y2_t, t: int):
+    """p(t) * (y1(t+1) - y1(t)) + c(t) * y2(t)."""
+    with model.workprec():
+        return model.coeff("p", t) * (y1_next - y1_t) + model.coeff("c", t) * y2_t
 
 
 def operator_rows(model: CoefficientSet, y1, y2, t: int) -> tuple:

@@ -21,14 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MatchingSingularError, WindowError
-from .model import CoefficientSet, derived_at
-from .recurrence import Trajectory, max_relative_residual, operator_rows
-
-
-def quasi_difference(model: CoefficientSet, y1_t, y1_next, y2_t, t: int):
-    """p(t) * (y1(t+1) - y1(t)) + c(t) * y2(t)."""
-    with model.workprec():
-        return model.coeff("p", t) * (y1_next - y1_t) + model.coeff("c", t) * y2_t
+from .model import CoefficientSet, m_excl_at
+from .recurrence import (
+    Trajectory,
+    max_relative_residual,
+    operator_rows,
+    quasi_difference,
+)
 
 
 def bracket(y: Trajectory, z: Trajectory, t: int):
@@ -224,7 +223,7 @@ def vop_reconstruct(
 
         f_full = f_prev + transposed_dot(phi, t_check)
         g_full = g_prev + transposed_dot(psi, t_check)
-        m_val = derived_at(model, t_check, lam).m_excl
+        m_val = m_excl_at(model, t_check)
         ratio = (lam0 - m_val) / (lam - m_val)
         defect_y2 = z.y2_at(t_check) - ratio * (
             k1 * psi.y2_at(t_check)

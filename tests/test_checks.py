@@ -13,8 +13,8 @@ def test_run_suite_solves_each_lam_and_window_once(models, monkeypatch):
     tables = []
     build = recurrence.step_table
 
-    def counting_table(model, lam, top, start=None):
-        table = build(model, lam, top, start)
+    def counting_table(model, lam, top):
+        table = build(model, lam, top)
         tables.append((table.start, table.top))
         return table
 

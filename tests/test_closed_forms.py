@@ -13,7 +13,7 @@ spot checks at lam = 0, where their effective scalar equations collapse
 to closed coefficient formulas.
 """
 
-from weyldisc import ClassifyOptions, builtin_scenario, classify, derived_at
+from weyldisc import ClassifyOptions, builtin_scenario, classify, step_table
 
 from conftest import fabs, fdiff
 
@@ -66,12 +66,13 @@ def test_h_coupled_family_effective_equation_at_zero(models):
     -(4^-t + 2)."""
     model = models["ex4.1b"]
     k = model.kernel
+    table = step_table(model, 0.0, 19)
     with model.workprec():
         for t in (0, 1, 2, 7, 19):
-            sample = derived_at(model, t, 0.0)
+            i = table.index(t)
             want = -(k.real(4) ** (-t) + 2)
-            assert fdiff(model, sample.q_tilde, want) <= fabs(model, want) * 1e-75
-            assert fdiff(model, sample.p_tilde, -(k.real(4) ** t)) == 0
+            assert fdiff(model, table.q_tilde[i], want) <= fabs(model, want) * 1e-75
+            assert fdiff(model, table.p_tilde[i], -(k.real(4) ** t)) == 0
 
 
 def test_sqrt_coupled_family_effective_equation_at_zero(models):
@@ -79,10 +80,11 @@ def test_sqrt_coupled_family_effective_equation_at_zero(models):
     diagonal geometric family's operator."""
     model = models["ex4.2b"]
     k = model.kernel
+    table = step_table(model, 0.0, 11)
     with model.workprec():
         for t in (0, 1, 3, 11):
-            sample = derived_at(model, t, 0.0)
-            assert fdiff(model, sample.p_tilde, -(k.real(4) ** t)) <= 1e-70 * fabs(
-                model, sample.p_tilde
+            i = table.index(t)
+            assert fdiff(model, table.p_tilde[i], -(k.real(4) ** t)) <= 1e-70 * fabs(
+                model, table.p_tilde[i]
             )
-            assert fdiff(model, sample.q_tilde, k.real(4) ** t) == 0
+            assert fdiff(model, table.q_tilde[i], k.real(4) ** t) == 0

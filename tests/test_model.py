@@ -10,22 +10,22 @@ from weyldisc import (
     EvaluationError,
     PrecisionConfig,
     TableCoefficient,
-    derived_at,
+    builtin_names,
     spectral_gap,
-    split_perturbation,
+    step_table,
 )
-from weyldisc.model import ExprCoefficient
+from weyldisc.model import ExprCoefficient, m_excl_at
 
 from conftest import fabs, fdiff
 
 
 def test_free_model_derived_values(models):
     free = models["free"]
-    sample = derived_at(free, 0, 1j)
-    assert fdiff(free, sample.p_tilde, 1) == 0
-    assert fabs(free, sample.alpha) == 0
-    assert fdiff(free, sample.h_shift, -1j) == 0
-    assert fabs(free, sample.m_excl) == 0
+    row = step_table(free, 1j, 0)
+    assert fdiff(free, row.p_tilde[-1], 1) == 0
+    assert fabs(free, row.alpha[-1]) == 0
+    assert fdiff(free, row.h_shift[-1], -1j) == 0
+    assert fabs(free, row.m_excl[-1]) == 0
 
 
 def test_perturbed_geometric_effective_potential(models):
@@ -34,12 +34,13 @@ def test_perturbed_geometric_effective_potential(models):
     k = model.kernel
     with model.workprec():
         lam = k.complex(0, 1)
+        table = step_table(model, lam, 20)
         for t in (0, 1, 5, 20):
-            sample = derived_at(model, t, lam)
+            i = table.index(t)
             four_t = k.real(4) ** t
             expected = four_t + (four_t + k.real(4) ** (-t) + 2) / (lam - 1)
-            assert fdiff(model, sample.q_tilde, expected) / fabs(model, expected) < 1e-70
-            assert fdiff(model, sample.p_tilde, -four_t) == 0
+            assert fdiff(model, table.q_tilde[i], expected) / fabs(model, expected) < 1e-70
+            assert fdiff(model, table.p_tilde[i], -four_t) == 0
 
 
 def test_sqrt_coupled_effective_leading_coefficient(models):
@@ -48,11 +49,12 @@ def test_sqrt_coupled_effective_leading_coefficient(models):
     k = model.kernel
     with model.workprec():
         lam = k.complex(0, 1)
+        table = step_table(model, lam, 9)
         for t in (0, 1, 4, 9):
-            sample = derived_at(model, t, lam)
             four_t = k.real(4) ** t
             expected = 1 + (four_t * four_t + four_t) / (lam - four_t)
-            assert fdiff(model, sample.p_tilde, expected) / fabs(model, expected) < 1e-70
+            p_tilde = table.p_tilde[table.index(t)]
+            assert fdiff(model, p_tilde, expected) / fabs(model, expected) < 1e-70
 
 
 def test_p_tilde_m_excl_consistency(models):
@@ -64,11 +66,11 @@ def test_p_tilde_m_excl_consistency(models):
             for _ in range(20):
                 t = rng.randint(model.a - 1, model.a + 30)
                 lam = k.complex(rng.uniform(-3, 3), rng.uniform(0.2, 3))
-                s = derived_at(model, t, lam)
+                row = step_table(model, lam, t)
                 d_val = model.coeff("d", t)
                 p_val = model.coeff("p", t)
-                lhs = s.p_tilde * (lam - d_val)
-                rhs = p_val * (lam - s.m_excl)
+                lhs = row.p_tilde[-1] * (lam - d_val)
+                rhs = p_val * (lam - row.m_excl[-1])
                 scale = fabs(model, lhs) + fabs(model, rhs)
                 assert fdiff(model, lhs, rhs) <= scale * 2.0 ** -248
 
@@ -78,9 +80,9 @@ def test_alpha_definition(models):
     k = model.kernel
     with model.workprec():
         lam = k.complex(0.5, 2)
-        s = derived_at(model, 3, lam)
+        alpha = step_table(model, lam, 3).alpha[-1]
         expected = model.coeff("h", 3) * model.coeff("c", 3) / (lam - model.coeff("d", 3))
-        assert fdiff(model, s.alpha, expected) == 0
+        assert fdiff(model, alpha, expected) == 0
 
 
 def test_derived_precision_agreement(models):
@@ -88,15 +90,29 @@ def test_derived_precision_agreement(models):
     for name in ("ex4.1b", "ex4.2b"):
         base = models[name]
         hi = base.with_precision(PrecisionConfig(mantissa_bits=512))
+        lo_table = step_table(base, 1j, 50)
+        hi_table = step_table(hi, 1j, 50)
         for t in (0, 17, 50):
-            lo_s = derived_at(base, t, 1j)
-            hi_s = derived_at(hi, t, 1j)
+            i = lo_table.index(t)
             with hi.workprec():
                 k = hi.kernel
                 for field in ("p_tilde", "q_tilde", "alpha", "m_excl"):
-                    lo_v = k.to_mpf(k.absval(getattr(lo_s, field) - getattr(hi_s, field)))
-                    ref = k.to_mpf(k.absval(getattr(hi_s, field))) + mpmath.mpf(1e-30)
-                    assert lo_v / ref < mpmath.mpf(10) ** -60
+                    lo_v, hi_v = getattr(lo_table, field)[i], getattr(hi_table, field)[i]
+                    ref = k.to_mpf(k.absval(hi_v)) + mpmath.mpf(1e-30)
+                    assert k.to_mpf(k.absval(lo_v - hi_v)) / ref < mpmath.mpf(10) ** -60
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_m_excl_at_is_the_table_column(models, name):
+    """The lam-free excluded value equals the step table's m_excl bit for
+    bit, at big-float and native precision."""
+    for model in (models[name],
+                  models[name].with_precision(PrecisionConfig(mode="native-float"))):
+        table = step_table(model, 1j, 30)
+        with model.workprec():
+            assert tuple(
+                m_excl_at(model, t) for t in range(model.a - 1, 31)
+            ) == table.m_excl
 
 
 def test_spectral_gap_examples(models):
@@ -139,19 +155,6 @@ def test_spectral_gap_accumulation_point():
     assert spectral_gap(model, 1.0, 30).margin == 0.0
     ok = spectral_gap(model, 0.99, 30)
     assert ok.margin > 0 and ok.decided_symbolically
-
-
-def test_split_perturbation(models):
-    diagonal, delta = split_perturbation(models["ex4.1b"])
-    assert diagonal.c.text() == "0" and diagonal.h.text() == "0"
-    assert diagonal.p.text() == models["ex4.1b"].p.text()
-    assert delta.h.text() == "2^t + 2^(-t)"
-    # already-diagonal model: the split-off pair is identically zero
-    _, zero_delta = split_perturbation(models["ex4.2a"])
-    assert zero_delta.c.text() == "0" and zero_delta.h.text() == "0"
-    # the sqrt-coupled family's delta carries its c
-    _, sqrt_delta = split_perturbation(models["ex4.2b"])
-    assert sqrt_delta.c.text() == "sqrt(4^(2 * t) + 4^t)"
 
 
 def test_table_coefficient_range_error():

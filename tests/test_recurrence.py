@@ -13,35 +13,34 @@ from weyldisc import (
     oracle_three_term,
     propagate,
     propagate_backward,
-    reconstruct_y2,
-    step_matrix,
+    step_table,
 )
-from weyldisc.recurrence import max_relative_residual
+from weyldisc.recurrence import max_relative_residual, y2_relation
 
 from conftest import fabs, fdiff
 
 
-def test_step_matrix_free_model(models):
+def test_step_entries_free_model(models):
     free = models["free"]
-    sm = step_matrix(free, 0, 1j)
-    assert fabs(free, sm.a11) == 0
-    assert fdiff(free, sm.a12, 1) == 0
-    assert fdiff(free, sm.a21, -1j) == 0
-    assert fdiff(free, sm.a22, 1j) == 0
+    row = step_table(free, 1j, 0)
+    a11, a12, a21, a22 = row.a11[-1], row.a12[-1], row.a21[-1], row.a22[-1]
+    assert fabs(free, a11) == 0
+    assert fdiff(free, a12, 1) == 0
+    assert fdiff(free, a21, -1j) == 0
+    assert fdiff(free, a22, 1j) == 0
     with free.workprec():
-        assert fdiff(free, sm.det_i_minus_a(), 1) == 0
+        assert fdiff(free, (1 - a11) * (1 - a22) - a12 * a21, 1) == 0
 
 
-def test_step_matrix_zero_coupling_kills_corner(models):
+def test_step_entries_zero_coupling_kills_corner(models):
     # alpha = h c / (lam - d) vanishes whenever c or h does
     for name in ("ex4.1a", "ex4.1b", "ex4.2b"):
-        sm = step_matrix(models[name], 2, 1j)
-        assert fabs(models[name], sm.a11) == 0
+        assert fabs(models[name], step_table(models[name], 1j, 2).a11[-1]) == 0
 
 
-def test_step_matrix_rejects_excluded_lam(models):
+def test_step_table_rejects_excluded_lam(models):
     with pytest.raises(InadmissibleLambdaError):
-        step_matrix(models["ex4.1a"], 2, 1.0)  # d == 1
+        step_table(models["ex4.1a"], 1.0, 2)  # d == 1
 
 
 def test_propagate_free_first_state(models):
@@ -153,19 +152,24 @@ def test_fundamental_matrix_columns_reproduce_propagate(models):
         assert fdiff(model, mats[idx][1][1], e2.state(t)[1]) <= sup * 1e-70
 
 
-def test_reconstruct_y2_agrees_with_defining_relation(models):
+def test_y2_reconstruction_agrees_with_defining_relation(models):
+    """The table's state route r1 y1(t+1) + r2 y1q(t) and the y2 relation
+    both give y2, and agree with the relation written as one quotient."""
     model = models["ex4.2b"]
     traj = propagate(model, 1j, BoundaryData(1, 1), 25)
-    k = model.kernel
+    table = step_table(model, 1j, 25)
     with model.workprec():
         lam = traj.lam
         for t in range(model.a - 1, 25):
-            via_state = reconstruct_y2(model, lam, traj.y1_at(t + 1), traj.y1q_at(t), t)
+            i = table.index(t)
+            via_state = table.r1[i] * traj.y1_at(t + 1) + table.r2[i] * traj.y1q_at(t)
+            relation = y2_relation(model, lam, traj.y1_at(t), traj.y1_at(t + 1), t)
             den = lam - model.coeff("d", t)
             direct = (model.coeff("c", t) * (traj.y1_at(t + 1) - traj.y1_at(t))
                       + model.coeff("h", t) * traj.y1_at(t)) / den
             scale = fabs(model, direct) + 1
             assert fdiff(model, via_state, direct) <= scale * 1e-70
+            assert fdiff(model, relation, direct) <= scale * 1e-70
             assert fdiff(model, via_state, traj.y2_at(t)) <= scale * 1e-70
 
 
@@ -239,31 +243,6 @@ def test_native_mode_works_within_range():
     assert traj.y1_at(1) == (1 - 1j)
     oracle = oracle_three_term(model, 1j, BoundaryData(1, 0), 10)
     assert max(abs(a - b) for a, b in zip(traj.y1, oracle.y1)) < 1e-12
-
-
-def test_step_matrix_is_the_table_row(models):
-    """The det-checked public step matrix, built from a two-row walk,
-    equals the row of a table walked from the origin."""
-    from weyldisc.recurrence import step_table
-
-    for name, model in models.items():
-        table = step_table(model, 0.3 + 1j, 14)
-        for t in range(model.a, 15):
-            assert step_matrix(model, t, 0.3 + 1j) == table.matrix(t), (name, t)
-
-
-def test_derived_at_is_the_table_row(models):
-    from weyldisc import derived_at
-    from weyldisc.recurrence import step_table
-
-    model = models["ex4.1b"]
-    table = step_table(model, 1j, 9)
-    for t in range(model.a - 1, 10):
-        s = derived_at(model, t, 1j)
-        i = table.index(t)
-        assert (s.p_tilde, s.q_tilde, s.alpha, s.h_shift, s.m_excl) == (
-            table.p_tilde[i], table.q_tilde[i], table.alpha[i],
-            table.h_shift[i], table.m_excl[i])
 
 
 def test_fundamental_pair_is_two_propagations_in_one_pass(models):

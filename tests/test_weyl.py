@@ -284,8 +284,8 @@ def test_classify_derives_each_grid_point_once(models, monkeypatch):
     rows = []
     build = recurrence.step_table
 
-    def counting_table(model, lam, top, start=None):
-        table = build(model, lam, top, start)
+    def counting_table(model, lam, top):
+        table = build(model, lam, top)
         rows.append((table.start, table.top))
         return table
 
