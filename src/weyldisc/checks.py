@@ -91,7 +91,8 @@ def oracle_deviation(direct: Trajectory, top: int) -> float:
 
 
 def transfer_det_deviation(table: StepTable, top: int) -> float:
-    """|det(I - A(t)) - 1| over t = a .. top."""
+    """|det(I - A(t)) - 1| over t = a .. top, relative to the magnitudes
+    of the two products that make the determinant."""
     model = table.model
     k = model.kernel
     rows = slice(table.index(model.a), table.index(top) + 1)
@@ -100,8 +101,10 @@ def transfer_det_deviation(table: StepTable, top: int) -> float:
         for a11, a12, a21, a22 in zip(
             table.a11[rows], table.a12[rows], table.a21[rows], table.a22[rows]
         ):
-            det = (1 - a11) * (1 - a22) - a12 * a21
-            worst = max(worst, _f(k, k.absval(det - 1)))
+            diag = (1 - a11) * (1 - a22)
+            off = a12 * a21
+            scale = k.absval(diag) + k.absval(off) + 1
+            worst = max(worst, _f(k, k.absval(diag - off - 1) / scale))
         return worst
 
 

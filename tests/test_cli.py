@@ -224,8 +224,8 @@ def test_cli_check_reports_a_singular_vop_matching_system(capsys):
     assert list(lines) == INVARIANTS
     assert lines["variation_of_parameters"] == ("FAIL", "worst=inf")
     failing = {inv for inv, (status, _) in lines.items() if status == "FAIL"}
-    assert failing == {"transfer_det_unit", "variation_of_parameters"}
-    assert "ex4.2a: 13/15 invariants hold" in captured.out
+    assert failing == {"variation_of_parameters"}
+    assert "ex4.2a: 14/15 invariants hold" in captured.out
 
 
 def test_forced_python_backend_agrees():
