@@ -20,7 +20,7 @@ from weyldisc.recurrence import max_relative_residual, y2_relation
 from conftest import fabs, fdiff
 
 
-def test_step_entries_free_model(models):
+def test_step_matrix_free_model(models):
     free = models["free"]
     row = step_table(free, 1j, 0)
     a11, a12, a21, a22 = row.a11[-1], row.a12[-1], row.a21[-1], row.a22[-1]
@@ -32,13 +32,13 @@ def test_step_entries_free_model(models):
         assert fdiff(free, (1 - a11) * (1 - a22) - a12 * a21, 1) == 0
 
 
-def test_step_entries_zero_coupling_kills_corner(models):
+def test_step_matrix_zero_coupling_kills_corner(models):
     # alpha = h c / (lam - d) vanishes whenever c or h does
     for name in ("ex4.1a", "ex4.1b", "ex4.2b"):
         assert fabs(models[name], step_table(models[name], 1j, 2).a11[-1]) == 0
 
 
-def test_step_table_rejects_excluded_lam(models):
+def test_step_matrix_rejects_excluded_lam(models):
     with pytest.raises(InadmissibleLambdaError):
         step_table(models["ex4.1a"], 1.0, 2)  # d == 1
 
@@ -152,7 +152,7 @@ def test_fundamental_matrix_columns_reproduce_propagate(models):
         assert fdiff(model, mats[idx][1][1], e2.state(t)[1]) <= sup * 1e-70
 
 
-def test_y2_reconstruction_agrees_with_defining_relation(models):
+def test_reconstruct_y2_agrees_with_defining_relation(models):
     """The table's state route r1 y1(t+1) + r2 y1q(t) and the y2 relation
     both give y2, and agree with the relation written as one quotient."""
     model = models["ex4.2b"]
