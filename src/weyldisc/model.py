@@ -218,12 +218,12 @@ def as_lambda_scalar(model: CoefficientSet, lam):
 
 def m_excl_at(model: CoefficientSet, t: int):
     """The excluded value m_excl(t) = d - (c^2 - h*c)/p, with the operands
-    and order of ``recurrence.step_table``.  A precision context must be
-    active."""
-    p = model.coeff("p", t)
-    c = model.coeff("c", t)
-    h = model.coeff("h", t)
-    return model.coeff("d", t) - (c * c - h * c) / p
+    and order of ``recurrence.step_table``."""
+    with model.workprec():
+        p = model.coeff("p", t)
+        c = model.coeff("c", t)
+        h = model.coeff("h", t)
+        return model.coeff("d", t) - (c * c - h * c) / p
 
 
 def m_excl_growth_class(model: CoefficientSet) -> growth.GrowthClass | None:

@@ -431,13 +431,13 @@ def oracle_three_term(
 
 def y2_relation(model: CoefficientSet, lam, y1_t, y1_next, t: int):
     """y2(t) from y1 by the defining algebraic relation (the second
-    equation row solved for y2): c/(lam-d) dy1 + h/(lam-d) y1.  A
-    precision context must be active."""
-    den = lam - model.coeff("d", t)
-    return (
-        model.coeff("c", t) / den * (y1_next - y1_t)
-        + model.coeff("h", t) / den * y1_t
-    )
+    equation row solved for y2): c/(lam-d) dy1 + h/(lam-d) y1."""
+    with model.workprec():
+        den = lam - model.coeff("d", t)
+        return (
+            model.coeff("c", t) / den * (y1_next - y1_t)
+            + model.coeff("h", t) / den * y1_t
+        )
 
 
 def quasi_difference(model: CoefficientSet, y1_t, y1_next, y2_t, t: int):

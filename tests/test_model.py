@@ -109,10 +109,7 @@ def test_m_excl_at_is_the_table_column(models, name):
     for model in (models[name],
                   models[name].with_precision(PrecisionConfig(mode="native-float"))):
         table = step_table(model, 1j, 30)
-        with model.workprec():
-            assert tuple(
-                m_excl_at(model, t) for t in range(model.a - 1, 31)
-            ) == table.m_excl
+        assert tuple(m_excl_at(model, t) for t in range(model.a - 1, 31)) == table.m_excl
 
 
 def test_spectral_gap_examples(models):
