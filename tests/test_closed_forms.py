@@ -13,7 +13,7 @@ spot checks at lam = 0, where their effective scalar equations collapse
 to closed coefficient formulas.
 """
 
-from weyldisc import ClassifyOptions, builtin_scenario, classify, step_table
+from weyldisc import ClassifyOptions, classify, step_table
 
 from conftest import fabs, fdiff
 
