@@ -66,6 +66,15 @@ class MpmathKernel:
         return mpmath.mpf(x)
 
     def complex(self, re, im=0):
+        if type(re) is float and type(im) is float:
+            # a float pair rounds once per part, straight to the context's
+            # precision: the value mpc(mpf(re), mpf(im)) gives, built without
+            # the two conversions through mpf
+            prec, rounding = mpmath.mp._prec_rounding
+            return mpmath.mp.make_mpc((
+                _libmp.from_float(re, prec, rounding),
+                _libmp.from_float(im, prec, rounding),
+            ))
         return mpmath.mpc(self.real(re), self.real(im))
 
     def re(self, z):

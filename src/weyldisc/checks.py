@@ -11,6 +11,11 @@ computes the disc rows once.  The helpers take that solved data (step
 table, trajectories, disc list) together with the window they evaluate,
 which may be shorter than the data: a table or trajectory on a-1 .. span
 agrees bit for bit with one built on a-1 .. top on their common part.
+The difference operator is applied in one place, the windowed
+``recurrence.operator_window``: the equation-residual line, the Lagrange
+gates and Green's formula all take their rows from it, each solution or
+random sequence walked once.  Random draws are converted to the kernel
+only where a check reads them.
 
 Defects are normalized by the magnitude of the terms entering each
 identity, so a PASS means "the identity holds to roughly the working
@@ -217,25 +222,46 @@ def lagrange_relative_defect(model, phi, psi, top: int, *, residuals=None) -> fl
         return _f(k, k.absval(defect) / scale)
 
 
+def _draw_read(k, rng: random.Random, count: int, read) -> tuple:
+    """``count`` values drawn like ``_draw_complex``, the same stream, but
+    converted to the kernel only at the indices in ``read``; every other
+    entry is None, so that reading it fails loudly."""
+    out = [None] * count
+    uniform = rng.uniform
+    for i in range(count):
+        re, im = uniform(-1, 1), uniform(-1, 1)
+        if i in read:
+            out[i] = k.complex(re, im)
+    return tuple(out)
+
+
 def bracket_antisymmetry_worst(
     model: CoefficientSet, top: int, pairs: int, seed: int = 20260811
 ) -> float:
-    """[y, z] = -conj([z, y]) on random synthetic trajectories."""
+    """[y, z] = -conj([z, y]) on random synthetic trajectories.
+
+    The bracket at t reads y1(t+1) and y1q(t), so of each drawn trajectory
+    only y1 at a, a+1, top and y1q at a-1, a, top-1 are converted."""
     k = model.kernel
     rng = random.Random(seed)
     worst = 0.0
+    points = (model.a - 1, model.a, top - 1)
+    n = top + 1 - (model.a - 1)
+    read_y1 = {t + 1 - (model.a - 1) for t in points}
+    read_y1q = {t - (model.a - 1) for t in points}
     with model.workprec():
+        lam = k.complex(0, 1)
+
         def draw_traj():
-            n = top + 1 - (model.a - 1)
             return Trajectory(
-                model=model, lam=k.complex(0, 1), top=top,
-                y1=tuple(_draw_complex(k, rng, n + 1)),
-                y2=tuple(_draw_complex(k, rng, n)),
-                y1q=tuple(_draw_complex(k, rng, n)),
+                model=model, lam=lam, top=top,
+                y1=_draw_read(k, rng, n + 1, read_y1),
+                y2=_draw_read(k, rng, n, ()),
+                y1q=_draw_read(k, rng, n, read_y1q),
             )
         for _ in range(pairs):
             y, z = draw_traj(), draw_traj()
-            for t in (model.a - 1, model.a, top - 1):
+            for t in points:
                 lhs = bracket(y, z, t)
                 rhs = -k.conj(bracket(z, y, t))
                 worst = max(worst, _f(k, k.absval(lhs - rhs)))

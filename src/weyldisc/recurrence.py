@@ -32,6 +32,12 @@ transfer matrices, solving instead the scalar three-term recurrence
                        - p_eff(t-1) y1(t-1)
 
 with y2 recovered from y1 by its defining algebraic relation.
+
+``operator_window`` is the one place the difference operator itself is
+applied: it walks a pair sequence once over a window and forms each
+product of both equation rows once per t.  The residual sweeps
+(``relative_residuals`` and its one-point and whole-window forms) and
+Green's formula in ``structure`` take the rows and their terms from it.
 """
 
 from __future__ import annotations
@@ -446,72 +452,106 @@ def quasi_difference(model: CoefficientSet, y1_t, y1_next, y2_t, t: int):
         return model.coeff("p", t) * (y1_next - y1_t) + model.coeff("c", t) * y2_t
 
 
-def operator_rows(model: CoefficientSet, y1, y2, t: int) -> tuple:
-    """Both rows of the difference operator, without the lam terms, applied
-    to a pair sequence given as functions y1(s), y2(s); row 1 exists for
-    t >= a (it needs t-1), row 2 from a-1 on (None stands for a missing
-    row).  A precision context must be active."""
-    c_t = model.coeff("c", t)
-    h_t = model.coeff("h", t)
-    row2 = c_t * (y1(t + 1) - y1(t)) + h_t * y1(t) + model.coeff("d", t) * y2(t)
-    if t < model.a:
-        return None, row2
-    p_t = model.coeff("p", t)
-    p_prev = model.coeff("p", t - 1)
-    c_prev = model.coeff("c", t - 1)
-    row1 = (
-        -(p_t * (y1(t + 1) - y1(t)) - p_prev * (y1(t) - y1(t - 1)))
-        + model.coeff("q", t) * y1(t)
-        - (c_t * y2(t) - c_prev * y2(t - 1))
-        + h_t * y2(t)
-    )
-    return row1, row2
+def operator_window(model: CoefficientSet, y1, y2, first: int, last: int):
+    """Both rows of the difference operator, without the lam terms, on a
+    pair sequence for t = first .. last: the one routine that applies the
+    operator.  ``y1`` and ``y2`` are indexed from a-1; y1 must reach
+    last+1 and y2 last.  A precision context must be active.
+
+    Per t it yields (row1, row2, terms), where terms are the products the
+    rows sum,
+
+        (p dy1(t-1), p dy1(t), q y1, c y2(t-1), c y2(t), h y2,
+         c dy1(t), h y1, d y2)
+
+    with dy1(t) = y1(t+1) - y1(t) and every coefficient at t unless marked
+    t-1.  Row 1 needs t-1, so at t = a-1 it and its four terms (the first,
+    third, fourth and sixth) are None.  The walk forms each product once:
+    dy1(t), p dy1(t) and c y2(t) are the previous terms at t+1.
+    """
+    a = model.a
+    short = len(y1) < last - a + 3 or len(y2) < last - a + 2
+    if first < a - 1 or last < first or short:
+        raise WindowError(
+            f"operator window {first} .. {last} needs y1 on {a - 1} .. {last + 1} "
+            f"and y2 on {a - 1} .. {last}"
+        )
+    coeff = model.coeff
+    i = first - (a - 1)
+    pd_prev = cy2_prev = None
+    if first >= a:
+        pd_prev = coeff("p", first - 1) * (y1[i] - y1[i - 1])
+        cy2_prev = coeff("c", first - 1) * y2[i - 1]
+    for t in range(first, last + 1):
+        y1_t, y2_t = y1[i], y2[i]
+        c_t = coeff("c", t)
+        h_t = coeff("h", t)
+        dy1 = y1[i + 1] - y1_t
+        cd = c_t * dy1
+        hy1 = h_t * y1_t
+        dy2 = coeff("d", t) * y2_t
+        row2 = cd + hy1 + dy2
+        pd = coeff("p", t) * dy1
+        cy2 = c_t * y2_t
+        if t < a:
+            row1 = qy1 = hy2 = None
+        else:
+            qy1 = coeff("q", t) * y1_t
+            hy2 = h_t * y2_t
+            row1 = -(pd - pd_prev) + qy1 - (cy2 - cy2_prev) + hy2
+        yield row1, row2, (pd_prev, pd, qy1, cy2_prev, cy2, hy2, cd, hy1, dy2)
+        pd_prev, cy2_prev = pd, cy2
+        i += 1
 
 
-def residual_rows(model: CoefficientSet, traj: Trajectory, t: int) -> tuple:
-    """Raw residuals (L y - lam y) of both equation rows at t; row 1 is
-    None at t = a-1."""
+def relative_residuals(model: CoefficientSet, traj: Trajectory, first: int,
+                       last: int) -> list:
+    """Relative residuals of a solution at t = first .. last, one machine
+    float per t, from one pass of ``operator_window``.
+
+    Each row's residual (L y - lam y) is normalized by the magnitudes of
+    the terms it sums, plus 1; the value at t is the larger of the two
+    rows (row 2 alone at t = a-1).  |p dy1| and |c y2| serve again as the
+    previous-term magnitudes at t+1.
+    """
+    k = model.kernel
+    absval = k.absval
+    out = []
     with model.workprec():
         lam = traj.lam
-        row1, row2 = operator_rows(model, traj.y1_at, traj.y2_at, t)
-        row2 = row2 - lam * traj.y2_at(t)
-        if row1 is not None:
-            row1 = row1 - lam * traj.y1_at(t)
-        return row1, row2
+        y1, y2 = traj.y1, traj.y2
+        i = first - (model.a - 1)
+        abs_pd_prev = abs_cy2_prev = None
+        for row1, row2, terms in operator_window(model, y1, y2, first, last):
+            pd_prev, pd, qy1, cy2_prev, cy2, hy2, cd, hy1, dy2 = terms
+            ly2 = lam * y2[i]
+            row2 = row2 - ly2
+            scale2 = absval(cd) + absval(hy1) + absval(dy2) + absval(ly2) + 1
+            worst = float(k.to_mpf(absval(row2) / scale2))
+            abs_pd, abs_cy2 = absval(pd), absval(cy2)
+            if row1 is not None:
+                if abs_pd_prev is None:
+                    abs_pd_prev, abs_cy2_prev = absval(pd_prev), absval(cy2_prev)
+                ly1 = lam * y1[i]
+                row1 = row1 - ly1
+                scale1 = (
+                    abs_pd + abs_pd_prev + absval(qy1) + abs_cy2 + abs_cy2_prev
+                    + absval(hy2) + absval(ly1) + 1
+                )
+                worst = max(worst, float(k.to_mpf(absval(row1) / scale1)))
+            out.append(worst)
+            abs_pd_prev, abs_cy2_prev = abs_pd, abs_cy2
+            i += 1
+    return out
 
 
 def relative_residual(model: CoefficientSet, traj: Trajectory, t: int) -> float:
     """Residuals normalized by the magnitude of the largest participating
-    term, as a machine float."""
-    k = model.kernel
-    with model.workprec():
-        lam = traj.lam
-        row1, row2 = residual_rows(model, traj, t)
-        scale2 = (
-            k.absval(model.coeff("c", t) * (traj.y1_at(t + 1) - traj.y1_at(t)))
-            + k.absval(model.coeff("h", t) * traj.y1_at(t))
-            + k.absval(model.coeff("d", t) * traj.y2_at(t))
-            + k.absval(lam * traj.y2_at(t))
-            + 1
-        )
-        worst = float(k.to_mpf(k.absval(row2) / scale2))
-        if row1 is not None:
-            scale1 = (
-                k.absval(model.coeff("p", t) * (traj.y1_at(t + 1) - traj.y1_at(t)))
-                + k.absval(model.coeff("p", t - 1) * (traj.y1_at(t) - traj.y1_at(t - 1)))
-                + k.absval(model.coeff("q", t) * traj.y1_at(t))
-                + k.absval(model.coeff("c", t) * traj.y2_at(t))
-                + k.absval(model.coeff("c", t - 1) * traj.y2_at(t - 1))
-                + k.absval(model.coeff("h", t) * traj.y2_at(t))
-                + k.absval(lam * traj.y1_at(t))
-                + 1
-            )
-            worst = max(worst, float(k.to_mpf(k.absval(row1) / scale1)))
-        return worst
+    term, as a machine float: ``relative_residuals`` at the one point t."""
+    return relative_residuals(model, traj, t, t)[0]
 
 
 def max_relative_residual(model: CoefficientSet, traj: Trajectory) -> float:
-    return max(
-        relative_residual(model, traj, t)
-        for t in range(model.a - 1, traj.top + 1)
-    )
+    """Largest relative residual of a solution over its window a-1 .. top,
+    in one sweep."""
+    return max(relative_residuals(model, traj, model.a - 1, traj.top))

@@ -22,12 +22,7 @@ from dataclasses import dataclass
 
 from .errors import MatchingSingularError, WindowError
 from .model import CoefficientSet, m_excl_at
-from .recurrence import (
-    Trajectory,
-    max_relative_residual,
-    operator_rows,
-    quasi_difference,
-)
+from .recurrence import Trajectory, max_relative_residual, operator_window
 
 
 def bracket(y: Trajectory, z: Trajectory, t: int):
@@ -37,23 +32,6 @@ def bracket(y: Trajectory, z: Trajectory, t: int):
         return y.y1_at(t + 1) * k.conj(z.y1q_at(t)) - y.y1q_at(t) * k.conj(
             z.y1_at(t + 1)
         )
-
-
-def _apply_operator(model: CoefficientSet, seq, t: int):
-    """Row values of the difference operator on a raw pair sequence
-    indexed from a-1."""
-    off = model.a - 1
-    return operator_rows(
-        model, lambda s: seq[s - off][0], lambda s: seq[s - off][1], t
-    )
-
-
-def _raw_bracket(model: CoefficientSet, y, z, t: int):
-    k = model.kernel
-    i = t - (model.a - 1)
-    y_quasi = quasi_difference(model, y[i][0], y[i + 1][0], y[i][1], t)
-    z_quasi = quasi_difference(model, z[i][0], z[i + 1][0], z[i][1], t)
-    return y[i + 1][0] * k.conj(z_quasi) - y_quasi * k.conj(z[i + 1][0])
 
 
 def green_defect(model: CoefficientSet, y, z, top: int):
@@ -69,7 +47,10 @@ def green_terms(model: CoefficientSet, y, z, top: int) -> tuple:
     """Green's formula defect together with the operator rows it used:
     (defect, [(Ly(t), Lz(t)) for t = a .. top]), each row a pair of the
     two equation rows.  A caller that also needs the rows for a scale
-    applies the operator once."""
+    applies the operator once.
+
+    ``operator_window`` walks y and z once each; the quasi-differences of
+    the boundary bracket at a-1 and top are p dy1 + c y2 from its terms."""
     expected = top + 1 - (model.a - 1) + 1
     if len(y) != expected or len(z) != expected:
         raise WindowError(
@@ -77,19 +58,30 @@ def green_terms(model: CoefficientSet, y, z, top: int) -> tuple:
             f"got {len(y)} and {len(z)}"
         )
     k = model.kernel
+    conj = k.conj
+    y1, y2 = [v[0] for v in y], [v[1] for v in y]
+    z1, z2 = [v[0] for v in z], [v[1] for v in z]
     with model.workprec():
         inner = k.complex(0)
         rows = []
-        for t in range(model.a, top + 1):
-            ly1, ly2 = _apply_operator(model, y, t)
-            lz1, lz2 = _apply_operator(model, z, t)
+        walk = zip(
+            operator_window(model, y1, y2, model.a, top),
+            operator_window(model, z1, z2, model.a, top),
+        )
+        for i, ((ly1, ly2, y_terms), (lz1, lz2, z_terms)) in enumerate(walk, 1):
             rows.append(((ly1, ly2), (lz1, lz2)))
-            z1, z2 = z[t - (model.a - 1)]
-            y1, y2 = y[t - (model.a - 1)]
-            inner += k.conj(z1) * ly1 + k.conj(z2) * ly2
-            inner -= k.conj(lz1) * y1 + k.conj(lz2) * y2
-        boundary = _raw_bracket(model, y, z, top) - _raw_bracket(
-            model, y, z, model.a - 1
+            inner += conj(z1[i]) * ly1 + conj(z2[i]) * ly2
+            inner -= conj(lz1) * y1[i] + conj(lz2) * y2[i]
+            if i == 1:
+                # p dy1 + c y2 at a-1: the previous terms at t = a
+                y_left = y_terms[0] + y_terms[3]
+                z_left = z_terms[0] + z_terms[3]
+        # p dy1 + c y2 at top: the current terms of the last row
+        y_top = y_terms[1] + y_terms[4]
+        z_top = z_terms[1] + z_terms[4]
+        n = len(rows)
+        boundary = (y1[n + 1] * conj(z_top) - y_top * conj(z1[n + 1])) - (
+            y1[1] * conj(z_left) - y_left * conj(z1[1])
         )
         return inner - boundary, rows
 

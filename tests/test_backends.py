@@ -1,9 +1,13 @@
+import math
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from weyldisc.backends import (
     BIG_KERNEL,
+    MpmathKernel,
     checked_div,
     format_complex,
     format_real,
@@ -113,11 +117,27 @@ def test_huge_exponents_format():
 def test_native_isfinite_matches_the_two_part_test():
     """The builtin finite test gives the answers of testing both parts of
     complex(z) with math.isfinite."""
-    import math
-
     n = native_kernel()
     inf, nan = float("inf"), float("nan")
     for z in (1.5, -0.0, 7, 0, 2 + 3j, complex(inf, 0), complex(0, nan),
               complex(-inf, 1), -inf, inf, nan):
         w = complex(z)
         assert n.isfinite(z) is (math.isfinite(w.real) and math.isfinite(w.imag)), z
+
+
+@pytest.mark.parametrize("bits", [30, 53, 256])
+def test_mpmath_complex_of_floats_equals_general_path(bits):
+    """The float-pair fast path gives mpc(mpf(x), mpf(y)) exactly, also
+    below 53 bits, where each part is rounded."""
+    kernel = MpmathKernel()
+    rng = random.Random(bits)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 7,
+               1e308, -1e308, math.inf, -math.inf, math.nan]
+    values = special + [rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 300)
+                        for _ in range(200)]
+    with kernel.workprec(bits):
+        for x in values:
+            for y in special + [rng.uniform(-1, 1)]:
+                got = kernel.complex(x, y)
+                assert type(got) is mpmath.mpc
+                assert got._mpc_ == mpmath.mpc(mpmath.mpf(x), mpmath.mpf(y))._mpc_

@@ -57,17 +57,17 @@ def test_run_suite_refuses_a_real_lam_before_solving(models, monkeypatch):
 def test_run_suite_sweeps_each_solution_residual_once(models, monkeypatch):
     """phi, psi and the lam + i solution are each swept once on a-1 .. top:
     the equation-residual line and the Lagrange gates share the sweeps."""
-    calls = []
-    residual = recurrence.relative_residual
+    sweeps = []
+    residuals = recurrence.relative_residuals
 
-    def counting_residual(model, traj, t):
-        calls.append((traj.lam, traj.y1[:2], t))
-        return residual(model, traj, t)
+    def counting_sweep(model, traj, first, last):
+        sweeps.append((traj.lam, traj.y1[:2], first, last))
+        return residuals(model, traj, first, last)
 
-    monkeypatch.setattr(recurrence, "relative_residual", counting_residual)
+    monkeypatch.setattr(recurrence, "relative_residuals", counting_sweep)
     model = models["free"]
     results = checks.run_suite(model, 1j, top=40)
     assert all(r.passed for r in results)
-    points = 40 - (model.a - 1) + 1
-    assert len(calls) == 3 * points <= 168
-    assert len(set(calls)) == len(calls)
+    assert len(sweeps) == 3
+    assert len(set(sweeps)) == len(sweeps)
+    assert all((first, last) == (model.a - 1, 40) for *_, first, last in sweeps)
