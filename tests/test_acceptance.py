@@ -9,8 +9,6 @@ import time
 from weyldisc import (
     BoundaryAngles,
     BoundaryData,
-    builtin_names,
-    builtin_scenario,
     oracle_three_term,
     ratio_limit_point_check,
     regular_eigen_residual,
