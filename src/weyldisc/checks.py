@@ -45,7 +45,6 @@ from .structure import (
     green_terms,
     lagrange_identity_defect,
     vop_reconstruct,
-    wronskian,
 )
 from .weyl import (
     _disc_rows,
@@ -113,36 +112,32 @@ def transfer_det_deviation(table: StepTable, top: int) -> float:
         return worst
 
 
+def _pairing_worst(phi: Trajectory, psi: Trajectory, first: int, top: int) -> float:
+    """Largest |AD - BC - 1| / (|AD| + |BC| + 1) over t = first .. top, with
+    (A, B) and (C, D) the states (y1(t+1), y1q(t)) of phi and psi: AD - BC
+    is the pair's transfer determinant and their ``structure.wronskian``."""
+    k = phi.model.kernel
+    absval = k.absval
+    with phi.model.workprec():
+        worst = 0.0
+        for a_v, b_v, c_v, d_v in zip(*phi.state_columns(first, top),
+                                      *psi.state_columns(first, top)):
+            ad, bc = a_v * d_v, b_v * c_v
+            worst = max(worst, _f(k, absval(ad - bc - 1) / (absval(ad) + absval(bc) + 1)))
+        return worst
+
+
 def pair_det_deviation(phi: Trajectory, psi: Trajectory, top: int) -> float:
     """AD - BC - 1 relative to the product magnitudes, over N = a .. top."""
-    model = phi.model
-    k = model.kernel
-    with model.workprec():
-        worst = 0.0
-        for n in range(model.a, top + 1):
-            a_v, b_v = phi.state(n)
-            c_v, d_v = psi.state(n)
-            scale = k.absval(a_v * d_v) + k.absval(b_v * c_v) + 1
-            worst = max(worst, _f(k, k.absval(a_v * d_v - b_v * c_v - 1) / scale))
-        return worst
+    return _pairing_worst(phi, psi, phi.model.a, top)
 
 
 def wronskian_deviation(phi: Trajectory, psi: Trajectory, top: int) -> float:
     """Deviation of the canonical-pair pairing from 1 over a-1 .. top,
     relative to the sampled product magnitudes."""
-    model = phi.model
-    k = model.kernel
-    with model.workprec():
-        worst = 0.0
-        for t in range(model.a - 1, top + 1):
-            w = wronskian(phi, psi, t)
-            scale = (
-                k.absval(phi.y1_at(t + 1) * psi.y1q_at(t))
-                + k.absval(phi.y1q_at(t) * psi.y1_at(t + 1))
-                + 1
-            )
-            worst = max(worst, _f(k, k.absval(w - 1) / scale))
-        return worst
+    if phi.lam != psi.lam:
+        raise ValueError("wronskian requires both solutions at the same lam")
+    return _pairing_worst(phi, psi, phi.model.a - 1, top)
 
 
 def residual_deviation(phi: Trajectory, psi: Trajectory, top: int) -> float:
@@ -157,17 +152,28 @@ def _residual(traj: Trajectory, top: int) -> float:
         return max_relative_residual(model, traj.cut(top))
 
 
-def _draw_complex(k, rng: random.Random, count: int) -> list:
+def _draw_read(k, rng: random.Random, count: int, read) -> tuple:
     """``count`` complex values with both parts uniform in [-1, 1], real
-    part drawn first."""
-    return [k.complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(count)]
+    part drawn first, but converted to the kernel only at the indices in
+    ``read``; every other entry is None, so that reading it fails loudly."""
+    out = [None] * count
+    uniform = rng.uniform
+    for i in range(count):
+        re, im = uniform(-1, 1), uniform(-1, 1)
+        if i in read:
+            out[i] = k.complex(re, im)
+    return tuple(out)
 
 
 def random_pair_sequences(model: CoefficientSet, top: int, rng: random.Random):
+    """Two random pair sequences (y1, y2) on a-1 .. top+1 for Green's
+    formula, which reads y2 only up to top: the last y2 of each is drawn
+    but left None."""
     k = model.kernel
     n = top + 1 - (model.a - 1) + 1
-    y = _draw_complex(k, rng, 2 * n)
-    z = _draw_complex(k, rng, 2 * n)
+    read = range(2 * n - 1)
+    y = _draw_read(k, rng, 2 * n, read)
+    z = _draw_read(k, rng, 2 * n, read)
     return list(zip(y[0::2], y[1::2])), list(zip(z[0::2], z[1::2]))
 
 
@@ -220,19 +226,6 @@ def lagrange_relative_defect(model, phi, psi, top: int, *, residuals=None) -> fl
                 k.absval(s1) + k.absval(s2)
             )
         return _f(k, k.absval(defect) / scale)
-
-
-def _draw_read(k, rng: random.Random, count: int, read) -> tuple:
-    """``count`` values drawn like ``_draw_complex``, the same stream, but
-    converted to the kernel only at the indices in ``read``; every other
-    entry is None, so that reading it fails loudly."""
-    out = [None] * count
-    uniform = rng.uniform
-    for i in range(count):
-        re, im = uniform(-1, 1), uniform(-1, 1)
-        if i in read:
-            out[i] = k.complex(re, im)
-    return tuple(out)
 
 
 def bracket_antisymmetry_worst(

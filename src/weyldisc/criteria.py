@@ -48,11 +48,11 @@ def _float_of(model: CoefficientSet, value) -> float:
         return math.inf
 
 
-def _scan_sup(model: CoefficientSet, horizon: int, fn, lo: int | None = None) -> float:
+def _sup(model: CoefficientSet, fn, *columns) -> float:
+    """Largest ``fn`` over the zipped columns as a machine float, at least 0."""
     worst = 0.0
-    with model.workprec():
-        for t in range(model.a if lo is None else lo, horizon + 1):
-            worst = max(worst, _float_of(model, fn(t)))
+    for value in map(fn, *columns):
+        worst = max(worst, _float_of(model, value))
     return worst
 
 
@@ -72,10 +72,9 @@ def ratio_limit_point_check(model: CoefficientSet, horizon: int = 200) -> Criter
         )
     else:
         ratio_ok = growth.ratio_bounded(growth.order_of(c_cls), growth.order_of(p_cls))
-        witnesses["K"] = _scan_sup(
-            model, horizon,
-            lambda t: abs(model.coeff("c", t)) / abs(model.coeff("p", t)),
-        )
+        with model.workprec():
+            columns = (model.column(name, model.a, horizon) for name in "cp")
+            witnesses["K"] = _sup(model, lambda c, p: abs(c) / abs(p), *columns)
     if not ratio_ok:
         return CriterionVerdict(
             outcome="fails", which="ratio", witnesses=witnesses,
@@ -102,9 +101,10 @@ def _certify_positive(model: CoefficientSet, coeff: Coefficient, horizon: int):
     False with a witness index if a violation is found, None if only the
     scanned range could be checked."""
     with model.workprec():
-        for t in range(model.a, horizon + 1):
-            if not coeff.value(t, model.kernel) > 0:
-                return False, t
+        values = coeff.column(model.a, horizon, model.kernel)
+    for t, value in enumerate(values, model.a):
+        if not value > 0:
+            return False, t
     cls = coeff.growth_class()
     if cls is None:
         return None, None
@@ -141,9 +141,10 @@ def weighted_limit_point_check(
 
     # M > 0 wherever we can see it; a witnessed violation is an input error
     with model.workprec():
-        for t in range(model.a, horizon + 1):
-            if not weight.value(t, model.kernel) > 0:
-                raise EvaluationError(f"weight M({t}) is not positive")
+        m_col = weight.column(model.a, horizon, model.kernel)
+    for t, m_t in enumerate(m_col, model.a):
+        if not m_t > 0:
+            raise EvaluationError(f"weight M({t}) is not positive")
 
     p_positive, bad_t = _certify_positive(model, model.p, horizon)
     if p_positive is False:
@@ -159,7 +160,7 @@ def weighted_limit_point_check(
         )
 
     outcome, failing_condition, reason = _weighted_conditions(model, weight)
-    witnesses.update(_weighted_witnesses(model, weight, horizon))
+    witnesses.update(_weighted_witnesses(model, m_col, horizon))
     return CriterionVerdict(
         outcome=outcome, which="weighted", witnesses=witnesses,
         failing_condition=failing_condition, reason=reason,
@@ -228,36 +229,23 @@ def _weighted_conditions(
     return "fails", "weighted_series_divergence", None
 
 
-def _weighted_witnesses(
-    model: CoefficientSet, weight: ExprCoefficient, horizon: int
-) -> dict:
-    """Numeric sups k1..k4 of the bound ratios over the scanned range;
-    they witness the conditions but cannot certify them."""
+def _weighted_witnesses(model: CoefficientSet, m_col: tuple, horizon: int) -> dict:
+    """Numeric sups k1..k4 of the bound ratios over a .. horizon, M being
+    ``m_col``; they witness the conditions but cannot certify them."""
     k = model.kernel
-
-    def variation(t):
-        m_t = weight.value(t, k)
-        m_prev = weight.value(t - 1, k)
-        grad = abs(m_t - m_prev)
-        p_prev = model.coeff("p", t - 1)
-        return k.sqrt_nonneg(p_prev) * grad / (k.sqrt_nonneg(m_t) * m_prev)
-
-    return {
-        "k1": _scan_sup(
-            model, horizon,
-            lambda t: (abs(model.coeff("c", t)) + abs(model.coeff("c", t - 1)))
-            / weight.value(t, k),
-        ),
-        "k2": _scan_sup(
-            model, horizon, lambda t: abs(model.coeff("h", t)) / weight.value(t, k)
-        ),
-        "k3": _scan_sup(
-            model, horizon,
-            lambda t: max(-model.coeff("q", t), k.real(0)) / weight.value(t, k),
-        ),
-        # the variation ratio needs M(t-1): usable only from a+1, where
-        # the validated positive range covers the previous index
-        "k4": _scan_sup(
-            model, min(horizon, model.a + 200), variation, lo=model.a + 1
-        ),
-    }
+    a = model.a
+    with model.workprec():
+        c_col = model.column("c", a - 1, horizon)
+        zero = k.real(0)
+        return {
+            "k1": _sup(model, lambda c, c_prev, m: (abs(c) + abs(c_prev)) / m,
+                       c_col[1:], c_col, m_col),
+            "k2": _sup(model, lambda h, m: abs(h) / m, model.column("h", a, horizon), m_col),
+            "k3": _sup(model, lambda q, m: max(-q, zero) / m,
+                       model.column("q", a, horizon), m_col),
+            # the variation ratio needs M(t-1): usable only from a+1, where
+            # the validated positive range covers the previous index
+            "k4": _sup(model, lambda p_prev, m_t, m_prev: k.sqrt_nonneg(p_prev)
+                       * abs(m_t - m_prev) / (k.sqrt_nonneg(m_t) * m_prev),
+                       model.column("p", a, min(horizon, a + 200) - 1), m_col[1:], m_col),
+        }

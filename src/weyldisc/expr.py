@@ -1,4 +1,4 @@
-"""Coefficient expression language: parser, evaluator, printer.
+"""Coefficient expression language: parser, window evaluator, printer.
 
 Grammar (EBNF)::
 
@@ -16,6 +16,7 @@ at any precision.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -265,15 +266,19 @@ def to_text(node: CoefficientExpr) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def evaluate(node: CoefficientExpr, t: int, kernel):
-    """Evaluate at integer t to a real kernel scalar.
+def evaluate(node: CoefficientExpr, ts: range, kernel) -> tuple:
+    """Values at each integer t of ``ts`` as real kernel scalars, one per t.
 
-    A precision context must be active.  Raises EvaluationError for a
+    The tree is walked once per window: each constant is converted once
+    and every node maps its operation over its children's columns, so
+    each value has the operands and order of a one-point evaluation.  A
+    precision context must be active.  Raises EvaluationError for a
     negative sqrt argument, zero division, a sign-invalid power, or (in
-    native mode) overflow.
+    native mode) overflow, at the failing node's first failing t.
     """
-    out = _eval(node, t, kernel)
-    if not kernel.isfinite(out):
+    out = _column(node, ts, kernel)
+    if not all(map(kernel.isfinite, out)):
+        t = next(t for t, v in zip(ts, out) if not kernel.isfinite(v))
         message = f"value of {to_text(node)} at t={t} is not finite at this precision"
         if kernel.needs_finite_checks:
             raise NativeOverflowError(message)
@@ -281,28 +286,21 @@ def evaluate(node: CoefficientExpr, t: int, kernel):
     return out
 
 
-def _eval(node: CoefficientExpr, t: int, kernel):
+def _column(node: CoefficientExpr, ts: range, kernel) -> tuple:
     if isinstance(node, Num):
-        return kernel.real(node.value)
+        return (kernel.real(node.value),) * len(ts)
     if isinstance(node, Var):
-        return kernel.real(t)
-    if isinstance(node, Neg):
-        return -_eval(node.arg, t, kernel)
-    if isinstance(node, Sqrt):
-        return kernel.sqrt_nonneg(_eval(node.arg, t, kernel))
-    if isinstance(node, Add):
-        return _eval(node.left, t, kernel) + _eval(node.right, t, kernel)
-    if isinstance(node, Sub):
-        return _eval(node.left, t, kernel) - _eval(node.right, t, kernel)
-    if isinstance(node, Mul):
-        return _eval(node.left, t, kernel) * _eval(node.right, t, kernel)
+        return tuple(map(kernel.real, ts))
     if isinstance(node, Div):
-        den = _eval(node.right, t, kernel)
-        if den == 0:
-            raise EvaluationError(f"division by zero in {to_text(node)} at t={t}")
-        return _eval(node.left, t, kernel) / den
-    if isinstance(node, Pow):
-        return kernel.pow_real(
-            _eval(node.base, t, kernel), _eval(node.exponent, t, kernel)
-        )
-    raise TypeError(f"not an expression node: {node!r}")
+        den = _column(node.right, ts, kernel)
+        if 0 in den:
+            raise EvaluationError(f"division by zero in {to_text(node)} at t={ts[den.index(0)]}")
+        return tuple(map(operator.truediv, _column(node.left, ts, kernel), den))
+    op = {
+        Neg: operator.neg, Sqrt: kernel.sqrt_nonneg, Pow: kernel.pow_real,
+        Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+    }.get(type(node))
+    if op is None:
+        raise TypeError(f"not an expression node: {node!r}")
+    # the children in field order: left before right, base before exponent
+    return tuple(map(op, *(_column(child, ts, kernel) for child in vars(node).values())))

@@ -3,7 +3,10 @@
 A model is the five real coefficient sequences p, q, c, h, d on the grid
 {a-1, a, a+1, ...} together with a precision configuration.  Coefficients
 are expressions or explicit value tables (never closures) so a scenario
-can be serialized and re-run bit-for-bit.
+can be serialized and re-run bit-for-bit.  They are evaluated as windows:
+``CoefficientSet.column`` hands out one coefficient on t = first .. last,
+and each value is evaluated once per model.  q is read from a on (only
+the first equation row reads it), the others from a-1.
 
 For a spectral parameter lam the derived quantities are
 
@@ -16,7 +19,8 @@ For a spectral parameter lam the derived quantities are
 lam is admissible when it avoids the closures of the ranges of d and
 m_excl; there p_tilde and its reciprocal stay well defined, because
 p_tilde * (lam - d) = p * (lam - m_excl).  ``recurrence.step_table``
-computes them; ``m_excl_at`` gives the one lam-free value on its own.
+computes the lam-dependent ones; ``m_excl_column`` gives the lam-free
+m_excl on a window.
 """
 
 from __future__ import annotations
@@ -66,8 +70,12 @@ class ExprCoefficient:
     def parse(cls, text: str) -> "ExprCoefficient":
         return cls(ex.parse_coefficient_expr(text))
 
+    def column(self, first: int, last: int, kernel) -> tuple:
+        """Values at t = first .. last, one tree walk for the window."""
+        return ex.evaluate(self.ast, range(first, last + 1), kernel)
+
     def value(self, t: int, kernel):
-        return ex.evaluate(self.ast, t, kernel)
+        return self.column(t, t, kernel)[0]
 
     def text(self) -> str:
         return ex.to_text(self.ast)
@@ -87,14 +95,19 @@ class TableCoefficient:
     start: int
     values: tuple[Fraction, ...]
 
-    def value(self, t: int, kernel):
-        idx = t - self.start
-        if idx < 0 or idx >= len(self.values):
+    def column(self, first: int, last: int, kernel) -> tuple:
+        """Values at t = first .. last; the first t outside is reported."""
+        end = self.start + len(self.values) - 1
+        if first <= last and (first < self.start or last > end):
+            bad = end + 1 if self.start <= first <= end else first
             raise CoefficientRangeError(
-                f"table covers t in [{self.start}, {self.start + len(self.values) - 1}]"
-                f" but was evaluated at t={t}"
+                f"table covers t in [{self.start}, {end}] but was evaluated at t={bad}"
             )
-        return kernel.real(self.values[idx])
+        lo = first - self.start
+        return tuple(map(kernel.real, self.values[lo:max(lo, last + 1 - self.start)]))
+
+    def value(self, t: int, kernel):
+        return self.column(t, t, kernel)[0]
 
     def text(self) -> str:
         head = ", ".join(str(v) for v in self.values[:4])
@@ -134,7 +147,7 @@ class CoefficientSet:
     precision: PrecisionConfig = field(default_factory=PrecisionConfig)
 
     def __post_init__(self):
-        object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_columns", {})
 
     @classmethod
     def from_expressions(
@@ -164,22 +177,27 @@ class CoefficientSet:
     def workprec(self):
         return self.precision.workprec()
 
-    def coeff(self, name: str, t: int):
-        """Real scalar value of one coefficient at integer t >= a-1.
+    def column(self, name: str, first: int, last: int) -> tuple:
+        """Real scalar values of one coefficient at t = first .. last.
 
-        Values are memoized per model; a precision context must be active.
-        """
-        if t < self.a - 1:
-            raise EvaluationError(f"t={t} is below the grid start {self.a - 1}")
-        memo = self._memo
-        key = (name, t)
-        out = memo.get(key)
-        if out is None:
-            out = getattr(self, name).value(t, self.kernel)
-            if name == "p" and out == 0:
-                raise EvaluationError(f"p({t}) = 0; p must never vanish")
-            memo[key] = out
-        return out
+        The grid starts at a for q (only the first equation row reads it),
+        else at a-1.  Each column is kept from its grid start and only
+        extended, so each value is evaluated once; needs a precision context."""
+        start = self.a if name == "q" else self.a - 1
+        if first < start:
+            raise EvaluationError(f"t={first} is below the grid start {start}")
+        held = self._columns.get(name, ())
+        end = start + len(held) - 1
+        if last > end:
+            new = getattr(self, name).column(end + 1, last, self.kernel)
+            if name == "p" and 0 in new:
+                raise EvaluationError(f"p({end + 1 + new.index(0)}) = 0; p must never vanish")
+            held = self._columns[name] = held + new
+        return held[first - start:max(first, last + 1) - start]
+
+    def coeff(self, name: str, t: int):
+        """One coefficient at integer t: ``column`` at the one point."""
+        return self.column(name, t, t)[0]
 
     def with_precision(self, precision: PrecisionConfig) -> "CoefficientSet":
         return CoefficientSet(
@@ -216,14 +234,18 @@ def as_lambda_scalar(model: CoefficientSet, lam):
     return lam
 
 
-def m_excl_at(model: CoefficientSet, t: int):
-    """The excluded value m_excl(t) = d - (c^2 - h*c)/p, with the operands
-    and order of ``recurrence.step_table``."""
+def m_excl_column(model: CoefficientSet, first: int, last: int) -> list:
+    """The excluded values m_excl(t) = d - (c^2 - h*c)/p, t = first .. last."""
     with model.workprec():
-        p = model.coeff("p", t)
-        c = model.coeff("c", t)
-        h = model.coeff("h", t)
-        return model.coeff("d", t) - (c * c - h * c) / p
+        return [
+            d - (c * c - h * c) / p
+            for p, c, h, d in zip(*(model.column(n, first, last) for n in "pchd"))
+        ]
+
+
+def m_excl_at(model: CoefficientSet, t: int):
+    """m_excl(t): ``m_excl_column`` at the one point."""
+    return m_excl_column(model, t, t)[0]
 
 
 def m_excl_growth_class(model: CoefficientSet) -> growth.GrowthClass | None:
@@ -281,9 +303,9 @@ def spectral_gap(model: CoefficientSet, lam, horizon: int) -> SpectralPoint:
     with model.workprec():
         lam = as_lambda_scalar(model, lam)
         margin = None
-        for t in range(model.a - 1, horizon + 1):
-            d_val = model.coeff("d", t)
-            m_val = m_excl_at(model, t)
+        first = model.a - 1
+        d_col = model.column("d", first, horizon)
+        for d_val, m_val in zip(d_col, m_excl_column(model, first, horizon)):
             gap = min(k.absval(lam - d_val), k.absval(lam - m_val))
             margin = gap if margin is None else min(margin, gap)
         try:

@@ -9,9 +9,9 @@ come from a 2x2 boundary system whose determinant is -p_eff(a-1), nonzero
 for admissible lam.
 
 Everything a propagation needs at one (model, lam) comes from a step
-table: ``step_table`` walks t = a-1 .. top once and keeps, per t, the
-derived quantities (p_tilde, alpha, q_tilde, h_shift, m_excl), the
-entries of A(t) and the y2-reconstruction coefficients
+table: ``step_table`` reads the coefficient columns, walks t = a-1 .. top
+once and keeps, per t, the derived quantities (p_tilde, alpha, q_tilde),
+the entries of A(t) and the y2-reconstruction coefficients
 
     y2(t) = r1(t) y1(t+1) + r2(t) y1q(t),
     r1 = alpha*(h - c)/(den*p_tilde) + h/den,  r2 = (c - h)/(den*p_tilde),
@@ -56,22 +56,19 @@ from .model import CoefficientSet, as_lambda_scalar
 
 @dataclass(frozen=True)
 class StepTable:
-    """Per-t quantities of one (model, lam) for t = start .. top, where
-    start = a-1, one column per quantity, indexed by t - start.
+    """Per-t quantities of one (model, lam) for t = a-1 .. top, one column
+    per quantity, indexed by t - (a-1).
 
-    The first row has no predecessor, so its q_tilde, h_shift and step
-    entries are None: the table has step matrices exactly for t = a .. top.
+    The first row has no predecessor, so its q_tilde and step entries are
+    None: the table has step matrices exactly for t = a .. top.
     """
 
     model: CoefficientSet
     lam: object
-    start: int
     top: int
     p_tilde: tuple
     alpha: tuple
     q_tilde: tuple
-    h_shift: tuple
-    m_excl: tuple
     a11: tuple
     a12: tuple
     a21: tuple
@@ -80,11 +77,12 @@ class StepTable:
     r2: tuple
 
     def index(self, t: int) -> int:
-        if t < self.start or t > self.top:
+        start = self.model.a - 1
+        if t < start or t > self.top:
             raise WindowError(
-                f"step table covers {self.start} <= t <= {self.top}, got t={t}"
+                f"step table covers {start} <= t <= {self.top}, got t={t}"
             )
-        return t - self.start
+        return t - start
 
 
 def step_table(model: CoefficientSet, lam, top: int) -> StepTable:
@@ -97,16 +95,16 @@ def step_table(model: CoefficientSet, lam, top: int) -> StepTable:
     start = model.a - 1
     if top < start:
         raise ValueError(f"top ({top}) lies below start ({start})")
-    coeff = model.coeff
     with model.workprec():
         lam = as_lambda_scalar(model, lam)
         rows = []
         alpha_prev = None
-        for t in range(start, top + 1):
-            p = coeff("p", t)
-            c = coeff("c", t)
-            h = coeff("h", t)
-            d = coeff("d", t)
+        columns = zip(
+            range(start, top + 1),
+            *(model.column(name, start, top) for name in "pchd"),
+            (None,) + model.column("q", model.a, top),
+        )
+        for t, p, c, h, d, q in columns:
             den = lam - d
             if den == 0:
                 raise InadmissibleLambdaError(f"lam equals d({t})", t=t)
@@ -119,25 +117,22 @@ def step_table(model: CoefficientSet, lam, top: int) -> StepTable:
                     f"effective leading coefficient vanishes at t={t}", t=t
                 )
             inv_p = 1 / p_tilde
-            m_excl = d - off / p
             inv_denp = inv_den * inv_p
             r1 = alpha * (h - c) * inv_denp + h * inv_den
             r2 = (c - h) * inv_denp
             if alpha_prev is None:
-                q_tilde = h_shift = a11 = a12 = a21 = a22 = None
+                q_tilde = a11 = a12 = a21 = a22 = None
             else:
-                common = coeff("q", t) + h * h * inv_den
+                common = q + h * h * inv_den
                 q_tilde = common - (alpha - alpha_prev)
                 h_shift = common - lam
                 a11 = -alpha * inv_p
                 a12 = inv_p
                 a21 = (h_shift - alpha) * alpha * inv_p + h_shift
                 a22 = (alpha - h_shift) * inv_p
-            rows.append(
-                (p_tilde, alpha, q_tilde, h_shift, m_excl, a11, a12, a21, a22, r1, r2)
-            )
+            rows.append((p_tilde, alpha, q_tilde, a11, a12, a21, a22, r1, r2))
             alpha_prev = alpha
-        return StepTable(model, lam, start, top, *zip(*rows))
+        return StepTable(model, lam, top, *zip(*rows))
 
 
 def _full_table(model: CoefficientSet, lam, top: int, table: StepTable | None) -> StepTable:
@@ -251,10 +246,8 @@ def _left_boundary_values(model: CoefficientSet, lam, c1, c2) -> tuple:
     """(y1(a-1), y2(a-1)) from the 2x2 boundary system; its determinant
     is -p_eff(a-1), nonzero for admissible lam."""
     t = model.a - 1
-    p = model.coeff("p", t)
-    c = model.coeff("c", t)
-    h = model.coeff("h", t)
-    den = lam - model.coeff("d", t)
+    p, c, h, d = (model.coeff(name, t) for name in "pchd")
+    den = lam - d
     if den == 0:
         raise InadmissibleLambdaError(f"lam equals d({t})", t=t)
     a11 = (h - c) / den
@@ -290,7 +283,7 @@ def _forward_states(table: StepTable, starts) -> list:
     cols = [(k.complex(0) + s0, k.complex(0) + s1) for s0, s1 in starts]
     out = [cols]
     rows = zip(table.a11[1:], table.a12[1:], table.a21[1:], table.a22[1:])
-    for t, (a11, a12, a21, a22) in enumerate(rows, table.start + 1):
+    for t, (a11, a12, a21, a22) in enumerate(rows, model.a):
         # (I - A)^{-1} in closed form; det(I - A) == 1
         m11 = 1 - a22
         m22 = 1 - a11
@@ -476,27 +469,33 @@ def operator_window(model: CoefficientSet, y1, y2, first: int, last: int):
             f"operator window {first} .. {last} needs y1 on {a - 1} .. {last + 1} "
             f"and y2 on {a - 1} .. {last}"
         )
-    coeff = model.coeff
+    # from a on, row 1 reads p and c at first-1 (the previous terms); at
+    # a-1 it is None and reads no q
+    lead = int(first >= a)
+    p_col, c_col = (model.column(name, first - lead, last) for name in "pc")
     i = first - (a - 1)
     pd_prev = cy2_prev = None
-    if first >= a:
-        pd_prev = coeff("p", first - 1) * (y1[i] - y1[i - 1])
-        cy2_prev = coeff("c", first - 1) * y2[i - 1]
-    for t in range(first, last + 1):
+    if lead:
+        pd_prev = p_col[0] * (y1[i] - y1[i - 1])
+        cy2_prev = c_col[0] * y2[i - 1]
+    columns = zip(
+        p_col[lead:], c_col[lead:],
+        model.column("h", first, last), model.column("d", first, last),
+        (None,) * (1 - lead) + model.column("q", first + 1 - lead, last),
+    )
+    for p_t, c_t, h_t, d_t, q_t in columns:
         y1_t, y2_t = y1[i], y2[i]
-        c_t = coeff("c", t)
-        h_t = coeff("h", t)
         dy1 = y1[i + 1] - y1_t
         cd = c_t * dy1
         hy1 = h_t * y1_t
-        dy2 = coeff("d", t) * y2_t
+        dy2 = d_t * y2_t
         row2 = cd + hy1 + dy2
-        pd = coeff("p", t) * dy1
+        pd = p_t * dy1
         cy2 = c_t * y2_t
-        if t < a:
+        if q_t is None:
             row1 = qy1 = hy2 = None
         else:
-            qy1 = coeff("q", t) * y1_t
+            qy1 = q_t * y1_t
             hy2 = h_t * y2_t
             row1 = -(pd - pd_prev) + qy1 - (cy2 - cy2_prev) + hy2
         yield row1, row2, (pd_prev, pd, qy1, cy2_prev, cy2, hy2, cd, hy1, dy2)

@@ -1,9 +1,12 @@
 """The invariant suite solves once per (lam, window) and hands the solved
 data to every helper."""
 
+import dataclasses
+import random
+
 import pytest
 
-from weyldisc import InadmissibleLambdaError, checks, recurrence, weyl
+from weyldisc import InadmissibleLambdaError, PrecisionConfig, checks, recurrence, weyl
 
 
 def test_run_suite_solves_each_lam_and_window_once(models, monkeypatch):
@@ -15,7 +18,7 @@ def test_run_suite_solves_each_lam_and_window_once(models, monkeypatch):
 
     def counting_table(model, lam, top):
         table = build(model, lam, top)
-        tables.append((table.start, table.top))
+        tables.append((model.a - 1, table.top))
         return table
 
     pairs = []
@@ -71,3 +74,39 @@ def test_run_suite_sweeps_each_solution_residual_once(models, monkeypatch):
     assert len(sweeps) == 3
     assert len(set(sweeps)) == len(sweeps)
     assert all((first, last) == (model.a - 1, 40) for *_, first, last in sweeps)
+
+
+@pytest.mark.parametrize("native", [False, True])
+def test_random_pair_sequences_leave_the_unread_y2_unconverted(models, native):
+    """Green's formula reads y2 up to top only: each sequence's last y2 is
+    drawn but left None; every other entry, and the generator's end
+    state, are those of converting every draw."""
+    model = models["ex4.1a"]
+    if native:
+        model = model.with_precision(PrecisionConfig(mode="native-float"))
+    k = model.kernel
+    top = 12
+    n = top + 2 - (model.a - 1)
+    rng, full = random.Random(7), random.Random(7)
+    with model.workprec():
+        y, z = checks.random_pair_sequences(model, top, rng)
+        for seq in (y, z):
+            draws = [k.complex(full.uniform(-1, 1), full.uniform(-1, 1))
+                     for _ in range(2 * n)]
+            assert len(seq) == n and seq[-1][1] is None
+            assert [v for pair in seq for v in pair][:-1] == draws[:-1]
+    assert rng.getstate() == full.getstate()
+
+
+def test_pairing_lines_cover_their_windows(models):
+    """The pair-determinant line reads a .. top, the Wronskian line also
+    a-1: a pairing defect planted at a-1 shows in the second only."""
+    model = models["ex4.1b"]
+    phi, psi = weyl.fundamental_pair(model, 1j, 0.0, 20)
+    base = checks.pair_det_deviation(phi, psi, 20)
+    assert base == checks.wronskian_deviation(phi, psi, 20)
+    with model.workprec():
+        # y1(a) enters the pairing at a-1 only, as the state's y1(t+1)
+        bent = dataclasses.replace(psi, y1=psi.y1[:1] + (psi.y1[1] * 3,) + psi.y1[2:])
+    assert checks.pair_det_deviation(phi, bent, 20) == base
+    assert checks.wronskian_deviation(phi, bent, 20) > 0.1

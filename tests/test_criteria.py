@@ -121,3 +121,50 @@ def test_criterion_soundness_against_classifier(models, classify_memo):
         verdict = ratio_limit_point_check(model, 60)
         if verdict.outcome == "holds":
             assert classify_memo(name).verdict == "LPC", name
+
+
+def _reference_witnesses(model, weight, horizon):
+    """The witnesses as sups of per-t formulas, one coefficient lookup per
+    term, with the scanned ranges of the criteria: K, k1, k2 and k3 over
+    a .. horizon, k4 over a+1 .. min(horizon, a+200)."""
+    k = model.kernel
+    a = model.a
+    coeff = model.coeff
+    weight = ExprCoefficient.parse(weight)
+
+    def m(t):
+        return weight.value(t, k)
+
+    def sup(lo, hi, fn):
+        worst = 0.0
+        for t in range(lo, hi + 1):
+            worst = max(worst, float(k.to_mpf(fn(t))))
+        return worst
+
+    with model.workprec():
+        return {
+            "K": sup(a, horizon, lambda t: abs(coeff("c", t)) / abs(coeff("p", t))),
+            "k1": sup(a, horizon, lambda t: (abs(coeff("c", t)) + abs(coeff("c", t - 1))) / m(t)),
+            "k2": sup(a, horizon, lambda t: abs(coeff("h", t)) / m(t)),
+            "k3": sup(a, horizon, lambda t: max(-coeff("q", t), k.real(0)) / m(t)),
+            "k4": sup(a + 1, min(horizon, a + 200), lambda t: k.sqrt_nonneg(coeff("p", t - 1))
+                      * abs(m(t) - m(t - 1)) / (k.sqrt_nonneg(m(t)) * m(t - 1))),
+        }
+
+
+@pytest.mark.parametrize("weight", ["t + 2", "4^t", "sqrt(t) + 1"])
+@pytest.mark.parametrize("horizon", [-2, 0, 1, 30, 250])
+def test_witnesses_are_the_per_t_sups(weight, horizon):
+    """The windowed witnesses equal the sups of their per-t formulas, bit
+    for bit, including where the k4 range stops at a+200 and where the
+    horizon lies below a on a model that already holds longer columns."""
+    model = CoefficientSet.from_expressions(
+        a=1, p="t + 1", q="0 - t + 3", c="2^(0 - t) + 1", h="sqrt(t)", d="1"
+    )
+    weighted_limit_point_check(model, weight, 40)
+    want = _reference_witnesses(model, weight, horizon)
+    ratio = ratio_limit_point_check(model, horizon)
+    weighted = weighted_limit_point_check(model, weight, horizon)
+    got = {"K": ratio.witnesses["K"], **{key: weighted.witnesses[key] for key in want if key != "K"}}
+    assert got == want
+    assert want["k4"] > 0 or horizon <= 1

@@ -176,3 +176,92 @@ def test_print_parse_round_trip_random():
 def test_round_trip_on_corpus(text):
     node = parse(text)
     assert parse(to_text(node)) == node
+
+
+def _tree_walk(node, t, kernel):
+    """The one-point recursive evaluation that the window evaluator
+    replaced, kept as the reference for its bits."""
+    if isinstance(node, Num):
+        return kernel.real(node.value)
+    if isinstance(node, Var):
+        return kernel.real(t)
+    if isinstance(node, Neg):
+        return -_tree_walk(node.arg, t, kernel)
+    if isinstance(node, Sqrt):
+        return kernel.sqrt_nonneg(_tree_walk(node.arg, t, kernel))
+    if isinstance(node, Div):
+        den = _tree_walk(node.right, t, kernel)
+        if den == 0:
+            raise EvaluationError(f"division by zero in {to_text(node)} at t={t}")
+        return _tree_walk(node.left, t, kernel) / den
+    if isinstance(node, Pow):
+        return kernel.pow_real(
+            _tree_walk(node.base, t, kernel), _tree_walk(node.exponent, t, kernel)
+        )
+    left, right = _tree_walk(node.left, t, kernel), _tree_walk(node.right, t, kernel)
+    if isinstance(node, Add):
+        return left + right
+    return left - right if isinstance(node, Sub) else left * right
+
+
+def _outcome(fn):
+    """(True, the result) or (False, (error type, message))."""
+    try:
+        return True, fn()
+    except Exception as err:  # every failure is compared, whatever its type
+        return False, (type(err), str(err))
+
+
+PRECISIONS = [BIG, PrecisionConfig(mantissa_bits=53), NATIVE]
+
+
+@pytest.mark.parametrize("precision", PRECISIONS, ids=["mp256", "mp53", "native"])
+def test_window_agrees_with_one_point_on_random_trees(precision):
+    """On the round-trip corpus, a window evaluation has the bits of the
+    one-point evaluations and of the replaced tree walk; where a point
+    fails, the window fails with one of the points' errors."""
+    rng = random.Random(20260809)
+    k = precision.kernel
+    ts = range(-2, 7)
+    whole = 0
+    with precision.workprec():
+        for _ in range(300):
+            node = _random_ast(rng, rng.randint(1, 4))
+            coeff = ExprCoefficient(node)
+            points = [_outcome(lambda: repr(coeff.value(t, k))) for t in ts]
+            walked = [_outcome(lambda: repr(_tree_walk(node, t, k))) for t in ts]
+            window = _outcome(lambda: list(map(repr, coeff.column(ts[0], ts[-1], k))))
+            for point, walk in zip(points, walked):
+                assert point == walk, to_text(node)
+            if all(ok for ok, _ in points):
+                assert window == (True, [value for _, value in points]), to_text(node)
+                whole += 1
+            else:
+                assert not window[0], to_text(node)
+                assert window[1] in [err for ok, err in points if not ok], to_text(node)
+    assert whole >= 100
+
+
+@pytest.mark.parametrize("text, first, last, precision, error, message, bad_t", [
+    ("1/(t - 2)", 0, 5, BIG, EvaluationError, "division by zero in 1 / (t - 2) at t=2", 2),
+    ("sqrt(0 - t + 3)", 0, 5, BIG, EvaluationError, "square root of negative value -1.0", 4),
+    ("sqrt(0 - t + 3)", 0, 5, NATIVE, EvaluationError, "square root of negative value -1.0", 4),
+    ("4^t", 0, 600, NATIVE, NativeOverflowError,
+     "overflow at native-float precision: 4.0 ^ 512.0", 512),
+    ("2^t * 2^t", 500, 520, NATIVE, NativeOverflowError,
+     "value of 2^t * 2^t at t=512 is not finite at this precision", 512),
+])
+def test_window_error_is_the_one_point_error(text, first, last, precision, error,
+                                             message, bad_t):
+    """A window with a single failing node raises the type and message of
+    the one-point evaluation at that node's first failing t."""
+    coeff = ExprCoefficient(parse(text))
+    k = precision.kernel
+    with precision.workprec():
+        with pytest.raises(error) as window:
+            coeff.column(first, last, k)
+        with pytest.raises(error) as point:
+            coeff.value(bad_t, k)
+        coeff.column(first, bad_t - 1, k)  # the points before it are fine
+    assert str(window.value) == str(point.value) == message
+    assert type(window.value) is type(point.value)

@@ -5,16 +5,19 @@ import mpmath
 import pytest
 
 from weyldisc import (
+    ClassifyOptions,
     CoefficientSet,
     CoefficientRangeError,
     EvaluationError,
     PrecisionConfig,
     TableCoefficient,
     builtin_names,
+    classify,
     spectral_gap,
     step_table,
 )
-from weyldisc.model import ExprCoefficient, m_excl_at
+from weyldisc.checks import run_suite
+from weyldisc.model import ExprCoefficient, m_excl_at, m_excl_column
 
 from conftest import fabs, fdiff
 
@@ -24,8 +27,9 @@ def test_free_model_derived_values(models):
     row = step_table(free, 1j, 0)
     assert fdiff(free, row.p_tilde[-1], 1) == 0
     assert fabs(free, row.alpha[-1]) == 0
-    assert fdiff(free, row.h_shift[-1], -1j) == 0
-    assert fabs(free, row.m_excl[-1]) == 0
+    # a21 = (h_shift - alpha) alpha / p_tilde + h_shift, and alpha = 0
+    assert fdiff(free, row.a21[-1], -1j) == 0
+    assert fabs(free, m_excl_at(free, 0)) == 0
 
 
 def test_perturbed_geometric_effective_potential(models):
@@ -70,7 +74,7 @@ def test_p_tilde_m_excl_consistency(models):
                 d_val = model.coeff("d", t)
                 p_val = model.coeff("p", t)
                 lhs = row.p_tilde[-1] * (lam - d_val)
-                rhs = p_val * (lam - row.m_excl[-1])
+                rhs = p_val * (lam - m_excl_at(model, t))
                 scale = fabs(model, lhs) + fabs(model, rhs)
                 assert fdiff(model, lhs, rhs) <= scale * 2.0 ** -248
 
@@ -94,22 +98,32 @@ def test_derived_precision_agreement(models):
         hi_table = step_table(hi, 1j, 50)
         for t in (0, 17, 50):
             i = lo_table.index(t)
+            pairs = [
+                (getattr(lo_table, field)[i], getattr(hi_table, field)[i])
+                for field in ("p_tilde", "q_tilde", "alpha")
+            ]
+            pairs.append((m_excl_at(base, t), m_excl_at(hi, t)))
             with hi.workprec():
                 k = hi.kernel
-                for field in ("p_tilde", "q_tilde", "alpha", "m_excl"):
-                    lo_v, hi_v = getattr(lo_table, field)[i], getattr(hi_table, field)[i]
+                for lo_v, hi_v in pairs:
                     ref = k.to_mpf(k.absval(hi_v)) + mpmath.mpf(1e-30)
                     assert k.to_mpf(k.absval(lo_v - hi_v)) / ref < mpmath.mpf(10) ** -60
 
 
 @pytest.mark.parametrize("name", builtin_names())
 def test_m_excl_at_is_the_table_column(models, name):
-    """The lam-free excluded value equals the step table's m_excl bit for
-    bit, at big-float and native precision."""
+    """The lam-free excluded value keeps the bits of the m_excl column the
+    step table used to carry, d - (c*c - h*c)/p on the coefficient columns,
+    at every point and over a whole window, at big-float and native
+    precision."""
     for model in (models[name],
                   models[name].with_precision(PrecisionConfig(mode="native-float"))):
-        table = step_table(model, 1j, 30)
-        assert tuple(m_excl_at(model, t) for t in range(model.a - 1, 31)) == table.m_excl
+        first = model.a - 1
+        with model.workprec():
+            p, c, h, d = (model.column(n, first, 30) for n in "pchd")
+            want = [d[i] - (c[i] * c[i] - h[i] * c[i]) / p[i] for i in range(len(p))]
+        assert [m_excl_at(model, t) for t in range(first, 31)] == want
+        assert m_excl_column(model, first, 30) == want
 
 
 def test_spectral_gap_examples(models):
@@ -171,10 +185,58 @@ def test_table_coefficient_range_error():
 
 
 def test_vanishing_p_is_an_error():
+    """At the point and in a window over it, p = 0 names its t."""
     model = CoefficientSet.from_expressions(a=0, p="t - 3")
     with model.workprec():
+        assert len(model.column("p", -1, 2)) == 4
+        with pytest.raises(EvaluationError, match="^p\\(3\\) = 0; p must never vanish$"):
+            model.column("p", 0, 10)
         with pytest.raises(EvaluationError, match="p\\(3\\) = 0"):
             model.coeff("p", 3)
+
+
+def test_table_window_out_of_range_names_the_first_missing_t():
+    """Windows past either end of a table report the first t it lacks,
+    as the one-point read does."""
+    table = TableCoefficient(start=1, values=tuple(Fraction(n) for n in range(4)))
+    k = PrecisionConfig().kernel
+    with PrecisionConfig().workprec():
+        assert [float(v) for v in table.column(2, 4, k)] == [1.0, 2.0, 3.0]
+        assert table.column(2, -1, k) == table.column(0, -2, k) == ()  # empty windows
+        for first, last, bad in ((1, 9, 5), (0, 3, 0), (7, 9, 7)):
+            with pytest.raises(CoefficientRangeError) as window:
+                table.column(first, last, k)
+            with pytest.raises(CoefficientRangeError) as point:
+                table.value(bad, k)
+            assert str(window.value) == str(point.value)
+            assert str(window.value).endswith(f"evaluated at t={bad}")
+
+
+def test_column_is_exactly_the_window(models):
+    """A column is t = first .. last whatever the model already holds, and
+    q starts at a: the first equation row is the only reader of q."""
+    model = models["ex4.1b"].with_precision(PrecisionConfig())
+    a = model.a
+    with model.workprec():
+        long = model.column("p", a - 1, 60)
+        short = model.column("p", a + 3, a + 7)
+        assert len(long) == 62 - a and short == long[4:9]
+        assert model.column("p", a + 7, a + 7)[-1] == model.coeff("p", a + 7) == long[8]
+        assert model.column("q", a, a + 5) == tuple(model.coeff("q", t) for t in range(a, a + 6))
+        with pytest.raises(EvaluationError, match="below the grid start"):
+            model.column("q", a - 1, a + 5)
+        with pytest.raises(EvaluationError, match="below the grid start"):
+            model.coeff("d", a - 2)
+
+
+def test_q_singular_below_a_is_never_read():
+    """With a = 1 and q = 1/t, q(0) does not exist; only the first row
+    reads q, from t = a on, so classify and the check suite both run."""
+    model = CoefficientSet.from_expressions(a=1, q="1/t")
+    report = classify(model, 1j, 0.0, ClassifyOptions(n_max=120))
+    assert (report.verdict, report.chi_method) == ("LPC", "backward")
+    results = run_suite(model, 1j, top=30)
+    assert len(results) == 15 and all(r.passed for r in results)
 
 
 def test_precision_config_validation():

@@ -15,7 +15,7 @@ import random
 import pytest
 
 from weyldisc import PrecisionConfig, builtin_names, builtin_scenario, checks
-from weyldisc.checks import _draw_complex, _f, bracket_antisymmetry_worst
+from weyldisc.checks import _draw_read, _f, bracket_antisymmetry_worst
 from weyldisc.recurrence import (
     Trajectory,
     max_relative_residual,
@@ -211,9 +211,9 @@ def _reference_bracket_worst(model, top, pairs, rng):
             y, z = [
                 Trajectory(
                     model=model, lam=k.complex(0, 1), top=top,
-                    y1=tuple(_draw_complex(k, rng, n + 1)),
-                    y2=tuple(_draw_complex(k, rng, n)),
-                    y1q=tuple(_draw_complex(k, rng, n)),
+                    y1=_draw_read(k, rng, n + 1, range(n + 1)),
+                    y2=_draw_read(k, rng, n, range(n)),
+                    y1q=_draw_read(k, rng, n, range(n)),
                 )
                 for _ in range(2)
             ]

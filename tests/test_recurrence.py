@@ -298,7 +298,7 @@ def test_step_table_matches_the_division_formulas(models, name):
             if alpha_prev is not None:
                 common = model.coeff("q", t) + h * h / den
                 want["q_tilde"] = common - (alpha - alpha_prev)
-                want["h_shift"] = h_shift = common - lam
+                h_shift = common - lam
                 want["a11"] = -alpha / p_tilde
                 want["a12"] = 1 / p_tilde
                 want["a21"] = (h_shift - alpha) * alpha / p_tilde + h_shift

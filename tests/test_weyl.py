@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -277,37 +278,40 @@ def test_degenerate_origin_disc_is_skipped(models):
 
 
 def test_classify_derives_each_grid_point_once(models, monkeypatch):
-    """One classify builds one step table over a-1 .. n_max and looks each
-    coefficient up a bounded number of times per grid point."""
-    from weyldisc import CoefficientSet, recurrence, weyl
+    """One classify builds one step table over a-1 .. n_max and evaluates
+    each coefficient once per grid point: p, c, h and d on a-1 .. n_max,
+    q on a .. n_max, and nothing beyond n_max."""
+    from weyldisc import ExprCoefficient, recurrence, weyl
 
     rows = []
     build = recurrence.step_table
 
     def counting_table(model, lam, top):
         table = build(model, lam, top)
-        rows.append((table.start, table.top))
+        rows.append((model.a - 1, table.top))
         return table
 
-    lookups = []
-    coeff = CoefficientSet.coeff
+    base = models["ex4.2a"]
+    model = base.with_precision(base.precision)  # a fresh model, nothing evaluated
+    evaluated = {name: Counter() for name in "pqchd"}
+    column = ExprCoefficient.column
 
-    def counting_coeff(self, name, t):
-        lookups.append((name, t))
-        return coeff(self, name, t)
+    def counting_column(self, first, last, kernel):
+        for name in "pqchd":
+            if self is getattr(model, name):
+                evaluated[name].update(range(first, last + 1))
+        return column(self, first, last, kernel)
 
     monkeypatch.setattr(recurrence, "step_table", counting_table)
     monkeypatch.setattr(weyl, "step_table", counting_table)
-    monkeypatch.setattr(CoefficientSet, "coeff", counting_coeff)
-    model = models["ex4.2a"]
+    monkeypatch.setattr(ExprCoefficient, "column", counting_column)
     n_max = 120
     report = classify(model, 1j, 0.0, ClassifyOptions(n_max=n_max))
     assert report.chi_method == "backward"  # backward seeds reuse the table
     assert rows == [(model.a - 1, n_max)]
-    assert max(t for _, t in lookups) == n_max  # no admissibility scan beyond
-    points = n_max - model.a + 2  # a-1 .. n_max
-    # 5 per point for the table, a few more at the left boundary
-    assert len(lookups) <= 6 * points
+    for name in "pchd":
+        assert evaluated[name] == Counter(range(model.a - 1, n_max + 1)), name
+    assert evaluated["q"] == Counter(range(model.a, n_max + 1))
 
 
 def test_nonreal_classify_skips_the_admissibility_scan(models, monkeypatch):
