@@ -18,8 +18,8 @@ A kernel's ``workprec(bits)`` context manager must be active while
 arithmetic runs; public operations in the other modules take care of
 that.  Scalars are the kernel's own complex/real types and support the
 usual operators.  Division by an exact zero raises ``ZeroDivisionError``
-(gmpy2 would silently return inf, so division sites that can legally see
-a zero go through ``checked_div``).
+on mpmath and native floats but returns inf on gmpy2, so a denominator
+that can legally vanish is tested before the division.
 """
 
 from __future__ import annotations
@@ -300,13 +300,6 @@ def _pow_real(kernel, base, expo):
     n = frac.numerator
     mag = kernel.pow_real(-base, expo)
     return -mag if n % 2 else mag
-
-
-def checked_div(num, den):
-    """Division that refuses an exactly-zero denominator."""
-    if den == 0:
-        raise ZeroDivisionError("division by a scalar of modulus zero")
-    return num / den
 
 
 _NATIVE = NativeKernel()

@@ -219,9 +219,8 @@ def lagrange_relative_defect(model, phi, psi, top: int, *, residuals=None) -> fl
             scale = scale + k.absval(phi.y1_at(n + 1)) * k.absval(psi.y1q_at(n))
             scale = scale + k.absval(phi.y1q_at(n)) * k.absval(psi.y1_at(n + 1))
         gap = k.absval(phi.lam - k.conj(psi.lam))
-        for t in range(model.a, top + 1):
-            p1, p2 = phi.component_pair(t)
-            s1, s2 = psi.component_pair(t)
+        for p1, p2, s1, s2 in zip(*phi.component_columns(model.a, top),
+                                  *psi.component_columns(model.a, top)):
             scale = scale + gap * (k.absval(p1) + k.absval(p2)) * (
                 k.absval(s1) + k.absval(s2)
             )
@@ -373,9 +372,8 @@ def y2_two_route_worst(traj: Trajectory, top: int) -> float:
         sup = max(_f(k, k.absval(v)) for v in traj.y2)
         sup = max(sup, max(_f(k, k.absval(v)) for v in traj.y1))
         worst = 0.0
-        for t in range(model.a - 1, top + 1):
-            direct = y2_relation(model, lam_s, traj.y1_at(t), traj.y1_at(t + 1), t)
-            worst = max(worst, _f(k, k.absval(direct - traj.y2_at(t))) / sup)
+        for direct, y2 in zip(y2_relation(model, lam_s, traj.y1, model.a - 1, top), traj.y2):
+            worst = max(worst, _f(k, k.absval(direct - y2)) / sup)
         return worst
 
 
@@ -398,11 +396,13 @@ def vop_worst(basis: tuple[Trajectory, Trajectory], solutions, anchor: int,
             except MatchingSingularError:
                 return float("inf")
             term_mag = k.real(0)
-            for s in range(anchor + 1, t_check + 1):
-                z1, z2 = z.component_pair(s)
+            window = (anchor + 1, t_check)
+            for z1, z2, f1, f2, g1, g2 in zip(
+                *z.component_columns(*window), *phi.component_columns(*window),
+                *psi.component_columns(*window),
+            ):
                 z_mag = k.absval(z1) + k.absval(z2)
-                for traj in (phi, psi):
-                    t1, t2 = traj.component_pair(s)
+                for t1, t2 in ((f1, f2), (g1, g2)):
                     term_mag = term_mag + (k.absval(t1) + k.absval(t2)) * z_mag
             k_mag = k.absval(res.k1) + k.absval(res.k2)
             for comp, defect in (("y1", res.defect_y1), ("y2", res.defect_y2)):

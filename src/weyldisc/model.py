@@ -243,11 +243,6 @@ def m_excl_column(model: CoefficientSet, first: int, last: int) -> list:
         ]
 
 
-def m_excl_at(model: CoefficientSet, t: int):
-    """m_excl(t): ``m_excl_column`` at the one point."""
-    return m_excl_column(model, t, t)[0]
-
-
 def m_excl_growth_class(model: CoefficientSet) -> growth.GrowthClass | None:
     """Exact normal form of d - (c^2 - h*c)/p when the coefficients allow it."""
     d_cls = model.d.growth_class()

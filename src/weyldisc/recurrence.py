@@ -5,8 +5,9 @@ the state v(t) = (y1(t+1), y1q(t)), where y1q is the quasi-difference
 p*dy1 + c*y2: stepping forward solves (I - A(t)) v(t) = v(t-1) with the
 closed-form 2x2 inverse (det(I - A) == 1, so no pivoting is needed), and
 y2 is reconstructed algebraically from the state.  The values at t = a-1
-come from a 2x2 boundary system whose determinant is -p_eff(a-1), nonzero
-for admissible lam.
+come from row a-1 of the step table: y1(a-1) solves the quasi-difference
+y1q(a-1) = p_tilde dy1(a-1) + alpha y1(a) for it, and y2(a-1) is the
+state reconstruction below, as on every other row.
 
 Everything a propagation needs at one (model, lam) comes from a step
 table: ``step_table`` reads the coefficient columns, walks t = a-1 .. top
@@ -31,7 +32,9 @@ transfer matrices, solving instead the scalar three-term recurrence
     p_eff(t) y1(t+1) = (p_eff(t) + p_eff(t-1) + q_eff(t) - lam) y1(t)
                        - p_eff(t-1) y1(t-1)
 
-with y2 recovered from y1 by its defining algebraic relation.
+with y2 recovered from y1 by its defining algebraic relation and y1q
+from the quasi-difference: ``y2_relation`` and ``quasi_difference`` apply
+these to a window of y1 and y2, reading the coefficient columns.
 
 ``operator_window`` is the one place the difference operator itself is
 applied: it walks a pair sequence once over a window and forms each
@@ -44,10 +47,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .backends import checked_div
 from .errors import (
     InadmissibleLambdaError,
-    NumericalInvariantError,
     PrecisionExhaustedError,
     WindowError,
 )
@@ -194,10 +195,6 @@ class Trajectory:
         """(y1(t+1), y1q(t)) for a-1 <= t <= top."""
         return (self.y1_at(t + 1), self.y1q_at(t))
 
-    def component_pair(self, t: int) -> tuple:
-        """(y1(t), y2(t)) for a-1 <= t <= top."""
-        return (self.y1_at(t), self.y2_at(t))
-
     def state_columns(self, first: int, last: int) -> tuple:
         """The states of t = first .. last as two columns: (y1(t+1) for
         each t, y1q(t) for each t), for a-1 <= first and last <= top."""
@@ -242,27 +239,6 @@ class Trajectory:
         )
 
 
-def _left_boundary_values(model: CoefficientSet, lam, c1, c2) -> tuple:
-    """(y1(a-1), y2(a-1)) from the 2x2 boundary system; its determinant
-    is -p_eff(a-1), nonzero for admissible lam."""
-    t = model.a - 1
-    p, c, h, d = (model.coeff(name, t) for name in "pchd")
-    den = lam - d
-    if den == 0:
-        raise InadmissibleLambdaError(f"lam equals d({t})", t=t)
-    a11 = (h - c) / den
-    rhs1 = -c / den * c1
-    rhs2 = c2 - p * c1
-    det = a11 * c - p  # == -p_eff(a-1)
-    if det == 0:
-        raise NumericalInvariantError(
-            "left boundary system is singular although lam was admissible"
-        )
-    y1_left = checked_div(rhs1 * c + rhs2, det)
-    y2_left = checked_div(a11 * rhs2 + p * rhs1, det)
-    return y1_left, y2_left
-
-
 def _check_finite(model: CoefficientSet, state: tuple, t: int) -> None:
     """Refuse a stepped state v(t) with a non-finite entry."""
     k = model.kernel
@@ -297,16 +273,16 @@ def _forward_states(table: StepTable, starts) -> list:
 
 
 def _assemble(table: StepTable, states: list) -> Trajectory:
-    """Build a Trajectory from states v(t) for t = a-1 .. top."""
-    model, lam = table.model, table.lam
-    first = states[0]
-    y1_left, y2_left = _left_boundary_values(model, lam, first[0], first[1])
-    y1 = [y1_left] + [st[0] for st in states]
+    """Build a Trajectory from states v(t) for t = a-1 .. top.
+
+    y1(a-1) solves the quasi-difference at a-1 for it, y1q(a-1) =
+    p_tilde dy1(a-1) + alpha y1(a), from row a-1 of the table."""
+    model = table.model
+    y1_a, y1q_left = states[0]
+    y1 = [y1_a - (y1q_left - table.alpha[0] * y1_a) / table.p_tilde[0]]
+    y1 += [st[0] for st in states]
     y1q = [st[1] for st in states]
-    y2 = [y2_left] + [
-        r1 * st[0] + r2 * st[1]
-        for r1, r2, st in zip(table.r1[1:], table.r2[1:], states[1:])
-    ]
+    y2 = [r1 * s0 + r2 * s1 for r1, r2, (s0, s1) in zip(table.r1, table.r2, states)]
     k = model.kernel
     if k.needs_finite_checks and not all(
         all(map(k.isfinite, seq)) for seq in (y1, y2, y1q)
@@ -316,7 +292,7 @@ def _assemble(table: StepTable, states: list) -> Trajectory:
             "raise mantissa_bits or switch to big-float mode"
         )
     return Trajectory(
-        model=model, lam=lam, top=table.top,
+        model=model, lam=table.lam, top=table.top,
         y1=tuple(y1), y2=tuple(y2), y1q=tuple(y1q),
     )
 
@@ -400,49 +376,67 @@ def oracle_three_term(
         lam = table.lam
         a = model.a
         check = k.needs_finite_checks
-        p_eff = dict(enumerate(table.p_tilde, a - 1))
         c1 = k.complex(0) + bd.c1
         c2 = k.complex(0) + bd.c2
-        alpha_left = table.alpha[0]
+        p_eff = table.p_tilde
         # quasi-difference seed: y1q(a-1) = p_eff(a-1) dy1(a-1) + alpha(a-1) y1(a)
-        y1 = {a: c1, a - 1: c1 - (c2 - alpha_left * c1) / p_eff[a - 1]}
-        for t, q_tilde in enumerate(table.q_tilde[1:], a):
-            y1[t + 1] = (
-                (p_eff[t] + p_eff[t - 1] + q_tilde - lam) * y1[t]
-                - p_eff[t - 1] * y1[t - 1]
-            ) / p_eff[t]
-            if check and not k.isfinite(y1[t + 1]):
+        y1 = [c1 - (c2 - table.alpha[0] * c1) / p_eff[0], c1]
+        rows = zip(p_eff, p_eff[1:], table.q_tilde[1:])
+        for t, (p_prev, p_t, q_tilde) in enumerate(rows, a):
+            y1.append(
+                ((p_t + p_prev + q_tilde - lam) * y1[-1] - p_prev * y1[-2]) / p_t
+            )
+            if check and not k.isfinite(y1[-1]):
                 raise PrecisionExhaustedError(
                     f"oracle value left the representable range near t={t}"
                 )
-        window = range(a - 1, top + 1)
-        y2 = [y2_relation(model, lam, y1[t], y1[t + 1], t) for t in window]
-        y1q = [
-            quasi_difference(model, y1[t], y1[t + 1], y2_t, t)
-            for t, y2_t in zip(window, y2)
-        ]
+        y2 = y2_relation(model, lam, y1, a - 1, top)
         return Trajectory(
-            model=model, lam=lam, top=top,
-            y1=tuple(y1[t] for t in range(a - 1, top + 2)),
-            y2=tuple(y2), y1q=tuple(y1q),
+            model=model, lam=lam, top=top, y1=tuple(y1), y2=y2,
+            y1q=quasi_difference(model, y1, y2, a - 1, top),
         )
 
 
-def y2_relation(model: CoefficientSet, lam, y1_t, y1_next, t: int):
+def _pair_window(model: CoefficientSet, first: int, last: int, y1, y2) -> tuple:
+    """(y1(t), y1(t+1), y2(t)) on t = first .. last as three slices of
+    sequences indexed from a-1; y1 must reach last+1 and y2 last."""
+    i, j = first - (model.a - 1), last - model.a + 2
+    if first < model.a - 1 or last < first or len(y1) <= j or len(y2) < j:
+        raise WindowError(
+            f"window {first} .. {last} needs y1 on {model.a - 1} .. {last + 1} "
+            f"and y2 on {model.a - 1} .. {last}"
+        )
+    return y1[i:j], y1[i + 1:j + 1], y2[i:j]
+
+
+def y2_relation(model: CoefficientSet, lam, y1, first: int, last: int) -> tuple:
     """y2(t) from y1 by the defining algebraic relation (the second
-    equation row solved for y2): c/(lam-d) dy1 + h/(lam-d) y1."""
+    equation row solved for y2), c/(lam-d) dy1 + h/(lam-d) y1, for
+    t = first .. last; ``y1`` is indexed from a-1 and reaches last+1."""
+    y1_t, y1_next, _ = _pair_window(model, first, last, y1, y1)  # no y2 yet
     with model.workprec():
-        den = lam - model.coeff("d", t)
-        return (
-            model.coeff("c", t) / den * (y1_next - y1_t)
-            + model.coeff("h", t) / den * y1_t
+        out = []
+        for c, h, d, cur, nxt in zip(
+            *(model.column(name, first, last) for name in "chd"), y1_t, y1_next
+        ):
+            den = lam - d
+            out.append(c / den * (nxt - cur) + h / den * cur)
+        return tuple(out)
+
+
+def quasi_difference(model: CoefficientSet, y1, y2, first: int, last: int) -> tuple:
+    """p(t) * (y1(t+1) - y1(t)) + c(t) * y2(t) for t = first .. last;
+    ``y1`` and ``y2`` are indexed from a-1, y1 reaching last+1 and y2
+    last."""
+    y1_t, y1_next, y2_t = _pair_window(model, first, last, y1, y2)
+    with model.workprec():
+        return tuple(
+            p * (nxt - cur) + c * v
+            for p, c, cur, nxt, v in zip(
+                model.column("p", first, last), model.column("c", first, last),
+                y1_t, y1_next, y2_t,
+            )
         )
-
-
-def quasi_difference(model: CoefficientSet, y1_t, y1_next, y2_t, t: int):
-    """p(t) * (y1(t+1) - y1(t)) + c(t) * y2(t)."""
-    with model.workprec():
-        return model.coeff("p", t) * (y1_next - y1_t) + model.coeff("c", t) * y2_t
 
 
 def operator_window(model: CoefficientSet, y1, y2, first: int, last: int):
@@ -462,30 +456,24 @@ def operator_window(model: CoefficientSet, y1, y2, first: int, last: int):
     third, fourth and sixth) are None.  The walk forms each product once:
     dy1(t), p dy1(t) and c y2(t) are the previous terms at t+1.
     """
-    a = model.a
-    short = len(y1) < last - a + 3 or len(y2) < last - a + 2
-    if first < a - 1 or last < first or short:
-        raise WindowError(
-            f"operator window {first} .. {last} needs y1 on {a - 1} .. {last + 1} "
-            f"and y2 on {a - 1} .. {last}"
-        )
+    y1_cols = _pair_window(model, first, last, y1, y2)
     # from a on, row 1 reads p and c at first-1 (the previous terms); at
     # a-1 it is None and reads no q
-    lead = int(first >= a)
+    lead = int(first >= model.a)
     p_col, c_col = (model.column(name, first - lead, last) for name in "pc")
-    i = first - (a - 1)
     pd_prev = cy2_prev = None
     if lead:
+        i = first - (model.a - 1)
         pd_prev = p_col[0] * (y1[i] - y1[i - 1])
         cy2_prev = c_col[0] * y2[i - 1]
     columns = zip(
         p_col[lead:], c_col[lead:],
         model.column("h", first, last), model.column("d", first, last),
         (None,) * (1 - lead) + model.column("q", first + 1 - lead, last),
+        *y1_cols,
     )
-    for p_t, c_t, h_t, d_t, q_t in columns:
-        y1_t, y2_t = y1[i], y2[i]
-        dy1 = y1[i + 1] - y1_t
+    for p_t, c_t, h_t, d_t, q_t, y1_t, y1_next, y2_t in columns:
+        dy1 = y1_next - y1_t
         cd = c_t * dy1
         hy1 = h_t * y1_t
         dy2 = d_t * y2_t
@@ -500,7 +488,6 @@ def operator_window(model: CoefficientSet, y1, y2, first: int, last: int):
             row1 = -(pd - pd_prev) + qy1 - (cy2 - cy2_prev) + hy2
         yield row1, row2, (pd_prev, pd, qy1, cy2_prev, cy2, hy2, cd, hy1, dy2)
         pd_prev, cy2_prev = pd, cy2
-        i += 1
 
 
 def relative_residuals(model: CoefficientSet, traj: Trajectory, first: int,
@@ -518,12 +505,14 @@ def relative_residuals(model: CoefficientSet, traj: Trajectory, first: int,
     out = []
     with model.workprec():
         lam = traj.lam
-        y1, y2 = traj.y1, traj.y2
-        i = first - (model.a - 1)
         abs_pd_prev = abs_cy2_prev = None
-        for row1, row2, terms in operator_window(model, y1, y2, first, last):
+        walk = zip(
+            operator_window(model, traj.y1, traj.y2, first, last),
+            *traj.component_columns(first, last),
+        )
+        for (row1, row2, terms), y1_t, y2_t in walk:
             pd_prev, pd, qy1, cy2_prev, cy2, hy2, cd, hy1, dy2 = terms
-            ly2 = lam * y2[i]
+            ly2 = lam * y2_t
             row2 = row2 - ly2
             scale2 = absval(cd) + absval(hy1) + absval(dy2) + absval(ly2) + 1
             worst = float(k.to_mpf(absval(row2) / scale2))
@@ -531,7 +520,7 @@ def relative_residuals(model: CoefficientSet, traj: Trajectory, first: int,
             if row1 is not None:
                 if abs_pd_prev is None:
                     abs_pd_prev, abs_cy2_prev = absval(pd_prev), absval(cy2_prev)
-                ly1 = lam * y1[i]
+                ly1 = lam * y1_t
                 row1 = row1 - ly1
                 scale1 = (
                     abs_pd + abs_pd_prev + absval(qy1) + abs_cy2 + abs_cy2_prev
@@ -540,7 +529,6 @@ def relative_residuals(model: CoefficientSet, traj: Trajectory, first: int,
                 worst = max(worst, float(k.to_mpf(absval(row1) / scale1)))
             out.append(worst)
             abs_pd_prev, abs_cy2_prev = abs_pd, abs_cy2
-            i += 1
     return out
 
 

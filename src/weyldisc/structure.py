@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MatchingSingularError, WindowError
-from .model import CoefficientSet, m_excl_at
+from .model import CoefficientSet, m_excl_column
 from .recurrence import Trajectory, max_relative_residual, operator_window
 
 
@@ -121,9 +121,8 @@ def lagrange_identity_defect(
     k = model.kernel
     with model.workprec():
         total = k.complex(0)
-        for t in range(model.a, top + 1):
-            p1, p2 = phi.component_pair(t)
-            s1, s2 = psi.component_pair(t)
+        for p1, p2, s1, s2 in zip(*phi.component_columns(model.a, top),
+                                  *psi.component_columns(model.a, top)):
             total += k.conj(s1) * p1 + k.conj(s2) * p2
         lhs = (phi.lam - k.conj(psi.lam)) * total
         rhs = bracket(phi, psi, top) - bracket(phi, psi, model.a - 1)
@@ -178,21 +177,21 @@ def vop_reconstruct(
             if traj.top < needed:
                 raise WindowError(f"{name} window ends before t={needed}")
 
-        def transposed_dot(traj, s):
-            t1, t2 = traj.component_pair(s)
-            z1, z2 = z.component_pair(s)
-            return t1 * z1 + t2 * z2  # transpose pairing, no conjugation
-
-        def partial_sums(upto: int):
-            f = k.complex(0)
-            g = k.complex(0)
-            for s in range(anchor + 1, upto + 1):
-                f += transposed_dot(phi, s)
-                g += transposed_dot(psi, s)
-            return f, g
+        # running transposed pairings (no conjugation) of phi and psi with
+        # z from anchor+1: sums[j] holds (f, g) summed up to t = anchor+j
+        f = g = k.complex(0)
+        sums = [(f, g)]
+        for z1, z2, f1, f2, g1, g2 in zip(
+            *z.component_columns(anchor + 1, t_check),
+            *phi.component_columns(anchor + 1, t_check),
+            *psi.component_columns(anchor + 1, t_check),
+        ):
+            f += f1 * z1 + f2 * z2
+            g += g1 * z1 + g2 * z2
+            sums.append((f, g))
 
         def rhs_first(t: int):
-            f, g = partial_sums(t - 1)
+            f, g = sums[t - 1 - anchor]
             return z.y1_at(t) - (lam0 - lam) * (psi.y1_at(t) * f - phi.y1_at(t) * g)
 
         t1, t2 = anchor + 3, anchor + 4
@@ -205,7 +204,7 @@ def vop_reconstruct(
         k1 = (r1 * phi.y1_at(t2) - r2 * phi.y1_at(t1)) / det
         k2 = (psi.y1_at(t1) * r2 - psi.y1_at(t2) * r1) / det
 
-        f_prev, g_prev = partial_sums(t_check - 1)
+        f_prev, g_prev = sums[-2]
         defect_y1 = z.y1_at(t_check) - (
             k1 * psi.y1_at(t_check)
             + k2 * phi.y1_at(t_check)
@@ -213,9 +212,8 @@ def vop_reconstruct(
             * (psi.y1_at(t_check) * f_prev - phi.y1_at(t_check) * g_prev)
         )
 
-        f_full = f_prev + transposed_dot(phi, t_check)
-        g_full = g_prev + transposed_dot(psi, t_check)
-        m_val = m_excl_at(model, t_check)
+        f_full, g_full = sums[-1]
+        m_val = m_excl_column(model, t_check, t_check)[0]
         ratio = (lam0 - m_val) / (lam - m_val)
         defect_y2 = z.y2_at(t_check) - ratio * (
             k1 * psi.y2_at(t_check)

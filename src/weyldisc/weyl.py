@@ -244,10 +244,8 @@ def on_circle_defect(model: CoefficientSet, chi_traj: Trajectory, m, lam, n: int
         lam = as_lambda_scalar(model, lam)
         if k.im(lam) == 0:
             raise InadmissibleLambdaError("circle membership requires nonreal lam")
-        abs2 = k.abs2
-        total = k.real(0)
-        for c1, c2 in zip(*chi_traj.component_columns(model.a, n)):
-            total = total + abs2(c1) + abs2(c2)
+        sums = _profile(model, chi_traj, n)
+        total = sums[-1][1] if sums else k.real(0)
         return total - k.im(m) / k.im(lam)
 
 

@@ -17,7 +17,7 @@ from weyldisc import (
     step_table,
 )
 from weyldisc.checks import run_suite
-from weyldisc.model import ExprCoefficient, m_excl_at, m_excl_column
+from weyldisc.model import ExprCoefficient, m_excl_column
 
 from conftest import fabs, fdiff
 
@@ -29,7 +29,7 @@ def test_free_model_derived_values(models):
     assert fabs(free, row.alpha[-1]) == 0
     # a21 = (h_shift - alpha) alpha / p_tilde + h_shift, and alpha = 0
     assert fdiff(free, row.a21[-1], -1j) == 0
-    assert fabs(free, m_excl_at(free, 0)) == 0
+    assert fabs(free, m_excl_column(free, 0, 0)[0]) == 0
 
 
 def test_perturbed_geometric_effective_potential(models):
@@ -74,7 +74,7 @@ def test_p_tilde_m_excl_consistency(models):
                 d_val = model.coeff("d", t)
                 p_val = model.coeff("p", t)
                 lhs = row.p_tilde[-1] * (lam - d_val)
-                rhs = p_val * (lam - m_excl_at(model, t))
+                rhs = p_val * (lam - m_excl_column(model, t, t)[0])
                 scale = fabs(model, lhs) + fabs(model, rhs)
                 assert fdiff(model, lhs, rhs) <= scale * 2.0 ** -248
 
@@ -102,7 +102,7 @@ def test_derived_precision_agreement(models):
                 (getattr(lo_table, field)[i], getattr(hi_table, field)[i])
                 for field in ("p_tilde", "q_tilde", "alpha")
             ]
-            pairs.append((m_excl_at(base, t), m_excl_at(hi, t)))
+            pairs.append((m_excl_column(base, t, t)[0], m_excl_column(hi, t, t)[0]))
             with hi.workprec():
                 k = hi.kernel
                 for lo_v, hi_v in pairs:
@@ -114,15 +114,15 @@ def test_derived_precision_agreement(models):
 def test_m_excl_at_is_the_table_column(models, name):
     """The lam-free excluded value keeps the bits of the m_excl column the
     step table used to carry, d - (c*c - h*c)/p on the coefficient columns,
-    at every point and over a whole window, at big-float and native
-    precision."""
+    at every point (a one-point window) and over a whole window, at
+    big-float and native precision."""
     for model in (models[name],
                   models[name].with_precision(PrecisionConfig(mode="native-float"))):
         first = model.a - 1
         with model.workprec():
             p, c, h, d = (model.column(n, first, 30) for n in "pchd")
             want = [d[i] - (c[i] * c[i] - h[i] * c[i]) / p[i] for i in range(len(p))]
-        assert [m_excl_at(model, t) for t in range(first, 31)] == want
+        assert [m_excl_column(model, t, t)[0] for t in range(first, 31)] == want
         assert m_excl_column(model, first, 30) == want
 
 

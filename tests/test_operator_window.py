@@ -4,9 +4,9 @@ bit with the per-t formulas they replace.
 The references below are the per-t forms: both operator rows assembled
 from fresh coefficient lookups and products at every t, the relative
 residual with its scales recomputed from the coefficients, Green's
-boundary bracket from ``quasi_difference``, and the bracket check with
-every random draw converted.  They run on random sequences on mpmath at
-256 and 53 bits and on native floats.
+boundary bracket from one-point windows of ``quasi_difference``, and the
+bracket check with every random draw converted.  They run on random
+sequences on mpmath at 256 and 53 bits and on native floats.
 """
 
 import dataclasses
@@ -138,17 +138,17 @@ def test_windowed_rows_match_per_t_formula(precision_models):
             def f2(s):
                 return y2[s - (a - 1)]
 
+            quasi = quasi_difference(model, y1, y2, a - 1, TOP)
+            assert quasi[3:] == quasi_difference(model, y1, y2, a + 2, TOP)
             for first in (a - 1, a, a + 3, TOP):
                 window = operator_window(model, y1, y2, first, TOP)
                 for t, (row1, row2, terms) in enumerate(window, first):
                     ref1, ref2 = _reference_rows(model, f1, f2, t)
                     assert _bits(row1) == _bits(ref1), (name, first, t)
                     assert _bits(row2) == _bits(ref2), (name, first, t)
-                    quasi = quasi_difference(model, f1(t), f1(t + 1), f2(t), t)
-                    assert _bits(terms[1] + terms[4]) == _bits(quasi)
+                    assert _bits(terms[1] + terms[4]) == _bits(quasi[t - (a - 1)])
                     if t >= a:
-                        quasi = quasi_difference(model, f1(t - 1), f1(t), f2(t - 1), t - 1)
-                        assert _bits(terms[0] + terms[3]) == _bits(quasi)
+                        assert _bits(terms[0] + terms[3]) == _bits(quasi[t - a])
 
 
 def test_residual_sweep_and_one_point_match_per_t_formula(precision_models):
@@ -179,8 +179,10 @@ def test_green_terms_match_per_t_formula(precision_models):
 
         def raw_bracket(t):
             i = t - (a - 1)
-            y_quasi = quasi_difference(model, y[i][0], y[i + 1][0], y[i][1], t)
-            z_quasi = quasi_difference(model, z[i][0], z[i + 1][0], z[i][1], t)
+            (y_quasi,), (z_quasi,) = (
+                quasi_difference(model, [v[0] for v in w], [v[1] for v in w], t, t)
+                for w in (y, z)
+            )
             return y[i + 1][0] * k.conj(z_quasi) - y_quasi * k.conj(z[i + 1][0])
 
         with model.workprec():

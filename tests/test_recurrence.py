@@ -160,10 +160,11 @@ def test_reconstruct_y2_agrees_with_defining_relation(models):
     table = step_table(model, 1j, 25)
     with model.workprec():
         lam = traj.lam
-        for t in range(model.a - 1, 25):
+        relations = y2_relation(model, lam, traj.y1, model.a - 1, 24)
+        assert y2_relation(model, lam, traj.y1, 3, 7) == relations[4:9]
+        for t, relation in zip(range(model.a - 1, 25), relations):
             i = table.index(t)
             via_state = table.r1[i] * traj.y1_at(t + 1) + table.r2[i] * traj.y1q_at(t)
-            relation = y2_relation(model, lam, traj.y1_at(t), traj.y1_at(t + 1), t)
             den = lam - model.coeff("d", t)
             direct = (model.coeff("c", t) * (traj.y1_at(t + 1) - traj.y1_at(t))
                       + model.coeff("h", t) * traj.y1_at(t)) / den

@@ -5,6 +5,7 @@ import pytest
 from weyldisc import (
     BoundaryData,
     MatchingSingularError,
+    WindowError,
     bracket,
     green_defect,
     lagrange_identity_defect,
@@ -32,24 +33,34 @@ def _pair(model, lam, top):
 def test_quasi_difference_unit_slope(models):
     free = models["free"]
     # p = 1, c = 0, y1(t) = t: quasi-difference is the unit forward slope
-    assert fdiff(free, quasi_difference(free, 3, 4, 0, 3), 1) == 0
+    y1 = tuple(range(-1, 6))
+    got = quasi_difference(free, y1, (0,) * 6, -1, 4)
+    assert [fdiff(free, v, 1) for v in got] == [0] * 6
+    assert fdiff(free, quasi_difference(free, y1, (0,) * 6, 3, 3)[0], 1) == 0
 
 
 def test_quasi_difference_free_psi(models):
     free = models["free"]
     _, psi = _pair(free, 1j, 5)
-    got = quasi_difference(free, psi.y1_at(0), psi.y1_at(1), psi.y2_at(0), 0)
-    assert fdiff(free, got, -1j) == 0
-    assert fdiff(free, got, psi.y1q_at(0)) == 0
+    got = quasi_difference(free, psi.y1, psi.y2, -1, 5)
+    assert fdiff(free, got[1], -1j) == 0
+    assert got == psi.y1q
+    assert quasi_difference(free, psi.y1, psi.y2, 0, 0) == (got[1],)
 
 
 def test_quasi_difference_reduces_without_coupling(models):
     model = models["ex4.1a"]  # c == 0
     with model.workprec():
         k = model.kernel
-        got = quasi_difference(model, 2, 5, 7, 3)
-        want = model.coeff("p", 3) * (k.real(5) - 2)
-        assert fdiff(model, got, want) == 0
+        y1 = tuple(k.real(v) for v in (9, 8, 6, 3, 2, 5, 1))  # y1(-1 .. 5)
+        y2 = (k.real(7),) * 6
+        got = quasi_difference(model, y1, y2, 3, 4)
+        assert fdiff(model, got[0], model.coeff("p", 3) * (k.real(5) - 2)) == 0
+        assert fdiff(model, got[1], model.coeff("p", 4) * (k.real(1) - 5)) == 0
+    with pytest.raises(WindowError):
+        quasi_difference(model, y1, y2, 3, 5)  # y1 stops at 5
+    with pytest.raises(WindowError):
+        quasi_difference(model, y1, y2[:4], 3, 4)  # y2 stops at 2
 
 
 def test_bracket_diagonal_value(models):
@@ -132,8 +143,7 @@ def test_lagrange_identity_reproduces_diagonal_bracket(models):
         defect = lagrange_identity_defect(psi, psi, 10)
         assert fabs(free, defect) < 1e-70
         total = k.real(0)
-        for t in range(0, 11):
-            y1, y2 = psi.component_pair(t)
+        for y1, y2 in zip(*psi.component_columns(0, 10)):
             total = total + k.absval(y1) ** 2 + k.absval(y2) ** 2
         want = k.complex(0, 2) * total
         assert fdiff(free, bracket(psi, psi, 10), want) / fabs(free, want) < 1e-70

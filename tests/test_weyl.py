@@ -370,9 +370,8 @@ def _old_disc(model, phi, psi, lam, n):
     factor = k.complex(0, 2) * k.im(lam)
     s_run = k.real(0)
     w_run = k.complex(0)
-    for t in range(model.a, n + 1):
-        s1, s2 = psi.component_pair(t)
-        p1, p2 = phi.component_pair(t)
+    for s1, s2, p1, p2 in zip(*psi.component_columns(model.a, n),
+                              *phi.component_columns(model.a, n)):
         s_run = s_run + k.absval(s1) ** 2 + k.absval(s2) ** 2
         w_run = w_run + k.conj(s1) * p1 + k.conj(s2) * p2
     diag = bracket(psi, psi, model.a - 1) + factor * s_run
