@@ -15,11 +15,13 @@ once and keeps, per t, the derived quantities (p_tilde, alpha, q_tilde),
 the entries of A(t) and the y2-reconstruction coefficients
 
     y2(t) = r1(t) y1(t+1) + r2(t) y1q(t),
-    r1 = alpha*(h - c)/(den*p_tilde) + h/den,  r2 = (c - h)/(den*p_tilde),
+    r1 = h*p/(den*p_tilde),  r2 = (c - h)/(den*p_tilde),
 
-with den = lam - d.  Each row takes one complex reciprocal of den and one
-of p_tilde and multiplies by them wherever these formulas divide, so the
-entries agree with the quotients to within a few units in the last place.
+with den = lam - d.  r1 is alpha*(h - c)/(den*p_tilde) + h/den with its
+two terms combined: apart, they cancel when (c^2 - h*c)/den dwarfs p.
+Each row takes one complex reciprocal of den and one of p_tilde and
+multiplies by them wherever these formulas divide, so the entries agree
+with the quotients to within a few units in the last place.
 alpha(t-1), which q_tilde(t) needs, is the previous row.  A table is
 built per call and dropped with it; callers that step several solutions
 at one (model, lam) pass the same table along.  Every solver steps one
@@ -61,7 +63,9 @@ class StepTable:
     per quantity, indexed by t - (a-1).
 
     The first row has no predecessor, so its q_tilde and step entries are
-    None: the table has step matrices exactly for t = a .. top.
+    None: the table has step matrices exactly for t = a .. top.  In their
+    place it keeps lead_left = p + c^2/(lam - d) at a-1, which equals
+    p_tilde + alpha there but does not cancel when alpha nears -p_tilde.
     """
 
     model: CoefficientSet
@@ -76,6 +80,7 @@ class StepTable:
     a22: tuple
     r1: tuple
     r2: tuple
+    lead_left: object
 
     def index(self, t: int) -> int:
         start = self.model.a - 1
@@ -119,10 +124,11 @@ def step_table(model: CoefficientSet, lam, top: int) -> StepTable:
                 )
             inv_p = 1 / p_tilde
             inv_denp = inv_den * inv_p
-            r1 = alpha * (h - c) * inv_denp + h * inv_den
+            r1 = h * p * inv_denp
             r2 = (c - h) * inv_denp
             if alpha_prev is None:
                 q_tilde = a11 = a12 = a21 = a22 = None
+                lead_left = p + c * c * inv_den
             else:
                 common = q + h * h * inv_den
                 q_tilde = common - (alpha - alpha_prev)
@@ -133,7 +139,7 @@ def step_table(model: CoefficientSet, lam, top: int) -> StepTable:
                 a22 = (alpha - h_shift) * inv_p
             rows.append((p_tilde, alpha, q_tilde, a11, a12, a21, a22, r1, r2))
             alpha_prev = alpha
-        return StepTable(model, lam, top, *zip(*rows))
+        return StepTable(model, lam, top, *zip(*rows), lead_left)
 
 
 def _full_table(model: CoefficientSet, lam, top: int, table: StepTable | None) -> StepTable:
@@ -275,11 +281,12 @@ def _forward_states(table: StepTable, starts) -> list:
 def _assemble(table: StepTable, states: list) -> Trajectory:
     """Build a Trajectory from states v(t) for t = a-1 .. top.
 
-    y1(a-1) solves the quasi-difference at a-1 for it, y1q(a-1) =
-    p_tilde dy1(a-1) + alpha y1(a), from row a-1 of the table."""
+    y1(a-1) solves the quasi-difference at a-1, y1q(a-1) =
+    p_tilde dy1(a-1) + alpha y1(a), for it, from row a-1 of the table:
+    y1(a-1) = ((p_tilde + alpha) y1(a) - y1q(a-1)) / p_tilde."""
     model = table.model
     y1_a, y1q_left = states[0]
-    y1 = [y1_a - (y1q_left - table.alpha[0] * y1_a) / table.p_tilde[0]]
+    y1 = [(table.lead_left * y1_a - y1q_left) / table.p_tilde[0]]
     y1 += [st[0] for st in states]
     y1q = [st[1] for st in states]
     y2 = [r1 * s0 + r2 * s1 for r1, r2, (s0, s1) in zip(table.r1, table.r2, states)]

@@ -1,5 +1,6 @@
 import random
 
+import mpmath
 import pytest
 
 from weyldisc import (
@@ -15,7 +16,7 @@ from weyldisc import (
     propagate_backward,
     step_table,
 )
-from weyldisc.recurrence import max_relative_residual, y2_relation
+from weyldisc.recurrence import max_relative_residual, propagate_columns, y2_relation
 
 from conftest import fabs, fdiff
 
@@ -293,9 +294,12 @@ def test_step_table_matches_the_division_formulas(models, name):
             want = {
                 "p_tilde": p_tilde,
                 "alpha": alpha,
-                "r1": alpha * (h - c) / denp + h / den,
+                "r1": h * p / denp,
                 "r2": (c - h) / denp,
             }
+            if i == 0:
+                got = table.lead_left
+                assert fdiff(model, got, p + c * c / den) <= tol * (fabs(model, got) + 1)
             if alpha_prev is not None:
                 common = model.coeff("q", t) + h * h / den
                 want["q_tilde"] = common - (alpha - alpha_prev)
@@ -320,3 +324,75 @@ def test_cut_trajectory_is_the_shorter_solve(models):
     assert long.cut(30) is long
     with pytest.raises(WindowError):
         short.cut(13)
+
+
+def test_left_end_refuses_a_vanishing_p_tilde():
+    """With p = 1 and c = t + 2, p_tilde(-1) = 1 + 1/lam vanishes at
+    lam = -1; row a-1 of the step table refuses it on both kernels."""
+    for precision in (PrecisionConfig(), PrecisionConfig(mode="native-float")):
+        model = CoefficientSet.from_expressions(a=0, p="1", c="t + 2", precision=precision)
+        with pytest.raises(InadmissibleLambdaError) as exc:
+            propagate(model, -1, BoundaryData(1, 0), 5)
+        assert exc.value.t == -1
+
+
+def _random_left_end_cases(count, seed):
+    """Seeded random models with a in {0, 1, 3}: p from a fixed list that
+    never vanishes on t >= -1; q, c, h and d zero or one or two terms
+    kappa b^t t^k, b in {1/2, 1, 2, 4}, k <= 2; a nonreal lam and real
+    initial data with two decimals."""
+    rng = random.Random(seed)
+
+    def term():
+        parts = [rng.choice(["1", "2", "3", "1/2", "-1", "-2"])]
+        base = rng.choice(["(1/2)", "1", "2", "4"])
+        if base != "1":
+            parts.append(f"{base}^t")
+        power = rng.randrange(3)
+        if power:
+            parts.append("t" if power == 1 else f"t^{power}")
+        return "(" + "*".join(parts) + ")"
+
+    def coefficient():
+        if rng.random() < 0.35:
+            return "0"
+        return " + ".join(term() for _ in range(rng.randint(1, 2)))
+
+    for _ in range(count):
+        exprs = {"p": rng.choice(["1", "-1", "4^t", "-(4^t)", "2^t", "t+2"])}
+        exprs.update((name, coefficient()) for name in "qchd")
+        a = rng.choice([0, 1, 3])
+        lam = complex(round(rng.uniform(-2, 2), 2), round(rng.uniform(0.1, 2), 2))
+        data = BoundaryData(round(rng.uniform(-2, 2), 2), round(rng.uniform(-2, 2), 2))
+        yield a, exprs, lam, data
+
+
+@pytest.mark.parametrize("precision", [
+    PrecisionConfig(mantissa_bits=256),
+    PrecisionConfig(mantissa_bits=53),
+    PrecisionConfig(mode="native-float"),
+], ids=["mpmath-256", "mpmath-53", "native"])
+def test_left_end_values_agree_with_1024_bits(precision):
+    """y1(a-1) and y2(a-1) from row a-1 of the step table stay within
+    2^-(bits-8) of a 1024-bit run, relative to the terms they sum:
+    (p_tilde + alpha) y1(a) / p_tilde and y1q(a-1) / p_tilde for y1,
+    r1 y1(a) and r2 y1q(a-1) for y2."""
+    tol = 2.0 ** -(precision.bits - 8)
+    for a, exprs, lam, data in _random_left_end_cases(300, 20261018):
+        ref_model = CoefficientSet.from_expressions(
+            a=a, precision=PrecisionConfig(mantissa_bits=1024), **exprs
+        )
+        table = step_table(ref_model, lam, a)
+        (ref,) = propagate_columns(table, (data,))
+        model = ref_model.with_precision(precision)
+        got = propagate(model, lam, data, a)
+        with ref_model.workprec():
+            k = ref_model.kernel
+            y1_a, y1q_left, p_tilde = ref.y1[1], ref.y1q[0], table.p_tilde[0]
+            scale1 = (k.absval(ref.y1[0]) + k.absval(table.lead_left * y1_a / p_tilde)
+                      + k.absval(y1q_left / p_tilde))
+            scale2 = (k.absval(ref.y2[0]) + k.absval(table.r1[0] * y1_a)
+                      + k.absval(table.r2[0] * y1q_left))
+            for value, want, scale in ((got.y1[0], ref.y1[0], scale1),
+                                       (got.y2[0], ref.y2[0], scale2)):
+                assert k.absval(mpmath.mpc(value) - want) <= tol * scale, (a, exprs, lam)
