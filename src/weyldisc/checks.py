@@ -402,18 +402,13 @@ def vop_worst(basis: tuple[Trajectory, Trajectory], solutions, anchor: int,
                 *psi.component_columns(*window),
             ):
                 z_mag = k.absval(z1) + k.absval(z2)
-                for t1, t2 in ((f1, f2), (g1, g2)):
-                    term_mag = term_mag + (k.absval(t1) + k.absval(t2)) * z_mag
+                term_mag = term_mag + (k.absval(f1) + k.absval(f2)) * z_mag
+                term_mag = term_mag + (k.absval(g1) + k.absval(g2)) * z_mag
             k_mag = k.absval(res.k1) + k.absval(res.k2)
-            for comp, defect in (("y1", res.defect_y1), ("y2", res.defect_y2)):
-                basis_mag = (
-                    k.absval(psi.y1_at(t_check)) + k.absval(phi.y1_at(t_check))
-                    if comp == "y1"
-                    else k.absval(psi.y2_at(t_check)) + k.absval(phi.y2_at(t_check))
-                )
-                value_mag = k.absval(
-                    z.y1_at(t_check) if comp == "y1" else z.y2_at(t_check)
-                )
+            for at, defect in ((Trajectory.y1_at, res.defect_y1),
+                               (Trajectory.y2_at, res.defect_y2)):
+                basis_mag = k.absval(at(psi, t_check)) + k.absval(at(phi, t_check))
+                value_mag = k.absval(at(z, t_check))
                 scale = 1 + value_mag + (k_mag + gap * term_mag) * (basis_mag + 1)
                 worst = max(worst, _f(k, k.absval(defect) / scale))
         return worst
