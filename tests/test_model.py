@@ -5,14 +5,20 @@ import mpmath
 import pytest
 
 from weyldisc import (
+    BoundaryData,
     ClassifyOptions,
     CoefficientSet,
     CoefficientRangeError,
     EvaluationError,
     PrecisionConfig,
+    PrecisionExhaustedError,
     TableCoefficient,
     builtin_names,
+    builtin_scenario,
     classify,
+    oracle_three_term,
+    propagate,
+    propagate_backward,
     spectral_gap,
     step_table,
 )
@@ -244,3 +250,35 @@ def test_precision_config_validation():
         PrecisionConfig(mantissa_bits=32)
     with pytest.raises(ValueError):
         PrecisionConfig(mode="quad")
+
+
+class _OnePointRead(AssertionError):
+    """A coefficient was read at one point instead of as a column."""
+
+
+@pytest.mark.parametrize("mode", ["big-float", "native-float"])
+def test_solvers_read_coefficients_only_as_columns(monkeypatch, mode):
+    """With the one-point reads made to raise, classify, the check suite,
+    both propagations and the oracle run on all five built-ins; only
+    ex4.2a on native floats stops, at its known overflow."""
+    def refuse(*args, **kwargs):
+        raise _OnePointRead("one-point coefficient read")
+
+    monkeypatch.setattr(CoefficientSet, "coeff", refuse)
+    monkeypatch.setattr(ExprCoefficient, "value", refuse)
+    monkeypatch.setattr(TableCoefficient, "value", refuse)
+    for name in builtin_names():
+        # a fresh model: its column cache is empty
+        model = builtin_scenario(name).model().with_precision(PrecisionConfig(mode=mode))
+        runs = (
+            lambda: classify(model, 1j, 0.0, ClassifyOptions(n_max=200)),
+            lambda: run_suite(model, 1j, top=40),
+            lambda: propagate(model, 1j, BoundaryData(1, 0), 40),
+            lambda: propagate_backward(model, 1j, (1, 0), 40),
+            lambda: oracle_three_term(model, 1j, BoundaryData(1, 0), 40),
+        )
+        for run in runs:
+            try:
+                run()
+            except PrecisionExhaustedError:
+                assert (name, mode) == ("ex4.2a", "native-float")

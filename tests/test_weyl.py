@@ -8,6 +8,9 @@ from weyldisc import (
     BoundaryData,
     ClassifyOptions,
     InadmissibleLambdaError,
+    PrecisionConfig,
+    PrecisionExhaustedError,
+    builtin_names,
     builtin_scenario,
     chi,
     classify,
@@ -162,6 +165,9 @@ def test_on_circle_defect_sign(models):
         outer = on_circle_defect(free, chi(pair9, m9), m9, 1j, 9)
         assert float(k.to_mpf(k.re(inner))) < 0
         assert fabs(free, outer) < 1e-40
+        # at n = a-1 the sum is empty
+        empty = on_circle_defect(free, chi(pair9, m9), m9, 1j, -1)
+        assert empty == -k.im(m9)
 
 
 def test_classify_reproduces_expected_verdicts(classify_memo):
@@ -425,3 +431,31 @@ def test_native_profile_sum_turning_inf_is_typed():
                       y1=(big,) * 13, y2=(big,) * 12, y1q=(big,) * 12)
     with pytest.raises(PrecisionExhaustedError):
         _profile(model, traj, 10)
+
+
+@pytest.mark.parametrize("mode", ["big-float", "native-float"])
+@pytest.mark.parametrize("name", builtin_names())
+def test_classify_is_conjugate_symmetric(name, mode):
+    """Real coefficients and a real alpha: classify at conj(lam) gives, bit
+    for bit, the conjugate m and disc centers, equal radii and partial
+    sums, and the same verdict and chi route.  ex4.2a overflows native
+    floats at either lam.  The comparisons run inside the model's
+    precision, which conj and the differences must not round."""
+    model = builtin_scenario(name).model().with_precision(PrecisionConfig(mode=mode))
+    k = model.kernel
+    options = ClassifyOptions(n_max=200)
+    for lam in (1j, 0.3 + 0.7j, -1.5 + 0.3j):
+        if (name, mode) == ("ex4.2a", "native-float"):
+            for at in (lam, lam.conjugate()):
+                with pytest.raises(PrecisionExhaustedError):
+                    classify(model, at, 0.0, options)
+            continue
+        up = classify(model, lam, 0.0, options)
+        down = classify(model, lam.conjugate(), 0.0, options)
+        with model.workprec():
+            assert down.m_limit == k.conj(up.m_limit), lam
+            assert [(d.n, d.center, d.radius) for d in down.disc_samples] == [
+                (d.n, k.conj(d.center), d.radius) for d in up.disc_samples
+            ], lam
+            assert (down.psi_profile, down.chi_profile) == (up.psi_profile, up.chi_profile), lam
+            assert (down.verdict, down.chi_method) == (up.verdict, up.chi_method), lam
