@@ -31,7 +31,6 @@ from .errors import (
     WeyldiscError,
 )
 from .criteria import ratio_limit_point_check, weighted_limit_point_check
-from .model import PrecisionConfig
 from .recurrence import BoundaryData, propagate
 from .reporting import (
     complex_entry,
@@ -115,17 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _scenario_with_overrides(args) -> Scenario:
     scenario = resolve_scenario(args.scenario)
     updates = {}
-    if getattr(args, "lambda_re", None) is not None:
-        updates["lambda_re"] = args.lambda_re
-    if getattr(args, "lambda_im", None) is not None:
-        updates["lambda_im"] = args.lambda_im
-    if getattr(args, "alpha", None) is not None:
-        updates["alpha"] = args.alpha
-    if getattr(args, "n_max", None) is not None:
-        updates["n_max"] = args.n_max
-    if getattr(args, "bits", None) is not None:
-        updates["precision"] = PrecisionConfig(
-            mode=scenario.precision.mode, mantissa_bits=args.bits
+    for flag in ("lambda_re", "lambda_im", "alpha", "n_max", "bits"):
+        if getattr(args, flag, None) is not None:
+            updates[flag] = getattr(args, flag)
+    if "bits" in updates:
+        updates["precision"] = dataclasses.replace(
+            scenario.precision, mantissa_bits=updates.pop("bits")
         )
     return dataclasses.replace(scenario, **updates) if updates else scenario
 

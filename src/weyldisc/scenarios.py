@@ -22,7 +22,7 @@ model; registry names are accepted wherever a scenario path is.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ExprSyntaxError, ScenarioError
@@ -32,9 +32,9 @@ from .weyl import ClassifyOptions
 
 @dataclass(frozen=True)
 class Thresholds:
-    rel_tol: float = 1e-10
-    divergence_factor: float = 1e6
-    window: int = 32
+    rel_tol: float = ClassifyOptions.rel_tol
+    divergence_factor: float = ClassifyOptions.divergence_factor
+    window: int = ClassifyOptions.window
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class Scenario:
     lambda_re: float = 0.0
     lambda_im: float = 1.0
     alpha: float = 0.0
-    n_max: int = 200
+    n_max: int = ClassifyOptions.n_max
     precision: PrecisionConfig = field(default_factory=PrecisionConfig)
     thresholds: Thresholds = field(default_factory=Thresholds)
 
@@ -112,13 +112,14 @@ def scenario_from_dict(data: dict, fallback_name: str = "scenario") -> Scenario:
         _require(key in known, f"unknown scenario field {key!r}")
     name = data.get("name", fallback_name)
     _require(isinstance(name, str) and name, "field 'name' must be a nonempty string")
+    base = Scenario(name=name)  # every default below is one of its fields
 
-    a = data.get("a", 0)
+    a = data.get("a", base.a)
     _require(isinstance(a, int), "field 'a' must be an integer")
 
     coeffs = {}
     for cname in ("p", "q", "c", "h", "d"):
-        spec = data.get(cname, "1" if cname == "p" else "0")
+        spec = data.get(cname, getattr(base, cname))
         _require(
             isinstance(spec, (str, dict)),
             f"coefficient {cname!r} must be an expression string or a table object",
@@ -132,30 +133,28 @@ def scenario_from_dict(data: dict, fallback_name: str = "scenario") -> Scenario:
 
     lam = data.get("lambda", {})
     _require(isinstance(lam, dict), "field 'lambda' must be {'re': x, 'im': y}")
-    lam_re = float(lam.get("re", 0.0))
-    lam_im = float(lam.get("im", 1.0))
+    lam_re = float(lam.get("re", base.lambda_re))
+    lam_im = float(lam.get("im", base.lambda_im))
 
-    alpha = float(data.get("alpha", 0.0))
-    n_max = data.get("n_max", 200)
+    alpha = float(data.get("alpha", base.alpha))
+    n_max = data.get("n_max", base.n_max)
     _require(isinstance(n_max, int) and n_max > a, "field 'n_max' must be an integer above a")
 
     prec = data.get("precision", {})
     _require(isinstance(prec, dict), "field 'precision' must be an object")
     try:
         precision = PrecisionConfig(
-            mode=prec.get("mode", "big-float"),
-            mantissa_bits=int(prec.get("bits", 256)),
+            mode=prec.get("mode", base.precision.mode),
+            mantissa_bits=int(prec.get("bits", base.precision.mantissa_bits)),
         )
     except ValueError as exc:
         raise ScenarioError(f"field 'precision': {exc}") from exc
 
     thr = data.get("thresholds", {})
     _require(isinstance(thr, dict), "field 'thresholds' must be an object")
-    thresholds = Thresholds(
-        rel_tol=float(thr.get("rel_tol", 1e-10)),
-        divergence_factor=float(thr.get("divergence_factor", 1e6)),
-        window=int(thr.get("window", 32)),
-    )
+    thresholds = Thresholds(**{
+        f.name: type(f.default)(thr.get(f.name, f.default)) for f in fields(Thresholds)
+    })
     _require(thresholds.window > 0, "thresholds.window must be positive")
 
     scenario = Scenario(

@@ -6,8 +6,16 @@ import sys
 
 import pytest
 
-from weyldisc import ScenarioError, builtin_names, load_scenario, resolve_scenario
-from weyldisc.cli import main
+from weyldisc import (
+    ClassifyOptions,
+    PrecisionConfig,
+    Scenario,
+    ScenarioError,
+    builtin_names,
+    load_scenario,
+    resolve_scenario,
+)
+from weyldisc.cli import _scenario_with_overrides, build_parser, main
 from weyldisc.scenarios import builtin_scenario, scenario_from_dict
 
 
@@ -26,6 +34,28 @@ def test_scenario_defaults():
     assert s.alpha == 0.0 and s.n_max == 200
     assert s.precision.mantissa_bits == 256
     assert s.thresholds.window == 32
+
+
+def test_scenario_dict_defaults_are_the_dataclass_defaults():
+    """Every optional field left out gives Scenario's own defaults, whose
+    thresholds are ClassifyOptions's; to_dict reads back to the same
+    scenario."""
+    s = scenario_from_dict({"name": "x"})
+    assert s == Scenario(name="x")
+    assert s.classify_options() == ClassifyOptions(n_max=200)
+    assert scenario_from_dict(s.to_dict()) == s
+
+
+def test_command_line_overrides():
+    """Each flag given replaces its scenario field; --bits keeps the mode."""
+    args = build_parser().parse_args(
+        ["classify", "free", "--lambda-im", "2", "--n-max", "90", "--bits", "80"]
+    )
+    s = _scenario_with_overrides(args)
+    assert (s.lambda_re, s.lambda_im, s.alpha, s.n_max) == (0.0, 2.0, 0.0, 90)
+    assert s.precision == PrecisionConfig(mode="big-float", mantissa_bits=80)
+    plain = build_parser().parse_args(["classify", "free"])
+    assert _scenario_with_overrides(plain) == builtin_scenario("free")
 
 
 def test_scenario_file_round_trip(tmp_path):
