@@ -63,9 +63,10 @@ class StepTable:
     per quantity, indexed by t - (a-1).
 
     The first row has no predecessor, so its q_tilde and step entries are
-    None: the table has step matrices exactly for t = a .. top.  In their
-    place it keeps lead_left = p + c^2/(lam - d) at a-1, which equals
-    p_tilde + alpha there but does not cancel when alpha nears -p_tilde.
+    None: the table has step matrices exactly for t = a .. top.  For the
+    left boundary it also keeps lead_left = p + c^2/(lam - d) at a-1: that
+    is p_tilde + alpha there, formed so that it does not cancel when alpha
+    nears -p_tilde.
     """
 
     model: CoefficientSet
