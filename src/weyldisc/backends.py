@@ -10,15 +10,36 @@ All arithmetic in the solvers runs on one of three scalar kernels:
 
 The big-float kernel is chosen once at import time; set the environment
 variable ``WEYLDISC_BACKEND`` to ``gmpy2`` or ``mpmath`` to force one.
-Both kernels implement the same small protocol (duck-typed), so every
+Every kernel implements the same small protocol (duck-typed), so every
 solver is written once; ``perfbench/run.py --trace 1`` times a complex
 multiply-add on every importable kernel.
 
-A kernel's ``workprec(bits)`` context manager must be active while
-arithmetic runs; public operations in the other modules take care of
-that.  Scalars are the kernel's own complex/real types and support the
-usual operators.  Division by an exact zero raises ``ZeroDivisionError``
-on mpmath and native floats but returns inf on gmpy2, so a denominator
+The protocol holds only what differs between kernels.  A kernel object
+provides
+
+* ``name`` -- the kernel's name in reports;
+* ``workprec(bits)`` -- a context manager that must be active while
+  arithmetic runs (public operations in the other modules open it);
+* ``needs_finite_checks`` -- True when an overflow turns into inf or
+  nan instead of widening the exponent, so the solvers test for it;
+* ``real(x)`` and ``complex(re, im=0)`` -- scalars from Python ints,
+  floats, ``Fraction``s or the kernel's own reals;
+* ``abs2(z)`` -- the squared modulus, without a square root;
+* ``isfinite(z)``;
+* ``sqrt_nonneg(x)``, ``pow_real(base, expo)``,
+  ``pow_positive(base, expo)``, ``sin(x)`` and ``cos(x)`` -- the real
+  functions of the coefficient expressions and boundary angles;
+* ``to_fraction(x)`` and ``to_mpf(x)`` -- the exact value of a real
+  scalar as a ``Fraction`` or an ``mpmath.mpf``.
+
+The kernel's scalar types carry the rest: ``+ - * /`` among themselves
+and with Python ints, ``**`` with an int exponent, unary minus, ``==``
+and, on reals, the order comparisons; ``abs(z)``, the modulus as a
+real; and ``z.real``, ``z.imag`` and ``z.conjugate()``, which a real
+answers too.  ``to_float``,
+``format_real`` and ``format_complex`` below serve every kernel through
+``to_mpf``.  Division by an exact zero raises ``ZeroDivisionError`` on
+mpmath and native floats but returns inf on gmpy2, so a denominator
 that can legally vanish is tested before the division.
 """
 
@@ -41,16 +62,10 @@ except ImportError:  # pragma: no cover - exercised only on gmpy2-less installs
     gmpy2 = None
 
 
-# an mpc's parts and an mpf itself are taken as they are, never rounded to
-# the ambient precision (mpmath.mpc(z) would round them)
-_MP_TYPES = (mpmath.mpc, mpmath.mpf)
-
-
 class MpmathKernel:
     """Python big-float kernel backed by mpmath."""
 
     name = "mpmath"
-    compiled = False
     needs_finite_checks = False
 
     @contextmanager
@@ -61,8 +76,6 @@ class MpmathKernel:
     def real(self, x):
         if isinstance(x, Fraction):
             return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-        if isinstance(x, str):
-            return mpmath.mpf(x)
         return mpmath.mpf(x)
 
     def complex(self, re, im=0):
@@ -76,18 +89,6 @@ class MpmathKernel:
                 _libmp.from_float(im, prec, rounding),
             ))
         return mpmath.mpc(self.real(re), self.real(im))
-
-    def re(self, z):
-        return z.real if isinstance(z, _MP_TYPES) else mpmath.mpc(z).real
-
-    def im(self, z):
-        return z.imag if isinstance(z, _MP_TYPES) else mpmath.mpc(z).imag
-
-    def conj(self, z):
-        return mpmath.conj(z)
-
-    def absval(self, z):
-        return abs(z)
 
     def abs2(self, z):
         """|z|^2 as re^2 + im^2: exact squares, one rounding, no square root."""
@@ -136,7 +137,6 @@ class Gmpy2Kernel:
     """Compiled big-float kernel backed by gmpy2 (MPFR/MPC)."""
 
     name = "gmpy2"
-    compiled = True
     needs_finite_checks = False
 
     @contextmanager
@@ -155,18 +155,6 @@ class Gmpy2Kernel:
 
     def complex(self, re, im=0):
         return gmpy2.mpc(self.real(re), self.real(im))
-
-    def re(self, z):
-        return z.real if isinstance(z, gmpy2.mpc) else gmpy2.mpfr(z)
-
-    def im(self, z):
-        return z.imag if isinstance(z, gmpy2.mpc) else gmpy2.mpfr(0)
-
-    def conj(self, z):
-        return z.conjugate() if isinstance(z, gmpy2.mpc) else z
-
-    def absval(self, z):
-        return abs(z)
 
     def abs2(self, z):
         return gmpy2.norm(z) if isinstance(z, gmpy2.mpc) else z * z
@@ -210,7 +198,6 @@ class NativeKernel:
     """Machine float/complex kernel.  Overflow is an error, never an inf."""
 
     name = "native"
-    compiled = True
     needs_finite_checks = True
 
     @contextmanager
@@ -222,18 +209,6 @@ class NativeKernel:
 
     def complex(self, re, im=0):
         return complex(self.real(re), self.real(im))
-
-    def re(self, z):
-        return complex(z).real
-
-    def im(self, z):
-        return complex(z).imag
-
-    def conj(self, z):
-        return complex(z).conjugate()
-
-    def absval(self, z):
-        return abs(z)
 
     def abs2(self, z):
         # an overflow gives inf here, which the finite checks report
@@ -340,6 +315,16 @@ def format_real(kernel, x, digits: int = 40) -> str:
 
 def format_complex(kernel, z, digits: int = 40) -> dict:
     return {
-        "re": format_real(kernel, kernel.re(z), digits),
-        "im": format_real(kernel, kernel.im(z), digits),
+        "re": format_real(kernel, z.real, digits),
+        "im": format_real(kernel, z.imag, digits),
     }
+
+
+def to_float(kernel, x) -> float:
+    """The real scalar x as a machine float, rounded to nearest: an
+    infinity past the float range, and inf where the kernel cannot
+    convert x."""
+    try:
+        return float(kernel.to_mpf(x))
+    except (OverflowError, ValueError):
+        return math.inf

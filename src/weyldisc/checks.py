@@ -28,7 +28,12 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import InadmissibleLambdaError, MatchingSingularError
+from .backends import to_float
+from .errors import (
+    InadmissibleLambdaError,
+    MatchingSingularError,
+    NumericalInvariantError,
+)
 from .model import CoefficientSet, as_lambda_scalar
 from .recurrence import (
     BoundaryData,
@@ -67,13 +72,6 @@ class CheckResult:
         return self.worst <= self.tol
 
 
-def _f(kernel, x) -> float:
-    try:
-        return float(kernel.to_mpf(x))
-    except (OverflowError, ValueError):
-        return float("inf")
-
-
 def oracle_deviation(direct: Trajectory, top: int) -> float:
     """Pointwise deviation on a-1 .. top between a transfer-matrix solution
     and the scalar three-term oracle solved from the same boundary data,
@@ -88,9 +86,9 @@ def oracle_deviation(direct: Trajectory, top: int) -> float:
         worst = 0.0
         for seq_d, seq_o in ((direct.y1, oracle.y1), (direct.y2, oracle.y2),
                              (direct.y1q, oracle.y1q)):
-            sup = max(_f(k, k.absval(v)) for v in seq_d) or 1.0
+            sup = max(to_float(k, abs(v)) for v in seq_d) or 1.0
             for vd, vo in zip(seq_d, seq_o):
-                worst = max(worst, _f(k, k.absval(vd - vo)) / sup)
+                worst = max(worst, to_float(k, abs(vd - vo)) / sup)
         return worst
 
 
@@ -107,8 +105,8 @@ def transfer_det_deviation(table: StepTable, top: int) -> float:
         ):
             diag = (1 - a11) * (1 - a22)
             off = a12 * a21
-            scale = k.absval(diag) + k.absval(off) + 1
-            worst = max(worst, _f(k, k.absval(diag - off - 1) / scale))
+            scale = abs(diag) + abs(off) + 1
+            worst = max(worst, to_float(k, abs(diag - off - 1) / scale))
         return worst
 
 
@@ -117,13 +115,12 @@ def _pairing_worst(phi: Trajectory, psi: Trajectory, first: int, top: int) -> fl
     (A, B) and (C, D) the states (y1(t+1), y1q(t)) of phi and psi: AD - BC
     is the pair's transfer determinant and their ``structure.wronskian``."""
     k = phi.model.kernel
-    absval = k.absval
     with phi.model.workprec():
         worst = 0.0
         for a_v, b_v, c_v, d_v in zip(*phi.state_columns(first, top),
                                       *psi.state_columns(first, top)):
             ad, bc = a_v * d_v, b_v * c_v
-            worst = max(worst, _f(k, absval(ad - bc - 1) / (absval(ad) + absval(bc) + 1)))
+            worst = max(worst, to_float(k, abs(ad - bc - 1) / (abs(ad) + abs(bc) + 1)))
         return worst
 
 
@@ -185,13 +182,9 @@ def green_relative_defect(model: CoefficientSet, y, z, top: int) -> float:
         scale = k.real(1)
         # rows start at t = a, which is index 1 of sequences from a-1
         for idx, ((ly1, ly2), (lz1, lz2)) in enumerate(rows, 1):
-            scale = scale + (k.absval(ly1) + k.absval(ly2)) * (
-                k.absval(z[idx][0]) + k.absval(z[idx][1])
-            )
-            scale = scale + (k.absval(lz1) + k.absval(lz2)) * (
-                k.absval(y[idx][0]) + k.absval(y[idx][1])
-            )
-        return _f(k, k.absval(defect) / scale)
+            scale = scale + (abs(ly1) + abs(ly2)) * (abs(z[idx][0]) + abs(z[idx][1]))
+            scale = scale + (abs(lz1) + abs(lz2)) * (abs(y[idx][0]) + abs(y[idx][1]))
+        return to_float(k, abs(defect) / scale)
 
 
 def green_random_worst(
@@ -210,21 +203,23 @@ def lagrange_relative_defect(model, phi, psi, top: int, *, residuals=None) -> fl
     identity, including the bracket products (which may individually dwarf
     the bracket values when the solutions grow fast).  ``residuals`` are
     the max relative residuals of phi and psi when already swept (see
-    ``lagrange_identity_defect``)."""
+    ``lagrange_identity_defect``).  A trajectory that fails the solution
+    gate there leaves no identity to check and reads as inf."""
     k = model.kernel
     with model.workprec():
-        defect = lagrange_identity_defect(phi, psi, top, residuals=residuals)
+        try:
+            defect = lagrange_identity_defect(phi, psi, top, residuals=residuals)
+        except NumericalInvariantError:
+            return float("inf")
         scale = k.real(1)
         for n in (top, model.a - 1):
-            scale = scale + k.absval(phi.y1_at(n + 1)) * k.absval(psi.y1q_at(n))
-            scale = scale + k.absval(phi.y1q_at(n)) * k.absval(psi.y1_at(n + 1))
-        gap = k.absval(phi.lam - k.conj(psi.lam))
+            scale = scale + abs(phi.y1_at(n + 1)) * abs(psi.y1q_at(n))
+            scale = scale + abs(phi.y1q_at(n)) * abs(psi.y1_at(n + 1))
+        gap = abs(phi.lam - psi.lam.conjugate())
         for p1, p2, s1, s2 in zip(*phi.component_columns(model.a, top),
                                   *psi.component_columns(model.a, top)):
-            scale = scale + gap * (k.absval(p1) + k.absval(p2)) * (
-                k.absval(s1) + k.absval(s2)
-            )
-        return _f(k, k.absval(defect) / scale)
+            scale = scale + gap * (abs(p1) + abs(p2)) * (abs(s1) + abs(s2))
+        return to_float(k, abs(defect) / scale)
 
 
 def bracket_antisymmetry_worst(
@@ -255,8 +250,8 @@ def bracket_antisymmetry_worst(
             y, z = draw_traj(), draw_traj()
             for t in points:
                 lhs = bracket(y, z, t)
-                rhs = -k.conj(bracket(z, y, t))
-                worst = max(worst, _f(k, k.absval(lhs - rhs)))
+                rhs = -bracket(z, y, t).conjugate()
+                worst = max(worst, to_float(k, abs(lhs - rhs)))
     return worst
 
 
@@ -268,8 +263,8 @@ def disc_sum_identity_worst(model, discs, psi_sums, lam) -> float:
         lam_s = as_lambda_scalar(model, lam)
         worst = 0.0
         for disc in discs:
-            value = disc.radius * 2 * k.absval(k.im(lam_s)) * sums[disc.n]
-            worst = max(worst, abs(_f(k, value) - 1.0))
+            value = disc.radius * 2 * abs(lam_s.imag) * sums[disc.n]
+            worst = max(worst, abs(to_float(k, value) - 1.0))
         return worst
 
 
@@ -281,10 +276,10 @@ def disc_nesting_worst(model, discs) -> float:
         for i in range(len(discs)):
             for j in range(i + 1, len(discs)):
                 gap = (
-                    k.absval(discs[j].center - discs[i].center)
+                    abs(discs[j].center - discs[i].center)
                     - (discs[i].radius - discs[j].radius)
                 )
-                worst = max(worst, _f(k, gap))
+                worst = max(worst, to_float(k, gap))
         return max(worst, 0.0)
 
 
@@ -306,11 +301,7 @@ def disc_corner_route_worst(phi: Trajectory, psi: Trajectory, discs, top: int) -
                 break
             c_v, d_v = psi.state(n)
             a_v, b_v = phi.state(n)
-            prod = (
-                k.absval(c_v) * k.absval(d_v)
-                + k.absval(a_v) * k.absval(d_v)
-                + k.absval(b_v) * k.absval(c_v)
-            )
+            prod = abs(c_v) * abs(d_v) + abs(a_v) * abs(d_v) + abs(b_v) * abs(c_v)
             if prod * disc.radius > headroom:  # prod/|diag| beyond headroom
                 continue
             diag = bracket(psi, psi, n)
@@ -320,9 +311,8 @@ def disc_corner_route_worst(phi: Trajectory, psi: Trajectory, discs, top: int) -
             checked += 1
             worst = max(
                 worst,
-                _f(k, k.absval(1 / k.absval(diag) - disc.radius) / disc.radius),
-                _f(k, k.absval(-mixed / diag - disc.center)
-                   / (1 + k.absval(disc.center))),
+                to_float(k, abs(1 / abs(diag) - disc.radius) / disc.radius),
+                to_float(k, abs(-mixed / diag - disc.center) / (1 + abs(disc.center))),
             )
         return worst if checked else float("inf")
 
@@ -341,7 +331,7 @@ def m_sweep_worst(phi: Trajectory, psi: Trajectory, discs, top: int, betas: int 
     lam_s = phi.lam
     with model.workprec():
         discs = [d for d in discs if d.n <= top]
-        usable = [d for d in discs if _f(k, d.radius) >= 1e-8]
+        usable = [d for d in discs if to_float(k, d.radius) >= 1e-8]
         disc = usable[-1] if usable else discs[0]
         n = disc.n
         corner = corner_values((phi, psi), n)
@@ -352,12 +342,12 @@ def m_sweep_worst(phi: Trajectory, psi: Trajectory, discs, top: int, betas: int 
             m_val = m_point(corner, z)
             worst = max(
                 worst,
-                abs(_f(k, k.absval(m_val - disc.center) / disc.radius) - 1.0),
+                abs(to_float(k, abs(m_val - disc.center) / disc.radius) - 1.0),
             )
             chi_traj = chi((phi, psi), m_val)
             defect = on_circle_defect(model, chi_traj, m_val, lam_s, n)
-            scale = k.absval(k.im(m_val) / k.im(lam_s)) + 1
-            worst = max(worst, _f(k, k.absval(defect) / scale))
+            scale = abs(m_val.imag / lam_s.imag) + 1
+            worst = max(worst, to_float(k, abs(defect) / scale))
         return worst
 
 
@@ -369,11 +359,11 @@ def y2_two_route_worst(traj: Trajectory, top: int) -> float:
     traj = traj.cut(top)
     lam_s = traj.lam
     with model.workprec():
-        sup = max(_f(k, k.absval(v)) for v in traj.y2)
-        sup = max(sup, max(_f(k, k.absval(v)) for v in traj.y1))
+        sup = max(to_float(k, abs(v)) for v in traj.y2)
+        sup = max(sup, max(to_float(k, abs(v)) for v in traj.y1))
         worst = 0.0
         for direct, y2 in zip(y2_relation(model, lam_s, traj.y1, model.a - 1, top), traj.y2):
-            worst = max(worst, _f(k, k.absval(direct - y2)) / sup)
+            worst = max(worst, to_float(k, abs(direct - y2)) / sup)
         return worst
 
 
@@ -390,7 +380,7 @@ def vop_worst(basis: tuple[Trajectory, Trajectory], solutions, anchor: int,
     with model.workprec():
         worst = 0.0
         for z in solutions:
-            gap = k.absval(phi.lam - z.lam)
+            gap = abs(phi.lam - z.lam)
             try:
                 res = vop_reconstruct(basis, z, anchor, t_check)
             except MatchingSingularError:
@@ -401,16 +391,16 @@ def vop_worst(basis: tuple[Trajectory, Trajectory], solutions, anchor: int,
                 *z.component_columns(*window), *phi.component_columns(*window),
                 *psi.component_columns(*window),
             ):
-                z_mag = k.absval(z1) + k.absval(z2)
-                term_mag = term_mag + (k.absval(f1) + k.absval(f2)) * z_mag
-                term_mag = term_mag + (k.absval(g1) + k.absval(g2)) * z_mag
-            k_mag = k.absval(res.k1) + k.absval(res.k2)
+                z_mag = abs(z1) + abs(z2)
+                term_mag = term_mag + (abs(f1) + abs(f2)) * z_mag
+                term_mag = term_mag + (abs(g1) + abs(g2)) * z_mag
+            k_mag = abs(res.k1) + abs(res.k2)
             for at, defect in ((Trajectory.y1_at, res.defect_y1),
                                (Trajectory.y2_at, res.defect_y2)):
-                basis_mag = k.absval(at(psi, t_check)) + k.absval(at(phi, t_check))
-                value_mag = k.absval(at(z, t_check))
+                basis_mag = abs(at(psi, t_check)) + abs(at(phi, t_check))
+                value_mag = abs(at(z, t_check))
                 scale = 1 + value_mag + (k_mag + gap * term_mag) * (basis_mag + 1)
-                worst = max(worst, _f(k, k.absval(defect) / scale))
+                worst = max(worst, to_float(k, abs(defect) / scale))
         return worst
 
 
@@ -434,7 +424,7 @@ def run_suite(model: CoefficientSet, lam, alpha: float = 0.0,
     with model.workprec():
         lam_s = as_lambda_scalar(model, lam)
         # the disc lines need a nonreal lam: refuse a real one before solving
-        if k.im(lam_s) == 0:
+        if lam_s.imag == 0:
             raise InadmissibleLambdaError("the invariant suite requires a nonreal lam")
         table = step_table(model, lam_s, span)
         phi, psi = fundamental_pair(model, lam_s, alpha, span, table=table)

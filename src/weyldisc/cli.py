@@ -22,7 +22,7 @@ import time
 from pathlib import Path
 
 from . import checks as checks_mod
-from .backends import big_backend_name
+from .backends import big_backend_name, to_float
 from .errors import (
     EvaluationError,
     InadmissibleLambdaError,
@@ -174,8 +174,7 @@ def _verdict_payload(v) -> dict:
         "outcome": v.outcome,
         "failing_condition": v.failing_condition,
         "reason": v.reason,
-        "witnesses": {key: repr(val) if val != val or val in (float("inf"), float("-inf")) else val
-                      for key, val in v.witnesses.items()},
+        "witnesses": v.witnesses,
     }
 
 
@@ -226,7 +225,7 @@ def _cmd_ivp(args) -> int:
             y1 = traj.y1_at(t)
             y2 = traj.y2_at(t)
             qd = traj.y1q_at(t)
-            fmt = lambda z: f"{float(kernel.to_mpf(kernel.re(z))):.6g}{float(kernel.to_mpf(kernel.im(z))):+.6g}j"
+            fmt = lambda z: f"{to_float(kernel, z.real):.6g}{to_float(kernel, z.imag):+.6g}j"
             print(f"{t:>5d}  {fmt(y1):>24s}  {fmt(y2):>24s}  {fmt(qd):>24s}")
     return EXIT_OK
 
@@ -257,7 +256,7 @@ def _cmd_eigen(args) -> int:
     angles = BoundaryAngles(alpha=scenario.alpha, beta=args.beta)
     residual = regular_eigen_residual(model, scenario.lam, angles, args.N)
     with model.workprec():
-        mag = float(kernel.to_mpf(kernel.absval(residual)))
+        mag = to_float(kernel, abs(residual))
     payload = {
         "N": args.N,
         "beta": args.beta,

@@ -20,12 +20,12 @@ a guess, and a definite verdict can never flip under a longer horizon.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expr as ex
 from . import growth
+from .backends import to_float
 from .errors import EvaluationError
 from .model import Coefficient, CoefficientSet, ExprCoefficient
 
@@ -41,18 +41,11 @@ class CriterionVerdict:
     reason: str | None = None
 
 
-def _float_of(model: CoefficientSet, value) -> float:
-    try:
-        return float(model.kernel.to_mpf(value))
-    except (OverflowError, ValueError):
-        return math.inf
-
-
 def _sup(model: CoefficientSet, fn, *columns) -> float:
     """Largest ``fn`` over the zipped columns as a machine float, at least 0."""
     worst = 0.0
     for value in map(fn, *columns):
-        worst = max(worst, _float_of(model, value))
+        worst = max(worst, to_float(model.kernel, value))
     return worst
 
 

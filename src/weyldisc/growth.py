@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from . import expr as ex
 
@@ -339,19 +339,10 @@ def shift_poly(poly: ExpPoly) -> ExpPoly:
     for (b, k), c in poly.items():
         base_coeff = c / b
         for j in range(k + 1):
-            binom = Fraction(
-                _binomial(k, j) * ((-1) ** (k - j))
-            )
+            binom = Fraction(comb(k, j) * ((-1) ** (k - j)))
             key = (b, j)
             out[key] = out.get(key, Fraction(0)) + base_coeff * binom
     return _clean(out)
-
-
-def _binomial(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def nabla_poly(poly: ExpPoly) -> ExpPoly:

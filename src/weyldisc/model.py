@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from . import expr as ex
 from . import growth
-from .backends import BIG_KERNEL, native_kernel
+from .backends import BIG_KERNEL, native_kernel, to_float
 from .errors import CoefficientRangeError, EvaluationError
 
 
@@ -301,17 +301,14 @@ def spectral_gap(model: CoefficientSet, lam, horizon: int) -> SpectralPoint:
         first = model.a - 1
         d_col = model.column("d", first, horizon)
         for d_val, m_val in zip(d_col, m_excl_column(model, first, horizon)):
-            gap = min(k.absval(lam - d_val), k.absval(lam - m_val))
+            gap = min(abs(lam - d_val), abs(lam - m_val))
             margin = gap if margin is None else min(margin, gap)
-        try:
-            margin_f = float(k.to_mpf(margin))
-        except OverflowError:
-            margin_f = float("inf")
+        margin_f = to_float(k, margin)
 
-        if k.im(lam) != 0:
+        if lam.imag != 0:
             return SpectralPoint(lam=lam, margin=margin_f, decided_symbolically=True)
 
-        lam_frac = k.to_fraction(k.re(lam))
+        lam_frac = k.to_fraction(lam.real)
         d_cls = model.d.growth_class()
         m_cls = m_excl_growth_class(model)
         if d_cls is None or m_cls is None:

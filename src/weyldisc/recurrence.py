@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .backends import to_float
 from .errors import (
     InadmissibleLambdaError,
     PrecisionExhaustedError,
@@ -509,7 +510,6 @@ def relative_residuals(model: CoefficientSet, traj: Trajectory, first: int,
     previous-term magnitudes at t+1.
     """
     k = model.kernel
-    absval = k.absval
     out = []
     with model.workprec():
         lam = traj.lam
@@ -522,19 +522,19 @@ def relative_residuals(model: CoefficientSet, traj: Trajectory, first: int,
             pd_prev, pd, qy1, cy2_prev, cy2, hy2, cd, hy1, dy2 = terms
             ly2 = lam * y2_t
             row2 = row2 - ly2
-            scale2 = absval(cd) + absval(hy1) + absval(dy2) + absval(ly2) + 1
-            worst = float(k.to_mpf(absval(row2) / scale2))
-            abs_pd, abs_cy2 = absval(pd), absval(cy2)
+            scale2 = abs(cd) + abs(hy1) + abs(dy2) + abs(ly2) + 1
+            worst = to_float(k, abs(row2) / scale2)
+            abs_pd, abs_cy2 = abs(pd), abs(cy2)
             if row1 is not None:
                 if abs_pd_prev is None:
-                    abs_pd_prev, abs_cy2_prev = absval(pd_prev), absval(cy2_prev)
+                    abs_pd_prev, abs_cy2_prev = abs(pd_prev), abs(cy2_prev)
                 ly1 = lam * y1_t
                 row1 = row1 - ly1
                 scale1 = (
-                    abs_pd + abs_pd_prev + absval(qy1) + abs_cy2 + abs_cy2_prev
-                    + absval(hy2) + absval(ly1) + 1
+                    abs_pd + abs_pd_prev + abs(qy1) + abs_cy2 + abs_cy2_prev
+                    + abs(hy2) + abs(ly1) + 1
                 )
-                worst = max(worst, float(k.to_mpf(absval(row1) / scale1)))
+                worst = max(worst, to_float(k, abs(row1) / scale1))
             out.append(worst)
             abs_pd_prev, abs_cy2_prev = abs_pd, abs_cy2
     return out

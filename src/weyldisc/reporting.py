@@ -4,13 +4,16 @@ Reports are JSON with sorted keys; every big-float value is rendered
 through one decimal formatter at a fixed digit count, so identical
 scenario + package version + backend reproduce byte-identical files.
 Wall-clock timings are therefore never written into the report file;
-the CLI prints them to stdout instead.
+the CLI prints them to stdout instead.  Reports are strict JSON: a
+machine float that is inf or nan is written as the string of its
+``repr``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 from . import __version__ as TOOL_VERSION
@@ -33,16 +36,22 @@ def report_body(command: str, scenario: Scenario, payload: dict) -> dict:
     }
 
 
-def _jsonable(value):
-    if isinstance(value, float) and (value != value or value in (float("inf"), float("-inf"))):
+def _strict(value):
+    """``value`` with every non-finite float replaced by its ``repr``
+    ("inf", "-inf", "nan"): strict JSON has no Infinity or NaN."""
+    if isinstance(value, float) and not math.isfinite(value):
         return repr(value)
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
     return value
 
 
 def dump_report(report: dict, path: str | Path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(report, sort_keys=True, indent=2, default=_jsonable)
+    text = json.dumps(_strict(report), sort_keys=True, indent=2, allow_nan=False)
     path.write_text(text + "\n")
     return path
 
@@ -62,8 +71,8 @@ def write_disc_csv(path: str | Path, kernel, discs, psi_sums, chi_sums) -> Path:
         for disc in discs:
             writer.writerow([
                 disc.n,
-                format_real(kernel, kernel.re(disc.center), DIGITS),
-                format_real(kernel, kernel.im(disc.center), DIGITS),
+                format_real(kernel, disc.center.real, DIGITS),
+                format_real(kernel, disc.center.imag, DIGITS),
                 format_real(kernel, disc.radius, DIGITS),
                 format_real(kernel, psi_by_n[disc.n], DIGITS),
                 format_real(kernel, chi_by_n[disc.n], DIGITS) if disc.n in chi_by_n else "",

@@ -20,18 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MatchingSingularError, WindowError
+from .errors import MatchingSingularError, NumericalInvariantError, WindowError
 from .model import CoefficientSet, m_excl_column
 from .recurrence import Trajectory, max_relative_residual, operator_window
 
 
 def bracket(y: Trajectory, z: Trajectory, t: int):
     """Skew pairing [y, z](t); the building block of Green's formula."""
-    k = y.model.kernel
     with y.model.workprec():
-        return y.y1_at(t + 1) * k.conj(z.y1q_at(t)) - y.y1q_at(t) * k.conj(
-            z.y1_at(t + 1)
-        )
+        return (y.y1_at(t + 1) * z.y1q_at(t).conjugate()
+                - y.y1q_at(t) * z.y1_at(t + 1).conjugate())
 
 
 def green_defect(model: CoefficientSet, y, z, top: int):
@@ -58,7 +56,6 @@ def green_terms(model: CoefficientSet, y, z, top: int) -> tuple:
             f"got {len(y)} and {len(z)}"
         )
     k = model.kernel
-    conj = k.conj
     y1, y2 = [v[0] for v in y], [v[1] for v in y]
     z1, z2 = [v[0] for v in z], [v[1] for v in z]
     with model.workprec():
@@ -70,8 +67,8 @@ def green_terms(model: CoefficientSet, y, z, top: int) -> tuple:
         )
         for i, ((ly1, ly2, y_terms), (lz1, lz2, z_terms)) in enumerate(walk, 1):
             rows.append(((ly1, ly2), (lz1, lz2)))
-            inner += conj(z1[i]) * ly1 + conj(z2[i]) * ly2
-            inner -= conj(lz1) * y1[i] + conj(lz2) * y2[i]
+            inner += z1[i].conjugate() * ly1 + z2[i].conjugate() * ly2
+            inner -= lz1.conjugate() * y1[i] + lz2.conjugate() * y2[i]
             if i == 1:
                 # p dy1 + c y2 at a-1: the previous terms at t = a
                 y_left = y_terms[0] + y_terms[3]
@@ -80,8 +77,8 @@ def green_terms(model: CoefficientSet, y, z, top: int) -> tuple:
         y_top = y_terms[1] + y_terms[4]
         z_top = z_terms[1] + z_terms[4]
         n = len(rows)
-        boundary = (y1[n + 1] * conj(z_top) - y_top * conj(z1[n + 1])) - (
-            y1[1] * conj(z_left) - y_left * conj(z1[1])
+        boundary = (y1[n + 1] * z_top.conjugate() - y_top * z1[n + 1].conjugate()) - (
+            y1[1] * z_left.conjugate() - y_left * z1[1].conjugate()
         )
         return inner - boundary, rows
 
@@ -91,12 +88,12 @@ _RESIDUAL_GATE_SHIFT = 3  # non-solution detection threshold: 2^-(bits/3)
 
 def _require_solution(traj: Trajectory, what: str, worst: float | None) -> None:
     """Refuse a trajectory whose max relative residual ``worst`` (swept
-    here when None) exceeds 2^-(bits/3)."""
+    here when None) exceeds 2^-(bits/3) with NumericalInvariantError."""
     bits = traj.model.precision.bits
     if worst is None:
         worst = max_relative_residual(traj.model, traj)
     if worst > 2.0 ** (-(bits // _RESIDUAL_GATE_SHIFT)):
-        raise ValueError(
+        raise NumericalInvariantError(
             f"{what} does not solve its equation "
             f"(max relative residual {worst:.3e})"
         )
@@ -108,9 +105,10 @@ def lagrange_identity_defect(
     """Defect of the summed Green's identity for solutions phi at lam and
     psi at mu:  (lam - conj(mu)) * sum psi~(t) phi(t) - bracket increment.
 
-    Both trajectories must solve their equations over their whole windows;
-    ``residuals``, when given, are their max relative residuals as the
-    caller already swept them, and are gated instead of sweeping again.
+    Both trajectories must solve their equations over their whole windows,
+    else NumericalInvariantError is raised; ``residuals``, when given, are
+    their max relative residuals as the caller already swept them, and are
+    gated instead of sweeping again.
     """
     if phi.model is not psi.model and phi.model != psi.model:
         raise WindowError("trajectories belong to different models")
@@ -123,8 +121,8 @@ def lagrange_identity_defect(
         total = k.complex(0)
         for p1, p2, s1, s2 in zip(*phi.component_columns(model.a, top),
                                   *psi.component_columns(model.a, top)):
-            total += k.conj(s1) * p1 + k.conj(s2) * p2
-        lhs = (phi.lam - k.conj(psi.lam)) * total
+            total += s1.conjugate() * p1 + s2.conjugate() * p2
+        lhs = (phi.lam - psi.lam.conjugate()) * total
         rhs = bracket(phi, psi, top) - bracket(phi, psi, model.a - 1)
         return lhs - rhs
 

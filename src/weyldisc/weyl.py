@@ -130,8 +130,8 @@ def corner_values(pair: tuple[Trajectory, Trajectory], n: int) -> CornerValues:
         a_val, b_val = phi.state(n)
         c_val, d_val = psi.state(n)
         lhs = a_val * d_val - b_val * c_val
-        scale = k.absval(a_val * d_val) + k.absval(b_val * c_val) + 1
-        if not k.absval(lhs - 1) <= scale * k.real(2) ** (-(model.precision.bits - 8)):
+        scale = abs(a_val * d_val) + abs(b_val * c_val) + 1
+        if not abs(lhs - 1) <= scale * k.real(2) ** (-(model.precision.bits - 8)):
             raise NumericalInvariantError(
                 f"pair determinant at N={n} deviates from 1 beyond tolerance"
             )
@@ -156,11 +156,10 @@ def _disc_rows(model, phi, psi, lam, n_hi):
     a line.
     """
     k = model.kernel
-    abs2, conj, re, im = k.abs2, k.conj, k.re, k.im
-    cplx, absval = k.complex, k.absval
-    d_im0 = im(bracket(psi, psi, model.a - 1))
+    abs2, cplx = k.abs2, k.complex
+    d_im0 = bracket(psi, psi, model.a - 1).imag
     mixed0 = bracket(phi, psi, model.a - 1)
-    two_im = 2 * im(lam)
+    two_im = 2 * lam.imag
     factor = cplx(0, two_im)
     s_run = k.real(0)
     w_run = cplx(0)
@@ -174,14 +173,14 @@ def _disc_rows(model, phi, psi, lam, n_hi):
     try:
         for t, s1, s2, p1, p2 in samples:
             s_run = s_run + abs2(s1) + abs2(s2)
-            w_run = w_run + conj(s1) * p1 + conj(s2) * p2
+            w_run = w_run + s1.conjugate() * p1 + s2.conjugate() * p2
             psi_sums.append((t, s_run))
             d_im = d_im0 + two_im * s_run
             if d_im == 0:
                 continue
             mixed = mixed0 + factor * w_run
-            center = cplx(-im(mixed) / d_im, re(mixed) / d_im)
-            discs.append(WeylDisc(n=t, center=center, radius=1 / absval(d_im)))
+            center = cplx(-mixed.imag / d_im, mixed.real / d_im)
+            discs.append(WeylDisc(n=t, center=center, radius=1 / abs(d_im)))
     except OverflowError:
         raise _sums_exhausted(t) from None
     # an overflowed running sum stays inf or nan, so the last one tells
@@ -201,10 +200,9 @@ def _sums_exhausted(t: int) -> PrecisionExhaustedError:
 
 def weyl_disc(model: CoefficientSet, lam, alpha: float, n: int) -> WeylDisc:
     """Center and radius of the m-point circle at window end n."""
-    k = model.kernel
     with model.workprec():
         lam = as_lambda_scalar(model, lam)
-        if k.im(lam) == 0:
+        if lam.imag == 0:
             raise InadmissibleLambdaError("Weyl discs require a nonreal lam")
         phi, psi = fundamental_pair(model, lam, alpha, n)
         discs, _ = _disc_rows(model, phi, psi, lam, n)
@@ -242,11 +240,11 @@ def on_circle_defect(model: CoefficientSet, chi_traj: Trajectory, m, lam, n: int
     k = model.kernel
     with model.workprec():
         lam = as_lambda_scalar(model, lam)
-        if k.im(lam) == 0:
+        if lam.imag == 0:
             raise InadmissibleLambdaError("circle membership requires nonreal lam")
         sums = _profile(model, chi_traj, n)
         total = sums[-1][1] if sums else k.real(0)
-        return total - k.im(m) / k.im(lam)
+        return total - m.imag / lam.imag
 
 
 def regular_eigen_residual(
@@ -273,10 +271,6 @@ def regular_eigen_residual(
 # Classification
 
 
-def _norm1(state, k):
-    return k.absval(state[0]) + k.absval(state[1])
-
-
 def _stable_chi(model, lam, phi, psi, m, n_max, radius_last, table):
     """chi = phi + m psi, by the forward combination when it keeps at least
     half the mantissa everywhere, else by backward propagation (through
@@ -288,9 +282,8 @@ def _stable_chi(model, lam, phi, psi, m, n_max, radius_last, table):
     ``Trajectory.combined``) only when every state passes, so a
     cancelling chi stops the scan at its first lost state."""
     k = model.kernel
-    absval = k.absval
     bits = model.precision.bits
-    m_abs = absval(m)
+    m_abs = abs(m)
     floor = k.real(2) ** (-(bits // 2))
     y1, y1q = [], []
     states = zip(
@@ -300,8 +293,8 @@ def _stable_chi(model, lam, phi, psi, m, n_max, radius_last, table):
     for f0, f1, s0, s1 in states:
         c0 = f0 + m * s0
         c1 = f1 + m * s1
-        mag = (absval(f0) + absval(f1)) + m_abs * (absval(s0) + absval(s1))
-        if absval(c0) + absval(c1) < mag * floor:
+        mag = (abs(f0) + abs(f1)) + m_abs * (abs(s0) + abs(s1))
+        if abs(c0) + abs(c1) < mag * floor:
             break
         y1.append(c0)
         y1q.append(c1)
@@ -318,7 +311,7 @@ def _stable_chi(model, lam, phi, psi, m, n_max, radius_last, table):
         phi.y1_at(model.a) + m * psi.y1_at(model.a),
         phi.y1q_at(model.a - 1) + m * psi.y1q_at(model.a - 1),
     )
-    norm_left = _norm1(left_target, k)
+    norm_left = abs(left_target[0]) + abs(left_target[1])
     # backward-normalization mismatch allows for m being the disc center
     # rather than the true limit point: that shift is at most the radius
     thresh = norm_left * k.real(2) ** (-(bits // 4)) + 8 * radius_last * (1 + m_abs)
@@ -328,11 +321,11 @@ def _stable_chi(model, lam, phi, psi, m, n_max, radius_last, table):
             table=table,
         )
         w_left = w.state(model.a - 1)
-        j = 0 if k.absval(left_target[0]) >= k.absval(left_target[1]) else 1
+        j = 0 if abs(left_target[0]) >= abs(left_target[1]) else 1
         if w_left[j] == 0:
             continue
         scale = left_target[j] / w_left[j]
-        mismatch = k.absval(w_left[1 - j] * scale - left_target[1 - j])
+        mismatch = abs(w_left[1 - j] * scale - left_target[1 - j])
         if mismatch <= thresh:
             return w.scaled(scale), "backward"
     return None, "unavailable"
@@ -387,12 +380,11 @@ def classify(
         raise ValueError(
             "n_max must exceed a + window + 4 for the trailing-window tests"
         )
-    k = model.kernel
     with model.workprec():
         lam = as_lambda_scalar(model, lam)
         # a nonreal lam is admissible (the excluded values are real), so no
         # horizon scan is needed; the step table still refuses an exact hit
-        if k.im(lam) == 0:
+        if lam.imag == 0:
             raise InadmissibleLambdaError("classification requires a nonreal lam")
 
         # one step table feeds phi, psi and every backward chi seed

@@ -1,6 +1,7 @@
 import pytest
 
 from weyldisc import builtin_names, builtin_scenario, classify
+from weyldisc.backends import to_float
 
 # verdicts the classifier must reproduce for the built-in families
 EXPECTED_VERDICTS = {
@@ -14,16 +15,11 @@ EXPECTED_VERDICTS = {
 
 def fabs(model, value) -> float:
     """Magnitude of a kernel scalar as a machine float."""
-    k = model.kernel
     with model.workprec():
-        try:
-            return float(k.to_mpf(k.absval(value)))
-        except (OverflowError, ValueError):
-            return float("inf")
+        return to_float(model.kernel, abs(value))
 
 
 def fdiff(model, x, y) -> float:
-    k = model.kernel
     with model.workprec():
         return fabs(model, x - y)
 

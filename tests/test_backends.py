@@ -5,16 +5,34 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from weyldisc import backends
 from weyldisc.backends import (
     BIG_KERNEL,
+    Gmpy2Kernel,
     MpmathKernel,
     format_complex,
     format_real,
     native_kernel,
+    to_float,
 )
 from weyldisc.errors import EvaluationError
 
 KERNELS = [BIG_KERNEL, native_kernel()]
+
+# every kernel the protocol test covers; one that cannot be imported here
+# is reported as skipped
+IMPORTABLE = [
+    pytest.param(MpmathKernel, id="mpmath"),
+    pytest.param(native_kernel, id="native"),
+    pytest.param(Gmpy2Kernel, id="gmpy2", marks=pytest.mark.skipif(
+        backends.gmpy2 is None, reason="gmpy2 is not importable")),
+]
+
+# what the solvers call on a kernel object; the scalar types carry the rest
+PROTOCOL_METHODS = (
+    "workprec", "real", "complex", "abs2", "isfinite", "sqrt_nonneg",
+    "pow_real", "pow_positive", "sin", "cos", "to_fraction", "to_mpf",
+)
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
@@ -53,13 +71,41 @@ def test_pow_sign_rules(kernel):
             kernel.pow_real(kernel.real(0), kernel.real(-1))
 
 
-@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
-def test_complex_parts(kernel):
+@pytest.mark.parametrize("make", IMPORTABLE)
+def test_kernel_protocol(make):
+    """A kernel provides the methods the solvers call, and its scalars
+    give exact parts, conjugates and moduli through ``.real``, ``.imag``,
+    ``.conjugate()`` and ``abs``, reals as well as complex values."""
+    kernel = make()
+    assert isinstance(kernel.name, str)
+    assert isinstance(kernel.needs_finite_checks, bool)
+    for method in PROTOCOL_METHODS:
+        assert callable(getattr(kernel, method)), method
+    exact = kernel.to_fraction
     with kernel.workprec(128):
         z = kernel.complex(1.5, -2.5)
-        assert kernel.to_fraction(kernel.re(z)) == Fraction(3, 2)
-        assert kernel.to_fraction(kernel.im(z)) == Fraction(-5, 2)
-        assert kernel.to_fraction(kernel.im(kernel.conj(z))) == Fraction(5, 2)
+        assert (exact(z.real), exact(z.imag)) == (Fraction(3, 2), Fraction(-5, 2))
+        w = z.conjugate()
+        assert (exact(w.real), exact(w.imag)) == (Fraction(3, 2), Fraction(5, 2))
+        assert exact(abs(kernel.complex(3, -4))) == 5
+        x = kernel.real(Fraction(-3, 4))
+        assert (exact(x.real), exact(x.imag)) == (Fraction(-3, 4), 0)
+        assert exact(x.conjugate()) == Fraction(-3, 4)
+        assert exact(abs(x)) == Fraction(3, 4)
+        assert to_float(kernel, abs(z.conjugate() - z)) == 5.0
+
+
+def test_to_float_is_infinite_past_the_float_range():
+    k = MpmathKernel()
+    with k.workprec(256):
+        huge = k.pow_real(k.real(2), k.real(2000))
+        assert to_float(k, huge) == math.inf
+        assert to_float(k, -huge) == -math.inf
+        assert to_float(k, 1 / huge) == 0.0
+        assert to_float(k, k.real(1) / 3) == 1 / 3
+    n = native_kernel()
+    for x in (math.inf, -math.inf, 0.1, -2.5):
+        assert to_float(n, x) == x
 
 
 def test_big_precision_actually_applies():
@@ -101,10 +147,8 @@ def test_abs2_is_the_squared_modulus(kernel):
         for re, im in ((3, 4), (0.1, -2.5), (-1e-30, 7e20), (0, 0), (5, 0)):
             z = kernel.complex(re, im)
             got = kernel.abs2(z)
-            want = kernel.absval(z) ** 2
-            assert float(kernel.to_mpf(kernel.absval(got - want))) <= tol * float(
-                kernel.to_mpf(want)
-            )
+            want = abs(z) ** 2
+            assert to_float(kernel, abs(got - want)) <= tol * to_float(kernel, want)
         assert kernel.abs2(kernel.real(-3)) == 9
 
 

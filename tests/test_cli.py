@@ -197,6 +197,23 @@ def test_cli_eigen(tmp_path, capsys):
     assert payload["residual_abs"] == pytest.approx(2.0, rel=1e-12)
 
 
+def _strict_json(text: str):
+    """json.loads that refuses Infinity and NaN, which strict JSON lacks."""
+    def refuse(name):
+        raise ValueError(f"{name} is not strict JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_cli_reports_are_strict_json(tmp_path):
+    """ex4.2a's residual at N = 40 is far past the float range: its
+    magnitude is written as the string "inf", not as Infinity."""
+    assert main(["eigen", "ex4.2a", "--lambda-re", "0.5", "--lambda-im", "0",
+                 "--N", "40", "--out", str(tmp_path)]) == 0
+    payload = _strict_json((tmp_path / "ex4.2a_eigen.json").read_text())
+    assert payload["residual_abs"] == "inf"
+    assert payload["residual"]["re"].endswith("e+493")
+
+
 def test_cli_criteria(tmp_path, capsys):
     code = main(["criteria", "ex4.2a", "--M", "1", "--out", str(tmp_path)])
     assert code == 0
@@ -256,6 +273,26 @@ def test_cli_check_reports_a_singular_vop_matching_system(capsys):
     failing = {inv for inv, (status, _) in lines.items() if status == "FAIL"}
     assert failing == {"variation_of_parameters"}
     assert "ex4.2a: 14/15 invariants hold" in captured.out
+
+
+def test_cli_check_reports_failed_solution_gates_as_inf(tmp_path, capsys):
+    """At 53 bits this a = 3 family's solutions miss their equation far
+    beyond the Lagrange lines' solution gate; both lines read inf and the
+    suite prints every line instead of failing as a scenario error."""
+    path = tmp_path / "gate.json"
+    path.write_text(json.dumps({
+        "name": "gate", "a": 3, "p": "2^t", "q": "(2*2^t*t)",
+        "c": "(-2*4^t*t^2)", "h": "(2*4^t*t)", "d": "(2*(1/2)^t*t^2)",
+        "lambda": {"re": -0.46, "im": 1.21},
+    }))
+    code = main(["check", str(path), "--bits", "53", "--n-max", "20"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    lines = _check_lines(captured.out)
+    assert list(lines) == INVARIANTS
+    assert lines["lagrange_identity_equal_lam"] == ("FAIL", "worst=inf")
+    assert lines["lagrange_identity_two_lams"] == ("FAIL", "worst=inf")
 
 
 def test_forced_python_backend_agrees():

@@ -25,7 +25,7 @@ def _inside_root(k, lam):
     disc = (b * b - 4) ** k.real(0.5)
     mu1 = (b + disc) / 2
     mu2 = (b - disc) / 2
-    return mu1 if k.absval(mu1) < 1 else mu2
+    return mu1 if abs(mu1) < 1 else mu2
 
 
 def test_free_model_limit_point_closed_form(models, classify_memo):

@@ -63,9 +63,8 @@ def test_corner_values_free_model(models):
     assert fdiff(free, corner.C, 1 - 1j) == 0
     assert fdiff(free, corner.D, -1j) == 0
     with free.workprec():
-        k = free.kernel
         assert fdiff(free, corner.A * corner.D - corner.B * corner.C, 1) == 0
-        diag = corner.C * k.conj(corner.D) - corner.D * k.conj(corner.C)
+        diag = corner.C * corner.D.conjugate() - corner.D * corner.C.conjugate()
         assert fdiff(free, diag, 2j) == 0
 
 
@@ -88,7 +87,7 @@ def test_disc_nesting_first_steps(models):
     with free.workprec():
         k = free.kernel
         assert float(k.to_mpf(d1.radius)) <= float(k.to_mpf(d0.radius))
-        gap = k.absval(d1.center - d0.center)
+        gap = abs(d1.center - d0.center)
         assert float(k.to_mpf(gap - (d0.radius - d1.radius))) <= 1e-70
 
 
@@ -101,10 +100,10 @@ def test_m_point_values_and_circle_membership(models):
         k = free.kernel
         m0 = m_point(corner, k.real(0))
         assert fdiff(free, m0, 1j) == 0
-        assert fdiff(free, k.absval(m0 - disc.center), 0.5) == 0
+        assert fdiff(free, abs(m0 - disc.center), 0.5) == 0
         m_inf = m_point(corner, math.inf)
         assert fdiff(free, m_inf, 0.5 + 0.5j) == 0
-        assert fdiff(free, k.absval(m_inf - disc.center), 0.5) < 1e-70
+        assert fdiff(free, abs(m_inf - disc.center), 0.5) < 1e-70
 
 
 def test_m_sweep_stays_on_circle(models):
@@ -118,7 +117,7 @@ def test_m_sweep_stays_on_circle(models):
             beta = math.pi * i / 8
             z = math.inf if beta == 0 else k.cos(beta) / k.sin(beta)
             m_val = m_point(corner, z)
-            dev = abs(float(k.to_mpf(k.absval(m_val - disc.center) / disc.radius)) - 1)
+            dev = abs(float(k.to_mpf(abs(m_val - disc.center) / disc.radius)) - 1)
             assert dev < 1e-40
             defect = on_circle_defect(free, chi(pair, m_val), m_val, 1j, 8)
             assert fabs(free, defect) < 1e-40
@@ -156,18 +155,18 @@ def test_on_circle_defect_sign(models):
     with free.workprec():
         # center lies strictly inside: defect negative
         center_defect = on_circle_defect(free, chi(pair, disc.center), disc.center, 1j, 6)
-        assert float(k.to_mpf(k.re(center_defect))) < 0
+        assert float(k.to_mpf(center_defect.real)) < 0
         # a circle point of the *larger* window N'=9 is inside at N=6 but on at 9
         pair9 = fundamental_pair(free, 1j, 0.0, 12)
         corner9 = corner_values(pair9, 9)
         m9 = m_point(corner9, k.real(0.7))
         inner = on_circle_defect(free, chi(pair9, m9), m9, 1j, 6)
         outer = on_circle_defect(free, chi(pair9, m9), m9, 1j, 9)
-        assert float(k.to_mpf(k.re(inner))) < 0
+        assert float(k.to_mpf(inner.real)) < 0
         assert fabs(free, outer) < 1e-40
         # at n = a-1 the sum is empty
         empty = on_circle_defect(free, chi(pair9, m9), m9, 1j, -1)
-        assert empty == -k.im(m9)
+        assert empty == -m9.imag
 
 
 def test_classify_reproduces_expected_verdicts(classify_memo):
@@ -373,16 +372,16 @@ def _old_disc(model, phi, psi, lam, n):
     """The disc at N = n by the complex division and modulus of the
     summed diagonal bracket, with |.|^2 taken as a squared modulus."""
     k = model.kernel
-    factor = k.complex(0, 2) * k.im(lam)
+    factor = k.complex(0, 2) * lam.imag
     s_run = k.real(0)
     w_run = k.complex(0)
     for s1, s2, p1, p2 in zip(*psi.component_columns(model.a, n),
                               *phi.component_columns(model.a, n)):
-        s_run = s_run + k.absval(s1) ** 2 + k.absval(s2) ** 2
-        w_run = w_run + k.conj(s1) * p1 + k.conj(s2) * p2
+        s_run = s_run + abs(s1) ** 2 + abs(s2) ** 2
+        w_run = w_run + s1.conjugate() * p1 + s2.conjugate() * p2
     diag = bracket(psi, psi, model.a - 1) + factor * s_run
     mixed = bracket(phi, psi, model.a - 1) + factor * w_run
-    return -mixed / diag, 1 / k.absval(diag)
+    return -mixed / diag, 1 / abs(diag)
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_VERDICTS))
@@ -399,7 +398,7 @@ def test_disc_rows_match_the_division_formulas(models, name):
         lam = k.complex(0.5, 1)
         phi, psi = fundamental_pair(model, lam, 0.3, top)
         discs, _ = _disc_rows(model, phi, psi, lam, top)
-        assert k.re(bracket(psi, psi, model.a - 1)) == 0
+        assert bracket(psi, psi, model.a - 1).real == 0
         for disc in discs[::7] + [discs[-1]]:
             center, radius = _old_disc(model, phi, psi, lam, disc.n)
             assert fdiff(model, disc.radius, radius) <= tol * fabs(model, radius)
@@ -442,7 +441,6 @@ def test_classify_is_conjugate_symmetric(name, mode):
     floats at either lam.  The comparisons run inside the model's
     precision, which conj and the differences must not round."""
     model = builtin_scenario(name).model().with_precision(PrecisionConfig(mode=mode))
-    k = model.kernel
     options = ClassifyOptions(n_max=200)
     for lam in (1j, 0.3 + 0.7j, -1.5 + 0.3j):
         if (name, mode) == ("ex4.2a", "native-float"):
@@ -453,9 +451,9 @@ def test_classify_is_conjugate_symmetric(name, mode):
         up = classify(model, lam, 0.0, options)
         down = classify(model, lam.conjugate(), 0.0, options)
         with model.workprec():
-            assert down.m_limit == k.conj(up.m_limit), lam
+            assert down.m_limit == up.m_limit.conjugate(), lam
             assert [(d.n, d.center, d.radius) for d in down.disc_samples] == [
-                (d.n, k.conj(d.center), d.radius) for d in up.disc_samples
+                (d.n, d.center.conjugate(), d.radius) for d in up.disc_samples
             ], lam
             assert (down.psi_profile, down.chi_profile) == (up.psi_profile, up.chi_profile), lam
             assert (down.verdict, down.chi_method) == (up.verdict, up.chi_method), lam
