@@ -35,12 +35,14 @@ provides
 The kernel's scalar types carry the rest: ``+ - * /`` among themselves
 and with Python ints, ``**`` with an int exponent, unary minus, ``==``
 and, on reals, the order comparisons; ``abs(z)``, the modulus as a
-real; and ``z.real``, ``z.imag`` and ``z.conjugate()``, which a real
-answers too.  ``to_float``,
-``format_real`` and ``format_complex`` below serve every kernel through
-``to_mpf``.  Division by an exact zero raises ``ZeroDivisionError`` on
-mpmath and native floats but returns inf on gmpy2, so a denominator
-that can legally vanish is tested before the division.
+real; ``z.real``, ``z.imag`` and ``z.conjugate()``, which a real
+answers too; and ``float(x)``, a real as a machine float rounded to
+nearest (an infinity past the float range, the sign of zero kept).
+``format_real`` and ``format_complex`` below render every kernel's
+values from their exact ``to_mpf``.  Division by an exact zero raises
+``ZeroDivisionError`` on mpmath and native floats but returns inf on
+gmpy2, so a denominator that can legally vanish is tested before the
+division.
 """
 
 from __future__ import annotations
@@ -306,25 +308,16 @@ def native_kernel() -> NativeKernel:
     return _NATIVE
 
 
-def format_real(kernel, x, digits: int = 40) -> str:
+# significant digits of every rendered value in reports and disc CSVs
+_DIGITS = 40
+
+
+def format_real(kernel, x) -> str:
     """Deterministic decimal rendering, identical across kernels: the
-    exact value of x to ``digits`` significant digits, formatted from its
-    own mantissa and exponent, whatever precision context is active."""
-    return _libmp.to_str(kernel.to_mpf(x)._mpf_, digits)
+    exact value of x to 40 significant digits, formatted from its own
+    mantissa and exponent, whatever precision context is active."""
+    return _libmp.to_str(kernel.to_mpf(x)._mpf_, _DIGITS)
 
 
-def format_complex(kernel, z, digits: int = 40) -> dict:
-    return {
-        "re": format_real(kernel, z.real, digits),
-        "im": format_real(kernel, z.imag, digits),
-    }
-
-
-def to_float(kernel, x) -> float:
-    """The real scalar x as a machine float, rounded to nearest: an
-    infinity past the float range, and inf where the kernel cannot
-    convert x."""
-    try:
-        return float(kernel.to_mpf(x))
-    except (OverflowError, ValueError):
-        return math.inf
+def format_complex(kernel, z) -> dict:
+    return {"re": format_real(kernel, z.real), "im": format_real(kernel, z.imag)}

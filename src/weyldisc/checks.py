@@ -28,7 +28,6 @@ import math
 import random
 from dataclasses import dataclass
 
-from .backends import to_float
 from .errors import (
     InadmissibleLambdaError,
     MatchingSingularError,
@@ -77,7 +76,6 @@ def oracle_deviation(direct: Trajectory, top: int) -> float:
     and the scalar three-term oracle solved from the same boundary data,
     relative to the largest sample."""
     model = direct.model
-    k = model.kernel
     direct = direct.cut(top)
     with model.workprec():
         # BoundaryData is (y1(a), y1q(a-1)), which the solution carries
@@ -86,9 +84,9 @@ def oracle_deviation(direct: Trajectory, top: int) -> float:
         worst = 0.0
         for seq_d, seq_o in ((direct.y1, oracle.y1), (direct.y2, oracle.y2),
                              (direct.y1q, oracle.y1q)):
-            sup = max(to_float(k, abs(v)) for v in seq_d) or 1.0
+            sup = max(float(abs(v)) for v in seq_d) or 1.0
             for vd, vo in zip(seq_d, seq_o):
-                worst = max(worst, to_float(k, abs(vd - vo)) / sup)
+                worst = max(worst, float(abs(vd - vo)) / sup)
         return worst
 
 
@@ -96,7 +94,6 @@ def transfer_det_deviation(table: StepTable, top: int) -> float:
     """|det(I - A(t)) - 1| over t = a .. top, relative to the magnitudes
     of the two products that make the determinant."""
     model = table.model
-    k = model.kernel
     rows = slice(table.index(model.a), table.index(top) + 1)
     with model.workprec():
         worst = 0.0
@@ -106,7 +103,7 @@ def transfer_det_deviation(table: StepTable, top: int) -> float:
             diag = (1 - a11) * (1 - a22)
             off = a12 * a21
             scale = abs(diag) + abs(off) + 1
-            worst = max(worst, to_float(k, abs(diag - off - 1) / scale))
+            worst = max(worst, float(abs(diag - off - 1) / scale))
         return worst
 
 
@@ -114,13 +111,12 @@ def _pairing_worst(phi: Trajectory, psi: Trajectory, first: int, top: int) -> fl
     """Largest |AD - BC - 1| / (|AD| + |BC| + 1) over t = first .. top, with
     (A, B) and (C, D) the states (y1(t+1), y1q(t)) of phi and psi: AD - BC
     is the pair's transfer determinant and their ``structure.wronskian``."""
-    k = phi.model.kernel
     with phi.model.workprec():
         worst = 0.0
         for a_v, b_v, c_v, d_v in zip(*phi.state_columns(first, top),
                                       *psi.state_columns(first, top)):
             ad, bc = a_v * d_v, b_v * c_v
-            worst = max(worst, to_float(k, abs(ad - bc - 1) / (abs(ad) + abs(bc) + 1)))
+            worst = max(worst, float(abs(ad - bc - 1) / (abs(ad) + abs(bc) + 1)))
         return worst
 
 
@@ -184,7 +180,7 @@ def green_relative_defect(model: CoefficientSet, y, z, top: int) -> float:
         for idx, ((ly1, ly2), (lz1, lz2)) in enumerate(rows, 1):
             scale = scale + (abs(ly1) + abs(ly2)) * (abs(z[idx][0]) + abs(z[idx][1]))
             scale = scale + (abs(lz1) + abs(lz2)) * (abs(y[idx][0]) + abs(y[idx][1]))
-        return to_float(k, abs(defect) / scale)
+        return float(abs(defect) / scale)
 
 
 def green_random_worst(
@@ -219,7 +215,7 @@ def lagrange_relative_defect(model, phi, psi, top: int, *, residuals=None) -> fl
         for p1, p2, s1, s2 in zip(*phi.component_columns(model.a, top),
                                   *psi.component_columns(model.a, top)):
             scale = scale + gap * (abs(p1) + abs(p2)) * (abs(s1) + abs(s2))
-        return to_float(k, abs(defect) / scale)
+        return float(abs(defect) / scale)
 
 
 def bracket_antisymmetry_worst(
@@ -251,26 +247,24 @@ def bracket_antisymmetry_worst(
             for t in points:
                 lhs = bracket(y, z, t)
                 rhs = -bracket(z, y, t).conjugate()
-                worst = max(worst, to_float(k, abs(lhs - rhs)))
+                worst = max(worst, float(abs(lhs - rhs)))
     return worst
 
 
 def disc_sum_identity_worst(model, discs, psi_sums, lam) -> float:
     """r_N * 2 Im(lam) * S_N = 1."""
-    k = model.kernel
     with model.workprec():
         sums = dict(psi_sums)
         lam_s = as_lambda_scalar(model, lam)
         worst = 0.0
         for disc in discs:
             value = disc.radius * 2 * abs(lam_s.imag) * sums[disc.n]
-            worst = max(worst, abs(to_float(k, value) - 1.0))
+            worst = max(worst, abs(float(value) - 1.0))
         return worst
 
 
 def disc_nesting_worst(model, discs) -> float:
     """max over N < N' of |O_N' - O_N| - (r_N - r_N'), positive part."""
-    k = model.kernel
     with model.workprec():
         worst = -float("inf")
         for i in range(len(discs)):
@@ -279,7 +273,7 @@ def disc_nesting_worst(model, discs) -> float:
                     abs(discs[j].center - discs[i].center)
                     - (discs[i].radius - discs[j].radius)
                 )
-                worst = max(worst, to_float(k, gap))
+                worst = max(worst, float(gap))
         return max(worst, 0.0)
 
 
@@ -311,8 +305,8 @@ def disc_corner_route_worst(phi: Trajectory, psi: Trajectory, discs, top: int) -
             checked += 1
             worst = max(
                 worst,
-                to_float(k, abs(1 / abs(diag) - disc.radius) / disc.radius),
-                to_float(k, abs(-mixed / diag - disc.center) / (1 + abs(disc.center))),
+                float(abs(1 / abs(diag) - disc.radius) / disc.radius),
+                float(abs(-mixed / diag - disc.center) / (1 + abs(disc.center))),
             )
         return worst if checked else float("inf")
 
@@ -331,7 +325,7 @@ def m_sweep_worst(phi: Trajectory, psi: Trajectory, discs, top: int, betas: int 
     lam_s = phi.lam
     with model.workprec():
         discs = [d for d in discs if d.n <= top]
-        usable = [d for d in discs if to_float(k, d.radius) >= 1e-8]
+        usable = [d for d in discs if float(d.radius) >= 1e-8]
         disc = usable[-1] if usable else discs[0]
         n = disc.n
         corner = corner_values((phi, psi), n)
@@ -342,12 +336,12 @@ def m_sweep_worst(phi: Trajectory, psi: Trajectory, discs, top: int, betas: int 
             m_val = m_point(corner, z)
             worst = max(
                 worst,
-                abs(to_float(k, abs(m_val - disc.center) / disc.radius) - 1.0),
+                abs(float(abs(m_val - disc.center) / disc.radius) - 1.0),
             )
             chi_traj = chi((phi, psi), m_val)
             defect = on_circle_defect(model, chi_traj, m_val, lam_s, n)
             scale = abs(m_val.imag / lam_s.imag) + 1
-            worst = max(worst, to_float(k, abs(defect) / scale))
+            worst = max(worst, float(abs(defect) / scale))
         return worst
 
 
@@ -355,15 +349,14 @@ def y2_two_route_worst(traj: Trajectory, top: int) -> float:
     """The state-based reconstruction of y2 against its defining relation
     c/(lam-d) dy1 + h/(lam-d) y1 along a propagated solution on a-1 .. top."""
     model = traj.model
-    k = model.kernel
     traj = traj.cut(top)
     lam_s = traj.lam
     with model.workprec():
-        sup = max(to_float(k, abs(v)) for v in traj.y2)
-        sup = max(sup, max(to_float(k, abs(v)) for v in traj.y1))
+        sup = max(float(abs(v)) for v in traj.y2)
+        sup = max(sup, max(float(abs(v)) for v in traj.y1))
         worst = 0.0
         for direct, y2 in zip(y2_relation(model, lam_s, traj.y1, model.a - 1, top), traj.y2):
-            worst = max(worst, to_float(k, abs(direct - y2)) / sup)
+            worst = max(worst, float(abs(direct - y2)) / sup)
         return worst
 
 
@@ -400,7 +393,7 @@ def vop_worst(basis: tuple[Trajectory, Trajectory], solutions, anchor: int,
                 basis_mag = abs(at(psi, t_check)) + abs(at(phi, t_check))
                 value_mag = abs(at(z, t_check))
                 scale = 1 + value_mag + (k_mag + gap * term_mag) * (basis_mag + 1)
-                worst = max(worst, to_float(k, abs(defect) / scale))
+                worst = max(worst, float(abs(defect) / scale))
         return worst
 
 

@@ -22,7 +22,7 @@ import time
 from pathlib import Path
 
 from . import checks as checks_mod
-from .backends import big_backend_name, to_float
+from .backends import big_backend_name, format_complex, format_real
 from .errors import (
     EvaluationError,
     InadmissibleLambdaError,
@@ -32,13 +32,7 @@ from .errors import (
 )
 from .criteria import ratio_limit_point_check, weighted_limit_point_check
 from .recurrence import BoundaryData, propagate
-from .reporting import (
-    complex_entry,
-    dump_report,
-    real_entry,
-    report_body,
-    write_disc_csv,
-)
+from .reporting import dump_report, report_body, write_disc_csv
 from .scenarios import (
     Scenario,
     builtin_doc,
@@ -55,15 +49,16 @@ EXIT_PRECISION = 4
 EXIT_UNDECIDED = 5
 
 
-def _add_common_flags(sub):
+def _add_common_flags(sub, out: bool = True):
     sub.add_argument("scenario", help="builtin name or scenario JSON path")
     sub.add_argument("--lambda-re", type=float, default=None)
     sub.add_argument("--lambda-im", type=float, default=None)
     sub.add_argument("--alpha", type=float, default=None)
     sub.add_argument("--n-max", type=int, default=None)
     sub.add_argument("--bits", type=int, default=None)
-    sub.add_argument("--out", type=Path, default=Path("."),
-                     help="directory for report artifacts")
+    if out:
+        sub.add_argument("--out", type=Path, default=Path("."),
+                         help="directory for report artifacts")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.add_argument("--M", dest="weight", default=None,
                    help="weight expression for the weighted criterion")
-    p.add_argument("--horizon", type=int, default=200)
 
     p = subs.add_parser("ivp", help="solve an initial value problem")
     _add_common_flags(p)
@@ -106,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs.add_parser("examples", help="list the built-in registry")
 
     p = subs.add_parser("check", help="run the invariant suite")
-    _add_common_flags(p)
+    _add_common_flags(p, out=False)
 
     return parser
 
@@ -143,16 +137,16 @@ def _cmd_classify(args) -> int:
         "ratio_criterion": _verdict_payload(ratio),
         "verdict": report.verdict,
         "l2_solution_count": report.l2_solution_count,
-        "m_limit": complex_entry(kernel, report.m_limit),
+        "m_limit": format_complex(kernel, report.m_limit),
         "chi_method": report.chi_method,
         "psi_growth": report.psi_profile.growth_verdict,
         "chi_growth": report.chi_profile.growth_verdict if report.chi_profile else None,
-        "final_radius": real_entry(kernel, report.disc_samples[-1].radius),
+        "final_radius": format_real(kernel, report.disc_samples[-1].radius),
         "disc_csv": csv_name,
         "reason": report.reason,
         "cross_check": (
             None if report.cross_check is None
-            else {"lam": complex_entry(kernel, report.cross_check[0]),
+            else {"lam": format_complex(kernel, report.cross_check[0]),
                   "verdict": report.cross_check[1]}
         ),
     }
@@ -181,13 +175,13 @@ def _verdict_payload(v) -> dict:
 def _cmd_criteria(args) -> int:
     scenario = _scenario_with_overrides(args)
     model = scenario.model()
-    ratio = ratio_limit_point_check(model, args.horizon)
+    ratio = ratio_limit_point_check(model, scenario.n_max)
     payload = {"ratio_criterion": _verdict_payload(ratio)}
     print(f"{scenario.name}: ratio criterion (|c/p| bounded, sum 1/|p| divergent): "
           f"{ratio.outcome}"
           + (f" [{ratio.failing_condition}]" if ratio.failing_condition else ""))
     if args.weight is not None:
-        weighted = weighted_limit_point_check(model, args.weight, args.horizon)
+        weighted = weighted_limit_point_check(model, args.weight, scenario.n_max)
         payload["weighted_criterion"] = _verdict_payload(weighted)
         payload["weight"] = args.weight
         print(f"{scenario.name}: weighted criterion (M = {args.weight}): "
@@ -210,11 +204,11 @@ def _cmd_ivp(args) -> int:
     for t in range(model.a - 1, args.N + 1):
         rows.append({
             "t": t,
-            "y1": complex_entry(kernel, traj.y1_at(t)),
-            "y2": complex_entry(kernel, traj.y2_at(t)),
-            "quasi_diff": complex_entry(kernel, traj.y1q_at(t)),
+            "y1": format_complex(kernel, traj.y1_at(t)),
+            "y2": format_complex(kernel, traj.y2_at(t)),
+            "quasi_diff": format_complex(kernel, traj.y1q_at(t)),
         })
-    rows.append({"t": args.N + 1, "y1": complex_entry(kernel, traj.y1_at(args.N + 1)),
+    rows.append({"t": args.N + 1, "y1": format_complex(kernel, traj.y1_at(args.N + 1)),
                  "y2": None, "quasi_diff": None})
     dump_report(report_body("ivp", scenario, {"c1": args.c1, "c2": args.c2,
                                               "N": args.N, "trajectory": rows}),
@@ -225,7 +219,7 @@ def _cmd_ivp(args) -> int:
             y1 = traj.y1_at(t)
             y2 = traj.y2_at(t)
             qd = traj.y1q_at(t)
-            fmt = lambda z: f"{to_float(kernel, z.real):.6g}{to_float(kernel, z.imag):+.6g}j"
+            fmt = lambda z: f"{float(z.real):.6g}{float(z.imag):+.6g}j"
             print(f"{t:>5d}  {fmt(y1):>24s}  {fmt(y2):>24s}  {fmt(qd):>24s}")
     return EXIT_OK
 
@@ -237,8 +231,8 @@ def _cmd_disc(args) -> int:
     disc = weyl_disc(model, scenario.lam, scenario.alpha, args.N)
     payload = {
         "N": disc.n,
-        "center": complex_entry(kernel, disc.center),
-        "radius": real_entry(kernel, disc.radius),
+        "center": format_complex(kernel, disc.center),
+        "radius": format_real(kernel, disc.radius),
     }
     dump_report(report_body("disc", scenario, payload),
                 args.out / f"{scenario.name}_disc.json")
@@ -256,11 +250,11 @@ def _cmd_eigen(args) -> int:
     angles = BoundaryAngles(alpha=scenario.alpha, beta=args.beta)
     residual = regular_eigen_residual(model, scenario.lam, angles, args.N)
     with model.workprec():
-        mag = to_float(kernel, abs(residual))
+        mag = float(abs(residual))
     payload = {
         "N": args.N,
         "beta": args.beta,
-        "residual": complex_entry(kernel, residual),
+        "residual": format_complex(kernel, residual),
         "residual_abs": mag,
     }
     dump_report(report_body("eigen", scenario, payload),

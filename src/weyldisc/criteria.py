@@ -25,7 +25,6 @@ from fractions import Fraction
 
 from . import expr as ex
 from . import growth
-from .backends import to_float
 from .errors import EvaluationError
 from .model import Coefficient, CoefficientSet, ExprCoefficient
 
@@ -41,11 +40,11 @@ class CriterionVerdict:
     reason: str | None = None
 
 
-def _sup(model: CoefficientSet, fn, *columns) -> float:
+def _sup(fn, *columns) -> float:
     """Largest ``fn`` over the zipped columns as a machine float, at least 0."""
     worst = 0.0
     for value in map(fn, *columns):
-        worst = max(worst, to_float(model.kernel, value))
+        worst = max(worst, float(value))
     return worst
 
 
@@ -67,7 +66,7 @@ def ratio_limit_point_check(model: CoefficientSet, horizon: int = 200) -> Criter
         ratio_ok = growth.ratio_bounded(growth.order_of(c_cls), growth.order_of(p_cls))
         with model.workprec():
             columns = (model.column(name, model.a, horizon) for name in "cp")
-            witnesses["K"] = _sup(model, lambda c, p: abs(c) / abs(p), *columns)
+            witnesses["K"] = _sup(lambda c, p: abs(c) / abs(p), *columns)
     if not ratio_ok:
         return CriterionVerdict(
             outcome="fails", which="ratio", witnesses=witnesses,
@@ -231,14 +230,14 @@ def _weighted_witnesses(model: CoefficientSet, m_col: tuple, horizon: int) -> di
         c_col = model.column("c", a - 1, horizon)
         zero = k.real(0)
         return {
-            "k1": _sup(model, lambda c, c_prev, m: (abs(c) + abs(c_prev)) / m,
-                       c_col[1:], c_col, m_col),
-            "k2": _sup(model, lambda h, m: abs(h) / m, model.column("h", a, horizon), m_col),
-            "k3": _sup(model, lambda q, m: max(-q, zero) / m,
-                       model.column("q", a, horizon), m_col),
+            "k1": _sup(lambda c, c_prev, m: (abs(c) + abs(c_prev)) / m,
+                  c_col[1:], c_col, m_col),
+            "k2": _sup(lambda h, m: abs(h) / m, model.column("h", a, horizon), m_col),
+            "k3": _sup(lambda q, m: max(-q, zero) / m,
+                  model.column("q", a, horizon), m_col),
             # the variation ratio needs M(t-1): usable only from a+1, where
             # the validated positive range covers the previous index
-            "k4": _sup(model, lambda p_prev, m_t, m_prev: k.sqrt_nonneg(p_prev)
-                       * abs(m_t - m_prev) / (k.sqrt_nonneg(m_t) * m_prev),
-                       model.column("p", a, min(horizon, a + 200) - 1), m_col[1:], m_col),
+            "k4": _sup(lambda p_prev, m_t, m_prev: k.sqrt_nonneg(p_prev)
+                  * abs(m_t - m_prev) / (k.sqrt_nonneg(m_t) * m_prev),
+                  model.column("p", a, min(horizon, a + 200) - 1), m_col[1:], m_col),
         }

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from . import expr as ex
 from . import growth
-from .backends import BIG_KERNEL, native_kernel, to_float
+from .backends import BIG_KERNEL, native_kernel
 from .errors import CoefficientRangeError, EvaluationError
 
 
@@ -303,7 +303,7 @@ def spectral_gap(model: CoefficientSet, lam, horizon: int) -> SpectralPoint:
         for d_val, m_val in zip(d_col, m_excl_column(model, first, horizon)):
             gap = min(abs(lam - d_val), abs(lam - m_val))
             margin = gap if margin is None else min(margin, gap)
-        margin_f = to_float(k, margin)
+        margin_f = float(margin)
 
         if lam.imag != 0:
             return SpectralPoint(lam=lam, margin=margin_f, decided_symbolically=True)

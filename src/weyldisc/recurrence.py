@@ -49,7 +49,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .backends import to_float
 from .errors import (
     InadmissibleLambdaError,
     PrecisionExhaustedError,
@@ -509,7 +508,6 @@ def relative_residuals(model: CoefficientSet, traj: Trajectory, first: int,
     rows (row 2 alone at t = a-1).  |p dy1| and |c y2| serve again as the
     previous-term magnitudes at t+1.
     """
-    k = model.kernel
     out = []
     with model.workprec():
         lam = traj.lam
@@ -523,7 +521,7 @@ def relative_residuals(model: CoefficientSet, traj: Trajectory, first: int,
             ly2 = lam * y2_t
             row2 = row2 - ly2
             scale2 = abs(cd) + abs(hy1) + abs(dy2) + abs(ly2) + 1
-            worst = to_float(k, abs(row2) / scale2)
+            worst = float(abs(row2) / scale2)
             abs_pd, abs_cy2 = abs(pd), abs(cy2)
             if row1 is not None:
                 if abs_pd_prev is None:
@@ -534,7 +532,7 @@ def relative_residuals(model: CoefficientSet, traj: Trajectory, first: int,
                     abs_pd + abs_pd_prev + abs(qy1) + abs_cy2 + abs_cy2_prev
                     + abs(hy2) + abs(ly1) + 1
                 )
-                worst = max(worst, to_float(k, abs(row1) / scale1))
+                worst = max(worst, float(abs(row1) / scale1))
             out.append(worst)
             abs_pd_prev, abs_cy2_prev = abs_pd, abs_cy2
     return out

@@ -17,11 +17,10 @@ import math
 from pathlib import Path
 
 from . import __version__ as TOOL_VERSION
-from .backends import big_backend_name, format_complex, format_real
+from .backends import big_backend_name, format_real
 from .scenarios import Scenario
 
 SCHEMA_VERSION = 1
-DIGITS = 40
 
 
 def report_body(command: str, scenario: Scenario, payload: dict) -> dict:
@@ -71,18 +70,10 @@ def write_disc_csv(path: str | Path, kernel, discs, psi_sums, chi_sums) -> Path:
         for disc in discs:
             writer.writerow([
                 disc.n,
-                format_real(kernel, disc.center.real, DIGITS),
-                format_real(kernel, disc.center.imag, DIGITS),
-                format_real(kernel, disc.radius, DIGITS),
-                format_real(kernel, psi_by_n[disc.n], DIGITS),
-                format_real(kernel, chi_by_n[disc.n], DIGITS) if disc.n in chi_by_n else "",
+                format_real(kernel, disc.center.real),
+                format_real(kernel, disc.center.imag),
+                format_real(kernel, disc.radius),
+                format_real(kernel, psi_by_n[disc.n]),
+                format_real(kernel, chi_by_n[disc.n]) if disc.n in chi_by_n else "",
             ])
     return path
-
-
-def complex_entry(kernel, z) -> dict:
-    return format_complex(kernel, z, DIGITS)
-
-
-def real_entry(kernel, x) -> str:
-    return format_real(kernel, x, DIGITS)

@@ -170,19 +170,16 @@ def _disc_rows(model, phi, psi, lam, n_hi):
         *psi.component_columns(model.a, n_hi),
         *phi.component_columns(model.a, n_hi),
     )
-    try:
-        for t, s1, s2, p1, p2 in samples:
-            s_run = s_run + abs2(s1) + abs2(s2)
-            w_run = w_run + s1.conjugate() * p1 + s2.conjugate() * p2
-            psi_sums.append((t, s_run))
-            d_im = d_im0 + two_im * s_run
-            if d_im == 0:
-                continue
-            mixed = mixed0 + factor * w_run
-            center = cplx(-mixed.imag / d_im, mixed.real / d_im)
-            discs.append(WeylDisc(n=t, center=center, radius=1 / abs(d_im)))
-    except OverflowError:
-        raise _sums_exhausted(t) from None
+    for t, s1, s2, p1, p2 in samples:
+        s_run = s_run + abs2(s1) + abs2(s2)
+        w_run = w_run + s1.conjugate() * p1 + s2.conjugate() * p2
+        psi_sums.append((t, s_run))
+        d_im = d_im0 + two_im * s_run
+        if d_im == 0:
+            continue
+        mixed = mixed0 + factor * w_run
+        center = cplx(-mixed.imag / d_im, mixed.real / d_im)
+        discs.append(WeylDisc(n=t, center=center, radius=1 / abs(d_im)))
     # an overflowed running sum stays inf or nan, so the last one tells
     if k.needs_finite_checks and not (k.isfinite(s_run) and k.isfinite(w_run)):
         raise _sums_exhausted(n_hi)
@@ -190,8 +187,8 @@ def _disc_rows(model, phi, psi, lam, n_hi):
 
 
 def _sums_exhausted(t: int) -> PrecisionExhaustedError:
-    """Native floats raise OverflowError or turn inf when a partial sum
-    outgrows them; both are precision exhaustion."""
+    """Native floats turn inf or nan when a partial sum outgrows them,
+    which is precision exhaustion."""
     return PrecisionExhaustedError(
         f"partial sums left the representable range by t={t}; "
         "switch to big-float mode"
@@ -337,12 +334,9 @@ def _profile(model, traj, n_max) -> list:
     total = k.real(0)
     sums = []
     samples = zip(range(model.a, n_max + 1), *traj.component_columns(model.a, n_max))
-    try:
-        for t, c1, c2 in samples:
-            total = total + abs2(c1) + abs2(c2)
-            sums.append((t, total))
-    except OverflowError:
-        raise _sums_exhausted(t) from None
+    for t, c1, c2 in samples:
+        total = total + abs2(c1) + abs2(c2)
+        sums.append((t, total))
     if k.needs_finite_checks and not k.isfinite(total):
         raise _sums_exhausted(n_max)
     return sums

@@ -224,6 +224,27 @@ def test_cli_criteria(tmp_path, capsys):
     assert payload["weighted_criterion"]["outcome"] == "holds"
 
 
+def test_cli_criteria_and_classify_share_the_ratio_witness(tmp_path, capsys):
+    """Both commands evaluate the ratio criterion over the scenario's
+    n_max, so a shortened window gives one witness, not two."""
+    argv = ["ex4.2b", "--n-max", "50", "--out", str(tmp_path)]
+    assert main(["criteria", *argv]) == 0
+    assert main(["classify", *argv]) == 0
+    criteria = json.loads((tmp_path / "ex4.2b_criteria.json").read_text())
+    report = json.loads((tmp_path / "ex4.2b_report.json").read_text())
+    assert criteria["ratio_criterion"] == report["ratio_criterion"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["criteria", "free", "--horizon", "50"],
+    ["check", "free", "--out", "."],
+])
+def test_cli_refuses_unread_flags(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 INVARIANTS = [
     "transfer_det_unit", "oracle_agreement", "pair_det_unit",
     "wronskian_constant", "equation_residual", "green_identity_random",

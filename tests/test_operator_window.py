@@ -15,7 +15,6 @@ import random
 import pytest
 
 from weyldisc import PrecisionConfig, builtin_names, builtin_scenario, checks
-from weyldisc.backends import to_float
 from weyldisc.checks import _draw_read, bracket_antisymmetry_worst
 from weyldisc.recurrence import (
     Trajectory,
@@ -223,7 +222,7 @@ def _reference_bracket_worst(model, top, pairs, rng):
             for t in (model.a - 1, model.a, top - 1):
                 lhs = bracket(y, z, t)
                 rhs = -bracket(z, y, t).conjugate()
-                worst = max(worst, to_float(k, abs(lhs - rhs)))
+                worst = max(worst, float(abs(lhs - rhs)))
     return worst
 
 
