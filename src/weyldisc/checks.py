@@ -19,7 +19,20 @@ only where a check reads them.
 
 Defects are normalized by the magnitude of the terms entering each
 identity, so a PASS means "the identity holds to roughly the working
-precision", independent of how violently the solutions grow.
+precision", independent of how violently the solutions grow.  Three
+rules keep the suite to the big-float work its printed values read:
+
+* a zero defect is never scaled.  A defect (or residual row) that is
+  exactly zero has only finite terms, since an inf or nan term makes the
+  sum nonzero or nan, so its scale is finite and at least 1 and the
+  quotient is exactly 0.0 without it.  The test is the scalar's truth
+  value, false only for an exact zero (nan is true), which mpmath
+  answers without converting the 0 that ``!= 0`` would;
+* each boundary datum is stepped once: at alpha = 0 the basis of the
+  variation-of-parameters line is the pair itself, and the oracle line
+  starts from the basis' second solution;
+* the windows count from the grid origin a: each line reads the same
+  offsets from a on a model on a .. a+40 as on one on 0 .. 40.
 """
 
 from __future__ import annotations
@@ -71,22 +84,26 @@ class CheckResult:
         return self.worst <= self.tol
 
 
-def oracle_deviation(direct: Trajectory, top: int) -> float:
+def oracle_deviation(direct: Trajectory, top: int, *,
+                     table: StepTable | None = None) -> float:
     """Pointwise deviation on a-1 .. top between a transfer-matrix solution
     and the scalar three-term oracle solved from the same boundary data,
-    relative to the largest sample."""
+    relative to the largest sample.  ``table``, when given, is the step
+    table of (model, lam) on a-1 .. top, which the oracle then reads."""
     model = direct.model
     direct = direct.cut(top)
     with model.workprec():
         # BoundaryData is (y1(a), y1q(a-1)), which the solution carries
         bd = BoundaryData(direct.y1_at(model.a), direct.y1q_at(model.a - 1))
-        oracle = oracle_three_term(model, direct.lam, bd, top)
+        oracle = oracle_three_term(model, direct.lam, bd, top, table=table)
         worst = 0.0
         for seq_d, seq_o in ((direct.y1, oracle.y1), (direct.y2, oracle.y2),
                              (direct.y1q, oracle.y1q)):
-            sup = max(float(abs(v)) for v in seq_d) or 1.0
-            for vd, vo in zip(seq_d, seq_o):
-                worst = max(worst, float(abs(vd - vo)) / sup)
+            gaps = [float(abs(vd - vo)) for vd, vo in zip(seq_d, seq_o)]
+            if any(gaps):
+                sup = max(float(abs(v)) for v in seq_d) or 1.0
+                for gap in gaps:
+                    worst = max(worst, gap / sup)
         return worst
 
 
@@ -102,8 +119,9 @@ def transfer_det_deviation(table: StepTable, top: int) -> float:
         ):
             diag = (1 - a11) * (1 - a22)
             off = a12 * a21
-            scale = abs(diag) + abs(off) + 1
-            worst = max(worst, float(abs(diag - off - 1) / scale))
+            dev = diag - off - 1
+            if dev:
+                worst = max(worst, float(abs(dev) / (abs(diag) + abs(off) + 1)))
         return worst
 
 
@@ -116,7 +134,9 @@ def _pairing_worst(phi: Trajectory, psi: Trajectory, first: int, top: int) -> fl
         for a_v, b_v, c_v, d_v in zip(*phi.state_columns(first, top),
                                       *psi.state_columns(first, top)):
             ad, bc = a_v * d_v, b_v * c_v
-            worst = max(worst, float(abs(ad - bc - 1) / (abs(ad) + abs(bc) + 1)))
+            dev = ad - bc - 1
+            if dev:
+                worst = max(worst, float(abs(dev) / (abs(ad) + abs(bc) + 1)))
         return worst
 
 
@@ -175,6 +195,8 @@ def green_relative_defect(model: CoefficientSet, y, z, top: int) -> float:
     k = model.kernel
     with model.workprec():
         defect, rows = green_terms(model, y, z, top)
+        if not defect:
+            return 0.0
         scale = k.real(1)
         # rows start at t = a, which is index 1 of sequences from a-1
         for idx, ((ly1, ly2), (lz1, lz2)) in enumerate(rows, 1):
@@ -207,6 +229,8 @@ def lagrange_relative_defect(model, phi, psi, top: int, *, residuals=None) -> fl
             defect = lagrange_identity_defect(phi, psi, top, residuals=residuals)
         except NumericalInvariantError:
             return float("inf")
+        if not defect:
+            return 0.0
         scale = k.real(1)
         for n in (top, model.a - 1):
             scale = scale + abs(phi.y1_at(n + 1)) * abs(psi.y1q_at(n))
@@ -352,11 +376,14 @@ def y2_two_route_worst(traj: Trajectory, top: int) -> float:
     traj = traj.cut(top)
     lam_s = traj.lam
     with model.workprec():
-        sup = max(float(abs(v)) for v in traj.y2)
-        sup = max(sup, max(float(abs(v)) for v in traj.y1))
+        gaps = [float(abs(direct - y2)) for direct, y2 in
+                zip(y2_relation(model, lam_s, traj.y1, model.a - 1, top), traj.y2)]
         worst = 0.0
-        for direct, y2 in zip(y2_relation(model, lam_s, traj.y1, model.a - 1, top), traj.y2):
-            worst = max(worst, float(abs(direct - y2)) / sup)
+        if any(gaps):
+            sup = max(float(abs(v)) for v in traj.y2)
+            sup = max(sup, max(float(abs(v)) for v in traj.y1))
+            for gap in gaps:
+                worst = max(worst, gap / sup)
         return worst
 
 
@@ -373,11 +400,16 @@ def vop_worst(basis: tuple[Trajectory, Trajectory], solutions, anchor: int,
     with model.workprec():
         worst = 0.0
         for z in solutions:
-            gap = abs(phi.lam - z.lam)
             try:
                 res = vop_reconstruct(basis, z, anchor, t_check)
             except MatchingSingularError:
                 return float("inf")
+            defects = [(at, defect) for at, defect in (
+                (Trajectory.y1_at, res.defect_y1), (Trajectory.y2_at, res.defect_y2),
+            ) if defect]
+            if not defects:
+                continue
+            gap = abs(phi.lam - z.lam)
             term_mag = k.real(0)
             window = (anchor + 1, t_check)
             for z1, z2, f1, f2, g1, g2 in zip(
@@ -388,8 +420,7 @@ def vop_worst(basis: tuple[Trajectory, Trajectory], solutions, anchor: int,
                 term_mag = term_mag + (abs(f1) + abs(f2)) * z_mag
                 term_mag = term_mag + (abs(g1) + abs(g2)) * z_mag
             k_mag = abs(res.k1) + abs(res.k2)
-            for at, defect in ((Trajectory.y1_at, res.defect_y1),
-                               (Trajectory.y2_at, res.defect_y2)):
+            for at, defect in defects:
                 basis_mag = abs(at(psi, t_check)) + abs(at(phi, t_check))
                 value_mag = abs(at(z, t_check))
                 scale = 1 + value_mag + (k_mag + gap * term_mag) * (basis_mag + 1)
@@ -404,14 +435,27 @@ def run_suite(model: CoefficientSet, lam, alpha: float = 0.0,
     Solves once per (lam, window): one step table at lam and one at
     lam + i over a-1 .. span, where span reaches the four points past
     t_check that the variation-of-parameters check reads, and one disc
-    pass over a .. top.
+    pass over a .. top.  The oracle reads the lam table cut to top.  Each
+    distinct boundary datum at lam is stepped once: the pair at alpha,
+    the alpha-0 basis (the pair itself at alpha = 0) and (1, 1); the
+    oracle line starts from (1, 0), which is the basis' second solution.
+
+    Every window counts from the grid origin a.  The variation-of-parameters
+    line is anchored at a+3: it sums from a+4, matches its constants at
+    a+6 and a+7 and checks at min(top, a+16), which must be at least a+6.
     """
+    a = model.a
+    if top < a + 6:
+        raise ValueError(
+            f"the invariant suite needs top >= a + 6 = {a + 6}, the first "
+            f"variation-of-parameters check point; got top={top}"
+        )
     bits = model.precision.bits
     point_tol = 2.0 ** (-(bits - 8))
     # aggregate identities accumulate roundoff over the window; at low
     # (native) precision the margin shrinks to half the mantissa
     agg_tol = 2.0 ** (-(bits - 56)) if bits >= 150 else 2.0 ** (-(bits // 2))
-    t_vop = min(top, 16)
+    t_vop = min(top, a + 16)
     span = max(top, t_vop + 4)
     k = model.kernel
     with model.workprec():
@@ -421,10 +465,13 @@ def run_suite(model: CoefficientSet, lam, alpha: float = 0.0,
             raise InadmissibleLambdaError("the invariant suite requires a nonreal lam")
         table = step_table(model, lam_s, span)
         phi, psi = fundamental_pair(model, lam_s, alpha, span, table=table)
-        basis = fundamental_pair(model, lam_s, 0.0, span, table=table)
-        data = (BoundaryData(1, 0), BoundaryData(1, 1))
-        sol10, sol11 = propagate_columns(table, data)
-        shifted = propagate_columns(step_table(model, lam_s + k.complex(0, 1), span), data)
+        unit, ones = BoundaryData(1, 0), BoundaryData(1, 1)
+        if alpha == 0:
+            basis, (sol11,) = (phi, psi), propagate_columns(table, (ones,))
+        else:
+            *basis, sol11 = propagate_columns(table, (BoundaryData(0, -1), unit, ones))
+        shifted = propagate_columns(
+            step_table(model, lam_s + k.complex(0, 1), span), (unit, ones))
         discs, psi_sums = _disc_rows(model, phi, psi, lam_s, top)
     # one residual sweep per distinct solution: phi and psi make the
     # equation-residual line, psi and the lam + i solution are the Lagrange
@@ -434,21 +481,22 @@ def run_suite(model: CoefficientSet, lam, alpha: float = 0.0,
 
     results = [
         CheckResult("transfer_det_unit", transfer_det_deviation(table, top), point_tol),
-        CheckResult("oracle_agreement", oracle_deviation(sol10, top), agg_tol),
+        CheckResult("oracle_agreement", oracle_deviation(
+            basis[1], top, table=table.cut(top)), agg_tol),
         CheckResult("pair_det_unit", pair_det_deviation(phi, psi, top), agg_tol),
         CheckResult("wronskian_constant", wronskian_deviation(phi, psi, top), agg_tol),
         CheckResult("equation_residual", max(res_phi, res_psi), agg_tol),
-        CheckResult("green_identity_random", green_random_worst(model, min(top, 20), pairs), agg_tol),
-        CheckResult("bracket_antisymmetry", bracket_antisymmetry_worst(model, min(top, 20), pairs), point_tol),
+        CheckResult("green_identity_random", green_random_worst(model, min(top, a + 20), pairs), agg_tol),
+        CheckResult("bracket_antisymmetry", bracket_antisymmetry_worst(model, min(top, a + 20), pairs), point_tol),
         CheckResult("lagrange_identity_equal_lam", lagrange_relative_defect(
             model, psi_top, psi_top, top, residuals=(res_psi, res_psi)), agg_tol),
         CheckResult("lagrange_identity_two_lams", lagrange_relative_defect(
             model, other_top, psi_top, top, residuals=(res_other, res_psi)), agg_tol),
         CheckResult("disc_radius_sum_identity", disc_sum_identity_worst(model, discs, psi_sums, lam), agg_tol),
         CheckResult("disc_nesting", disc_nesting_worst(model, discs), agg_tol),
-        CheckResult("disc_corner_route", disc_corner_route_worst(phi, psi, discs, min(top, 24)), agg_tol),
-        CheckResult("m_sweep_on_circle", m_sweep_worst(phi, psi, discs, min(top, 16)), agg_tol),
+        CheckResult("disc_corner_route", disc_corner_route_worst(phi, psi, discs, min(top, a + 24)), agg_tol),
+        CheckResult("m_sweep_on_circle", m_sweep_worst(phi, psi, discs, min(top, a + 16)), agg_tol),
         CheckResult("y2_reconstruction", y2_two_route_worst(sol11, top), agg_tol),
-        CheckResult("variation_of_parameters", vop_worst(basis, shifted, 3, t_vop), agg_tol),
+        CheckResult("variation_of_parameters", vop_worst(basis, shifted, a + 3, t_vop), agg_tol),
     ]
     return results

@@ -277,7 +277,7 @@ def _cmd_examples(_args) -> int:
 def _cmd_check(args) -> int:
     scenario = _scenario_with_overrides(args)
     model = scenario.model()
-    top = min(scenario.n_max, 40)
+    top = min(scenario.n_max, model.a + 40)
     results = checks_mod.run_suite(model, scenario.lam, scenario.alpha, top=top)
     failed = 0
     for res in results:

@@ -91,6 +91,19 @@ class StepTable:
             )
         return t - start
 
+    def cut(self, top: int) -> "StepTable":
+        """The same table on a-1 .. top (top <= self.top)."""
+        if top == self.top:
+            return self
+        n = self.index(top) + 1
+        return StepTable(
+            self.model, self.lam, top,
+            *(col[:n] for col in (self.p_tilde, self.alpha, self.q_tilde,
+                                  self.a11, self.a12, self.a21, self.a22,
+                                  self.r1, self.r2)),
+            self.lead_left,
+        )
+
 
 def step_table(model: CoefficientSet, lam, top: int) -> StepTable:
     """Walk t = a-1 .. top once and tabulate every derived quantity, step
@@ -373,12 +386,16 @@ def fundamental_matrix(model: CoefficientSet, lam, top: int) -> tuple:
 
 
 def oracle_three_term(
-    model: CoefficientSet, lam, bd: BoundaryData, top: int
+    model: CoefficientSet, lam, bd: BoundaryData, top: int,
+    *, table: StepTable | None = None,
 ) -> Trajectory:
-    """Independent scalar-recurrence solver (the oracle for propagate)."""
+    """Independent scalar-recurrence solver (the oracle for propagate).
+    It reads only p_tilde, alpha and q_tilde of the step table, never the
+    transfer matrices; ``table``, when given, is the step table of
+    (model, lam) on a-1 .. top."""
     if top < model.a:
         raise ValueError("top must be at least the grid origin a")
-    table = step_table(model, lam, top)
+    table = _full_table(model, lam, top, table)
     k = model.kernel
     with model.workprec():
         lam = table.lam
@@ -505,13 +522,16 @@ def relative_residuals(model: CoefficientSet, traj: Trajectory, first: int,
 
     Each row's residual (L y - lam y) is normalized by the magnitudes of
     the terms it sums, plus 1; the value at t is the larger of the two
-    rows (row 2 alone at t = a-1).  |p dy1| and |c y2| serve again as the
+    rows (row 2 alone at t = a-1).  A row that is exactly zero (false as
+    a truth value) reads 0.0 without its scale: its terms are finite, so
+    the scale is finite and at least 1.  |p dy1| and |c y2| of a scaled row 1 serve again as the
     previous-term magnitudes at t+1.
     """
     out = []
     with model.workprec():
         lam = traj.lam
-        abs_pd_prev = abs_cy2_prev = None
+        # |p dy1| and |c y2| at the previous t, or None where not formed
+        abs_pd = abs_cy2 = None
         walk = zip(
             operator_window(model, traj.y1, traj.y2, first, last),
             *traj.component_columns(first, last),
@@ -520,21 +540,25 @@ def relative_residuals(model: CoefficientSet, traj: Trajectory, first: int,
             pd_prev, pd, qy1, cy2_prev, cy2, hy2, cd, hy1, dy2 = terms
             ly2 = lam * y2_t
             row2 = row2 - ly2
-            scale2 = abs(cd) + abs(hy1) + abs(dy2) + abs(ly2) + 1
-            worst = float(abs(row2) / scale2)
-            abs_pd, abs_cy2 = abs(pd), abs(cy2)
+            worst = 0.0
+            if row2:
+                scale2 = abs(cd) + abs(hy1) + abs(dy2) + abs(ly2) + 1
+                worst = float(abs(row2) / scale2)
+            abs_pd_prev, abs_cy2_prev = abs_pd, abs_cy2
+            abs_pd = abs_cy2 = None
             if row1 is not None:
-                if abs_pd_prev is None:
-                    abs_pd_prev, abs_cy2_prev = abs(pd_prev), abs(cy2_prev)
                 ly1 = lam * y1_t
                 row1 = row1 - ly1
-                scale1 = (
-                    abs_pd + abs_pd_prev + abs(qy1) + abs_cy2 + abs_cy2_prev
-                    + abs(hy2) + abs(ly1) + 1
-                )
-                worst = max(worst, float(abs(row1) / scale1))
+                if row1:
+                    if abs_pd_prev is None:
+                        abs_pd_prev, abs_cy2_prev = abs(pd_prev), abs(cy2_prev)
+                    abs_pd, abs_cy2 = abs(pd), abs(cy2)
+                    scale1 = (
+                        abs_pd + abs_pd_prev + abs(qy1) + abs_cy2 + abs_cy2_prev
+                        + abs(hy2) + abs(ly1) + 1
+                    )
+                    worst = max(worst, float(abs(row1) / scale1))
             out.append(worst)
-            abs_pd_prev, abs_cy2_prev = abs_pd, abs_cy2
     return out
 
 

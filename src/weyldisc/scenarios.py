@@ -53,6 +53,12 @@ class Scenario:
     precision: PrecisionConfig = field(default_factory=PrecisionConfig)
     thresholds: Thresholds = field(default_factory=Thresholds)
 
+    def __post_init__(self):
+        # here rather than in the file reader, so that a command-line
+        # override made with dataclasses.replace is checked too
+        _require(isinstance(self.n_max, int) and self.n_max > self.a,
+                 f"n_max must be an integer above a ({self.a}), got {self.n_max!r}")
+
     def model(self) -> CoefficientSet:
         coeffs = {}
         for name in ("p", "q", "c", "h", "d"):
@@ -138,7 +144,6 @@ def scenario_from_dict(data: dict, fallback_name: str = "scenario") -> Scenario:
 
     alpha = float(data.get("alpha", base.alpha))
     n_max = data.get("n_max", base.n_max)
-    _require(isinstance(n_max, int) and n_max > a, "field 'n_max' must be an integer above a")
 
     prec = data.get("precision", {})
     _require(isinstance(prec, dict), "field 'precision' must be an object")

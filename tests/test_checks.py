@@ -10,9 +10,9 @@ from weyldisc import InadmissibleLambdaError, PrecisionConfig, checks, recurrenc
 
 
 def test_run_suite_solves_each_lam_and_window_once(models, monkeypatch):
-    """One suite builds at most three step tables over a-1 .. window (lam,
-    lam + i and the oracle's own), calls fundamental_pair at most twice
-    and computes the disc rows once."""
+    """One suite builds at most three step tables over a-1 .. window,
+    calls fundamental_pair at most twice and computes the disc rows
+    once."""
     tables = []
     build = recurrence.step_table
 
@@ -47,6 +47,34 @@ def test_run_suite_solves_each_lam_and_window_once(models, monkeypatch):
     assert len(full) <= 3
     assert len(pairs) <= 2
     assert disc_passes == [40]
+
+
+def test_run_suite_steps_each_boundary_datum_once(models, monkeypatch):
+    """At alpha = 0 the pair is the variation-of-parameters basis and psi
+    starts from (1, 0), the oracle line's data: the suite steps three
+    columns at lam (the pair and (1, 1)) and two at lam + i, through two
+    step tables, the oracle reading the lam table."""
+    tables, columns = [], []
+    build, forward = recurrence.step_table, recurrence._forward_states
+
+    def counting_table(model, lam, top):
+        table = build(model, lam, top)
+        tables.append(complex(table.lam))
+        return table
+
+    def counting_forward(table, starts):
+        starts = list(starts)
+        columns.append((complex(table.lam), len(starts)))
+        return forward(table, starts)
+
+    for module in (recurrence, checks, weyl):
+        monkeypatch.setattr(module, "step_table", counting_table)
+    monkeypatch.setattr(recurrence, "_forward_states", counting_forward)
+    results = checks.run_suite(models["free"], 1j, top=40)
+    assert all(r.passed for r in results)
+    assert sorted(tables, key=abs) == [1j, 2j]
+    assert sum(n for lam, n in columns if lam == 1j) == 3
+    assert sum(n for lam, n in columns if lam == 2j) == 2
 
 
 def test_run_suite_refuses_a_real_lam_before_solving(models, monkeypatch):

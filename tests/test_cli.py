@@ -316,6 +316,37 @@ def test_cli_check_reports_failed_solution_gates_as_inf(tmp_path, capsys):
     assert lines["lagrange_identity_two_lams"] == ("FAIL", "worst=inf")
 
 
+@pytest.mark.parametrize("a", [10, 60])
+def test_cli_check_windows_count_from_the_grid_origin(tmp_path, capsys, a):
+    """The free model on a .. a+40 passes every line, as on 0 .. 40."""
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps({"name": "shifted", "a": a, "p": "1"}))
+    code = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert code == 0
+    lines = _check_lines(captured.out)
+    assert list(lines) == INVARIANTS
+    assert "shifted: 15/15 invariants hold" in captured.out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["criteria", "free", "--n-max", "-5"],
+     "n_max must be an integer above a (0), got -5"),
+    (["check", "free", "--n-max", "5"],
+     "the invariant suite needs top >= a + 6 = 6"),
+])
+def test_cli_refuses_a_window_too_short(tmp_path, monkeypatch, capsys, argv, message):
+    """An --n-max override gets the scenario file's check, and `check`
+    names the window it needs; neither writes a report."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_forced_python_backend_agrees():
     """The pure-Python kernel must reach the same verdicts (subprocess:
     the backend is chosen at import time)."""

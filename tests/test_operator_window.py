@@ -14,7 +14,14 @@ import random
 
 import pytest
 
-from weyldisc import PrecisionConfig, builtin_names, builtin_scenario, checks
+from weyldisc import (
+    BoundaryData,
+    PrecisionConfig,
+    builtin_names,
+    builtin_scenario,
+    checks,
+    propagate,
+)
 from weyldisc.checks import _draw_read, bracket_antisymmetry_worst
 from weyldisc.recurrence import (
     Trajectory,
@@ -161,6 +168,29 @@ def test_residual_sweep_and_one_point_match_per_t_formula(precision_models):
         assert relative_residuals(model, traj, model.a - 1, TOP) == ref
         assert relative_residuals(model, traj, model.a + 2, TOP) == ref[3:]
         assert max_relative_residual(model, traj) == max(ref)
+
+
+def test_residual_sweep_with_exactly_zero_rows_matches_per_t_formula(precision_models):
+    """A row that is exactly zero reads 0.0 without its scale.  On the
+    free model's solution at lam = i (Gaussian integers, so every row is
+    exactly zero), bent at three points, the rows are zero at some t and
+    nonzero at others, row 1 also on both sides of a zero row; the sweep
+    still equals the per-t formula, from any first point."""
+    model = precision_models["free"]
+    a = model.a
+    traj = propagate(model, 1j, BoundaryData(1, 0), TOP)
+    with model.workprec():
+        y1, y2 = list(traj.y1), list(traj.y2)
+        y1[5 - (a - 1)] *= 3  # row 1 at t = 4, 5, 6
+        y1[9 - (a - 1)] *= 5  # row 1 at t = 8, 9, 10
+        y2[12 - (a - 1)] += model.kernel.complex(0.5, -0.25)  # row 2 at t = 12
+        bent = dataclasses.replace(traj, y1=tuple(y1), y2=tuple(y2))
+    window = range(a - 1, TOP + 1)
+    ref = [_reference_residual(model, bent, t) for t in window]
+    assert [t for t, r in zip(window, ref) if r != 0] == [4, 5, 6, 8, 9, 10, 12]
+    for first in (a - 1, 4, 5, 8, 12):
+        assert relative_residuals(model, bent, first, TOP) == ref[first - (a - 1):]
+    assert max_relative_residual(model, traj) == 0.0
 
 
 def test_green_terms_match_per_t_formula(precision_models):
