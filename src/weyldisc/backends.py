@@ -14,8 +14,9 @@ Every kernel implements the same small protocol (duck-typed), so every
 solver is written once; ``perfbench/run.py --trace 1`` times a complex
 multiply-add on every importable kernel.
 
-The protocol holds only what differs between kernels.  A kernel object
-provides
+The protocol holds only what differs between kernels, and a member that
+only forwards to a library function is that function.  A kernel object
+provides thirteen members:
 
 * ``name`` -- the kernel's name in reports;
 * ``workprec(bits)`` -- a context manager that must be active while
@@ -26,9 +27,8 @@ provides
   floats, ``Fraction``s or the kernel's own reals;
 * ``abs2(z)`` -- the squared modulus, without a square root;
 * ``isfinite(z)``;
-* ``sqrt_nonneg(x)``, ``pow_real(base, expo)``,
-  ``pow_positive(base, expo)``, ``sin(x)`` and ``cos(x)`` -- the real
-  functions of the coefficient expressions and boundary angles;
+* ``sqrt(x)`` of x >= 0, ``pow_positive(base, expo)`` of base > 0,
+  ``sin(x)`` and ``cos(x)``; ``expr`` applies the sign rules;
 * ``to_fraction(x)`` and ``to_mpf(x)`` -- the exact value of a real
   scalar as a ``Fraction`` or an ``mpmath.mpf``.
 
@@ -50,7 +50,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 
 import mpmath
@@ -70,10 +70,7 @@ class MpmathKernel:
     name = "mpmath"
     needs_finite_checks = False
 
-    @contextmanager
-    def workprec(self, bits: int):
-        with mpmath.mp.workprec(bits):
-            yield
+    workprec = staticmethod(mpmath.mp.workprec)
 
     def real(self, x):
         if isinstance(x, Fraction):
@@ -102,25 +99,11 @@ class MpmathKernel:
             _libmp.mpf_add(_libmp.mpf_mul(re, re), _libmp.mpf_mul(im, im), prec, rounding)
         )
 
-    def sqrt_nonneg(self, x):
-        if x < 0:
-            raise EvaluationError(f"square root of negative value {mpmath.nstr(x, 12)}")
-        return mpmath.sqrt(x)
-
-    def pow_real(self, base, expo):
-        return _pow_real(self, base, expo)
-
-    def pow_positive(self, base, expo):
-        return mpmath.power(base, expo)
-
-    def sin(self, x):
-        return mpmath.sin(self.real(x))
-
-    def cos(self, x):
-        return mpmath.cos(self.real(x))
-
-    def isfinite(self, z) -> bool:
-        return bool(mpmath.isfinite(z))
+    sqrt = staticmethod(mpmath.sqrt)
+    pow_positive = staticmethod(mpmath.power)
+    sin = staticmethod(mpmath.sin)
+    cos = staticmethod(mpmath.cos)
+    isfinite = staticmethod(mpmath.isfinite)
 
     def to_fraction(self, x) -> Fraction:
         sign, man, exp, _ = mpmath.mpf(x)._mpf_
@@ -161,13 +144,8 @@ class Gmpy2Kernel:
     def abs2(self, z):
         return gmpy2.norm(z) if isinstance(z, gmpy2.mpc) else z * z
 
-    def sqrt_nonneg(self, x):
-        if x < 0:
-            raise EvaluationError(f"square root of negative value {x!s}")
+    def sqrt(self, x):
         return gmpy2.sqrt(x)
-
-    def pow_real(self, base, expo):
-        return _pow_real(self, base, expo)
 
     def pow_positive(self, base, expo):
         return base ** expo
@@ -202,46 +180,29 @@ class NativeKernel:
     name = "native"
     needs_finite_checks = True
 
-    @contextmanager
     def workprec(self, bits: int):
-        yield
+        return nullcontext()
 
-    def real(self, x):
-        return float(x)
-
-    def complex(self, re, im=0):
-        return complex(self.real(re), self.real(im))
+    real = float
+    complex = complex
 
     def abs2(self, z):
         # an overflow gives inf here, which the finite checks report
         return z.real * z.real + z.imag * z.imag
 
-    def sqrt_nonneg(self, x):
-        if x < 0:
-            raise EvaluationError(f"square root of negative value {x}")
-        return math.sqrt(x)
-
-    def pow_real(self, base, expo):
-        out = _pow_real(self, base, expo)
-        if not math.isfinite(out):
-            raise NativeOverflowError(
-                f"overflow at native-float precision: {base} ^ {expo}"
-            )
-        return out
+    sqrt = staticmethod(math.sqrt)
+    sin = staticmethod(math.sin)
+    cos = staticmethod(math.cos)
 
     def pow_positive(self, base, expo):
+        # past the float range math.pow raises, or returns inf from an inf base
         try:
-            return math.pow(base, expo)
+            out = math.pow(base, expo)
+            if math.isfinite(out):
+                return out
         except OverflowError:
-            raise NativeOverflowError(
-                f"overflow at native-float precision: {base} ^ {expo}"
-            ) from None
-
-    def sin(self, x):
-        return math.sin(self.real(x))
-
-    def cos(self, x):
-        return math.cos(self.real(x))
+            pass
+        raise NativeOverflowError(f"overflow at native-float precision: {base} ^ {expo}")
 
     # both parts finite, for float, complex and int alike; a C builtin, so
     # ``map(isfinite, values)`` runs without a Python frame per value
@@ -252,31 +213,6 @@ class NativeKernel:
 
     def to_mpf(self, x) -> mpmath.mpf:
         return mpmath.mp.make_mpf(_libmp.from_float(float(x)))
-
-
-def _pow_real(kernel, base, expo):
-    """Real-valued power with explicit sign rules.
-
-    Negative bases require an integer exponent; 0^negative is an error.
-    Both gmpy2 and native floats would otherwise produce nan/inf silently.
-    """
-    if base == 0:
-        if expo < 0:
-            raise EvaluationError("zero raised to a negative power")
-        if expo == 0:
-            return kernel.real(1)
-        return kernel.real(0)
-    if base > 0:
-        return kernel.pow_positive(base, expo)
-    # negative base: exponent must be an integer
-    frac = kernel.to_fraction(expo)
-    if frac.denominator != 1:
-        raise EvaluationError(
-            f"negative base {base!s} raised to non-integer power {expo!s}"
-        )
-    n = frac.numerator
-    mag = kernel.pow_real(-base, expo)
-    return -mag if n % 2 else mag
 
 
 _NATIVE = NativeKernel()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import time
 from pathlib import Path
@@ -49,11 +50,21 @@ EXIT_PRECISION = 4
 EXIT_UNDECIDED = 5
 
 
+def _finite_float(text: str) -> float:
+    """A float flag's value; inf and nan are refused like any non-number."""
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
 def _add_common_flags(sub, out: bool = True):
     sub.add_argument("scenario", help="builtin name or scenario JSON path")
-    sub.add_argument("--lambda-re", type=float, default=None)
-    sub.add_argument("--lambda-im", type=float, default=None)
-    sub.add_argument("--alpha", type=float, default=None)
+    sub.add_argument("--lambda-re", type=_finite_float, default=None)
+    sub.add_argument("--lambda-im", type=_finite_float, default=None)
+    sub.add_argument("--alpha", type=_finite_float, default=None)
     sub.add_argument("--n-max", type=int, default=None)
     sub.add_argument("--bits", type=int, default=None)
     if out:
@@ -83,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("ivp", help="solve an initial value problem")
     _add_common_flags(p)
-    p.add_argument("--c1", type=float, required=True, help="y1 at the origin")
-    p.add_argument("--c2", type=float, required=True,
+    p.add_argument("--c1", type=_finite_float, required=True, help="y1 at the origin")
+    p.add_argument("--c2", type=_finite_float, required=True,
                    help="quasi-difference just before the origin")
     p.add_argument("--N", type=int, required=True)
 
@@ -94,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("eigen", help="regular boundary-problem residual")
     _add_common_flags(p)
-    p.add_argument("--beta", type=float, default=0.0)
+    p.add_argument("--beta", type=_finite_float, default=0.0)
     p.add_argument("--N", type=int, required=True)
 
     subs.add_parser("examples", help="list the built-in registry")

@@ -237,7 +237,7 @@ def _weighted_witnesses(model: CoefficientSet, m_col: tuple, horizon: int) -> di
                   model.column("q", a, horizon), m_col),
             # the variation ratio needs M(t-1): usable only from a+1, where
             # the validated positive range covers the previous index
-            "k4": _sup(lambda p_prev, m_t, m_prev: k.sqrt_nonneg(p_prev)
-                  * abs(m_t - m_prev) / (k.sqrt_nonneg(m_t) * m_prev),
+            "k4": _sup(lambda p_prev, m_t, m_prev: k.sqrt(p_prev)
+                  * abs(m_t - m_prev) / (k.sqrt(m_t) * m_prev),
                   model.column("p", a, min(horizon, a + 200) - 1), m_col[1:], m_col),
         }

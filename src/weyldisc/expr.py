@@ -20,6 +20,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import EvaluationError, ExprSyntaxError, NativeOverflowError
 
@@ -297,10 +298,33 @@ def _column(node: CoefficientExpr, ts: range, kernel) -> tuple:
             raise EvaluationError(f"division by zero in {to_text(node)} at t={ts[den.index(0)]}")
         return tuple(map(operator.truediv, _column(node.left, ts, kernel), den))
     op = {
-        Neg: operator.neg, Sqrt: kernel.sqrt_nonneg, Pow: kernel.pow_real,
+        Neg: operator.neg, Sqrt: partial(real_sqrt, kernel), Pow: partial(real_power, kernel),
         Add: operator.add, Sub: operator.sub, Mul: operator.mul,
     }.get(type(node))
     if op is None:
         raise TypeError(f"not an expression node: {node!r}")
     # the children in field order: left before right, base before exponent
     return tuple(map(op, *(_column(child, ts, kernel) for child in vars(node).values())))
+
+
+def real_sqrt(kernel, x):
+    """sqrt(x) on reals; a negative x is an error on every kernel."""
+    if x < 0:
+        raise EvaluationError(f"square root of negative value {x}")
+    return kernel.sqrt(x)
+
+
+def real_power(kernel, base, expo):
+    """base^expo on reals: 0^negative is an error, and a negative base needs
+    an integer exponent (gmpy2 and native floats would give nan or inf)."""
+    if base == 0:
+        if expo < 0:
+            raise EvaluationError("zero raised to a negative power")
+        return kernel.real(1 if expo == 0 else 0)
+    if base > 0:
+        return kernel.pow_positive(base, expo)
+    frac = kernel.to_fraction(expo)
+    if frac.denominator != 1:
+        raise EvaluationError(f"negative base {base!s} raised to non-integer power {expo!s}")
+    mag = kernel.pow_positive(-base, expo)
+    return -mag if frac.numerator % 2 else mag

@@ -22,7 +22,8 @@ model; registry names are accepted wherever a scenario path is.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ExprSyntaxError, ScenarioError
@@ -35,6 +36,12 @@ class Thresholds:
     rel_tol: float = ClassifyOptions.rel_tol
     divergence_factor: float = ClassifyOptions.divergence_factor
     window: int = ClassifyOptions.window
+
+    def __post_init__(self):
+        _require_finite(self.rel_tol, "thresholds.rel_tol")
+        _require_finite(self.divergence_factor, "thresholds.divergence_factor")
+        _require(_is_int(self.window), f"thresholds.window must be an integer, got {self.window!r}")
+        _require(self.window > 0, "thresholds.window must be positive")
 
 
 @dataclass(frozen=True)
@@ -56,8 +63,12 @@ class Scenario:
     def __post_init__(self):
         # here rather than in the file reader, so that a command-line
         # override made with dataclasses.replace is checked too
-        _require(isinstance(self.n_max, int) and self.n_max > self.a,
+        _require(_is_int(self.a), "field 'a' must be an integer")
+        _require(_is_int(self.n_max) and self.n_max > self.a,
                  f"n_max must be an integer above a ({self.a}), got {self.n_max!r}")
+        for name, value in (("lambda.re", self.lambda_re), ("lambda.im", self.lambda_im),
+                            ("alpha", self.alpha)):
+            _require_finite(value, f"field {name!r}")
 
     def model(self) -> CoefficientSet:
         coeffs = {}
@@ -108,6 +119,24 @@ def _require(cond: bool, message: str):
         raise ScenarioError(message)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_finite(value, name: str):
+    _require(_is_int(value) or (isinstance(value, float) and math.isfinite(value)),
+             f"{name} must be a finite number, got {value!r}")
+
+
+def _real(value, name: str) -> float:
+    """A JSON number (not a string or a bool) as a float."""
+    _require(_is_int(value) or isinstance(value, float), f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        return math.inf
+
+
 def scenario_from_dict(data: dict, fallback_name: str = "scenario") -> Scenario:
     _require(isinstance(data, dict), "scenario body must be a JSON object")
     known = {
@@ -121,8 +150,6 @@ def scenario_from_dict(data: dict, fallback_name: str = "scenario") -> Scenario:
     base = Scenario(name=name)  # every default below is one of its fields
 
     a = data.get("a", base.a)
-    _require(isinstance(a, int), "field 'a' must be an integer")
-
     coeffs = {}
     for cname in ("p", "q", "c", "h", "d"):
         spec = data.get(cname, getattr(base, cname))
@@ -139,28 +166,28 @@ def scenario_from_dict(data: dict, fallback_name: str = "scenario") -> Scenario:
 
     lam = data.get("lambda", {})
     _require(isinstance(lam, dict), "field 'lambda' must be {'re': x, 'im': y}")
-    lam_re = float(lam.get("re", base.lambda_re))
-    lam_im = float(lam.get("im", base.lambda_im))
+    lam_re = _real(lam.get("re", base.lambda_re), "field 'lambda.re'")
+    lam_im = _real(lam.get("im", base.lambda_im), "field 'lambda.im'")
 
-    alpha = float(data.get("alpha", base.alpha))
+    alpha = _real(data.get("alpha", base.alpha), "field 'alpha'")
     n_max = data.get("n_max", base.n_max)
 
     prec = data.get("precision", {})
     _require(isinstance(prec, dict), "field 'precision' must be an object")
+    bits = prec.get("bits", base.precision.mantissa_bits)
+    _require(_is_int(bits), f"field 'precision.bits' must be an integer, got {bits!r}")
     try:
-        precision = PrecisionConfig(
-            mode=prec.get("mode", base.precision.mode),
-            mantissa_bits=int(prec.get("bits", base.precision.mantissa_bits)),
-        )
+        precision = PrecisionConfig(mode=prec.get("mode", base.precision.mode), mantissa_bits=bits)
     except ValueError as exc:
         raise ScenarioError(f"field 'precision': {exc}") from exc
 
     thr = data.get("thresholds", {})
     _require(isinstance(thr, dict), "field 'thresholds' must be an object")
-    thresholds = Thresholds(**{
-        f.name: type(f.default)(thr.get(f.name, f.default)) for f in fields(Thresholds)
-    })
-    _require(thresholds.window > 0, "thresholds.window must be positive")
+    thresholds = Thresholds(
+        **{name: _real(thr.get(name, getattr(base.thresholds, name)), f"thresholds.{name}")
+           for name in ("rel_tol", "divergence_factor")},
+        window=thr.get("window", base.thresholds.window),
+    )
 
     scenario = Scenario(
         name=name, a=a, **coeffs,

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from weyldisc import backends
+from weyldisc import ExprCoefficient, backends
 from weyldisc.backends import (
     BIG_KERNEL,
     Gmpy2Kernel,
@@ -27,11 +27,13 @@ IMPORTABLE = [
         backends.gmpy2 is None, reason="gmpy2 is not importable")),
 ]
 
-# what the solvers call on a kernel object; the scalar types carry the rest
-PROTOCOL_METHODS = (
-    "workprec", "real", "complex", "abs2", "isfinite", "sqrt_nonneg",
-    "pow_real", "pow_positive", "sin", "cos", "to_fraction", "to_mpf",
-)
+# the whole public face of a kernel object: what the solvers call on it;
+# the scalar types carry the rest
+PROTOCOL_MEMBERS = {
+    "name", "workprec", "needs_finite_checks", "real", "complex", "abs2",
+    "isfinite", "sqrt", "pow_positive", "sin", "cos", "to_fraction", "to_mpf",
+}
+PROTOCOL_METHODS = sorted(PROTOCOL_MEMBERS - {"name", "needs_finite_checks"})
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
@@ -51,33 +53,42 @@ def test_division_by_zero_scalar_is_an_error(kernel):
                 kernel.complex(1, 0) / den
 
 
+def _value(text, kernel):
+    """The value of a constant coefficient expression on ``kernel``."""
+    return ExprCoefficient.parse(text).value(0, kernel)
+
+
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
 def test_sqrt_guard(kernel):
+    """``sqrt`` refuses a negative argument on every kernel, before the
+    kernel's own square root sees it."""
     with kernel.workprec(256):
-        with pytest.raises(EvaluationError):
-            kernel.sqrt_nonneg(kernel.real(-1))
-        assert kernel.to_fraction(kernel.sqrt_nonneg(kernel.real(4))) == 2
+        with pytest.raises(EvaluationError, match="square root of negative value -1.0"):
+            _value("sqrt(0 - 1)", kernel)
+        assert kernel.to_fraction(_value("sqrt(4)", kernel)) == 2
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
 def test_pow_sign_rules(kernel):
     with kernel.workprec(256):
-        assert kernel.to_fraction(kernel.pow_real(kernel.real(-4), kernel.real(3))) == -64
-        assert kernel.to_fraction(kernel.pow_real(kernel.real(-4), kernel.real(2))) == 16
-        with pytest.raises(EvaluationError):
-            kernel.pow_real(kernel.real(-4), kernel.real(0.5))
-        with pytest.raises(EvaluationError):
-            kernel.pow_real(kernel.real(0), kernel.real(-1))
+        assert kernel.to_fraction(_value("(0 - 4)^3", kernel)) == -64
+        assert kernel.to_fraction(_value("(0 - 4)^2", kernel)) == 16
+        with pytest.raises(EvaluationError, match="non-integer power"):
+            _value("(0 - 4)^0.5", kernel)
+        with pytest.raises(EvaluationError, match="zero raised to a negative power"):
+            _value("0^(0 - 1)", kernel)
 
 
 @pytest.mark.parametrize("make", IMPORTABLE)
 def test_kernel_protocol(make):
-    """A kernel provides the methods the solvers call, and its scalars
+    """A kernel provides exactly the members the solvers call, and its scalars
     give exact parts, conjugates and moduli through ``.real``, ``.imag``,
     ``.conjugate()`` and ``abs``, reals as well as complex values."""
     kernel = make()
     assert isinstance(kernel.name, str)
     assert isinstance(kernel.needs_finite_checks, bool)
+    public = {member for member in dir(kernel) if not member.startswith("_")}
+    assert public == PROTOCOL_MEMBERS
     for method in PROTOCOL_METHODS:
         assert callable(getattr(kernel, method)), method
     exact = kernel.to_fraction
@@ -101,7 +112,7 @@ def test_float_is_infinite_past_the_float_range():
     zero included."""
     k = MpmathKernel()
     with k.workprec(256):
-        huge = k.pow_real(k.real(2), k.real(2000))
+        huge = k.pow_positive(k.real(2), k.real(2000))
         assert float(huge) == math.inf
         assert float(-huge) == -math.inf
         assert float(1 / huge) == 0.0
@@ -159,7 +170,7 @@ def test_abs2_is_the_squared_modulus(kernel):
 def test_huge_exponents_format():
     k = BIG_KERNEL
     with k.workprec(256):
-        big = k.pow_real(k.real(4), k.real(20000))
+        big = k.pow_positive(k.real(4), k.real(20000))
         text = format_real(k, big)
     assert "e+12041" in text
 

@@ -81,10 +81,74 @@ def test_scenario_file_round_trip(tmp_path):
     ({"name": "x", "n_max": "many"}, "n_max"),
     ({"name": "x", "p": {"table": []}}, "nonempty"),
     ({"name": "x", "precision": {"bits": 16}}, "precision"),
+    # integers are JSON integers, reals JSON numbers: nothing is coerced
+    ({"name": "x", "a": True}, "field 'a' must be an integer"),
+    ({"name": "x", "n_max": True}, "n_max must be an integer"),
+    ({"name": "x", "precision": {"bits": 300.7}}, "field 'precision.bits' must be an integer"),
+    ({"name": "x", "thresholds": {"window": 32.9}}, "thresholds.window must be an integer"),
+    ({"name": "x", "thresholds": {"window": 0}}, "thresholds.window must be positive"),
+    ({"name": "x", "lambda": {"re": "0.5"}}, "field 'lambda.re' must be a number"),
+    ({"name": "x", "alpha": False}, "field 'alpha' must be a number"),
+    # and finite
+    ({"name": "x", "thresholds": {"rel_tol": "nan"}}, "thresholds.rel_tol must be a number"),
+    ({"name": "x", "thresholds": {"rel_tol": float("nan")}},
+     "thresholds.rel_tol must be a finite number"),
+    ({"name": "x", "thresholds": {"divergence_factor": float("inf")}},
+     "thresholds.divergence_factor must be a finite number"),
+    ({"name": "x", "lambda": {"im": float("inf")}}, "field 'lambda.im' must be a finite number"),
+    ({"name": "x", "alpha": 10 ** 400}, "field 'alpha' must be a finite number"),
 ])
 def test_scenario_validation_errors(body, fragment):
     with pytest.raises(ScenarioError, match=fragment):
         scenario_from_dict(body)
+
+
+def test_scenario_numbers_keep_their_json_values():
+    """An integer in a real field is stored as a float, so the echoed
+    scenario reads the same as before integers were checked."""
+    s = scenario_from_dict({"name": "x", "lambda": {"re": 1, "im": 2}, "alpha": 0,
+                            "thresholds": {"rel_tol": 0, "divergence_factor": 10}})
+    assert s.to_dict()["lambda"] == {"re": 1.0, "im": 2.0}
+    assert type(s.alpha) is float and type(s.thresholds.rel_tol) is float
+    assert s.to_dict()["thresholds"]["divergence_factor"] == 10.0
+
+
+def _exit_code(argv) -> int:
+    """main's exit code, also where argparse refuses a flag."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["classify", "free", "--lambda-im", "inf"], "--lambda-im"),
+    (["check", "free", "--lambda-im", "inf"], "--lambda-im"),
+    (["classify", "free", "--lambda-re", "nan"], "--lambda-re"),
+    (["ivp", "free", "--c1", "inf", "--c2", "0", "--N", "3"], "--c1"),
+    (["ivp", "free", "--c1", "0", "--c2", "nan", "--N", "3"], "--c2"),
+    (["classify", "{nan_file}"], "thresholds.rel_tol"),
+    (["check", "{true_file}"], "field 'a'"),
+])
+def test_cli_refuses_non_finite_and_coerced_numbers(tmp_path, monkeypatch, capsys,
+                                                   argv, named):
+    """A non-finite number from a flag or a file, or a scenario file
+    value of the wrong JSON type, is a scenario problem (exit 2) that
+    names the flag or field; nothing runs and no report is written."""
+    files = {"nan_file": {"name": "x", "thresholds": {"rel_tol": "nan"}},
+             "true_file": {"name": "x", "a": True}}
+    for key, body in files.items():
+        (tmp_path / f"{key}.json").write_text(json.dumps(body))
+    argv = [arg.format(**{key: str(tmp_path / f"{key}.json") for key in files})
+            for arg in argv]
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.chdir(out)
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
+    assert list(out.iterdir()) == []
 
 
 def test_resolve_scenario_missing_file():

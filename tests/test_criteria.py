@@ -147,8 +147,8 @@ def _reference_witnesses(model, weight, horizon):
             "k1": sup(a, horizon, lambda t: (abs(coeff("c", t)) + abs(coeff("c", t - 1))) / m(t)),
             "k2": sup(a, horizon, lambda t: abs(coeff("h", t)) / m(t)),
             "k3": sup(a, horizon, lambda t: max(-coeff("q", t), k.real(0)) / m(t)),
-            "k4": sup(a + 1, min(horizon, a + 200), lambda t: k.sqrt_nonneg(coeff("p", t - 1))
-                      * abs(m(t) - m(t - 1)) / (k.sqrt_nonneg(m(t)) * m(t - 1))),
+            "k4": sup(a + 1, min(horizon, a + 200), lambda t: k.sqrt(coeff("p", t - 1))
+                      * abs(m(t) - m(t - 1)) / (k.sqrt(m(t)) * m(t - 1))),
         }
 
 

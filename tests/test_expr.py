@@ -17,6 +17,8 @@ from weyldisc.expr import (
     Sub,
     Var,
     parse_coefficient_expr as parse,
+    real_power,
+    real_sqrt,
     to_text,
 )
 
@@ -188,15 +190,15 @@ def _tree_walk(node, t, kernel):
     if isinstance(node, Neg):
         return -_tree_walk(node.arg, t, kernel)
     if isinstance(node, Sqrt):
-        return kernel.sqrt_nonneg(_tree_walk(node.arg, t, kernel))
+        return real_sqrt(kernel, _tree_walk(node.arg, t, kernel))
     if isinstance(node, Div):
         den = _tree_walk(node.right, t, kernel)
         if den == 0:
             raise EvaluationError(f"division by zero in {to_text(node)} at t={t}")
         return _tree_walk(node.left, t, kernel) / den
     if isinstance(node, Pow):
-        return kernel.pow_real(
-            _tree_walk(node.base, t, kernel), _tree_walk(node.exponent, t, kernel)
+        return real_power(
+            kernel, _tree_walk(node.base, t, kernel), _tree_walk(node.exponent, t, kernel)
         )
     left, right = _tree_walk(node.left, t, kernel), _tree_walk(node.right, t, kernel)
     if isinstance(node, Add):
@@ -250,6 +252,17 @@ def test_window_agrees_with_one_point_on_random_trees(precision):
      "overflow at native-float precision: 4.0 ^ 512.0", 512),
     ("2^t * 2^t", 500, 520, NATIVE, NativeOverflowError,
      "value of 2^t * 2^t at t=512 is not finite at this precision", 512),
+    # an infinite base is refused by the power too, so no later node can
+    # turn it into a finite value
+    ("(2^t * 2^t)^0.5", 500, 520, NATIVE, NativeOverflowError,
+     "overflow at native-float precision: inf ^ 0.5", 512),
+    ("1 / (2^t * 2^t)^0.5", 500, 520, NATIVE, NativeOverflowError,
+     "overflow at native-float precision: inf ^ 0.5", 512),
+    ("(0 - 2^t * 2^t)^1", 500, 520, NATIVE, NativeOverflowError,
+     "overflow at native-float precision: inf ^ 1.0", 512),
+    # inf - inf is nan, which is neither positive nor negative
+    ("(2^t * 2^t - 2^t * 2^t)^2", 500, 520, NATIVE, NativeOverflowError,
+     "overflow at native-float precision: nan ^ 2.0", 512),
 ])
 def test_window_error_is_the_one_point_error(text, first, last, precision, error,
                                              message, bad_t):
