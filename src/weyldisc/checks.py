@@ -92,19 +92,18 @@ def oracle_deviation(direct: Trajectory, top: int, *,
     table of (model, lam) on a-1 .. top, which the oracle then reads."""
     model = direct.model
     direct = direct.cut(top)
-    with model.workprec():
-        # BoundaryData is (y1(a), y1q(a-1)), which the solution carries
-        bd = BoundaryData(direct.y1_at(model.a), direct.y1q_at(model.a - 1))
-        oracle = oracle_three_term(model, direct.lam, bd, top, table=table)
-        worst = 0.0
-        for seq_d, seq_o in ((direct.y1, oracle.y1), (direct.y2, oracle.y2),
-                             (direct.y1q, oracle.y1q)):
-            gaps = [float(abs(vd - vo)) for vd, vo in zip(seq_d, seq_o)]
-            if any(gaps):
-                sup = max(float(abs(v)) for v in seq_d) or 1.0
-                for gap in gaps:
-                    worst = max(worst, gap / sup)
-        return worst
+    # BoundaryData is (y1(a), y1q(a-1)), which the solution carries
+    bd = BoundaryData(direct.y1_at(model.a), direct.y1q_at(model.a - 1))
+    oracle = oracle_three_term(model, direct.lam, bd, top, table=table)
+    worst = 0.0
+    for seq_d, seq_o in ((direct.y1, oracle.y1), (direct.y2, oracle.y2),
+                         (direct.y1q, oracle.y1q)):
+        gaps = [float(abs(vd - vo)) for vd, vo in zip(seq_d, seq_o)]
+        if any(gaps):
+            sup = max(float(abs(v)) for v in seq_d) or 1.0
+            for gap in gaps:
+                worst = max(worst, gap / sup)
+    return worst
 
 
 def transfer_det_deviation(table: StepTable, top: int) -> float:
@@ -112,32 +111,30 @@ def transfer_det_deviation(table: StepTable, top: int) -> float:
     of the two products that make the determinant."""
     model = table.model
     rows = slice(table.index(model.a), table.index(top) + 1)
-    with model.workprec():
-        worst = 0.0
-        for a11, a12, a21, a22 in zip(
-            table.a11[rows], table.a12[rows], table.a21[rows], table.a22[rows]
-        ):
-            diag = (1 - a11) * (1 - a22)
-            off = a12 * a21
-            dev = diag - off - 1
-            if dev:
-                worst = max(worst, float(abs(dev) / (abs(diag) + abs(off) + 1)))
-        return worst
+    worst = 0.0
+    for a11, a12, a21, a22 in zip(
+        table.a11[rows], table.a12[rows], table.a21[rows], table.a22[rows]
+    ):
+        diag = (1 - a11) * (1 - a22)
+        off = a12 * a21
+        dev = diag - off - 1
+        if dev:
+            worst = max(worst, float(abs(dev) / (abs(diag) + abs(off) + 1)))
+    return worst
 
 
 def _pairing_worst(phi: Trajectory, psi: Trajectory, first: int, top: int) -> float:
     """Largest |AD - BC - 1| / (|AD| + |BC| + 1) over t = first .. top, with
     (A, B) and (C, D) the states (y1(t+1), y1q(t)) of phi and psi: AD - BC
     is the pair's transfer determinant and their ``structure.wronskian``."""
-    with phi.model.workprec():
-        worst = 0.0
-        for a_v, b_v, c_v, d_v in zip(*phi.state_columns(first, top),
-                                      *psi.state_columns(first, top)):
-            ad, bc = a_v * d_v, b_v * c_v
-            dev = ad - bc - 1
-            if dev:
-                worst = max(worst, float(abs(dev) / (abs(ad) + abs(bc) + 1)))
-        return worst
+    worst = 0.0
+    for a_v, b_v, c_v, d_v in zip(*phi.state_columns(first, top),
+                                  *psi.state_columns(first, top)):
+        ad, bc = a_v * d_v, b_v * c_v
+        dev = ad - bc - 1
+        if dev:
+            worst = max(worst, float(abs(dev) / (abs(ad) + abs(bc) + 1)))
+    return worst
 
 
 def pair_det_deviation(phi: Trajectory, psi: Trajectory, top: int) -> float:
@@ -160,9 +157,7 @@ def residual_deviation(phi: Trajectory, psi: Trajectory, top: int) -> float:
 
 def _residual(traj: Trajectory, top: int) -> float:
     """Largest relative equation residual of one solution on a-1 .. top."""
-    model = traj.model
-    with model.workprec():
-        return max_relative_residual(model, traj.cut(top))
+    return max_relative_residual(traj.model, traj.cut(top))
 
 
 def _draw_read(k, rng: random.Random, count: int, read) -> tuple:
@@ -193,16 +188,15 @@ def random_pair_sequences(model: CoefficientSet, top: int, rng: random.Random):
 def green_relative_defect(model: CoefficientSet, y, z, top: int) -> float:
     """Green's formula defect normalized by the inner-product magnitudes."""
     k = model.kernel
-    with model.workprec():
-        defect, rows = green_terms(model, y, z, top)
-        if not defect:
-            return 0.0
-        scale = k.real(1)
-        # rows start at t = a, which is index 1 of sequences from a-1
-        for idx, ((ly1, ly2), (lz1, lz2)) in enumerate(rows, 1):
-            scale = scale + (abs(ly1) + abs(ly2)) * (abs(z[idx][0]) + abs(z[idx][1]))
-            scale = scale + (abs(lz1) + abs(lz2)) * (abs(y[idx][0]) + abs(y[idx][1]))
-        return float(abs(defect) / scale)
+    defect, rows = green_terms(model, y, z, top)
+    if not defect:
+        return 0.0
+    scale = k.real(1)
+    # rows start at t = a, which is index 1 of sequences from a-1
+    for idx, ((ly1, ly2), (lz1, lz2)) in enumerate(rows, 1):
+        scale = scale + (abs(ly1) + abs(ly2)) * (abs(z[idx][0]) + abs(z[idx][1]))
+        scale = scale + (abs(lz1) + abs(lz2)) * (abs(y[idx][0]) + abs(y[idx][1]))
+    return float(abs(defect) / scale)
 
 
 def green_random_worst(
@@ -224,22 +218,21 @@ def lagrange_relative_defect(model, phi, psi, top: int, *, residuals=None) -> fl
     ``lagrange_identity_defect``).  A trajectory that fails the solution
     gate there leaves no identity to check and reads as inf."""
     k = model.kernel
-    with model.workprec():
-        try:
-            defect = lagrange_identity_defect(phi, psi, top, residuals=residuals)
-        except NumericalInvariantError:
-            return float("inf")
-        if not defect:
-            return 0.0
-        scale = k.real(1)
-        for n in (top, model.a - 1):
-            scale = scale + abs(phi.y1_at(n + 1)) * abs(psi.y1q_at(n))
-            scale = scale + abs(phi.y1q_at(n)) * abs(psi.y1_at(n + 1))
-        gap = abs(phi.lam - psi.lam.conjugate())
-        for p1, p2, s1, s2 in zip(*phi.component_columns(model.a, top),
-                                  *psi.component_columns(model.a, top)):
-            scale = scale + gap * (abs(p1) + abs(p2)) * (abs(s1) + abs(s2))
-        return float(abs(defect) / scale)
+    try:
+        defect = lagrange_identity_defect(phi, psi, top, residuals=residuals)
+    except NumericalInvariantError:
+        return float("inf")
+    if not defect:
+        return 0.0
+    scale = k.real(1)
+    for n in (top, model.a - 1):
+        scale = scale + abs(phi.y1_at(n + 1)) * abs(psi.y1q_at(n))
+        scale = scale + abs(phi.y1q_at(n)) * abs(psi.y1_at(n + 1))
+    gap = abs(phi.lam - psi.lam.conjugate())
+    for p1, p2, s1, s2 in zip(*phi.component_columns(model.a, top),
+                              *psi.component_columns(model.a, top)):
+        scale = scale + gap * (abs(p1) + abs(p2)) * (abs(s1) + abs(s2))
+    return float(abs(defect) / scale)
 
 
 def bracket_antisymmetry_worst(
@@ -256,49 +249,46 @@ def bracket_antisymmetry_worst(
     n = top + 1 - (model.a - 1)
     read_y1 = {t + 1 - (model.a - 1) for t in points}
     read_y1q = {t - (model.a - 1) for t in points}
-    with model.workprec():
-        lam = k.complex(0, 1)
+    lam = k.complex(0, 1)
 
-        def draw_traj():
-            return Trajectory(
-                model=model, lam=lam, top=top,
-                y1=_draw_read(k, rng, n + 1, read_y1),
-                y2=_draw_read(k, rng, n, ()),
-                y1q=_draw_read(k, rng, n, read_y1q),
-            )
-        for _ in range(pairs):
-            y, z = draw_traj(), draw_traj()
-            for t in points:
-                lhs = bracket(y, z, t)
-                rhs = -bracket(z, y, t).conjugate()
-                worst = max(worst, float(abs(lhs - rhs)))
+    def draw_traj():
+        return Trajectory(
+            model=model, lam=lam, top=top,
+            y1=_draw_read(k, rng, n + 1, read_y1),
+            y2=_draw_read(k, rng, n, ()),
+            y1q=_draw_read(k, rng, n, read_y1q),
+        )
+    for _ in range(pairs):
+        y, z = draw_traj(), draw_traj()
+        for t in points:
+            lhs = bracket(y, z, t)
+            rhs = -bracket(z, y, t).conjugate()
+            worst = max(worst, float(abs(lhs - rhs)))
     return worst
 
 
 def disc_sum_identity_worst(model, discs, psi_sums, lam) -> float:
     """r_N * 2 Im(lam) * S_N = 1."""
-    with model.workprec():
-        sums = dict(psi_sums)
-        lam_s = as_lambda_scalar(model, lam)
-        worst = 0.0
-        for disc in discs:
-            value = disc.radius * 2 * abs(lam_s.imag) * sums[disc.n]
-            worst = max(worst, abs(float(value) - 1.0))
-        return worst
+    sums = dict(psi_sums)
+    lam_s = as_lambda_scalar(model, lam)
+    worst = 0.0
+    for disc in discs:
+        value = disc.radius * 2 * abs(lam_s.imag) * sums[disc.n]
+        worst = max(worst, abs(float(value) - 1.0))
+    return worst
 
 
 def disc_nesting_worst(model, discs) -> float:
     """max over N < N' of |O_N' - O_N| - (r_N - r_N'), positive part."""
-    with model.workprec():
-        worst = -float("inf")
-        for i in range(len(discs)):
-            for j in range(i + 1, len(discs)):
-                gap = (
-                    abs(discs[j].center - discs[i].center)
-                    - (discs[i].radius - discs[j].radius)
-                )
-                worst = max(worst, float(gap))
-        return max(worst, 0.0)
+    worst = -float("inf")
+    for i in range(len(discs)):
+        for j in range(i + 1, len(discs)):
+            gap = (
+                abs(discs[j].center - discs[i].center)
+                - (discs[i].radius - discs[j].radius)
+            )
+            worst = max(worst, float(gap))
+    return max(worst, 0.0)
 
 
 def disc_corner_route_worst(phi: Trajectory, psi: Trajectory, discs, top: int) -> float:
@@ -309,30 +299,29 @@ def disc_corner_route_worst(phi: Trajectory, psi: Trajectory, discs, top: int) -
     model = phi.model
     k = model.kernel
     bits = model.precision.bits
-    with model.workprec():
-        headroom = k.real(2) ** (bits // 4)
-        worst = 0.0
-        checked = 0
-        for disc in discs:
-            n = disc.n
-            if n > top:
-                break
-            c_v, d_v = psi.state(n)
-            a_v, b_v = phi.state(n)
-            prod = abs(c_v) * abs(d_v) + abs(a_v) * abs(d_v) + abs(b_v) * abs(c_v)
-            if prod * disc.radius > headroom:  # prod/|diag| beyond headroom
-                continue
-            diag = bracket(psi, psi, n)
-            mixed = bracket(phi, psi, n)
-            if diag == 0:
-                continue
-            checked += 1
-            worst = max(
-                worst,
-                float(abs(1 / abs(diag) - disc.radius) / disc.radius),
-                float(abs(-mixed / diag - disc.center) / (1 + abs(disc.center))),
-            )
-        return worst if checked else float("inf")
+    headroom = k.real(2) ** (bits // 4)
+    worst = 0.0
+    checked = 0
+    for disc in discs:
+        n = disc.n
+        if n > top:
+            break
+        c_v, d_v = psi.state(n)
+        a_v, b_v = phi.state(n)
+        prod = abs(c_v) * abs(d_v) + abs(a_v) * abs(d_v) + abs(b_v) * abs(c_v)
+        if prod * disc.radius > headroom:  # prod/|diag| beyond headroom
+            continue
+        diag = bracket(psi, psi, n)
+        mixed = bracket(phi, psi, n)
+        if diag == 0:
+            continue
+        checked += 1
+        worst = max(
+            worst,
+            float(abs(1 / abs(diag) - disc.radius) / disc.radius),
+            float(abs(-mixed / diag - disc.center) / (1 + abs(disc.center))),
+        )
+    return worst if checked else float("inf")
 
 
 def m_sweep_worst(phi: Trajectory, psi: Trajectory, discs, top: int, betas: int = 8) -> float:
@@ -347,26 +336,25 @@ def m_sweep_worst(phi: Trajectory, psi: Trajectory, discs, top: int, betas: int 
     k = model.kernel
     phi, psi = phi.cut(top), psi.cut(top)
     lam_s = phi.lam
-    with model.workprec():
-        discs = [d for d in discs if d.n <= top]
-        usable = [d for d in discs if float(d.radius) >= 1e-8]
-        disc = usable[-1] if usable else discs[0]
-        n = disc.n
-        corner = corner_values((phi, psi), n)
-        worst = 0.0
-        for i in range(betas):
-            beta = math.pi * i / betas
-            z = math.inf if beta == 0 else k.cos(beta) / k.sin(beta)
-            m_val = m_point(corner, z)
-            worst = max(
-                worst,
-                abs(float(abs(m_val - disc.center) / disc.radius) - 1.0),
-            )
-            chi_traj = chi((phi, psi), m_val)
-            defect = on_circle_defect(model, chi_traj, m_val, lam_s, n)
-            scale = abs(m_val.imag / lam_s.imag) + 1
-            worst = max(worst, float(abs(defect) / scale))
-        return worst
+    discs = [d for d in discs if d.n <= top]
+    usable = [d for d in discs if float(d.radius) >= 1e-8]
+    disc = usable[-1] if usable else discs[0]
+    n = disc.n
+    corner = corner_values((phi, psi), n)
+    worst = 0.0
+    for i in range(betas):
+        beta = math.pi * i / betas
+        z = math.inf if beta == 0 else k.cos(beta) / k.sin(beta)
+        m_val = m_point(corner, z)
+        worst = max(
+            worst,
+            abs(float(abs(m_val - disc.center) / disc.radius) - 1.0),
+        )
+        chi_traj = chi((phi, psi), m_val)
+        defect = on_circle_defect(model, chi_traj, m_val, lam_s, n)
+        scale = abs(m_val.imag / lam_s.imag) + 1
+        worst = max(worst, float(abs(defect) / scale))
+    return worst
 
 
 def y2_two_route_worst(traj: Trajectory, top: int) -> float:
@@ -375,16 +363,15 @@ def y2_two_route_worst(traj: Trajectory, top: int) -> float:
     model = traj.model
     traj = traj.cut(top)
     lam_s = traj.lam
-    with model.workprec():
-        gaps = [float(abs(direct - y2)) for direct, y2 in
-                zip(y2_relation(model, lam_s, traj.y1, model.a - 1, top), traj.y2)]
-        worst = 0.0
-        if any(gaps):
-            sup = max(float(abs(v)) for v in traj.y2)
-            sup = max(sup, max(float(abs(v)) for v in traj.y1))
-            for gap in gaps:
-                worst = max(worst, gap / sup)
-        return worst
+    gaps = [float(abs(direct - y2)) for direct, y2 in
+            zip(y2_relation(model, lam_s, traj.y1, model.a - 1, top), traj.y2)]
+    worst = 0.0
+    if any(gaps):
+        sup = max(float(abs(v)) for v in traj.y2)
+        sup = max(sup, max(float(abs(v)) for v in traj.y1))
+        for gap in gaps:
+            worst = max(worst, gap / sup)
+    return worst
 
 
 def vop_worst(basis: tuple[Trajectory, Trajectory], solutions, anchor: int,
@@ -397,35 +384,34 @@ def vop_worst(basis: tuple[Trajectory, Trajectory], solutions, anchor: int,
     phi, psi = basis
     model = phi.model
     k = model.kernel
-    with model.workprec():
-        worst = 0.0
-        for z in solutions:
-            try:
-                res = vop_reconstruct(basis, z, anchor, t_check)
-            except MatchingSingularError:
-                return float("inf")
-            defects = [(at, defect) for at, defect in (
-                (Trajectory.y1_at, res.defect_y1), (Trajectory.y2_at, res.defect_y2),
-            ) if defect]
-            if not defects:
-                continue
-            gap = abs(phi.lam - z.lam)
-            term_mag = k.real(0)
-            window = (anchor + 1, t_check)
-            for z1, z2, f1, f2, g1, g2 in zip(
-                *z.component_columns(*window), *phi.component_columns(*window),
-                *psi.component_columns(*window),
-            ):
-                z_mag = abs(z1) + abs(z2)
-                term_mag = term_mag + (abs(f1) + abs(f2)) * z_mag
-                term_mag = term_mag + (abs(g1) + abs(g2)) * z_mag
-            k_mag = abs(res.k1) + abs(res.k2)
-            for at, defect in defects:
-                basis_mag = abs(at(psi, t_check)) + abs(at(phi, t_check))
-                value_mag = abs(at(z, t_check))
-                scale = 1 + value_mag + (k_mag + gap * term_mag) * (basis_mag + 1)
-                worst = max(worst, float(abs(defect) / scale))
-        return worst
+    worst = 0.0
+    for z in solutions:
+        try:
+            res = vop_reconstruct(basis, z, anchor, t_check)
+        except MatchingSingularError:
+            return float("inf")
+        defects = [(at, defect) for at, defect in (
+            (Trajectory.y1_at, res.defect_y1), (Trajectory.y2_at, res.defect_y2),
+        ) if defect]
+        if not defects:
+            continue
+        gap = abs(phi.lam - z.lam)
+        term_mag = k.real(0)
+        window = (anchor + 1, t_check)
+        for z1, z2, f1, f2, g1, g2 in zip(
+            *z.component_columns(*window), *phi.component_columns(*window),
+            *psi.component_columns(*window),
+        ):
+            z_mag = abs(z1) + abs(z2)
+            term_mag = term_mag + (abs(f1) + abs(f2)) * z_mag
+            term_mag = term_mag + (abs(g1) + abs(g2)) * z_mag
+        k_mag = abs(res.k1) + abs(res.k2)
+        for at, defect in defects:
+            basis_mag = abs(at(psi, t_check)) + abs(at(phi, t_check))
+            value_mag = abs(at(z, t_check))
+            scale = 1 + value_mag + (k_mag + gap * term_mag) * (basis_mag + 1)
+            worst = max(worst, float(abs(defect) / scale))
+    return worst
 
 
 def run_suite(model: CoefficientSet, lam, alpha: float = 0.0,
@@ -458,21 +444,20 @@ def run_suite(model: CoefficientSet, lam, alpha: float = 0.0,
     t_vop = min(top, a + 16)
     span = max(top, t_vop + 4)
     k = model.kernel
-    with model.workprec():
-        lam_s = as_lambda_scalar(model, lam)
-        # the disc lines need a nonreal lam: refuse a real one before solving
-        if lam_s.imag == 0:
-            raise InadmissibleLambdaError("the invariant suite requires a nonreal lam")
-        table = step_table(model, lam_s, span)
-        phi, psi = fundamental_pair(model, lam_s, alpha, span, table=table)
-        unit, ones = BoundaryData(1, 0), BoundaryData(1, 1)
-        if alpha == 0:
-            basis, (sol11,) = (phi, psi), propagate_columns(table, (ones,))
-        else:
-            *basis, sol11 = propagate_columns(table, (BoundaryData(0, -1), unit, ones))
-        shifted = propagate_columns(
-            step_table(model, lam_s + k.complex(0, 1), span), (unit, ones))
-        discs, psi_sums = _disc_rows(model, phi, psi, lam_s, top)
+    lam_s = as_lambda_scalar(model, lam)
+    # the disc lines need a nonreal lam: refuse a real one before solving
+    if lam_s.imag == 0:
+        raise InadmissibleLambdaError("the invariant suite requires a nonreal lam")
+    table = step_table(model, lam_s, span)
+    phi, psi = fundamental_pair(model, lam_s, alpha, span, table=table)
+    unit, ones = BoundaryData(1, 0), BoundaryData(1, 1)
+    if alpha == 0:
+        basis, (sol11,) = (phi, psi), propagate_columns(table, (ones,))
+    else:
+        *basis, sol11 = propagate_columns(table, (BoundaryData(0, -1), unit, ones))
+    shifted = propagate_columns(
+        step_table(model, lam_s + k.complex(0, 1), span), (unit, ones))
+    discs, psi_sums = _disc_rows(model, phi, psi, lam_s, top)
     # one residual sweep per distinct solution: phi and psi make the
     # equation-residual line, psi and the lam + i solution are the Lagrange
     # lines' solution gates (each on its whole a-1 .. top trajectory)

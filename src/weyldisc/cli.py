@@ -224,14 +224,13 @@ def _cmd_ivp(args) -> int:
     dump_report(report_body("ivp", scenario, {"c1": args.c1, "c2": args.c2,
                                               "N": args.N, "trajectory": rows}),
                 args.out / f"{scenario.name}_ivp.json")
-    with model.workprec():
-        print(f"{'t':>5s}  {'y1':>24s}  {'y2':>24s}  {'y1q':>24s}")
-        for t in range(model.a - 1, args.N + 1):
-            y1 = traj.y1_at(t)
-            y2 = traj.y2_at(t)
-            qd = traj.y1q_at(t)
-            fmt = lambda z: f"{float(z.real):.6g}{float(z.imag):+.6g}j"
-            print(f"{t:>5d}  {fmt(y1):>24s}  {fmt(y2):>24s}  {fmt(qd):>24s}")
+    print(f"{'t':>5s}  {'y1':>24s}  {'y2':>24s}  {'y1q':>24s}")
+    for t in range(model.a - 1, args.N + 1):
+        y1 = traj.y1_at(t)
+        y2 = traj.y2_at(t)
+        qd = traj.y1q_at(t)
+        fmt = lambda z: f"{float(z.real):.6g}{float(z.imag):+.6g}j"
+        print(f"{t:>5d}  {fmt(y1):>24s}  {fmt(y2):>24s}  {fmt(qd):>24s}")
     return EXIT_OK
 
 
@@ -247,10 +246,9 @@ def _cmd_disc(args) -> int:
     }
     dump_report(report_body("disc", scenario, payload),
                 args.out / f"{scenario.name}_disc.json")
-    with model.workprec():
-        print(f"{scenario.name}: N={disc.n} "
-              f"center=({payload['center']['re']}, {payload['center']['im']}) "
-              f"radius={payload['radius']}")
+    print(f"{scenario.name}: N={disc.n} "
+          f"center=({payload['center']['re']}, {payload['center']['im']}) "
+          f"radius={payload['radius']}")
     return EXIT_OK
 
 
@@ -260,8 +258,7 @@ def _cmd_eigen(args) -> int:
     kernel = model.kernel
     angles = BoundaryAngles(alpha=scenario.alpha, beta=args.beta)
     residual = regular_eigen_residual(model, scenario.lam, angles, args.N)
-    with model.workprec():
-        mag = float(abs(residual))
+    mag = float(abs(residual))
     payload = {
         "N": args.N,
         "beta": args.beta,

@@ -64,9 +64,8 @@ def ratio_limit_point_check(model: CoefficientSet, horizon: int = 200) -> Criter
         )
     else:
         ratio_ok = growth.ratio_bounded(growth.order_of(c_cls), growth.order_of(p_cls))
-        with model.workprec():
-            columns = (model.column(name, model.a, horizon) for name in "cp")
-            witnesses["K"] = _sup(lambda c, p: abs(c) / abs(p), *columns)
+        columns = (model.column(name, model.a, horizon) for name in "cp")
+        witnesses["K"] = _sup(lambda c, p: abs(c) / abs(p), *columns)
     if not ratio_ok:
         return CriterionVerdict(
             outcome="fails", which="ratio", witnesses=witnesses,
@@ -92,8 +91,7 @@ def _certify_positive(model: CoefficientSet, coeff: Coefficient, horizon: int):
     """(verdict, witness_t): True if positive on the whole grid from a,
     False with a witness index if a violation is found, None if only the
     scanned range could be checked."""
-    with model.workprec():
-        values = coeff.column(model.a, horizon, model.kernel)
+    values = coeff.column(model.a, horizon, model.kernel)
     for t, value in enumerate(values, model.a):
         if not value > 0:
             return False, t
@@ -132,8 +130,7 @@ def weighted_limit_point_check(
     witnesses: dict = {"N": model.a}
 
     # M > 0 wherever we can see it; a witnessed violation is an input error
-    with model.workprec():
-        m_col = weight.column(model.a, horizon, model.kernel)
+    m_col = weight.column(model.a, horizon, model.kernel)
     for t, m_t in enumerate(m_col, model.a):
         if not m_t > 0:
             raise EvaluationError(f"weight M({t}) is not positive")
@@ -226,18 +223,17 @@ def _weighted_witnesses(model: CoefficientSet, m_col: tuple, horizon: int) -> di
     ``m_col``; they witness the conditions but cannot certify them."""
     k = model.kernel
     a = model.a
-    with model.workprec():
-        c_col = model.column("c", a - 1, horizon)
-        zero = k.real(0)
-        return {
-            "k1": _sup(lambda c, c_prev, m: (abs(c) + abs(c_prev)) / m,
-                  c_col[1:], c_col, m_col),
-            "k2": _sup(lambda h, m: abs(h) / m, model.column("h", a, horizon), m_col),
-            "k3": _sup(lambda q, m: max(-q, zero) / m,
-                  model.column("q", a, horizon), m_col),
-            # the variation ratio needs M(t-1): usable only from a+1, where
-            # the validated positive range covers the previous index
-            "k4": _sup(lambda p_prev, m_t, m_prev: k.sqrt(p_prev)
-                  * abs(m_t - m_prev) / (k.sqrt(m_t) * m_prev),
-                  model.column("p", a, min(horizon, a + 200) - 1), m_col[1:], m_col),
-        }
+    c_col = model.column("c", a - 1, horizon)
+    zero = k.real(0)
+    return {
+        "k1": _sup(lambda c, c_prev, m: (abs(c) + abs(c_prev)) / m,
+              c_col[1:], c_col, m_col),
+        "k2": _sup(lambda h, m: abs(h) / m, model.column("h", a, horizon), m_col),
+        "k3": _sup(lambda q, m: max(-q, zero) / m,
+              model.column("q", a, horizon), m_col),
+        # the variation ratio needs M(t-1): usable only from a+1, where
+        # the validated positive range covers the previous index
+        "k4": _sup(lambda p_prev, m_t, m_prev: k.sqrt(p_prev)
+              * abs(m_t - m_prev) / (k.sqrt(m_t) * m_prev),
+              model.column("p", a, min(horizon, a + 200) - 1), m_col[1:], m_col),
+    }

@@ -272,10 +272,10 @@ def evaluate(node: CoefficientExpr, ts: range, kernel) -> tuple:
 
     The tree is walked once per window: each constant is converted once
     and every node maps its operation over its children's columns, so
-    each value has the operands and order of a one-point evaluation.  A
-    precision context must be active.  Raises EvaluationError for a
-    negative sqrt argument, zero division, a sign-invalid power, or (in
-    native mode) overflow, at the failing node's first failing t.
+    each value has the operands and order of a one-point evaluation.
+    Raises EvaluationError for a negative sqrt argument, zero division, a
+    sign-invalid power, or (in native mode) overflow, at the failing
+    node's first failing t.
     """
     out = _column(node, ts, kernel)
     if not all(map(kernel.isfinite, out)):
@@ -316,7 +316,9 @@ def real_sqrt(kernel, x):
 
 def real_power(kernel, base, expo):
     """base^expo on reals: 0^negative is an error, and a negative base needs
-    an integer exponent (gmpy2 and native floats would give nan or inf)."""
+    an integer exponent (native floats would give nan).  The exponent's
+    parity is read from its exact value, so an exponent past the float
+    range or a non-finite one is an EvaluationError on every kernel."""
     if base == 0:
         if expo < 0:
             raise EvaluationError("zero raised to a negative power")

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from . import expr as ex
 from . import growth
-from .backends import BIG_KERNEL, native_kernel
+from .backends import big_kernel, native_kernel
 from .errors import CoefficientRangeError, EvaluationError
 
 
@@ -50,14 +50,14 @@ class PrecisionConfig:
 
     @property
     def kernel(self):
-        return native_kernel() if self.mode == "native-float" else BIG_KERNEL
+        """The scalar kernel: its scalars round at ``bits`` wherever used."""
+        if self.mode == "native-float":
+            return native_kernel()
+        return big_kernel(self.mantissa_bits)
 
     @property
     def bits(self) -> int:
         return 53 if self.mode == "native-float" else self.mantissa_bits
-
-    def workprec(self):
-        return self.kernel.workprec(self.bits)
 
 
 @dataclass(frozen=True)
@@ -174,15 +174,12 @@ class CoefficientSet:
     def kernel(self):
         return self.precision.kernel
 
-    def workprec(self):
-        return self.precision.workprec()
-
     def column(self, name: str, first: int, last: int) -> tuple:
         """Real scalar values of one coefficient at t = first .. last.
 
         The grid starts at a for q (only the first equation row reads it),
         else at a-1.  Each column is kept from its grid start and only
-        extended, so each value is evaluated once; needs a precision context."""
+        extended, so each value is evaluated once."""
         start = self.a if name == "q" else self.a - 1
         if first < start:
             raise EvaluationError(f"t={first} is below the grid start {start}")
@@ -236,11 +233,10 @@ def as_lambda_scalar(model: CoefficientSet, lam):
 
 def m_excl_column(model: CoefficientSet, first: int, last: int) -> list:
     """The excluded values m_excl(t) = d - (c^2 - h*c)/p, t = first .. last."""
-    with model.workprec():
-        return [
-            d - (c * c - h * c) / p
-            for p, c, h, d in zip(*(model.column(n, first, last) for n in "pchd"))
-        ]
+    return [
+        d - (c * c - h * c) / p
+        for p, c, h, d in zip(*(model.column(n, first, last) for n in "pchd"))
+    ]
 
 
 def m_excl_growth_class(model: CoefficientSet) -> growth.GrowthClass | None:
@@ -295,33 +291,32 @@ def spectral_gap(model: CoefficientSet, lam, horizon: int) -> SpectralPoint:
     if horizon < model.a:
         raise ValueError("horizon must be at least the grid origin a")
     k = model.kernel
-    with model.workprec():
-        lam = as_lambda_scalar(model, lam)
-        margin = None
-        first = model.a - 1
-        d_col = model.column("d", first, horizon)
-        for d_val, m_val in zip(d_col, m_excl_column(model, first, horizon)):
-            gap = min(abs(lam - d_val), abs(lam - m_val))
-            margin = gap if margin is None else min(margin, gap)
-        margin_f = float(margin)
+    lam = as_lambda_scalar(model, lam)
+    margin = None
+    first = model.a - 1
+    d_col = model.column("d", first, horizon)
+    for d_val, m_val in zip(d_col, m_excl_column(model, first, horizon)):
+        gap = min(abs(lam - d_val), abs(lam - m_val))
+        margin = gap if margin is None else min(margin, gap)
+    margin_f = float(margin)
 
-        if lam.imag != 0:
-            return SpectralPoint(lam=lam, margin=margin_f, decided_symbolically=True)
-
-        lam_frac = k.to_fraction(lam.real)
-        d_cls = model.d.growth_class()
-        m_cls = m_excl_growth_class(model)
-        if d_cls is None or m_cls is None:
-            return SpectralPoint(lam=lam, margin=margin_f, decided_symbolically=False)
-        t0 = model.a - 1
-        hit_d = growth.closure_contains(d_cls, lam_frac, t0)
-        hit_m = growth.closure_contains(m_cls, lam_frac, t0)
-        if hit_d is None or hit_m is None:
-            return SpectralPoint(lam=lam, margin=margin_f, decided_symbolically=False)
-        if hit_d or hit_m:
-            # the true infimum is zero even if the horizon scan missed it
-            return SpectralPoint(lam=lam, margin=0.0, decided_symbolically=True)
+    if lam.imag != 0:
         return SpectralPoint(lam=lam, margin=margin_f, decided_symbolically=True)
+
+    lam_frac = k.to_fraction(lam.real)
+    d_cls = model.d.growth_class()
+    m_cls = m_excl_growth_class(model)
+    if d_cls is None or m_cls is None:
+        return SpectralPoint(lam=lam, margin=margin_f, decided_symbolically=False)
+    t0 = model.a - 1
+    hit_d = growth.closure_contains(d_cls, lam_frac, t0)
+    hit_m = growth.closure_contains(m_cls, lam_frac, t0)
+    if hit_d is None or hit_m is None:
+        return SpectralPoint(lam=lam, margin=margin_f, decided_symbolically=False)
+    if hit_d or hit_m:
+        # the true infimum is zero even if the horizon scan missed it
+        return SpectralPoint(lam=lam, margin=0.0, decided_symbolically=True)
+    return SpectralPoint(lam=lam, margin=margin_f, decided_symbolically=True)
 
 
 # spec-facing aliases

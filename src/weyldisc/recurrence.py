@@ -115,45 +115,44 @@ def step_table(model: CoefficientSet, lam, top: int) -> StepTable:
     start = model.a - 1
     if top < start:
         raise ValueError(f"top ({top}) lies below start ({start})")
-    with model.workprec():
-        lam = as_lambda_scalar(model, lam)
-        rows = []
-        alpha_prev = None
-        columns = zip(
-            range(start, top + 1),
-            *(model.column(name, start, top) for name in "pchd"),
-            (None,) + model.column("q", model.a, top),
-        )
-        for t, p, c, h, d, q in columns:
-            den = lam - d
-            if den == 0:
-                raise InadmissibleLambdaError(f"lam equals d({t})", t=t)
-            inv_den = 1 / den
-            off = c * c - h * c
-            p_tilde = p + off * inv_den
-            alpha = h * c * inv_den
-            if p_tilde == 0:
-                raise InadmissibleLambdaError(
-                    f"effective leading coefficient vanishes at t={t}", t=t
-                )
-            inv_p = 1 / p_tilde
-            inv_denp = inv_den * inv_p
-            r1 = h * p * inv_denp
-            r2 = (c - h) * inv_denp
-            if alpha_prev is None:
-                q_tilde = a11 = a12 = a21 = a22 = None
-                lead_left = p + c * c * inv_den
-            else:
-                common = q + h * h * inv_den
-                q_tilde = common - (alpha - alpha_prev)
-                h_shift = common - lam
-                a11 = -alpha * inv_p
-                a12 = inv_p
-                a21 = (h_shift - alpha) * alpha * inv_p + h_shift
-                a22 = (alpha - h_shift) * inv_p
-            rows.append((p_tilde, alpha, q_tilde, a11, a12, a21, a22, r1, r2))
-            alpha_prev = alpha
-        return StepTable(model, lam, top, *zip(*rows), lead_left)
+    lam = as_lambda_scalar(model, lam)
+    rows = []
+    alpha_prev = None
+    columns = zip(
+        range(start, top + 1),
+        *(model.column(name, start, top) for name in "pchd"),
+        (None,) + model.column("q", model.a, top),
+    )
+    for t, p, c, h, d, q in columns:
+        den = lam - d
+        if den == 0:
+            raise InadmissibleLambdaError(f"lam equals d({t})", t=t)
+        inv_den = 1 / den
+        off = c * c - h * c
+        p_tilde = p + off * inv_den
+        alpha = h * c * inv_den
+        if p_tilde == 0:
+            raise InadmissibleLambdaError(
+                f"effective leading coefficient vanishes at t={t}", t=t
+            )
+        inv_p = 1 / p_tilde
+        inv_denp = inv_den * inv_p
+        r1 = h * p * inv_denp
+        r2 = (c - h) * inv_denp
+        if alpha_prev is None:
+            q_tilde = a11 = a12 = a21 = a22 = None
+            lead_left = p + c * c * inv_den
+        else:
+            common = q + h * h * inv_den
+            q_tilde = common - (alpha - alpha_prev)
+            h_shift = common - lam
+            a11 = -alpha * inv_p
+            a12 = inv_p
+            a21 = (h_shift - alpha) * alpha * inv_p + h_shift
+            a22 = (alpha - h_shift) * inv_p
+        rows.append((p_tilde, alpha, q_tilde, a11, a12, a21, a22, r1, r2))
+        alpha_prev = alpha
+    return StepTable(model, lam, top, *zip(*rows), lead_left)
 
 
 def _full_table(model: CoefficientSet, lam, top: int, table: StepTable | None) -> StepTable:
@@ -161,8 +160,7 @@ def _full_table(model: CoefficientSet, lam, top: int, table: StepTable | None) -
     table), else a new one."""
     if table is None:
         return step_table(model, lam, top)
-    with model.workprec():
-        same_lam = table.lam == as_lambda_scalar(model, lam)
+    same_lam = table.lam == as_lambda_scalar(model, lam)
     if not same_lam or table.model != model or table.top != top:
         raise ValueError("step table does not match the model, lam and window")
     return table
@@ -321,11 +319,10 @@ def _assemble(table: StepTable, states: list) -> Trajectory:
 def propagate_columns(table: StepTable, data) -> tuple:
     """One forward pass through ``table`` for every BoundaryData in
     ``data``; returns their trajectories on a-1 .. table.top."""
-    with table.model.workprec():
-        rows = _forward_states(table, [(bd.c1, bd.c2) for bd in data])
-        return tuple(
-            _assemble(table, [row[j] for row in rows]) for j in range(len(data))
-        )
+    rows = _forward_states(table, [(bd.c1, bd.c2) for bd in data])
+    return tuple(
+        _assemble(table, [row[j] for row in rows]) for j in range(len(data))
+    )
 
 
 def propagate(model: CoefficientSet, lam, bd: BoundaryData, top: int) -> Trajectory:
@@ -348,26 +345,25 @@ def propagate_backward(
         raise ValueError("top must be at least the grid origin a")
     table = _full_table(model, lam, top, table)
     k = model.kernel
-    with model.workprec():
-        check = k.needs_finite_checks
-        isfinite = k.isfinite
-        s0 = k.complex(0) + terminal_state[0]
-        s1 = k.complex(0) + terminal_state[1]
-        states = [(s0, s1)]
-        # rows t = top .. a of the table (row 0 is t = a-1, which has no step)
-        rows = zip(
-            range(top, model.a - 1, -1),
-            reversed(table.a11[1:]), reversed(table.a12[1:]),
-            reversed(table.a21[1:]), reversed(table.a22[1:]),
-        )
-        for t, a11, a12, a21, a22 in rows:
-            # v(t-1) = (I - A(t)) v(t)
-            s0, s1 = (1 - a11) * s0 - a12 * s1, -a21 * s0 + (1 - a22) * s1
-            if check and not (isfinite(s0) and isfinite(s1)):
-                _check_finite(model, (s0, s1), t)
-            states.append((s0, s1))
-        states.reverse()
-        return _assemble(table, states)
+    check = k.needs_finite_checks
+    isfinite = k.isfinite
+    s0 = k.complex(0) + terminal_state[0]
+    s1 = k.complex(0) + terminal_state[1]
+    states = [(s0, s1)]
+    # rows t = top .. a of the table (row 0 is t = a-1, which has no step)
+    rows = zip(
+        range(top, model.a - 1, -1),
+        reversed(table.a11[1:]), reversed(table.a12[1:]),
+        reversed(table.a21[1:]), reversed(table.a22[1:]),
+    )
+    for t, a11, a12, a21, a22 in rows:
+        # v(t-1) = (I - A(t)) v(t)
+        s0, s1 = (1 - a11) * s0 - a12 * s1, -a21 * s0 + (1 - a22) * s1
+        if check and not (isfinite(s0) and isfinite(s1)):
+            _check_finite(model, (s0, s1), t)
+        states.append((s0, s1))
+    states.reverse()
+    return _assemble(table, states)
 
 
 def fundamental_matrix(model: CoefficientSet, lam, top: int) -> tuple:
@@ -380,9 +376,8 @@ def fundamental_matrix(model: CoefficientSet, lam, top: int) -> tuple:
     if top < model.a:
         raise ValueError("top must be at least the grid origin a")
     table = step_table(model, lam, top)
-    with model.workprec():
-        rows = _forward_states(table, ((1, 0), (0, 1)))
-        return tuple(((c0[0], c1[0]), (c0[1], c1[1])) for c0, c1 in rows)
+    rows = _forward_states(table, ((1, 0), (0, 1)))
+    return tuple(((c0[0], c1[0]), (c0[1], c1[1])) for c0, c1 in rows)
 
 
 def oracle_three_term(
@@ -397,29 +392,28 @@ def oracle_three_term(
         raise ValueError("top must be at least the grid origin a")
     table = _full_table(model, lam, top, table)
     k = model.kernel
-    with model.workprec():
-        lam = table.lam
-        a = model.a
-        check = k.needs_finite_checks
-        c1 = k.complex(0) + bd.c1
-        c2 = k.complex(0) + bd.c2
-        p_eff = table.p_tilde
-        # quasi-difference seed: y1q(a-1) = p_eff(a-1) dy1(a-1) + alpha(a-1) y1(a)
-        y1 = [c1 - (c2 - table.alpha[0] * c1) / p_eff[0], c1]
-        rows = zip(p_eff, p_eff[1:], table.q_tilde[1:])
-        for t, (p_prev, p_t, q_tilde) in enumerate(rows, a):
-            y1.append(
-                ((p_t + p_prev + q_tilde - lam) * y1[-1] - p_prev * y1[-2]) / p_t
-            )
-            if check and not k.isfinite(y1[-1]):
-                raise PrecisionExhaustedError(
-                    f"oracle value left the representable range near t={t}"
-                )
-        y2 = y2_relation(model, lam, y1, a - 1, top)
-        return Trajectory(
-            model=model, lam=lam, top=top, y1=tuple(y1), y2=y2,
-            y1q=quasi_difference(model, y1, y2, a - 1, top),
+    lam = table.lam
+    a = model.a
+    check = k.needs_finite_checks
+    c1 = k.complex(0) + bd.c1
+    c2 = k.complex(0) + bd.c2
+    p_eff = table.p_tilde
+    # quasi-difference seed: y1q(a-1) = p_eff(a-1) dy1(a-1) + alpha(a-1) y1(a)
+    y1 = [c1 - (c2 - table.alpha[0] * c1) / p_eff[0], c1]
+    rows = zip(p_eff, p_eff[1:], table.q_tilde[1:])
+    for t, (p_prev, p_t, q_tilde) in enumerate(rows, a):
+        y1.append(
+            ((p_t + p_prev + q_tilde - lam) * y1[-1] - p_prev * y1[-2]) / p_t
         )
+        if check and not k.isfinite(y1[-1]):
+            raise PrecisionExhaustedError(
+                f"oracle value left the representable range near t={t}"
+            )
+    y2 = y2_relation(model, lam, y1, a - 1, top)
+    return Trajectory(
+        model=model, lam=lam, top=top, y1=tuple(y1), y2=y2,
+        y1q=quasi_difference(model, y1, y2, a - 1, top),
+    )
 
 
 def _pair_window(model: CoefficientSet, first: int, last: int, y1, y2) -> tuple:
@@ -439,14 +433,13 @@ def y2_relation(model: CoefficientSet, lam, y1, first: int, last: int) -> tuple:
     equation row solved for y2), c/(lam-d) dy1 + h/(lam-d) y1, for
     t = first .. last; ``y1`` is indexed from a-1 and reaches last+1."""
     y1_t, y1_next, _ = _pair_window(model, first, last, y1, y1)  # no y2 yet
-    with model.workprec():
-        out = []
-        for c, h, d, cur, nxt in zip(
-            *(model.column(name, first, last) for name in "chd"), y1_t, y1_next
-        ):
-            den = lam - d
-            out.append(c / den * (nxt - cur) + h / den * cur)
-        return tuple(out)
+    out = []
+    for c, h, d, cur, nxt in zip(
+        *(model.column(name, first, last) for name in "chd"), y1_t, y1_next
+    ):
+        den = lam - d
+        out.append(c / den * (nxt - cur) + h / den * cur)
+    return tuple(out)
 
 
 def quasi_difference(model: CoefficientSet, y1, y2, first: int, last: int) -> tuple:
@@ -454,21 +447,20 @@ def quasi_difference(model: CoefficientSet, y1, y2, first: int, last: int) -> tu
     ``y1`` and ``y2`` are indexed from a-1, y1 reaching last+1 and y2
     last."""
     y1_t, y1_next, y2_t = _pair_window(model, first, last, y1, y2)
-    with model.workprec():
-        return tuple(
-            p * (nxt - cur) + c * v
-            for p, c, cur, nxt, v in zip(
-                model.column("p", first, last), model.column("c", first, last),
-                y1_t, y1_next, y2_t,
-            )
+    return tuple(
+        p * (nxt - cur) + c * v
+        for p, c, cur, nxt, v in zip(
+            model.column("p", first, last), model.column("c", first, last),
+            y1_t, y1_next, y2_t,
         )
+    )
 
 
 def operator_window(model: CoefficientSet, y1, y2, first: int, last: int):
     """Both rows of the difference operator, without the lam terms, on a
     pair sequence for t = first .. last: the one routine that applies the
     operator.  ``y1`` and ``y2`` are indexed from a-1; y1 must reach
-    last+1 and y2 last.  A precision context must be active.
+    last+1 and y2 last.
 
     Per t it yields (row1, row2, terms), where terms are the products the
     rows sum,
@@ -528,37 +520,36 @@ def relative_residuals(model: CoefficientSet, traj: Trajectory, first: int,
     previous-term magnitudes at t+1.
     """
     out = []
-    with model.workprec():
-        lam = traj.lam
-        # |p dy1| and |c y2| at the previous t, or None where not formed
+    lam = traj.lam
+    # |p dy1| and |c y2| at the previous t, or None where not formed
+    abs_pd = abs_cy2 = None
+    walk = zip(
+        operator_window(model, traj.y1, traj.y2, first, last),
+        *traj.component_columns(first, last),
+    )
+    for (row1, row2, terms), y1_t, y2_t in walk:
+        pd_prev, pd, qy1, cy2_prev, cy2, hy2, cd, hy1, dy2 = terms
+        ly2 = lam * y2_t
+        row2 = row2 - ly2
+        worst = 0.0
+        if row2:
+            scale2 = abs(cd) + abs(hy1) + abs(dy2) + abs(ly2) + 1
+            worst = float(abs(row2) / scale2)
+        abs_pd_prev, abs_cy2_prev = abs_pd, abs_cy2
         abs_pd = abs_cy2 = None
-        walk = zip(
-            operator_window(model, traj.y1, traj.y2, first, last),
-            *traj.component_columns(first, last),
-        )
-        for (row1, row2, terms), y1_t, y2_t in walk:
-            pd_prev, pd, qy1, cy2_prev, cy2, hy2, cd, hy1, dy2 = terms
-            ly2 = lam * y2_t
-            row2 = row2 - ly2
-            worst = 0.0
-            if row2:
-                scale2 = abs(cd) + abs(hy1) + abs(dy2) + abs(ly2) + 1
-                worst = float(abs(row2) / scale2)
-            abs_pd_prev, abs_cy2_prev = abs_pd, abs_cy2
-            abs_pd = abs_cy2 = None
-            if row1 is not None:
-                ly1 = lam * y1_t
-                row1 = row1 - ly1
-                if row1:
-                    if abs_pd_prev is None:
-                        abs_pd_prev, abs_cy2_prev = abs(pd_prev), abs(cy2_prev)
-                    abs_pd, abs_cy2 = abs(pd), abs(cy2)
-                    scale1 = (
-                        abs_pd + abs_pd_prev + abs(qy1) + abs_cy2 + abs_cy2_prev
-                        + abs(hy2) + abs(ly1) + 1
-                    )
-                    worst = max(worst, float(abs(row1) / scale1))
-            out.append(worst)
+        if row1 is not None:
+            ly1 = lam * y1_t
+            row1 = row1 - ly1
+            if row1:
+                if abs_pd_prev is None:
+                    abs_pd_prev, abs_cy2_prev = abs(pd_prev), abs(cy2_prev)
+                abs_pd, abs_cy2 = abs(pd), abs(cy2)
+                scale1 = (
+                    abs_pd + abs_pd_prev + abs(qy1) + abs_cy2 + abs_cy2_prev
+                    + abs(hy2) + abs(ly1) + 1
+                )
+                worst = max(worst, float(abs(row1) / scale1))
+        out.append(worst)
     return out
 
 

@@ -17,7 +17,7 @@ import math
 from pathlib import Path
 
 from . import __version__ as TOOL_VERSION
-from .backends import big_backend_name, format_real
+from .backends import format_real
 from .scenarios import Scenario
 
 SCHEMA_VERSION = 1
@@ -28,7 +28,7 @@ def report_body(command: str, scenario: Scenario, payload: dict) -> dict:
         "schema_version": SCHEMA_VERSION,
         "tool": "weyldisc",
         "tool_version": TOOL_VERSION,
-        "backend": "native" if scenario.precision.mode == "native-float" else big_backend_name(),
+        "backend": scenario.precision.kernel.name,
         "command": command,
         "scenario": scenario.to_dict(),
         **payload,

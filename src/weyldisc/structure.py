@@ -27,9 +27,8 @@ from .recurrence import Trajectory, max_relative_residual, operator_window
 
 def bracket(y: Trajectory, z: Trajectory, t: int):
     """Skew pairing [y, z](t); the building block of Green's formula."""
-    with y.model.workprec():
-        return (y.y1_at(t + 1) * z.y1q_at(t).conjugate()
-                - y.y1q_at(t) * z.y1_at(t + 1).conjugate())
+    return (y.y1_at(t + 1) * z.y1q_at(t).conjugate()
+            - y.y1q_at(t) * z.y1_at(t + 1).conjugate())
 
 
 def green_defect(model: CoefficientSet, y, z, top: int):
@@ -58,29 +57,28 @@ def green_terms(model: CoefficientSet, y, z, top: int) -> tuple:
     k = model.kernel
     y1, y2 = [v[0] for v in y], [v[1] for v in y]
     z1, z2 = [v[0] for v in z], [v[1] for v in z]
-    with model.workprec():
-        inner = k.complex(0)
-        rows = []
-        walk = zip(
-            operator_window(model, y1, y2, model.a, top),
-            operator_window(model, z1, z2, model.a, top),
-        )
-        for i, ((ly1, ly2, y_terms), (lz1, lz2, z_terms)) in enumerate(walk, 1):
-            rows.append(((ly1, ly2), (lz1, lz2)))
-            inner += z1[i].conjugate() * ly1 + z2[i].conjugate() * ly2
-            inner -= lz1.conjugate() * y1[i] + lz2.conjugate() * y2[i]
-            if i == 1:
-                # p dy1 + c y2 at a-1: the previous terms at t = a
-                y_left = y_terms[0] + y_terms[3]
-                z_left = z_terms[0] + z_terms[3]
-        # p dy1 + c y2 at top: the current terms of the last row
-        y_top = y_terms[1] + y_terms[4]
-        z_top = z_terms[1] + z_terms[4]
-        n = len(rows)
-        boundary = (y1[n + 1] * z_top.conjugate() - y_top * z1[n + 1].conjugate()) - (
-            y1[1] * z_left.conjugate() - y_left * z1[1].conjugate()
-        )
-        return inner - boundary, rows
+    inner = k.complex(0)
+    rows = []
+    walk = zip(
+        operator_window(model, y1, y2, model.a, top),
+        operator_window(model, z1, z2, model.a, top),
+    )
+    for i, ((ly1, ly2, y_terms), (lz1, lz2, z_terms)) in enumerate(walk, 1):
+        rows.append(((ly1, ly2), (lz1, lz2)))
+        inner += z1[i].conjugate() * ly1 + z2[i].conjugate() * ly2
+        inner -= lz1.conjugate() * y1[i] + lz2.conjugate() * y2[i]
+        if i == 1:
+            # p dy1 + c y2 at a-1: the previous terms at t = a
+            y_left = y_terms[0] + y_terms[3]
+            z_left = z_terms[0] + z_terms[3]
+    # p dy1 + c y2 at top: the current terms of the last row
+    y_top = y_terms[1] + y_terms[4]
+    z_top = z_terms[1] + z_terms[4]
+    n = len(rows)
+    boundary = (y1[n + 1] * z_top.conjugate() - y_top * z1[n + 1].conjugate()) - (
+        y1[1] * z_left.conjugate() - y_left * z1[1].conjugate()
+    )
+    return inner - boundary, rows
 
 
 _RESIDUAL_GATE_SHIFT = 3  # non-solution detection threshold: 2^-(bits/3)
@@ -117,14 +115,13 @@ def lagrange_identity_defect(
     _require_solution(psi, "second trajectory", worst_psi)
     model = phi.model
     k = model.kernel
-    with model.workprec():
-        total = k.complex(0)
-        for p1, p2, s1, s2 in zip(*phi.component_columns(model.a, top),
-                                  *psi.component_columns(model.a, top)):
-            total += s1.conjugate() * p1 + s2.conjugate() * p2
-        lhs = (phi.lam - psi.lam.conjugate()) * total
-        rhs = bracket(phi, psi, top) - bracket(phi, psi, model.a - 1)
-        return lhs - rhs
+    total = k.complex(0)
+    for p1, p2, s1, s2 in zip(*phi.component_columns(model.a, top),
+                              *psi.component_columns(model.a, top)):
+        total += s1.conjugate() * p1 + s2.conjugate() * p2
+    lhs = (phi.lam - psi.lam.conjugate()) * total
+    rhs = bracket(phi, psi, top) - bracket(phi, psi, model.a - 1)
+    return lhs - rhs
 
 
 def wronskian(phi: Trajectory, psi: Trajectory, t: int):
@@ -133,8 +130,7 @@ def wronskian(phi: Trajectory, psi: Trajectory, t: int):
     boundary-angle pair."""
     if phi.lam != psi.lam:
         raise ValueError("wronskian requires both solutions at the same lam")
-    with phi.model.workprec():
-        return phi.y1_at(t + 1) * psi.y1q_at(t) - phi.y1q_at(t) * psi.y1_at(t + 1)
+    return phi.y1_at(t + 1) * psi.y1q_at(t) - phi.y1q_at(t) * psi.y1_at(t + 1)
 
 
 @dataclass(frozen=True)
@@ -169,54 +165,53 @@ def vop_reconstruct(
     k = model.kernel
     lam0 = phi.lam
     lam = z.lam
-    with model.workprec():
-        needed = max(t_check, anchor + 4)
-        for traj, name in ((phi, "phi"), (psi, "psi"), (z, "z")):
-            if traj.top < needed:
-                raise WindowError(f"{name} window ends before t={needed}")
+    needed = max(t_check, anchor + 4)
+    for traj, name in ((phi, "phi"), (psi, "psi"), (z, "z")):
+        if traj.top < needed:
+            raise WindowError(f"{name} window ends before t={needed}")
 
-        # running transposed pairings (no conjugation) of phi and psi with
-        # z from anchor+1: sums[j] holds (f, g) summed up to t = anchor+j
-        f = g = k.complex(0)
-        sums = [(f, g)]
-        for z1, z2, f1, f2, g1, g2 in zip(
-            *z.component_columns(anchor + 1, t_check),
-            *phi.component_columns(anchor + 1, t_check),
-            *psi.component_columns(anchor + 1, t_check),
-        ):
-            f += f1 * z1 + f2 * z2
-            g += g1 * z1 + g2 * z2
-            sums.append((f, g))
+    # running transposed pairings (no conjugation) of phi and psi with
+    # z from anchor+1: sums[j] holds (f, g) summed up to t = anchor+j
+    f = g = k.complex(0)
+    sums = [(f, g)]
+    for z1, z2, f1, f2, g1, g2 in zip(
+        *z.component_columns(anchor + 1, t_check),
+        *phi.component_columns(anchor + 1, t_check),
+        *psi.component_columns(anchor + 1, t_check),
+    ):
+        f += f1 * z1 + f2 * z2
+        g += g1 * z1 + g2 * z2
+        sums.append((f, g))
 
-        def rhs_first(t: int):
-            f, g = sums[t - 1 - anchor]
-            return z.y1_at(t) - (lam0 - lam) * (psi.y1_at(t) * f - phi.y1_at(t) * g)
+    def rhs_first(t: int):
+        f, g = sums[t - 1 - anchor]
+        return z.y1_at(t) - (lam0 - lam) * (psi.y1_at(t) * f - phi.y1_at(t) * g)
 
-        t1, t2 = anchor + 3, anchor + 4
-        det = psi.y1_at(t1) * phi.y1_at(t2) - psi.y1_at(t2) * phi.y1_at(t1)
-        if det == 0:
-            raise MatchingSingularError(
-                "matching system for the reconstruction constants is singular"
-            )
-        r1, r2 = rhs_first(t1), rhs_first(t2)
-        k1 = (r1 * phi.y1_at(t2) - r2 * phi.y1_at(t1)) / det
-        k2 = (psi.y1_at(t1) * r2 - psi.y1_at(t2) * r1) / det
-
-        f_prev, g_prev = sums[-2]
-        defect_y1 = z.y1_at(t_check) - (
-            k1 * psi.y1_at(t_check)
-            + k2 * phi.y1_at(t_check)
-            + (lam0 - lam)
-            * (psi.y1_at(t_check) * f_prev - phi.y1_at(t_check) * g_prev)
+    t1, t2 = anchor + 3, anchor + 4
+    det = psi.y1_at(t1) * phi.y1_at(t2) - psi.y1_at(t2) * phi.y1_at(t1)
+    if det == 0:
+        raise MatchingSingularError(
+            "matching system for the reconstruction constants is singular"
         )
+    r1, r2 = rhs_first(t1), rhs_first(t2)
+    k1 = (r1 * phi.y1_at(t2) - r2 * phi.y1_at(t1)) / det
+    k2 = (psi.y1_at(t1) * r2 - psi.y1_at(t2) * r1) / det
 
-        f_full, g_full = sums[-1]
-        m_val = m_excl_column(model, t_check, t_check)[0]
-        ratio = (lam0 - m_val) / (lam - m_val)
-        defect_y2 = z.y2_at(t_check) - ratio * (
-            k1 * psi.y2_at(t_check)
-            + k2 * phi.y2_at(t_check)
-            + (lam0 - lam)
-            * (psi.y2_at(t_check) * f_full - phi.y2_at(t_check) * g_full)
-        )
-        return VopResult(k1=k1, k2=k2, defect_y1=defect_y1, defect_y2=defect_y2)
+    f_prev, g_prev = sums[-2]
+    defect_y1 = z.y1_at(t_check) - (
+        k1 * psi.y1_at(t_check)
+        + k2 * phi.y1_at(t_check)
+        + (lam0 - lam)
+        * (psi.y1_at(t_check) * f_prev - phi.y1_at(t_check) * g_prev)
+    )
+
+    f_full, g_full = sums[-1]
+    m_val = m_excl_column(model, t_check, t_check)[0]
+    ratio = (lam0 - m_val) / (lam - m_val)
+    defect_y2 = z.y2_at(t_check) - ratio * (
+        k1 * psi.y2_at(t_check)
+        + k2 * phi.y2_at(t_check)
+        + (lam0 - lam)
+        * (psi.y2_at(t_check) * f_full - phi.y2_at(t_check) * g_full)
+    )
+    return VopResult(k1=k1, k2=k2, defect_y1=defect_y1, defect_y2=defect_y2)

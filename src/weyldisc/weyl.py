@@ -117,25 +117,23 @@ def fundamental_pair(
         raise ValueError(f"alpha must lie in [0, pi), got {alpha}")
     table = _full_table(model, lam, top, table)
     k = model.kernel
-    with model.workprec():
-        sa, ca = k.sin(alpha), k.cos(alpha)
-        return propagate_columns(table, (BoundaryData(sa, -ca), BoundaryData(ca, sa)))
+    sa, ca = k.sin(alpha), k.cos(alpha)
+    return propagate_columns(table, (BoundaryData(sa, -ca), BoundaryData(ca, sa)))
 
 
 def corner_values(pair: tuple[Trajectory, Trajectory], n: int) -> CornerValues:
     phi, psi = pair
     model = phi.model
     k = model.kernel
-    with model.workprec():
-        a_val, b_val = phi.state(n)
-        c_val, d_val = psi.state(n)
-        lhs = a_val * d_val - b_val * c_val
-        scale = abs(a_val * d_val) + abs(b_val * c_val) + 1
-        if not abs(lhs - 1) <= scale * k.real(2) ** (-(model.precision.bits - 8)):
-            raise NumericalInvariantError(
-                f"pair determinant at N={n} deviates from 1 beyond tolerance"
-            )
-        return CornerValues(n=n, A=a_val, B=b_val, C=c_val, D=d_val)
+    a_val, b_val = phi.state(n)
+    c_val, d_val = psi.state(n)
+    lhs = a_val * d_val - b_val * c_val
+    scale = abs(a_val * d_val) + abs(b_val * c_val) + 1
+    if not abs(lhs - 1) <= scale * k.real(2) ** (-(model.precision.bits - 8)):
+        raise NumericalInvariantError(
+            f"pair determinant at N={n} deviates from 1 beyond tolerance"
+        )
+    return CornerValues(n=n, A=a_val, B=b_val, C=c_val, D=d_val)
 
 
 def _disc_rows(model, phi, psi, lam, n_hi):
@@ -197,17 +195,16 @@ def _sums_exhausted(t: int) -> PrecisionExhaustedError:
 
 def weyl_disc(model: CoefficientSet, lam, alpha: float, n: int) -> WeylDisc:
     """Center and radius of the m-point circle at window end n."""
-    with model.workprec():
-        lam = as_lambda_scalar(model, lam)
-        if lam.imag == 0:
-            raise InadmissibleLambdaError("Weyl discs require a nonreal lam")
-        phi, psi = fundamental_pair(model, lam, alpha, n)
-        discs, _ = _disc_rows(model, phi, psi, lam, n)
-        if not discs or discs[-1].n != n:
-            raise InadmissibleLambdaError(
-                f"disc at N={n} is degenerate (zero psi sample at the origin)"
-            )
-        return discs[-1]
+    lam = as_lambda_scalar(model, lam)
+    if lam.imag == 0:
+        raise InadmissibleLambdaError("Weyl discs require a nonreal lam")
+    phi, psi = fundamental_pair(model, lam, alpha, n)
+    discs, _ = _disc_rows(model, phi, psi, lam, n)
+    if not discs or discs[-1].n != n:
+        raise InadmissibleLambdaError(
+            f"disc at N={n} is degenerate (zero psi sample at the origin)"
+        )
+    return discs[-1]
 
 
 def m_point(corner: CornerValues, z):
@@ -227,21 +224,19 @@ def m_point(corner: CornerValues, z):
 def chi(pair: tuple[Trajectory, Trajectory], m) -> Trajectory:
     """The combination phi + m * psi, including quasi-differences."""
     phi, psi = pair
-    with phi.model.workprec():
-        return phi.combined(psi, m)
+    return phi.combined(psi, m)
 
 
 def on_circle_defect(model: CoefficientSet, chi_traj: Trajectory, m, lam, n: int):
     """sum_{t=a}^{n} |chi(t)|^2 - Im(m)/Im(lam): zero when m lies on the
     n-th circle, negative when it lies inside."""
     k = model.kernel
-    with model.workprec():
-        lam = as_lambda_scalar(model, lam)
-        if lam.imag == 0:
-            raise InadmissibleLambdaError("circle membership requires nonreal lam")
-        sums = _profile(model, chi_traj, n)
-        total = sums[-1][1] if sums else k.real(0)
-        return total - m.imag / lam.imag
+    lam = as_lambda_scalar(model, lam)
+    if lam.imag == 0:
+        raise InadmissibleLambdaError("circle membership requires nonreal lam")
+    sums = _profile(model, chi_traj, n)
+    total = sums[-1][1] if sums else k.real(0)
+    return total - m.imag / lam.imag
 
 
 def regular_eigen_residual(
@@ -254,14 +249,13 @@ def regular_eigen_residual(
     nonreal lam it never does.
     """
     k = model.kernel
-    with model.workprec():
-        lam = as_lambda_scalar(model, lam)
-        point = spectral_gap(model, lam, n + 1)
-        if not point.admissible:
-            raise InadmissibleLambdaError("lam is not admissible on this window")
-        _, psi = fundamental_pair(model, lam, angles.alpha, n)
-        sb, cb = k.sin(angles.beta), k.cos(angles.beta)
-        return psi.y1_at(n + 1) * cb + psi.y1q_at(n) * sb
+    lam = as_lambda_scalar(model, lam)
+    point = spectral_gap(model, lam, n + 1)
+    if not point.admissible:
+        raise InadmissibleLambdaError("lam is not admissible on this window")
+    _, psi = fundamental_pair(model, lam, angles.alpha, n)
+    sb, cb = k.sin(angles.beta), k.cos(angles.beta)
+    return psi.y1_at(n + 1) * cb + psi.y1q_at(n) * sb
 
 
 # ---------------------------------------------------------------------------
@@ -374,72 +368,71 @@ def classify(
         raise ValueError(
             "n_max must exceed a + window + 4 for the trailing-window tests"
         )
-    with model.workprec():
-        lam = as_lambda_scalar(model, lam)
-        # a nonreal lam is admissible (the excluded values are real), so no
-        # horizon scan is needed; the step table still refuses an exact hit
-        if lam.imag == 0:
-            raise InadmissibleLambdaError("classification requires a nonreal lam")
+    lam = as_lambda_scalar(model, lam)
+    # a nonreal lam is admissible (the excluded values are real), so no
+    # horizon scan is needed; the step table still refuses an exact hit
+    if lam.imag == 0:
+        raise InadmissibleLambdaError("classification requires a nonreal lam")
 
-        # one step table feeds phi, psi and every backward chi seed
-        table = step_table(model, lam, options.n_max)
-        phi, psi = fundamental_pair(model, lam, alpha, options.n_max, table=table)
-        discs, psi_sums = _disc_rows(model, phi, psi, lam, options.n_max)
-        m_limit = discs[-1].center
+    # one step table feeds phi, psi and every backward chi seed
+    table = step_table(model, lam, options.n_max)
+    phi, psi = fundamental_pair(model, lam, alpha, options.n_max, table=table)
+    discs, psi_sums = _disc_rows(model, phi, psi, lam, options.n_max)
+    m_limit = discs[-1].center
 
-        chi_traj, chi_method = _stable_chi(
-            model, lam, phi, psi, m_limit, options.n_max, discs[-1].radius, table
-        )
-        psi_verdict = _growth_verdict(psi_sums, model, options)
-        psi_profile = L2Profile(tuple(psi_sums), psi_verdict)
+    chi_traj, chi_method = _stable_chi(
+        model, lam, phi, psi, m_limit, options.n_max, discs[-1].radius, table
+    )
+    psi_verdict = _growth_verdict(psi_sums, model, options)
+    psi_profile = L2Profile(tuple(psi_sums), psi_verdict)
 
-        if chi_traj is None:
-            chi_profile = None
-            verdict, reason = "undecided", "chi profile could not be stabilized"
+    if chi_traj is None:
+        chi_profile = None
+        verdict, reason = "undecided", "chi profile could not be stabilized"
+    else:
+        chi_sums = _profile(model, chi_traj, options.n_max)
+        chi_verdict = _growth_verdict(chi_sums, model, options)
+        chi_profile = L2Profile(tuple(chi_sums), chi_verdict)
+        if psi_verdict == "bounded" and chi_verdict == "bounded":
+            verdict, reason = "LCC", None
+        elif psi_verdict == "divergent" and chi_verdict == "bounded":
+            verdict, reason = "LPC", None
         else:
-            chi_sums = _profile(model, chi_traj, options.n_max)
-            chi_verdict = _growth_verdict(chi_sums, model, options)
-            chi_profile = L2Profile(tuple(chi_sums), chi_verdict)
-            if psi_verdict == "bounded" and chi_verdict == "bounded":
-                verdict, reason = "LCC", None
-            elif psi_verdict == "divergent" and chi_verdict == "bounded":
-                verdict, reason = "LPC", None
-            else:
-                verdict = "undecided"
-                reason = (
-                    f"psi profile {psi_verdict}, chi profile {chi_verdict}; "
-                    "raise n_max or mantissa_bits"
-                )
-
-        cross = None
-        if options.cross_check_lambda is not None:
-            sub = classify(
-                model, options.cross_check_lambda, alpha,
-                replace(options, cross_check_lambda=None),
+            verdict = "undecided"
+            reason = (
+                f"psi profile {psi_verdict}, chi profile {chi_verdict}; "
+                "raise n_max or mantissa_bits"
             )
-            cross = (sub.lam, sub.verdict)
-            if (
-                verdict != "undecided"
-                and sub.verdict != "undecided"
-                and sub.verdict != verdict
-            ):
-                reason = (
-                    f"verdicts disagree between lam values: {verdict} vs "
-                    f"{sub.verdict}"
-                )
-                verdict = "undecided"
 
-        counts = {"LCC": 2, "LPC": 1}
-        return ClassificationReport(
-            lam=lam,
-            alpha=alpha,
-            verdict=verdict,
-            disc_samples=tuple(discs),
-            psi_profile=psi_profile,
-            chi_profile=chi_profile,
-            m_limit=m_limit,
-            l2_solution_count=counts.get(verdict),
-            chi_method=chi_method,
-            reason=reason,
-            cross_check=cross,
+    cross = None
+    if options.cross_check_lambda is not None:
+        sub = classify(
+            model, options.cross_check_lambda, alpha,
+            replace(options, cross_check_lambda=None),
         )
+        cross = (sub.lam, sub.verdict)
+        if (
+            verdict != "undecided"
+            and sub.verdict != "undecided"
+            and sub.verdict != verdict
+        ):
+            reason = (
+                f"verdicts disagree between lam values: {verdict} vs "
+                f"{sub.verdict}"
+            )
+            verdict = "undecided"
+
+    counts = {"LCC": 2, "LPC": 1}
+    return ClassificationReport(
+        lam=lam,
+        alpha=alpha,
+        verdict=verdict,
+        disc_samples=tuple(discs),
+        psi_profile=psi_profile,
+        chi_profile=chi_profile,
+        m_limit=m_limit,
+        l2_solution_count=counts.get(verdict),
+        chi_method=chi_method,
+        reason=reason,
+        cross_check=cross,
+    )

@@ -12,15 +12,14 @@ EXPECTED_VERDICTS = {
 }
 
 
-def fabs(model, value) -> float:
+def fabs(value) -> float:
     """Magnitude of a kernel scalar as a machine float."""
-    with model.workprec():
-        return float(abs(value))
+    return float(abs(value))
 
 
-def fdiff(model, x, y) -> float:
-    with model.workprec():
-        return fabs(model, x - y)
+def fdiff(x, y) -> float:
+    """|x - y| as a machine float; the difference rounds at x's precision."""
+    return fabs(x - y)
 
 
 @pytest.fixture(scope="session")

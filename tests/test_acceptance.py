@@ -83,8 +83,7 @@ def test_criterion_3_identity_suite(models):
         phi, psi = fundamental_pair(model, LAM, 0.0, 100, table=table)
         phi40, psi40 = phi.cut(40), psi.cut(40)
         other = propagate(model, 2j, BoundaryData(1, 0), 40)
-        with model.workprec():
-            discs, _ = _disc_rows(model, phi40, psi40, table.lam, 40)
+        discs, _ = _disc_rows(model, phi40, psi40, table.lam, 40)
         assert lagrange_relative_defect(model, psi40, psi40, 40) < tol, name
         assert lagrange_relative_defect(model, other, psi40, 40) < tol, name
         assert m_sweep_worst(phi40, psi40, discs, 40) < tol, name
@@ -108,38 +107,36 @@ def test_criterion_5_disc_geometry(models, classify_memo):
     """Disc center/radius from the independent oracle; nesting; radius-sum
     identity."""
     free = models["free"]
-    with free.workprec():
-        # independent derivation: corner values from the scalar oracle
-        phi = oracle_three_term(free, LAM, BoundaryData(0, -1), 1)
-        psi = oracle_three_term(free, LAM, BoundaryData(1, 0), 1)
-        a_v, b_v = phi.y1_at(1), phi.y1q_at(0)
-        c_v, d_v = psi.y1_at(1), psi.y1q_at(0)
-        mixed = a_v * d_v.conjugate() - b_v * c_v.conjugate()
-        diag = c_v * d_v.conjugate() - d_v * c_v.conjugate()
-        center_expected = -mixed / diag
-        radius_expected = 1 / abs(diag)
-        disc = weyl_disc(free, LAM, 0.0, 0)
-        assert fdiff(free, disc.center, center_expected) < 1e-12
-        assert fdiff(free, disc.radius, radius_expected) < 1e-12
-        assert fdiff(free, disc.center, 0.5j) < 1e-12
-        assert fdiff(free, disc.radius, 0.5) < 1e-12
+    # independent derivation: corner values from the scalar oracle
+    phi = oracle_three_term(free, LAM, BoundaryData(0, -1), 1)
+    psi = oracle_three_term(free, LAM, BoundaryData(1, 0), 1)
+    a_v, b_v = phi.y1_at(1), phi.y1q_at(0)
+    c_v, d_v = psi.y1_at(1), psi.y1q_at(0)
+    mixed = a_v * d_v.conjugate() - b_v * c_v.conjugate()
+    diag = c_v * d_v.conjugate() - d_v * c_v.conjugate()
+    center_expected = -mixed / diag
+    radius_expected = 1 / abs(diag)
+    disc = weyl_disc(free, LAM, 0.0, 0)
+    assert fdiff(disc.center, center_expected) < 1e-12
+    assert fdiff(disc.radius, radius_expected) < 1e-12
+    assert fdiff(disc.center, 0.5j) < 1e-12
+    assert fdiff(disc.radius, 0.5) < 1e-12
 
     for name, model in models.items():
         report = classify_memo(name)
         discs = report.disc_samples
         km = model.kernel
-        with model.workprec():
-            slack = km.real(10) ** -40
-            for i in range(len(discs)):
-                for j in range(i + 1, len(discs)):
-                    gap = abs(discs[j].center - discs[i].center)
-                    assert gap <= discs[i].radius - discs[j].radius + slack, (
-                        name, discs[i].n, discs[j].n
-                    )
-            sums = dict(report.psi_profile.partial_sums)
-            for disc in discs:
-                product = disc.radius * 2 * report.lam.imag * sums[disc.n]
-                assert abs(product - 1) < slack, (name, disc.n)
+        slack = km.real(10) ** -40
+        for i in range(len(discs)):
+            for j in range(i + 1, len(discs)):
+                gap = abs(discs[j].center - discs[i].center)
+                assert gap <= discs[i].radius - discs[j].radius + slack, (
+                    name, discs[i].n, discs[j].n
+                )
+        sums = dict(report.psi_profile.partial_sums)
+        for disc in discs:
+            product = disc.radius * 2 * report.lam.imag * sums[disc.n]
+            assert abs(product - 1) < slack, (name, disc.n)
     print("ACCEPTANCE 5 PASS - disc geometry (oracle values, nesting, radius-sum identity)")
 
 
@@ -147,9 +144,9 @@ def test_criterion_6_regular_eigenvalue_test(models):
     free = models["free"]
     angles = BoundaryAngles(0.0, 0.0)
     root = regular_eigen_residual(free, 1.0, angles, 0)
-    assert fabs(free, root) < 1e-40
+    assert fabs(root) < 1e-40
     nonreal = regular_eigen_residual(free, 1j, angles, 0)
-    assert fabs(free, nonreal) > 0
+    assert fabs(nonreal) > 0
     print("ACCEPTANCE 6 PASS - eigenvalue residual root at lam=1, nonzero at lam=i")
 
 
@@ -160,8 +157,8 @@ def test_criterion_7_variation_of_parameters(models):
         z = propagate(model, 2j, BoundaryData(1, 0), 26)
         for t_check in (10, 20):
             res = vop_reconstruct(basis, z, 3, t_check)
-            assert fabs(model, res.defect_y1) < 1e-50, (name, t_check)
-            assert fabs(model, res.defect_y2) < 1e-50, (name, t_check)
+            assert fabs(res.defect_y1) < 1e-50, (name, t_check)
+            assert fabs(res.defect_y2) < 1e-50, (name, t_check)
     print("ACCEPTANCE 7 PASS - variation-of-parameters defects < 1e-50, both components")
 
 

@@ -5,26 +5,23 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from weyldisc import ExprCoefficient, backends
+from weyldisc import ExprCoefficient, PrecisionConfig
 from weyldisc.backends import (
-    BIG_KERNEL,
-    Gmpy2Kernel,
     MpmathKernel,
+    big_kernel,
     format_complex,
     format_real,
     native_kernel,
 )
 from weyldisc.errors import EvaluationError
 
-KERNELS = [BIG_KERNEL, native_kernel()]
+BIG_256 = big_kernel(256)
+KERNELS = [BIG_256, native_kernel()]
 
-# every kernel the protocol test covers; one that cannot be imported here
-# is reported as skipped
-IMPORTABLE = [
+# every kernel the protocol test covers
+ALL_KERNELS = [
     pytest.param(MpmathKernel, id="mpmath"),
     pytest.param(native_kernel, id="native"),
-    pytest.param(Gmpy2Kernel, id="gmpy2", marks=pytest.mark.skipif(
-        backends.gmpy2 is None, reason="gmpy2 is not importable")),
 ]
 
 # the whole public face of a kernel object: what the solvers call on it;
@@ -38,19 +35,25 @@ PROTOCOL_METHODS = sorted(PROTOCOL_MEMBERS - {"name", "needs_finite_checks"})
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
 def test_exact_fraction_round_trip(kernel):
-    with kernel.workprec(256):
-        x = kernel.real(Fraction(3, 8))  # dyadic: exactly representable
-        assert kernel.to_fraction(x) == Fraction(3, 8)
+    x = kernel.real(Fraction(3, 8))  # dyadic: exactly representable
+    assert kernel.to_fraction(x) == Fraction(3, 8)
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+def test_to_fraction_refuses_non_finite_values(kernel):
+    """inf and nan have no rational value on any kernel."""
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(EvaluationError, match="non-finite value to a rational"):
+            kernel.to_fraction(kernel.real(x))
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
 def test_division_by_zero_scalar_is_an_error(kernel):
     """mpmath and native floats refuse an exact zero denominator, complex
     or real; the solvers test the ones that can vanish beforehand."""
-    with kernel.workprec(256):
-        for den in (kernel.complex(0, 0), kernel.real(0)):
-            with pytest.raises(ZeroDivisionError):
-                kernel.complex(1, 0) / den
+    for den in (kernel.complex(0, 0), kernel.real(0)):
+        with pytest.raises(ZeroDivisionError):
+            kernel.complex(1, 0) / den
 
 
 def _value(text, kernel):
@@ -62,24 +65,22 @@ def _value(text, kernel):
 def test_sqrt_guard(kernel):
     """``sqrt`` refuses a negative argument on every kernel, before the
     kernel's own square root sees it."""
-    with kernel.workprec(256):
-        with pytest.raises(EvaluationError, match="square root of negative value -1.0"):
-            _value("sqrt(0 - 1)", kernel)
-        assert kernel.to_fraction(_value("sqrt(4)", kernel)) == 2
+    with pytest.raises(EvaluationError, match="square root of negative value -1.0"):
+        _value("sqrt(0 - 1)", kernel)
+    assert kernel.to_fraction(_value("sqrt(4)", kernel)) == 2
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
 def test_pow_sign_rules(kernel):
-    with kernel.workprec(256):
-        assert kernel.to_fraction(_value("(0 - 4)^3", kernel)) == -64
-        assert kernel.to_fraction(_value("(0 - 4)^2", kernel)) == 16
-        with pytest.raises(EvaluationError, match="non-integer power"):
-            _value("(0 - 4)^0.5", kernel)
-        with pytest.raises(EvaluationError, match="zero raised to a negative power"):
-            _value("0^(0 - 1)", kernel)
+    assert kernel.to_fraction(_value("(0 - 4)^3", kernel)) == -64
+    assert kernel.to_fraction(_value("(0 - 4)^2", kernel)) == 16
+    with pytest.raises(EvaluationError, match="non-integer power"):
+        _value("(0 - 4)^0.5", kernel)
+    with pytest.raises(EvaluationError, match="zero raised to a negative power"):
+        _value("0^(0 - 1)", kernel)
 
 
-@pytest.mark.parametrize("make", IMPORTABLE)
+@pytest.mark.parametrize("make", ALL_KERNELS)
 def test_kernel_protocol(make):
     """A kernel provides exactly the members the solvers call, and its scalars
     give exact parts, conjugates and moduli through ``.real``, ``.imag``,
@@ -92,50 +93,52 @@ def test_kernel_protocol(make):
     for method in PROTOCOL_METHODS:
         assert callable(getattr(kernel, method)), method
     exact = kernel.to_fraction
-    with kernel.workprec(128):
-        z = kernel.complex(1.5, -2.5)
-        assert (exact(z.real), exact(z.imag)) == (Fraction(3, 2), Fraction(-5, 2))
-        w = z.conjugate()
-        assert (exact(w.real), exact(w.imag)) == (Fraction(3, 2), Fraction(5, 2))
-        assert exact(abs(kernel.complex(3, -4))) == 5
-        x = kernel.real(Fraction(-3, 4))
-        assert (exact(x.real), exact(x.imag)) == (Fraction(-3, 4), 0)
-        assert exact(x.conjugate()) == Fraction(-3, 4)
-        assert exact(abs(x)) == Fraction(3, 4)
-        assert float(abs(z.conjugate() - z)) == 5.0
-        assert float(x) == -0.75
+    z = kernel.complex(1.5, -2.5)
+    assert (exact(z.real), exact(z.imag)) == (Fraction(3, 2), Fraction(-5, 2))
+    w = z.conjugate()
+    assert (exact(w.real), exact(w.imag)) == (Fraction(3, 2), Fraction(5, 2))
+    assert exact(abs(kernel.complex(3, -4))) == 5
+    x = kernel.real(Fraction(-3, 4))
+    assert (exact(x.real), exact(x.imag)) == (Fraction(-3, 4), 0)
+    assert exact(x.conjugate()) == Fraction(-3, 4)
+    assert exact(abs(x)) == Fraction(3, 4)
+    assert float(abs(z.conjugate() - z)) == 5.0
+    assert float(x) == -0.75
 
 
 def test_float_is_infinite_past_the_float_range():
     """``float`` rounds a real scalar to nearest: an infinity past the
     float range, zero below it; a native float stays itself, sign of
     zero included."""
-    k = MpmathKernel()
-    with k.workprec(256):
-        huge = k.pow_positive(k.real(2), k.real(2000))
-        assert float(huge) == math.inf
-        assert float(-huge) == -math.inf
-        assert float(1 / huge) == 0.0
-        assert float(k.real(1) / 3) == 1 / 3
+    k = BIG_256
+    huge = k.pow_positive(k.real(2), k.real(2000))
+    assert float(huge) == math.inf
+    assert float(-huge) == -math.inf
+    assert float(1 / huge) == 0.0
+    assert float(k.real(1) / 3) == 1 / 3
     n = native_kernel()
     for x in (math.inf, -math.inf, 0.1, -2.5, 0.0, -0.0):
         y = float(n.real(x))
         assert y == x and math.copysign(1, y) == math.copysign(1, x)
 
 
-def test_big_precision_actually_applies():
-    k = BIG_KERNEL
-    with k.workprec(256):
-        third = k.real(1) / 3
-        err = abs(third * 3 - 1)
-        assert k.to_fraction(err) < Fraction(1, 2**250)
+def test_precision_travels_with_the_scalars():
+    """A 256-bit model's scalars round at 256 bits outside any precision
+    context and whatever the global mpmath precision is set to."""
+    kernel = PrecisionConfig(mantissa_bits=256).kernel
+    assert kernel is big_kernel(256)
+    x = kernel.real(1) / 3
+    assert abs(x * 3 - 1) < 2.0 ** -250
+    with mpmath.workprec(20):
+        assert kernel.real(1) / 3 == x
+        assert abs(kernel.sqrt(kernel.real(2)) ** 2 - 2) < 2.0 ** -250
+    assert mpmath.mp.prec == 53
 
 
 def test_formatting_is_backend_independent():
-    k = BIG_KERNEL
-    with k.workprec(256):
-        x = k.real(1) / 3
-        text = format_real(k, x)
+    k = BIG_256
+    x = k.real(1) / 3
+    text = format_real(k, x)
     assert text.startswith("0.3333333333")
     n = native_kernel()
     assert format_real(n, 0.5) == "0.5"
@@ -144,34 +147,31 @@ def test_formatting_is_backend_independent():
 
 
 def test_formatting_uses_the_working_precision_value():
-    """Rendered outside any precision context, a 256-bit value keeps all
-    of its forty printed digits (the ambient context has 53 bits)."""
-    k = BIG_KERNEL
-    with k.workprec(256):
-        third = k.real(1) / 3
-        z = k.complex(1, -1) / 3
+    """A 256-bit value keeps all of its forty printed digits, though the
+    global mpmath context has 53 bits."""
+    k = BIG_256
+    third = k.real(1) / 3
+    z = k.complex(1, -1) / 3
     assert format_real(k, third) == "0." + "3" * 40
     assert format_complex(k, z) == {"re": "0." + "3" * 40, "im": "-0." + "3" * 40}
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
 def test_abs2_is_the_squared_modulus(kernel):
-    bits = 256 if kernel is BIG_KERNEL else 53
+    bits = 256 if kernel is BIG_256 else 53
     tol = 2.0 ** (-(bits - 4))
-    with kernel.workprec(bits):
-        for re, im in ((3, 4), (0.1, -2.5), (-1e-30, 7e20), (0, 0), (5, 0)):
-            z = kernel.complex(re, im)
-            got = kernel.abs2(z)
-            want = abs(z) ** 2
-            assert float(abs(got - want)) <= tol * float(want)
-        assert kernel.abs2(kernel.real(-3)) == 9
+    for re, im in ((3, 4), (0.1, -2.5), (-1e-30, 7e20), (0, 0), (5, 0)):
+        z = kernel.complex(re, im)
+        got = kernel.abs2(z)
+        want = abs(z) ** 2
+        assert float(abs(got - want)) <= tol * float(want)
+    assert kernel.abs2(kernel.real(-3)) == 9
 
 
 def test_huge_exponents_format():
-    k = BIG_KERNEL
-    with k.workprec(256):
-        big = k.pow_positive(k.real(4), k.real(20000))
-        text = format_real(k, big)
+    k = BIG_256
+    big = k.pow_positive(k.real(4), k.real(20000))
+    text = format_real(k, big)
     assert "e+12041" in text
 
 
@@ -188,17 +188,18 @@ def test_native_isfinite_matches_the_two_part_test():
 
 @pytest.mark.parametrize("bits", [30, 53, 256])
 def test_mpmath_complex_of_floats_equals_general_path(bits):
-    """The float-pair fast path gives mpc(mpf(x), mpf(y)) exactly, also
-    below 53 bits, where each part is rounded."""
-    kernel = MpmathKernel()
+    """The float-pair fast path gives the value of the kernel's general
+    path, complex(real(x), real(y)), exactly, also below 53 bits, where
+    each part is rounded."""
+    kernel = MpmathKernel(bits)
     rng = random.Random(bits)
     special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 7,
                1e308, -1e308, math.inf, -math.inf, math.nan]
     values = special + [rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 300)
                         for _ in range(200)]
-    with kernel.workprec(bits):
-        for x in values:
-            for y in special + [rng.uniform(-1, 1)]:
-                got = kernel.complex(x, y)
-                assert type(got) is mpmath.mpc
-                assert got._mpc_ == mpmath.mpc(mpmath.mpf(x), mpmath.mpf(y))._mpc_
+    for x in values:
+        for y in special + [rng.uniform(-1, 1)]:
+            got = kernel.complex(x, y)
+            want = kernel.complex(kernel.real(x), kernel.real(y))
+            assert type(got) is type(want)
+            assert got._mpc_ == want._mpc_

@@ -116,13 +116,12 @@ def test_random_pair_sequences_leave_the_unread_y2_unconverted(models, native):
     top = 12
     n = top + 2 - (model.a - 1)
     rng, full = random.Random(7), random.Random(7)
-    with model.workprec():
-        y, z = checks.random_pair_sequences(model, top, rng)
-        for seq in (y, z):
-            draws = [k.complex(full.uniform(-1, 1), full.uniform(-1, 1))
-                     for _ in range(2 * n)]
-            assert len(seq) == n and seq[-1][1] is None
-            assert [v for pair in seq for v in pair][:-1] == draws[:-1]
+    y, z = checks.random_pair_sequences(model, top, rng)
+    for seq in (y, z):
+        draws = [k.complex(full.uniform(-1, 1), full.uniform(-1, 1))
+                 for _ in range(2 * n)]
+        assert len(seq) == n and seq[-1][1] is None
+        assert [v for pair in seq for v in pair][:-1] == draws[:-1]
     assert rng.getstate() == full.getstate()
 
 
@@ -133,8 +132,7 @@ def test_pairing_lines_cover_their_windows(models):
     phi, psi = weyl.fundamental_pair(model, 1j, 0.0, 20)
     base = checks.pair_det_deviation(phi, psi, 20)
     assert base == checks.wronskian_deviation(phi, psi, 20)
-    with model.workprec():
-        # y1(a) enters the pairing at a-1 only, as the state's y1(t+1)
-        bent = dataclasses.replace(psi, y1=psi.y1[:1] + (psi.y1[1] * 3,) + psi.y1[2:])
+    # y1(a) enters the pairing at a-1 only, as the state's y1(t+1)
+    bent = dataclasses.replace(psi, y1=psi.y1[:1] + (psi.y1[1] * 3,) + psi.y1[2:])
     assert checks.pair_det_deviation(phi, bent, 20) == base
     assert checks.wronskian_deviation(phi, bent, 20) > 0.1

@@ -32,33 +32,31 @@ def test_free_model_limit_point_closed_form(models, classify_memo):
     free = models["free"]
     k = free.kernel
     report = classify_memo("free")
-    with free.workprec():
-        mu = _inside_root(k, k.complex(0, 1))
-        want = mu / (1 - mu)
-        radius = report.disc_samples[-1].radius
-        # the center approximates the limit point within the final radius,
-        # which at N=200 has shrunk far below the 256-bit accuracy of the
-        # comparison itself
-        assert float(k.to_mpf(radius)) < 1e-90
-        tol = max(2 * float(k.to_mpf(radius)), 1e-70)
-        assert fdiff(free, report.m_limit, want) <= tol
+    mu = _inside_root(k, k.complex(0, 1))
+    want = mu / (1 - mu)
+    radius = report.disc_samples[-1].radius
+    # the center approximates the limit point within the final radius,
+    # which at N=200 has shrunk far below the 256-bit accuracy of the
+    # comparison itself
+    assert float(k.to_mpf(radius)) < 1e-90
+    tol = max(2 * float(k.to_mpf(radius)), 1e-70)
+    assert fdiff(report.m_limit, want) <= tol
 
 
 def test_free_model_disc_centers_converge_to_closed_form(models):
     free = models["free"]
     k = free.kernel
     report = classify(free, 2j, 0.3, ClassifyOptions(n_max=120))
-    with free.workprec():
-        lam = k.complex(0, 2)
-        mu = _inside_root(k, lam)
-        # m at alpha: chi data (sin a + m cos a, -cos a + m sin a) must be
-        # proportional to the decaying direction (1, 1 - 1/mu)
-        sa, ca = k.sin(0.3), k.cos(0.3)
-        ratio = 1 - 1 / mu
-        want = (ratio * sa + ca) / (-ratio * ca + sa)
-        for disc in report.disc_samples[-3:]:
-            gap = fabs(free, disc.center - want)
-            assert gap <= max(2 * float(k.to_mpf(disc.radius)), 1e-70)
+    lam = k.complex(0, 2)
+    mu = _inside_root(k, lam)
+    # m at alpha: chi data (sin a + m cos a, -cos a + m sin a) must be
+    # proportional to the decaying direction (1, 1 - 1/mu)
+    sa, ca = k.sin(0.3), k.cos(0.3)
+    ratio = 1 - 1 / mu
+    want = (ratio * sa + ca) / (-ratio * ca + sa)
+    for disc in report.disc_samples[-3:]:
+        gap = fabs(disc.center - want)
+        assert gap <= max(2 * float(k.to_mpf(disc.radius)), 1e-70)
 
 
 def test_h_coupled_family_effective_equation_at_zero(models):
@@ -67,12 +65,11 @@ def test_h_coupled_family_effective_equation_at_zero(models):
     model = models["ex4.1b"]
     k = model.kernel
     table = step_table(model, 0.0, 19)
-    with model.workprec():
-        for t in (0, 1, 2, 7, 19):
-            i = table.index(t)
-            want = -(k.real(4) ** (-t) + 2)
-            assert fdiff(model, table.q_tilde[i], want) <= fabs(model, want) * 1e-75
-            assert fdiff(model, table.p_tilde[i], -(k.real(4) ** t)) == 0
+    for t in (0, 1, 2, 7, 19):
+        i = table.index(t)
+        want = -(k.real(4) ** (-t) + 2)
+        assert fdiff(table.q_tilde[i], want) <= fabs(want) * 1e-75
+        assert fdiff(table.p_tilde[i], -(k.real(4) ** t)) == 0
 
 
 def test_sqrt_coupled_family_effective_equation_at_zero(models):
@@ -81,10 +78,7 @@ def test_sqrt_coupled_family_effective_equation_at_zero(models):
     model = models["ex4.2b"]
     k = model.kernel
     table = step_table(model, 0.0, 11)
-    with model.workprec():
-        for t in (0, 1, 3, 11):
-            i = table.index(t)
-            assert fdiff(model, table.p_tilde[i], -(k.real(4) ** t)) <= 1e-70 * fabs(
-                model, table.p_tilde[i]
-            )
-            assert fdiff(model, table.q_tilde[i], k.real(4) ** t) == 0
+    for t in (0, 1, 3, 11):
+        i = table.index(t)
+        assert fdiff(table.p_tilde[i], -(k.real(4) ** t)) <= 1e-70 * fabs(table.p_tilde[i])
+        assert fdiff(table.q_tilde[i], k.real(4) ** t) == 0

@@ -141,15 +141,14 @@ def _reference_witnesses(model, weight, horizon):
             worst = max(worst, float(k.to_mpf(fn(t))))
         return worst
 
-    with model.workprec():
-        return {
-            "K": sup(a, horizon, lambda t: abs(coeff("c", t)) / abs(coeff("p", t))),
-            "k1": sup(a, horizon, lambda t: (abs(coeff("c", t)) + abs(coeff("c", t - 1))) / m(t)),
-            "k2": sup(a, horizon, lambda t: abs(coeff("h", t)) / m(t)),
-            "k3": sup(a, horizon, lambda t: max(-coeff("q", t), k.real(0)) / m(t)),
-            "k4": sup(a + 1, min(horizon, a + 200), lambda t: k.sqrt(coeff("p", t - 1))
-                      * abs(m(t) - m(t - 1)) / (k.sqrt(m(t)) * m(t - 1))),
-        }
+    return {
+        "K": sup(a, horizon, lambda t: abs(coeff("c", t)) / abs(coeff("p", t))),
+        "k1": sup(a, horizon, lambda t: (abs(coeff("c", t)) + abs(coeff("c", t - 1))) / m(t)),
+        "k2": sup(a, horizon, lambda t: abs(coeff("h", t)) / m(t)),
+        "k3": sup(a, horizon, lambda t: max(-coeff("q", t), k.real(0)) / m(t)),
+        "k4": sup(a + 1, min(horizon, a + 200), lambda t: k.sqrt(coeff("p", t - 1))
+                  * abs(m(t) - m(t - 1)) / (k.sqrt(m(t)) * m(t - 1))),
+    }
 
 
 @pytest.mark.parametrize("weight", ["t + 2", "4^t", "sqrt(t) + 1"])

@@ -86,16 +86,14 @@ def test_unknown_identifier_message():
 
 
 def _value(text, t, precision=BIG):
-    """The parsed coefficient's value at t, inside the precision's context."""
-    with precision.workprec():
-        return ExprCoefficient(parse(text)).value(t, precision.kernel)
+    """The parsed coefficient's value at t on the precision's kernel."""
+    return ExprCoefficient(parse(text)).value(t, precision.kernel)
 
 
 def _eval_float(text, t, precision=BIG):
     value = _value(text, t, precision)
     k = precision.kernel
-    with precision.workprec():
-        return float(k.to_mpf(value))
+    return float(k.to_mpf(value))
 
 
 def test_eval_integer_power():
@@ -226,21 +224,20 @@ def test_window_agrees_with_one_point_on_random_trees(precision):
     k = precision.kernel
     ts = range(-2, 7)
     whole = 0
-    with precision.workprec():
-        for _ in range(300):
-            node = _random_ast(rng, rng.randint(1, 4))
-            coeff = ExprCoefficient(node)
-            points = [_outcome(lambda: repr(coeff.value(t, k))) for t in ts]
-            walked = [_outcome(lambda: repr(_tree_walk(node, t, k))) for t in ts]
-            window = _outcome(lambda: list(map(repr, coeff.column(ts[0], ts[-1], k))))
-            for point, walk in zip(points, walked):
-                assert point == walk, to_text(node)
-            if all(ok for ok, _ in points):
-                assert window == (True, [value for _, value in points]), to_text(node)
-                whole += 1
-            else:
-                assert not window[0], to_text(node)
-                assert window[1] in [err for ok, err in points if not ok], to_text(node)
+    for _ in range(300):
+        node = _random_ast(rng, rng.randint(1, 4))
+        coeff = ExprCoefficient(node)
+        points = [_outcome(lambda: repr(coeff.value(t, k))) for t in ts]
+        walked = [_outcome(lambda: repr(_tree_walk(node, t, k))) for t in ts]
+        window = _outcome(lambda: list(map(repr, coeff.column(ts[0], ts[-1], k))))
+        for point, walk in zip(points, walked):
+            assert point == walk, to_text(node)
+        if all(ok for ok, _ in points):
+            assert window == (True, [value for _, value in points]), to_text(node)
+            whole += 1
+        else:
+            assert not window[0], to_text(node)
+            assert window[1] in [err for ok, err in points if not ok], to_text(node)
     assert whole >= 100
 
 
@@ -270,11 +267,10 @@ def test_window_error_is_the_one_point_error(text, first, last, precision, error
     the one-point evaluation at that node's first failing t."""
     coeff = ExprCoefficient(parse(text))
     k = precision.kernel
-    with precision.workprec():
-        with pytest.raises(error) as window:
-            coeff.column(first, last, k)
-        with pytest.raises(error) as point:
-            coeff.value(bad_t, k)
-        coeff.column(first, bad_t - 1, k)  # the points before it are fine
+    with pytest.raises(error) as window:
+        coeff.column(first, last, k)
+    with pytest.raises(error) as point:
+        coeff.value(bad_t, k)
+    coeff.column(first, bad_t - 1, k)  # the points before it are fine
     assert str(window.value) == str(point.value) == message
     assert type(window.value) is type(point.value)

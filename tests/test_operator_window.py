@@ -92,43 +92,41 @@ def _reference_rows(model, y1, y2, t):
 def _reference_residual(model, traj, t):
     """The relative residual at t with every scale term recomputed."""
     k = model.kernel
-    with model.workprec():
-        lam = traj.lam
-        row1, row2 = _reference_rows(model, traj.y1_at, traj.y2_at, t)
-        row2 = row2 - lam * traj.y2_at(t)
-        scale2 = (
-            abs(model.coeff("c", t) * (traj.y1_at(t + 1) - traj.y1_at(t)))
-            + abs(model.coeff("h", t) * traj.y1_at(t))
-            + abs(model.coeff("d", t) * traj.y2_at(t))
-            + abs(lam * traj.y2_at(t))
+    lam = traj.lam
+    row1, row2 = _reference_rows(model, traj.y1_at, traj.y2_at, t)
+    row2 = row2 - lam * traj.y2_at(t)
+    scale2 = (
+        abs(model.coeff("c", t) * (traj.y1_at(t + 1) - traj.y1_at(t)))
+        + abs(model.coeff("h", t) * traj.y1_at(t))
+        + abs(model.coeff("d", t) * traj.y2_at(t))
+        + abs(lam * traj.y2_at(t))
+        + 1
+    )
+    worst = float(k.to_mpf(abs(row2) / scale2))
+    if row1 is not None:
+        row1 = row1 - lam * traj.y1_at(t)
+        scale1 = (
+            abs(model.coeff("p", t) * (traj.y1_at(t + 1) - traj.y1_at(t)))
+            + abs(model.coeff("p", t - 1) * (traj.y1_at(t) - traj.y1_at(t - 1)))
+            + abs(model.coeff("q", t) * traj.y1_at(t))
+            + abs(model.coeff("c", t) * traj.y2_at(t))
+            + abs(model.coeff("c", t - 1) * traj.y2_at(t - 1))
+            + abs(model.coeff("h", t) * traj.y2_at(t))
+            + abs(lam * traj.y1_at(t))
             + 1
         )
-        worst = float(k.to_mpf(abs(row2) / scale2))
-        if row1 is not None:
-            row1 = row1 - lam * traj.y1_at(t)
-            scale1 = (
-                abs(model.coeff("p", t) * (traj.y1_at(t + 1) - traj.y1_at(t)))
-                + abs(model.coeff("p", t - 1) * (traj.y1_at(t) - traj.y1_at(t - 1)))
-                + abs(model.coeff("q", t) * traj.y1_at(t))
-                + abs(model.coeff("c", t) * traj.y2_at(t))
-                + abs(model.coeff("c", t - 1) * traj.y2_at(t - 1))
-                + abs(model.coeff("h", t) * traj.y2_at(t))
-                + abs(lam * traj.y1_at(t))
-                + 1
-            )
-            worst = max(worst, float(k.to_mpf(abs(row1) / scale1)))
-        return worst
+        worst = max(worst, float(k.to_mpf(abs(row1) / scale1)))
+    return worst
 
 
 def _random_trajectory(model, rng, top):
     k = model.kernel
     n = top + 1 - (model.a - 1)
-    with model.workprec():
-        return Trajectory(
-            model=model, lam=k.complex(rng.uniform(-1, 1), rng.uniform(0.5, 1.5)),
-            top=top, y1=tuple(_draw(model, rng, n + 1)),
-            y2=tuple(_draw(model, rng, n)), y1q=tuple(_draw(model, rng, n)),
-        )
+    return Trajectory(
+        model=model, lam=k.complex(rng.uniform(-1, 1), rng.uniform(0.5, 1.5)),
+        top=top, y1=tuple(_draw(model, rng, n + 1)),
+        y2=tuple(_draw(model, rng, n)), y1q=tuple(_draw(model, rng, n)),
+    )
 
 
 def test_windowed_rows_match_per_t_formula(precision_models):
@@ -136,26 +134,25 @@ def test_windowed_rows_match_per_t_formula(precision_models):
     for name, model in precision_models.items():
         a = model.a
         n = TOP + 1 - (a - 1)
-        with model.workprec():
-            y1, y2 = _draw(model, rng, n + 1), _draw(model, rng, n)
+        y1, y2 = _draw(model, rng, n + 1), _draw(model, rng, n)
 
-            def f1(s):
-                return y1[s - (a - 1)]
+        def f1(s):
+            return y1[s - (a - 1)]
 
-            def f2(s):
-                return y2[s - (a - 1)]
+        def f2(s):
+            return y2[s - (a - 1)]
 
-            quasi = quasi_difference(model, y1, y2, a - 1, TOP)
-            assert quasi[3:] == quasi_difference(model, y1, y2, a + 2, TOP)
-            for first in (a - 1, a, a + 3, TOP):
-                window = operator_window(model, y1, y2, first, TOP)
-                for t, (row1, row2, terms) in enumerate(window, first):
-                    ref1, ref2 = _reference_rows(model, f1, f2, t)
-                    assert _bits(row1) == _bits(ref1), (name, first, t)
-                    assert _bits(row2) == _bits(ref2), (name, first, t)
-                    assert _bits(terms[1] + terms[4]) == _bits(quasi[t - (a - 1)])
-                    if t >= a:
-                        assert _bits(terms[0] + terms[3]) == _bits(quasi[t - a])
+        quasi = quasi_difference(model, y1, y2, a - 1, TOP)
+        assert quasi[3:] == quasi_difference(model, y1, y2, a + 2, TOP)
+        for first in (a - 1, a, a + 3, TOP):
+            window = operator_window(model, y1, y2, first, TOP)
+            for t, (row1, row2, terms) in enumerate(window, first):
+                ref1, ref2 = _reference_rows(model, f1, f2, t)
+                assert _bits(row1) == _bits(ref1), (name, first, t)
+                assert _bits(row2) == _bits(ref2), (name, first, t)
+                assert _bits(terms[1] + terms[4]) == _bits(quasi[t - (a - 1)])
+                if t >= a:
+                    assert _bits(terms[0] + terms[3]) == _bits(quasi[t - a])
 
 
 def test_residual_sweep_and_one_point_match_per_t_formula(precision_models):
@@ -179,12 +176,11 @@ def test_residual_sweep_with_exactly_zero_rows_matches_per_t_formula(precision_m
     model = precision_models["free"]
     a = model.a
     traj = propagate(model, 1j, BoundaryData(1, 0), TOP)
-    with model.workprec():
-        y1, y2 = list(traj.y1), list(traj.y2)
-        y1[5 - (a - 1)] *= 3  # row 1 at t = 4, 5, 6
-        y1[9 - (a - 1)] *= 5  # row 1 at t = 8, 9, 10
-        y2[12 - (a - 1)] += model.kernel.complex(0.5, -0.25)  # row 2 at t = 12
-        bent = dataclasses.replace(traj, y1=tuple(y1), y2=tuple(y2))
+    y1, y2 = list(traj.y1), list(traj.y2)
+    y1[5 - (a - 1)] *= 3  # row 1 at t = 4, 5, 6
+    y1[9 - (a - 1)] *= 5  # row 1 at t = 8, 9, 10
+    y2[12 - (a - 1)] += model.kernel.complex(0.5, -0.25)  # row 2 at t = 12
+    bent = dataclasses.replace(traj, y1=tuple(y1), y2=tuple(y2))
     window = range(a - 1, TOP + 1)
     ref = [_reference_residual(model, bent, t) for t in window]
     assert [t for t, r in zip(window, ref) if r != 0] == [4, 5, 6, 8, 9, 10, 12]
@@ -199,9 +195,8 @@ def test_green_terms_match_per_t_formula(precision_models):
         a = model.a
         k = model.kernel
         n = TOP + 1 - (a - 1) + 1
-        with model.workprec():
-            y = list(zip(_draw(model, rng, n), _draw(model, rng, n)))
-            z = list(zip(_draw(model, rng, n), _draw(model, rng, n)))
+        y = list(zip(_draw(model, rng, n), _draw(model, rng, n)))
+        z = list(zip(_draw(model, rng, n), _draw(model, rng, n)))
         defect, rows = green_terms(model, y, z, TOP)
 
         def seq(pairs, part):
@@ -215,18 +210,17 @@ def test_green_terms_match_per_t_formula(precision_models):
             )
             return y[i + 1][0] * z_quasi.conjugate() - y_quasi * z[i + 1][0].conjugate()
 
-        with model.workprec():
-            inner = k.complex(0)
-            ref_rows = []
-            for t in range(a, TOP + 1):
-                ly1, ly2 = _reference_rows(model, seq(y, 0), seq(y, 1), t)
-                lz1, lz2 = _reference_rows(model, seq(z, 0), seq(z, 1), t)
-                ref_rows.append(((ly1, ly2), (lz1, lz2)))
-                z1, z2 = z[t - (a - 1)]
-                y1, y2 = y[t - (a - 1)]
-                inner += z1.conjugate() * ly1 + z2.conjugate() * ly2
-                inner -= lz1.conjugate() * y1 + lz2.conjugate() * y2
-            ref_defect = inner - (raw_bracket(TOP) - raw_bracket(a - 1))
+        inner = k.complex(0)
+        ref_rows = []
+        for t in range(a, TOP + 1):
+            ly1, ly2 = _reference_rows(model, seq(y, 0), seq(y, 1), t)
+            lz1, lz2 = _reference_rows(model, seq(z, 0), seq(z, 1), t)
+            ref_rows.append(((ly1, ly2), (lz1, lz2)))
+            z1, z2 = z[t - (a - 1)]
+            y1, y2 = y[t - (a - 1)]
+            inner += z1.conjugate() * ly1 + z2.conjugate() * ly2
+            inner -= lz1.conjugate() * y1 + lz2.conjugate() * y2
+        ref_defect = inner - (raw_bracket(TOP) - raw_bracket(a - 1))
         assert _bits(defect) == _bits(ref_defect), name
         assert [[[_bits(v) for v in row] for row in pair] for pair in rows] == [
             [[_bits(v) for v in row] for row in pair] for pair in ref_rows
@@ -238,21 +232,20 @@ def _reference_bracket_worst(model, top, pairs, rng):
     k = model.kernel
     worst = 0.0
     n = top + 1 - (model.a - 1)
-    with model.workprec():
-        for _ in range(pairs):
-            y, z = [
-                Trajectory(
-                    model=model, lam=k.complex(0, 1), top=top,
-                    y1=_draw_read(k, rng, n + 1, range(n + 1)),
-                    y2=_draw_read(k, rng, n, range(n)),
-                    y1q=_draw_read(k, rng, n, range(n)),
-                )
-                for _ in range(2)
-            ]
-            for t in (model.a - 1, model.a, top - 1):
-                lhs = bracket(y, z, t)
-                rhs = -bracket(z, y, t).conjugate()
-                worst = max(worst, float(abs(lhs - rhs)))
+    for _ in range(pairs):
+        y, z = [
+            Trajectory(
+                model=model, lam=k.complex(0, 1), top=top,
+                y1=_draw_read(k, rng, n + 1, range(n + 1)),
+                y2=_draw_read(k, rng, n, range(n)),
+                y1q=_draw_read(k, rng, n, range(n)),
+            )
+            for _ in range(2)
+        ]
+        for t in (model.a - 1, model.a, top - 1):
+            lhs = bracket(y, z, t)
+            rhs = -bracket(z, y, t).conjugate()
+            worst = max(worst, float(abs(lhs - rhs)))
     return worst
 
 

@@ -54,7 +54,7 @@ def test_backward_chi_agrees_with_high_precision_forward():
     lo_sums = dict(rep_lo.chi_profile.partial_sums)
     hi_sums = dict(rep_hi.chi_profile.partial_sums)
     for n in (0, 10, 50, 120, 200):
-        a, b = fabs(lo, lo_sums[n]), fabs(hi, hi_sums[n])
+        a, b = fabs(lo_sums[n]), fabs(hi_sums[n])
         assert abs(a - b) <= b * 1e-55, n
 
 

@@ -33,12 +33,12 @@ from conftest import EXPECTED_VERDICTS, fabs, fdiff
 def test_fundamental_pair_initial_data(models):
     free = models["free"]
     phi, psi = fundamental_pair(free, 1j, 0.0, 6)
-    assert fabs(free, phi.y1_at(0)) == 0
-    assert fdiff(free, phi.y1q_at(-1), -1) == 0
-    assert fdiff(free, psi.y1_at(0), 1) == 0
-    assert fabs(free, psi.y1q_at(-1)) == 0
-    assert fdiff(free, psi.y1_at(1), 1 - 1j) == 0
-    assert fdiff(free, phi.y1_at(1), -1) == 0
+    assert fabs(phi.y1_at(0)) == 0
+    assert fdiff(phi.y1q_at(-1), -1) == 0
+    assert fdiff(psi.y1_at(0), 1) == 0
+    assert fabs(psi.y1q_at(-1)) == 0
+    assert fdiff(psi.y1_at(1), 1 - 1j) == 0
+    assert fdiff(phi.y1_at(1), -1) == 0
 
 
 def test_fundamental_pair_wronskian_long_window(models):
@@ -47,32 +47,31 @@ def test_fundamental_pair_wronskian_long_window(models):
     for t in range(-1, 100):
         w = wronskian(phi, psi, t)
         scale = (
-            fabs(model, phi.y1_at(t + 1)) * fabs(model, psi.y1q_at(t))
-            + fabs(model, phi.y1q_at(t)) * fabs(model, psi.y1_at(t + 1))
+            fabs(phi.y1_at(t + 1)) * fabs(psi.y1q_at(t))
+            + fabs(phi.y1q_at(t)) * fabs(psi.y1_at(t + 1))
             + 1
         )
-        assert fdiff(model, w, 1) <= scale * 1e-70
+        assert fdiff(w, 1) <= scale * 1e-70
 
 
 def test_corner_values_free_model(models):
     free = models["free"]
     pair = fundamental_pair(free, 1j, 0.0, 4)
     corner = corner_values(pair, 0)
-    assert fdiff(free, corner.A, -1) == 0
-    assert fdiff(free, corner.B, -1) == 0
-    assert fdiff(free, corner.C, 1 - 1j) == 0
-    assert fdiff(free, corner.D, -1j) == 0
-    with free.workprec():
-        assert fdiff(free, corner.A * corner.D - corner.B * corner.C, 1) == 0
-        diag = corner.C * corner.D.conjugate() - corner.D * corner.C.conjugate()
-        assert fdiff(free, diag, 2j) == 0
+    assert fdiff(corner.A, -1) == 0
+    assert fdiff(corner.B, -1) == 0
+    assert fdiff(corner.C, 1 - 1j) == 0
+    assert fdiff(corner.D, -1j) == 0
+    assert fdiff(corner.A * corner.D - corner.B * corner.C, 1) == 0
+    diag = corner.C * corner.D.conjugate() - corner.D * corner.C.conjugate()
+    assert fdiff(diag, 2j) == 0
 
 
 def test_weyl_disc_free_model(models):
     free = models["free"]
     disc = weyl_disc(free, 1j, 0.0, 0)
-    assert fdiff(free, disc.center, 0.5j) == 0
-    assert fdiff(free, disc.radius, 0.5) == 0
+    assert fdiff(disc.center, 0.5j) == 0
+    assert fdiff(disc.radius, 0.5) == 0
 
 
 def test_weyl_disc_rejects_real_lam(models):
@@ -84,11 +83,10 @@ def test_disc_nesting_first_steps(models):
     free = models["free"]
     d0 = weyl_disc(free, 1j, 0.0, 0)
     d1 = weyl_disc(free, 1j, 0.0, 1)
-    with free.workprec():
-        k = free.kernel
-        assert float(k.to_mpf(d1.radius)) <= float(k.to_mpf(d0.radius))
-        gap = abs(d1.center - d0.center)
-        assert float(k.to_mpf(gap - (d0.radius - d1.radius))) <= 1e-70
+    k = free.kernel
+    assert float(k.to_mpf(d1.radius)) <= float(k.to_mpf(d0.radius))
+    gap = abs(d1.center - d0.center)
+    assert float(k.to_mpf(gap - (d0.radius - d1.radius))) <= 1e-70
 
 
 def test_m_point_values_and_circle_membership(models):
@@ -96,14 +94,13 @@ def test_m_point_values_and_circle_membership(models):
     pair = fundamental_pair(free, 1j, 0.0, 4)
     corner = corner_values(pair, 0)
     disc = weyl_disc(free, 1j, 0.0, 0)
-    with free.workprec():
-        k = free.kernel
-        m0 = m_point(corner, k.real(0))
-        assert fdiff(free, m0, 1j) == 0
-        assert fdiff(free, abs(m0 - disc.center), 0.5) == 0
-        m_inf = m_point(corner, math.inf)
-        assert fdiff(free, m_inf, 0.5 + 0.5j) == 0
-        assert fdiff(free, abs(m_inf - disc.center), 0.5) < 1e-70
+    k = free.kernel
+    m0 = m_point(corner, k.real(0))
+    assert fdiff(m0, 1j) == 0
+    assert fdiff(abs(m0 - disc.center), 0.5) == 0
+    m_inf = m_point(corner, math.inf)
+    assert fdiff(m_inf, 0.5 + 0.5j) == 0
+    assert fdiff(abs(m_inf - disc.center), 0.5) < 1e-70
 
 
 def test_m_sweep_stays_on_circle(models):
@@ -112,37 +109,34 @@ def test_m_sweep_stays_on_circle(models):
     corner = corner_values(pair, 8)
     disc = weyl_disc(free, 1j, 0.0, 8)
     k = free.kernel
-    with free.workprec():
-        for i in range(8):
-            beta = math.pi * i / 8
-            z = math.inf if beta == 0 else k.cos(beta) / k.sin(beta)
-            m_val = m_point(corner, z)
-            dev = abs(float(k.to_mpf(abs(m_val - disc.center) / disc.radius)) - 1)
-            assert dev < 1e-40
-            defect = on_circle_defect(free, chi(pair, m_val), m_val, 1j, 8)
-            assert fabs(free, defect) < 1e-40
+    for i in range(8):
+        beta = math.pi * i / 8
+        z = math.inf if beta == 0 else k.cos(beta) / k.sin(beta)
+        m_val = m_point(corner, z)
+        dev = abs(float(k.to_mpf(abs(m_val - disc.center) / disc.radius)) - 1)
+        assert dev < 1e-40
+        defect = on_circle_defect(free, chi(pair, m_val), m_val, 1j, 8)
+        assert fabs(defect) < 1e-40
 
 
 def test_chi_with_zero_m_is_phi(models):
     free = models["free"]
     pair = fundamental_pair(free, 1j, 0.0, 6)
     combo = chi(pair, 0)
-    assert all(fdiff(free, a, b) == 0 for a, b in zip(combo.y1, pair[0].y1))
+    assert all(fdiff(a, b) == 0 for a, b in zip(combo.y1, pair[0].y1))
 
 
 def test_chi_first_component(models):
     free = models["free"]
     pair = fundamental_pair(free, 1j, 0.0, 6)
-    with free.workprec():
-        combo = chi(pair, free.kernel.complex(0, 1))
-    assert fdiff(free, combo.y1_at(0), 1j) == 0
+    combo = chi(pair, free.kernel.complex(0, 1))
+    assert fdiff(combo.y1_at(0), 1j) == 0
 
 
 def test_chi_solves_the_equation(models):
     model = models["ex4.2b"]
     pair = fundamental_pair(model, 1j, 0.25, 30)
-    with model.workprec():
-        combo = chi(pair, model.kernel.complex(0.3, 0.8))
+    combo = chi(pair, model.kernel.complex(0.3, 0.8))
     assert max_relative_residual(model, combo) < 1e-70
 
 
@@ -152,21 +146,20 @@ def test_on_circle_defect_sign(models):
     disc = weyl_disc(free, 1j, 0.0, 6)
     corner = corner_values(pair, 6)
     k = free.kernel
-    with free.workprec():
-        # center lies strictly inside: defect negative
-        center_defect = on_circle_defect(free, chi(pair, disc.center), disc.center, 1j, 6)
-        assert float(k.to_mpf(center_defect.real)) < 0
-        # a circle point of the *larger* window N'=9 is inside at N=6 but on at 9
-        pair9 = fundamental_pair(free, 1j, 0.0, 12)
-        corner9 = corner_values(pair9, 9)
-        m9 = m_point(corner9, k.real(0.7))
-        inner = on_circle_defect(free, chi(pair9, m9), m9, 1j, 6)
-        outer = on_circle_defect(free, chi(pair9, m9), m9, 1j, 9)
-        assert float(k.to_mpf(inner.real)) < 0
-        assert fabs(free, outer) < 1e-40
-        # at n = a-1 the sum is empty
-        empty = on_circle_defect(free, chi(pair9, m9), m9, 1j, -1)
-        assert empty == -m9.imag
+    # center lies strictly inside: defect negative
+    center_defect = on_circle_defect(free, chi(pair, disc.center), disc.center, 1j, 6)
+    assert float(k.to_mpf(center_defect.real)) < 0
+    # a circle point of the *larger* window N'=9 is inside at N=6 but on at 9
+    pair9 = fundamental_pair(free, 1j, 0.0, 12)
+    corner9 = corner_values(pair9, 9)
+    m9 = m_point(corner9, k.real(0.7))
+    inner = on_circle_defect(free, chi(pair9, m9), m9, 1j, 6)
+    outer = on_circle_defect(free, chi(pair9, m9), m9, 1j, 9)
+    assert float(k.to_mpf(inner.real)) < 0
+    assert fabs(outer) < 1e-40
+    # at n = a-1 the sum is empty
+    empty = on_circle_defect(free, chi(pair9, m9), m9, 1j, -1)
+    assert empty == -m9.imag
 
 
 def test_classify_reproduces_expected_verdicts(classify_memo):
@@ -176,19 +169,17 @@ def test_classify_reproduces_expected_verdicts(classify_memo):
         assert report.l2_solution_count == (2 if want == "LCC" else 1)
 
 
-def test_classify_disc_radii_nonincreasing(classify_memo, models):
+def test_classify_disc_radii_nonincreasing(classify_memo):
     for name in EXPECTED_VERDICTS:
         report = classify_memo(name)
-        model = models[name]
-        radii = [fabs(model, d.radius) for d in report.disc_samples]
+        radii = [fabs(d.radius) for d in report.disc_samples]
         assert all(r1 >= r2 for r1, r2 in zip(radii, radii[1:])), name
 
 
-def test_classify_partial_sums_nondecreasing(classify_memo, models):
+def test_classify_partial_sums_nondecreasing(classify_memo):
     report = classify_memo("ex4.1b")
-    model = models["ex4.1b"]
     for profile in (report.psi_profile, report.chi_profile):
-        values = [fabs(model, s) for _, s in profile.partial_sums]
+        values = [fabs(s) for _, s in profile.partial_sums]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
@@ -228,11 +219,11 @@ def test_eigen_residual_linear_in_lam(models):
     free = models["free"]
     angles = BoundaryAngles(0.0, 0.0)
     r1 = regular_eigen_residual(free, 1.0, angles, 0)
-    assert fabs(free, r1) < 1e-70
+    assert fabs(r1) < 1e-70
     r3 = regular_eigen_residual(free, 3.0, angles, 0)
-    assert fdiff(free, r3, -2) == 0
+    assert fdiff(r3, -2) == 0
     ri = regular_eigen_residual(free, 1j, angles, 0)
-    assert fabs(free, ri) > 0.5
+    assert fabs(ri) > 0.5
 
 
 def test_eigen_residual_matches_oracle(models):
@@ -241,10 +232,9 @@ def test_eigen_residual_matches_oracle(models):
     angles = BoundaryAngles(0.0, 0.7)
     got = regular_eigen_residual(free, 0.5, angles, 6)
     k = free.kernel
-    with free.workprec():
-        psi = oracle_three_term(free, 0.5, BoundaryData(1, 0), 7)
-        want = psi.y1_at(7) * k.cos(0.7) + psi.y1q_at(6) * k.sin(0.7)
-        assert fdiff(free, got, want) < 1e-70
+    psi = oracle_three_term(free, 0.5, BoundaryData(1, 0), 7)
+    want = psi.y1_at(7) * k.cos(0.7) + psi.y1q_at(6) * k.sin(0.7)
+    assert fdiff(got, want) < 1e-70
 
 
 def test_eigen_rejects_inadmissible(models):
@@ -272,11 +262,10 @@ def test_degenerate_origin_disc_is_skipped(models):
     from weyldisc.weyl import _disc_rows
 
     free = models["free"]
-    with free.workprec():
-        k = free.kernel
-        psi = propagate(free, 1j, BoundaryData(0, 1), 10)
-        phi = propagate(free, 1j, BoundaryData(-1, 0), 10)
-        discs, sums = _disc_rows(free, phi, psi, k.complex(0, 1), 10)
+    k = free.kernel
+    psi = propagate(free, 1j, BoundaryData(0, 1), 10)
+    phi = propagate(free, 1j, BoundaryData(-1, 0), 10)
+    discs, sums = _disc_rows(free, phi, psi, k.complex(0, 1), 10)
     assert sums[0][1] == 0
     assert discs[0].n == 1
     assert len(discs) == 10
@@ -355,15 +344,14 @@ def test_forward_chi_equals_the_combination(models, name):
     n_max = 120
     report = classify(model, 1j, 0.0, ClassifyOptions(n_max=n_max))
     assert report.chi_method == "forward"
-    with model.workprec():
-        lam = model.kernel.complex(0, 1)
-        table = step_table(model, lam, n_max)
-        phi, psi = fundamental_pair(model, lam, 0.0, n_max, table=table)
-        got, method = _stable_chi(
-            model, lam, phi, psi, report.m_limit, n_max,
-            report.disc_samples[-1].radius, table,
-        )
-        want = phi.combined(psi, report.m_limit)
+    lam = model.kernel.complex(0, 1)
+    table = step_table(model, lam, n_max)
+    phi, psi = fundamental_pair(model, lam, 0.0, n_max, table=table)
+    got, method = _stable_chi(
+        model, lam, phi, psi, report.m_limit, n_max,
+        report.disc_samples[-1].radius, table,
+    )
+    want = phi.combined(psi, report.m_limit)
     assert method == "forward"
     assert (got.y1, got.y2, got.y1q) == (want.y1, want.y2, want.y1q)
 
@@ -394,16 +382,15 @@ def test_disc_rows_match_the_division_formulas(models, name):
     k = model.kernel
     top = 60
     tol = 2.0 ** (-(model.precision.bits - 8))
-    with model.workprec():
-        lam = k.complex(0.5, 1)
-        phi, psi = fundamental_pair(model, lam, 0.3, top)
-        discs, _ = _disc_rows(model, phi, psi, lam, top)
-        assert bracket(psi, psi, model.a - 1).real == 0
-        for disc in discs[::7] + [discs[-1]]:
-            center, radius = _old_disc(model, phi, psi, lam, disc.n)
-            assert fdiff(model, disc.radius, radius) <= tol * fabs(model, radius)
-            scale = fabs(model, center) + fabs(model, radius)
-            assert fdiff(model, disc.center, center) <= tol * scale
+    lam = k.complex(0.5, 1)
+    phi, psi = fundamental_pair(model, lam, 0.3, top)
+    discs, _ = _disc_rows(model, phi, psi, lam, top)
+    assert bracket(psi, psi, model.a - 1).real == 0
+    for disc in discs[::7] + [discs[-1]]:
+        center, radius = _old_disc(model, phi, psi, lam, disc.n)
+        assert fdiff(disc.radius, radius) <= tol * fabs(radius)
+        scale = fabs(center) + fabs(radius)
+        assert fdiff(disc.center, center) <= tol * scale
 
 
 def test_native_overflow_in_disc_sums_is_typed():
@@ -450,10 +437,9 @@ def test_classify_is_conjugate_symmetric(name, mode):
             continue
         up = classify(model, lam, 0.0, options)
         down = classify(model, lam.conjugate(), 0.0, options)
-        with model.workprec():
-            assert down.m_limit == up.m_limit.conjugate(), lam
-            assert [(d.n, d.center, d.radius) for d in down.disc_samples] == [
-                (d.n, d.center.conjugate(), d.radius) for d in up.disc_samples
-            ], lam
-            assert (down.psi_profile, down.chi_profile) == (up.psi_profile, up.chi_profile), lam
-            assert (down.verdict, down.chi_method) == (up.verdict, up.chi_method), lam
+        assert down.m_limit == up.m_limit.conjugate(), lam
+        assert [(d.n, d.center, d.radius) for d in down.disc_samples] == [
+            (d.n, d.center.conjugate(), d.radius) for d in up.disc_samples
+        ], lam
+        assert (down.psi_profile, down.chi_profile) == (up.psi_profile, up.chi_profile), lam
+        assert (down.verdict, down.chi_method) == (up.verdict, up.chi_method), lam
