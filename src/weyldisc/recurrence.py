@@ -19,6 +19,14 @@ the entries of A(t) and the y2-reconstruction coefficients
 
 with den = lam - d.  r1 is alpha*(h - c)/(den*p_tilde) + h/den with its
 two terms combined: apart, they cancel when (c^2 - h*c)/den dwarfs p.
+Likewise a21 = (h_shift - alpha)*alpha/p_tilde + h_shift, with
+h_shift = q + h^2/den - lam, is formed as
+
+    a21 = ((q - lam)*(p + c^2/den) + h^2*p/den) / p_tilde,
+
+using p_tilde + alpha = p + c^2/den: the first form's h^2*c^2/den^2
+parts cancel exactly, and computed apart they lose the whole mantissa
+when c and h grow together.
 Each row takes one complex reciprocal of den and one of p_tilde and
 multiplies by them wherever these formulas divide, so the entries agree
 with the quotients to within a few units in the last place.
@@ -148,7 +156,7 @@ def step_table(model: CoefficientSet, lam, top: int) -> StepTable:
             h_shift = common - lam
             a11 = -alpha * inv_p
             a12 = inv_p
-            a21 = (h_shift - alpha) * alpha * inv_p + h_shift
+            a21 = ((q - lam) * (p + c * c * inv_den) + h * h * p * inv_den) * inv_p
             a22 = (alpha - h_shift) * inv_p
         rows.append((p_tilde, alpha, q_tilde, a11, a12, a21, a22, r1, r2))
         alpha_prev = alpha

@@ -26,8 +26,8 @@ DIGESTS = {
     ("ex4.1b", 53): "7146e656564bba0c66b5cb2e413533014dc7ea831bc33049538bc64b39cc20fb",
     ("ex4.2a", 256): "655c321586637c0e272c0a773ae05546506f41e8ee284c452f6fe6a09e79eae2",
     ("ex4.2a", 53): "926df58cf50401a48f5db25c8ec79c792bdfc53ed860336f2df7d8c51f206a8a",
-    ("ex4.2b", 256): "fa1ccb5433ffc84e5c87d171fbc853126c69798e957ea1a15be67579924b2131",
-    ("ex4.2b", 53): "3e739378608de553e657b1efef1fec723662047d7079e4cb5e4a5001699ad36a",
+    ("ex4.2b", 256): "880ee59cd96aad13356434ac6425bbc8e2f741390270d28d4f6db5de2a3ca48d",
+    ("ex4.2b", 53): "9173f9312d8715c8eff2d163da5718cd18476be06d24dd215138fe631639addc",
 }
 
 

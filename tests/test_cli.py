@@ -356,24 +356,43 @@ def test_cli_check_reports_a_singular_vop_matching_system(capsys):
     assert "ex4.2a: 14/15 invariants hold" in captured.out
 
 
+def _check_gate_scenario(tmp_path, capsys, body) -> tuple:
+    """(exit code, check lines) of `check` at 53 bits and n_max 20 on a
+    scenario file; stderr must be empty."""
+    path = tmp_path / "gate.json"
+    path.write_text(json.dumps({"name": "gate", **body}))
+    code = main(["check", str(path), "--bits", "53", "--n-max", "20"])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = _check_lines(captured.out)
+    assert list(lines) == INVARIANTS
+    return code, lines
+
+
 def test_cli_check_reports_failed_solution_gates_as_inf(tmp_path, capsys):
     """At 53 bits this a = 3 family's solutions miss their equation far
     beyond the Lagrange lines' solution gate; both lines read inf and the
     suite prints every line instead of failing as a scenario error."""
-    path = tmp_path / "gate.json"
-    path.write_text(json.dumps({
-        "name": "gate", "a": 3, "p": "2^t", "q": "(2*2^t*t)",
-        "c": "(-2*4^t*t^2)", "h": "(2*4^t*t)", "d": "(2*(1/2)^t*t^2)",
-        "lambda": {"re": -0.46, "im": 1.21},
-    }))
-    code = main(["check", str(path), "--bits", "53", "--n-max", "20"])
-    captured = capsys.readouterr()
+    code, lines = _check_gate_scenario(tmp_path, capsys, {
+        "a": 3, "p": "-1", "q": "2^t", "c": "(2*4^t*t)", "h": "t",
+        "d": "(-2*2^t*t)", "lambda": {"re": 1.38, "im": 0.33},
+    })
     assert code == 1
-    assert captured.err == ""
-    lines = _check_lines(captured.out)
-    assert list(lines) == INVARIANTS
     assert lines["lagrange_identity_equal_lam"] == ("FAIL", "worst=inf")
     assert lines["lagrange_identity_two_lams"] == ("FAIL", "worst=inf")
+
+
+def test_cli_check_coupled_family_solutions_pass_the_gates(tmp_path, capsys):
+    """This a = 3 family's solutions once failed the gates at 53 bits
+    through cancellation in the step table's a21 column; formed without
+    the cancelling terms, they solve their equation and both Lagrange
+    lines pass."""
+    _, lines = _check_gate_scenario(tmp_path, capsys, {
+        "a": 3, "p": "2^t", "q": "(2*2^t*t)", "c": "(-2*4^t*t^2)",
+        "h": "(2*4^t*t)", "d": "(2*(1/2)^t*t^2)", "lambda": {"re": -0.46, "im": 1.21},
+    })
+    assert lines["lagrange_identity_equal_lam"][0] == "PASS"
+    assert lines["lagrange_identity_two_lams"][0] == "PASS"
 
 
 @pytest.mark.parametrize("a", [10, 60])

@@ -16,7 +16,7 @@ from weyldisc import PrecisionConfig, WeyldiscError, builtin_names, builtin_scen
 from weyldisc.checks import run_suite
 
 TOPS = (12, 40)
-DIGEST = "4065b49e038a630229b8b659db276063e411d7f68af9beb80ea55a11d40c8610"
+DIGEST = "7d526b0095c75234b2d52070f91d4e5eaf2496cb99cdc48ff2d3f2ece3c6f325"
 
 
 def native_suite_transcript() -> str:

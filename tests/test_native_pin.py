@@ -26,7 +26,7 @@ FIXED = (
     ("ex4.1b", complex(-1.5, 0.3), 1.0),
     ("ex4.1b", complex(1.0, 0.3), 1.0),
 )
-DIGEST = "4f682f8e3ff5f663251c97db2d6888d4ee9cf61952c67b413041e2dc140285a1"
+DIGEST = "d7ce0296203b8b25ca4624c09770e4a31222d32c7e332e8e0a6d4bf9a103076a"
 
 
 def _inputs():

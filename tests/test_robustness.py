@@ -9,11 +9,13 @@ from weyldisc import (
     ClassifyOptions,
     CoefficientSet,
     PrecisionConfig,
+    WeyldiscError,
     builtin_scenario,
     classify,
 )
 from weyldisc.checks import run_suite
 from weyldisc.cli import main
+from weyldisc.scenarios import scenario_from_dict
 
 from conftest import fabs
 
@@ -79,3 +81,39 @@ def test_cli_rejects_bad_run_parameters(tmp_path):
     path.write_text(json.dumps(body))
     assert main(["classify", str(path), "--out", str(tmp_path)]) == 2
     assert main(["classify", "free", "--alpha", "9", "--out", str(tmp_path)]) == 2
+
+
+# five generated families (a = 1) whose solutions grow with c and h
+# together; every one is limit circle (LCC at 512 and 1024 bits)
+COUPLED_LCC_FAMILIES = [
+    ({"p": "t+1", "q": "0", "c": "(1/2*2^t*t)", "h": "(1*t) + (3*2^t)",
+      "d": "(-2*t^2)"}, (-0.52, 1.97), 0.0),
+    ({"p": "t+1", "q": "0", "c": "(2*(1/2)^t) + (3*2^t)", "h": "(1/2*2^t)",
+      "d": "0"}, (1.59, 0.64), 0.0),
+    ({"p": "-1", "q": "(-2)", "c": "(2*4^t)", "h": "(1*4^t)", "d": "0"},
+     (-0.03, 0.69), 1.5),
+    ({"p": "1", "q": "(1/2*4^t*t^2)", "c": "(1*2^t*t^2) + (2*4^t)", "h": "(3*4^t)",
+      "d": "0"}, (-1.43, 0.95), 1.5),
+    ({"p": "-1", "q": "(1*2^t*t^2)", "c": "(2*4^t)", "h": "(3*4^t)", "d": "0"},
+     (1.82, 0.82), 0.0),
+]
+
+
+@pytest.mark.parametrize("bits, n_max", [(256, 200), (256, 400), (128, 200)])
+@pytest.mark.parametrize("family", range(len(COUPLED_LCC_FAMILIES)), ids=lambda i: f"family{i + 1}")
+def test_coupled_limit_circle_families_never_read_limit_point(family, bits, n_max):
+    """Cancellation in the step table once made these read LPC; a verdict
+    may be LCC or undecided, or the run may end in a typed error, but a
+    wrong LPC is never allowed."""
+    coeffs, (re, im), alpha = COUPLED_LCC_FAMILIES[family]
+    scenario = scenario_from_dict({
+        "name": f"family{family + 1}", "a": 1, **coeffs,
+        "lambda": {"re": re, "im": im}, "alpha": alpha, "n_max": n_max,
+        "precision": {"bits": bits},
+    })
+    try:
+        report = classify(scenario.model(), scenario.lam, scenario.alpha,
+                          scenario.classify_options())
+    except WeyldiscError:
+        return
+    assert report.verdict in ("LCC", "undecided")
