@@ -224,12 +224,12 @@ def _cmd_ivp(args) -> int:
     dump_report(report_body("ivp", scenario, {"c1": args.c1, "c2": args.c2,
                                               "N": args.N, "trajectory": rows}),
                 args.out / f"{scenario.name}_ivp.json")
+    def fmt(z):
+        return f"{float(z.real):.6g}{float(z.imag):+.6g}j"
+
     print(f"{'t':>5s}  {'y1':>24s}  {'y2':>24s}  {'y1q':>24s}")
     for t in range(model.a - 1, args.N + 1):
-        y1 = traj.y1_at(t)
-        y2 = traj.y2_at(t)
-        qd = traj.y1q_at(t)
-        fmt = lambda z: f"{float(z.real):.6g}{float(z.imag):+.6g}j"
+        y1, y2, qd = traj.y1_at(t), traj.y2_at(t), traj.y1q_at(t)
         print(f"{t:>5d}  {fmt(y1):>24s}  {fmt(y2):>24s}  {fmt(qd):>24s}")
     return EXIT_OK
 

@@ -137,6 +137,16 @@ def _real(value, name: str) -> float:
         return math.inf
 
 
+def _object(data: dict, key: str, keys: tuple, shape: str = "an object") -> dict:
+    """The nested object ``data[key]``, {} when absent, holding no key but
+    ``keys``."""
+    value = data.get(key, {})
+    _require(isinstance(value, dict), f"field {key!r} must be {shape}")
+    for sub in value:
+        _require(sub in keys, f"unknown scenario field '{key}.{sub}'")
+    return value
+
+
 def scenario_from_dict(data: dict, fallback_name: str = "scenario") -> Scenario:
     _require(isinstance(data, dict), "scenario body must be a JSON object")
     known = {
@@ -164,16 +174,14 @@ def scenario_from_dict(data: dict, fallback_name: str = "scenario") -> Scenario:
             )
         coeffs[cname] = spec
 
-    lam = data.get("lambda", {})
-    _require(isinstance(lam, dict), "field 'lambda' must be {'re': x, 'im': y}")
+    lam = _object(data, "lambda", ("re", "im"), "{'re': x, 'im': y}")
     lam_re = _real(lam.get("re", base.lambda_re), "field 'lambda.re'")
     lam_im = _real(lam.get("im", base.lambda_im), "field 'lambda.im'")
 
     alpha = _real(data.get("alpha", base.alpha), "field 'alpha'")
     n_max = data.get("n_max", base.n_max)
 
-    prec = data.get("precision", {})
-    _require(isinstance(prec, dict), "field 'precision' must be an object")
+    prec = _object(data, "precision", ("mode", "bits"))
     bits = prec.get("bits", base.precision.mantissa_bits)
     _require(_is_int(bits), f"field 'precision.bits' must be an integer, got {bits!r}")
     try:
@@ -181,8 +189,7 @@ def scenario_from_dict(data: dict, fallback_name: str = "scenario") -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"field 'precision': {exc}") from exc
 
-    thr = data.get("thresholds", {})
-    _require(isinstance(thr, dict), "field 'thresholds' must be an object")
+    thr = _object(data, "thresholds", ("rel_tol", "divergence_factor", "window"))
     thresholds = Thresholds(
         **{name: _real(thr.get(name, getattr(base.thresholds, name)), f"thresholds.{name}")
            for name in ("rel_tol", "divergence_factor")},

@@ -122,13 +122,14 @@ def test_float_is_infinite_past_the_float_range():
         assert y == x and math.copysign(1, y) == math.copysign(1, x)
 
 
-def test_precision_travels_with_the_scalars():
+def test_big_precision_actually_applies():
     """A 256-bit model's scalars round at 256 bits outside any precision
     context and whatever the global mpmath precision is set to."""
     kernel = PrecisionConfig(mantissa_bits=256).kernel
     assert kernel is big_kernel(256)
     x = kernel.real(1) / 3
     assert abs(x * 3 - 1) < 2.0 ** -250
+    assert abs(kernel.to_fraction(x) - Fraction(1, 3)) < Fraction(1, 2**250)
     with mpmath.workprec(20):
         assert kernel.real(1) / 3 == x
         assert abs(kernel.sqrt(kernel.real(2)) ** 2 - 2) < 2.0 ** -250

@@ -125,14 +125,21 @@ def _exit_code(argv) -> int:
     (["ivp", "free", "--c1", "0", "--c2", "nan", "--N", "3"], "--c2"),
     (["classify", "{nan_file}"], "thresholds.rel_tol"),
     (["check", "{true_file}"], "field 'a'"),
+    (["classify", "{lambda_typo}"], "unknown scenario field 'lambda.imag'"),
+    (["classify", "{precision_typo}"], "unknown scenario field 'precision.bitz'"),
+    (["classify", "{thresholds_typo}"], "unknown scenario field 'thresholds.rel_tl'"),
 ])
 def test_cli_refuses_non_finite_and_coerced_numbers(tmp_path, monkeypatch, capsys,
                                                    argv, named):
-    """A non-finite number from a flag or a file, or a scenario file
-    value of the wrong JSON type, is a scenario problem (exit 2) that
-    names the flag or field; nothing runs and no report is written."""
+    """A non-finite number from a flag or a file, a scenario file value
+    of the wrong JSON type, or an unknown key inside lambda, precision or
+    thresholds, is a scenario problem (exit 2) that names the flag or
+    field; nothing runs and no report is written."""
     files = {"nan_file": {"name": "x", "thresholds": {"rel_tol": "nan"}},
-             "true_file": {"name": "x", "a": True}}
+             "true_file": {"name": "x", "a": True},
+             "lambda_typo": {"name": "x", "lambda": {"imag": 5}},
+             "precision_typo": {"name": "x", "precision": {"bitz": 64}},
+             "thresholds_typo": {"name": "x", "thresholds": {"rel_tl": 1e-3}}}
     for key, body in files.items():
         (tmp_path / f"{key}.json").write_text(json.dumps(body))
     argv = [arg.format(**{key: str(tmp_path / f"{key}.json") for key in files})
@@ -145,6 +152,22 @@ def test_cli_refuses_non_finite_and_coerced_numbers(tmp_path, monkeypatch, capsy
     assert captured.out == ""
     assert named in captured.err
     assert list(out.iterdir()) == []
+
+
+def test_cli_native_power_with_an_overflowed_exponent_is_an_evaluation_error(
+        tmp_path, capsys):
+    """On native floats 4^t * 4^t overflows to inf by t = 256, and the
+    parity of an infinite exponent of a negative base has no value: exit
+    2 with an evaluation error, not a traceback."""
+    path = tmp_path / "negpow.json"
+    path.write_text(json.dumps({
+        "name": "negpow", "q": "(0 - 1)^(4^t * 4^t)", "n_max": 300,
+        "precision": {"mode": "native-float"},
+    }))
+    assert main(["classify", str(path), "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "evaluation error: cannot convert non-finite value to a rational" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_resolve_scenario_missing_file():
