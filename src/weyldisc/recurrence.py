@@ -136,27 +136,30 @@ def step_table(model: CoefficientSet, lam, top: int) -> StepTable:
         if den == 0:
             raise InadmissibleLambdaError(f"lam equals d({t})", t=t)
         inv_den = 1 / den
-        off = c * c - h * c
-        p_tilde = p + off * inv_den
+        cc = c * c
+        p_tilde = p + (cc - h * c) * inv_den
         alpha = h * c * inv_den
         if p_tilde == 0:
             raise InadmissibleLambdaError(
                 f"effective leading coefficient vanishes at t={t}", t=t
             )
+        # p_tilde + alpha, formed without their cancellation
+        lead = p + cc * inv_den
         inv_p = 1 / p_tilde
         inv_denp = inv_den * inv_p
         r1 = h * p * inv_denp
         r2 = (c - h) * inv_denp
         if alpha_prev is None:
             q_tilde = a11 = a12 = a21 = a22 = None
-            lead_left = p + c * c * inv_den
+            lead_left = lead
         else:
-            common = q + h * h * inv_den
+            hh = h * h
+            common = q + hh * inv_den
             q_tilde = common - (alpha - alpha_prev)
             h_shift = common - lam
             a11 = -alpha * inv_p
             a12 = inv_p
-            a21 = ((q - lam) * (p + c * c * inv_den) + h * h * p * inv_den) * inv_p
+            a21 = ((q - lam) * lead + hh * p * inv_den) * inv_p
             a22 = (alpha - h_shift) * inv_p
         rows.append((p_tilde, alpha, q_tilde, a11, a12, a21, a22, r1, r2))
         alpha_prev = alpha

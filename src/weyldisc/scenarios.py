@@ -137,11 +137,11 @@ def _real(value, name: str) -> float:
         return math.inf
 
 
-def _object(data: dict, key: str, keys: tuple, shape: str = "an object") -> dict:
+def _object(data: dict, key: str, keys: tuple) -> dict:
     """The nested object ``data[key]``, {} when absent, holding no key but
     ``keys``."""
     value = data.get(key, {})
-    _require(isinstance(value, dict), f"field {key!r} must be {shape}")
+    _require(isinstance(value, dict), f"field {key!r} must be an object")
     for sub in value:
         _require(sub in keys, f"unknown scenario field '{key}.{sub}'")
     return value
@@ -174,7 +174,7 @@ def scenario_from_dict(data: dict, fallback_name: str = "scenario") -> Scenario:
             )
         coeffs[cname] = spec
 
-    lam = _object(data, "lambda", ("re", "im"), "{'re': x, 'im': y}")
+    lam = _object(data, "lambda", ("re", "im"))
     lam_re = _real(lam.get("re", base.lambda_re), "field 'lambda.re'")
     lam_im = _real(lam.get("im", base.lambda_im), "field 'lambda.im'")
 
