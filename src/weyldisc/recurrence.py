@@ -19,14 +19,11 @@ the entries of A(t) and the y2-reconstruction coefficients
 
 with den = lam - d.  r1 is alpha*(h - c)/(den*p_tilde) + h/den with its
 two terms combined: apart, they cancel when (c^2 - h*c)/den dwarfs p.
-Likewise a21 = (h_shift - alpha)*alpha/p_tilde + h_shift, with
-h_shift = q + h^2/den - lam, is formed as
-
-    a21 = ((q - lam)*(p + c^2/den) + h^2*p/den) / p_tilde,
-
-using p_tilde + alpha = p + c^2/den: the first form's h^2*c^2/den^2
-parts cancel exactly, and computed apart they lose the whole mantissa
-when c and h grow together.
+Likewise a21 = (h_shift - alpha)*alpha/p_tilde + h_shift, with h_shift
+= q + h^2/den - lam, is formed as ((q - lam)*lead + h^2*p/den)/p_tilde,
+where lead = p + c^2/den = p_tilde + alpha: the first form's
+h^2*c^2/den^2 parts cancel exactly, and computed apart they lose the
+whole mantissa when c and h grow together.
 Each row takes one complex reciprocal of den and one of p_tilde and
 multiplies by them wherever these formulas divide, so the entries agree
 with the quotients to within a few units in the last place.
@@ -143,7 +140,6 @@ def step_table(model: CoefficientSet, lam, top: int) -> StepTable:
             raise InadmissibleLambdaError(
                 f"effective leading coefficient vanishes at t={t}", t=t
             )
-        # p_tilde + alpha, formed without their cancellation
         lead = p + cc * inv_den
         inv_p = 1 / p_tilde
         inv_denp = inv_den * inv_p
