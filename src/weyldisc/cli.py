@@ -23,7 +23,7 @@ import time
 from pathlib import Path
 
 from . import checks as checks_mod
-from .backends import big_backend_name, format_complex, format_real
+from .backends import format_complex, format_real
 from .errors import (
     EvaluationError,
     InadmissibleLambdaError,
@@ -166,7 +166,7 @@ def _cmd_classify(args) -> int:
     print(f"{scenario.name}: {report.verdict}"
           + (f" ({report.reason})" if report.reason else ""))
     print(f"  l2 solutions: {report.l2_solution_count}"
-          f"  chi route: {report.chi_method}  backend: {big_backend_name()}")
+          f"  chi route: {report.chi_method}  backend: {kernel.name}")
     print(f"  report: {path}  discs: {args.out / csv_name}")
     print(f"  elapsed: {elapsed:.2f} s")
     if args.strict and report.verdict == "undecided":

@@ -304,7 +304,17 @@ def _column(node: CoefficientExpr, ts: range, kernel) -> tuple:
     if op is None:
         raise TypeError(f"not an expression node: {node!r}")
     # the children in field order: left before right, base before exponent
-    return tuple(map(op, *(_column(child, ts, kernel) for child in vars(node).values())))
+    columns = [_column(child, ts, kernel) for child in vars(node).values()]
+    try:
+        return tuple(map(op, *columns))
+    except EvaluationError as exc:
+        # rescan for the first failing t, to name it like a division does
+        for t, args in zip(ts, zip(*columns)):
+            try:
+                op(*args)
+            except EvaluationError:
+                raise type(exc)(f"{exc} in {to_text(node)} at t={t}") from None
+        raise
 
 
 def real_sqrt(kernel, x):

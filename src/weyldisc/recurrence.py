@@ -30,8 +30,9 @@ with the quotients to within a few units in the last place.
 alpha(t-1), which q_tilde(t) needs, is the previous row.  A table is
 built per call and dropped with it; callers that step several solutions
 at one (model, lam) pass the same table along.  Every solver steps one
-or more columns through the same table, so the two solutions of a
-fundamental pair are one pass.
+or more columns through the same table, and the forward solvers form
+each step's inverse once for all of them, so the two solutions of a
+fundamental pair are one call.
 
 ``oracle_three_term`` is the independent check: it never touches the
 transfer matrices, solving instead the scalar three-term recurrence
@@ -247,9 +248,9 @@ class Trajectory:
     def scaled(self, factor) -> "Trajectory":
         return Trajectory(
             model=self.model, lam=self.lam, top=self.top,
-            y1=tuple(v * factor for v in self.y1),
-            y2=tuple(v * factor for v in self.y2),
-            y1q=tuple(v * factor for v in self.y1q),
+            y1=tuple([v * factor for v in self.y1]),
+            y2=tuple([v * factor for v in self.y2]),
+            y1q=tuple([v * factor for v in self.y1q]),
         )
 
     def combined(self, other: "Trajectory", factor) -> "Trajectory":
@@ -258,9 +259,9 @@ class Trajectory:
             raise WindowError("trajectories live on different windows or models")
         return Trajectory(
             model=self.model, lam=self.lam, top=self.top,
-            y1=tuple(u + factor * v for u, v in zip(self.y1, other.y1)),
-            y2=tuple(u + factor * v for u, v in zip(self.y2, other.y2)),
-            y1q=tuple(u + factor * v for u, v in zip(self.y1q, other.y1q)),
+            y1=tuple([u + factor * v for u, v in zip(self.y1, other.y1)]),
+            y2=tuple([u + factor * v for u, v in zip(self.y2, other.y2)]),
+            y1q=tuple([u + factor * v for u, v in zip(self.y1q, other.y1q)]),
         )
 
 
@@ -275,25 +276,37 @@ def _check_finite(model: CoefficientSet, state: tuple, t: int) -> None:
 
 
 def _forward_states(table: StepTable, starts) -> list:
-    """States v(t), t = a-1 .. top, of every initial state in ``starts``
-    stepped together: entry t-(a-1) lists one state per start."""
+    """States v(t), t = a-1 .. top, of every initial state in ``starts``:
+    one list per start, entry t-(a-1) the state at t.
+
+    A non-finite state makes every later one non-finite (inf and nan
+    survive each product and sum of a step), so on native floats only the
+    last states are tested, and the states are rescanned for the first
+    non-finite t only when one fails."""
     model = table.model
     k = model.kernel
-    check = k.needs_finite_checks
+    # (I - A)^{-1} in closed form, once for every start; det(I - A) == 1
+    steps = [
+        (1 - a22, a12, a21, 1 - a11)
+        for a11, a12, a21, a22 in zip(table.a11[1:], table.a12[1:],
+                                      table.a21[1:], table.a22[1:])
+    ]
+    out = []
+    for s0, s1 in starts:
+        s0 = k.complex(0) + s0
+        s1 = k.complex(0) + s1
+        states = [(s0, s1)]
+        for m11, a12, a21, m22 in steps:
+            s0, s1 = m11 * s0 + a12 * s1, a21 * s0 + m22 * s1
+            states.append((s0, s1))
+        out.append(states)
     isfinite = k.isfinite
-    cols = [(k.complex(0) + s0, k.complex(0) + s1) for s0, s1 in starts]
-    out = [cols]
-    rows = zip(table.a11[1:], table.a12[1:], table.a21[1:], table.a22[1:])
-    for t, (a11, a12, a21, a22) in enumerate(rows, model.a):
-        # (I - A)^{-1} in closed form; det(I - A) == 1
-        m11 = 1 - a22
-        m22 = 1 - a11
-        cols = [(m11 * s0 + a12 * s1, a21 * s0 + m22 * s1) for s0, s1 in cols]
-        if check:
-            for s0, s1 in cols:
-                if not (isfinite(s0) and isfinite(s1)):
-                    _check_finite(model, (s0, s1), t)
-        out.append(cols)
+    if k.needs_finite_checks and not all(
+        isfinite(s0) and isfinite(s1) for s0, s1 in (column[-1] for column in out)
+    ):
+        for t, row in enumerate(list(zip(*out))[1:], model.a):
+            for state in row:
+                _check_finite(model, state, t)
     return out
 
 
@@ -324,12 +337,11 @@ def _assemble(table: StepTable, states: list) -> Trajectory:
 
 
 def propagate_columns(table: StepTable, data) -> tuple:
-    """One forward pass through ``table`` for every BoundaryData in
-    ``data``; returns their trajectories on a-1 .. table.top."""
-    rows = _forward_states(table, [(bd.c1, bd.c2) for bd in data])
-    return tuple(
-        _assemble(table, [row[j] for row in rows]) for j in range(len(data))
-    )
+    """Every BoundaryData in ``data`` stepped forward through ``table``
+    (each step's inverse formed once); returns their trajectories on
+    a-1 .. table.top."""
+    columns = _forward_states(table, [(bd.c1, bd.c2) for bd in data])
+    return tuple([_assemble(table, states) for states in columns])
 
 
 def propagate(model: CoefficientSet, lam, bd: BoundaryData, top: int) -> Trajectory:
@@ -352,23 +364,22 @@ def propagate_backward(
         raise ValueError("top must be at least the grid origin a")
     table = _full_table(model, lam, top, table)
     k = model.kernel
-    check = k.needs_finite_checks
-    isfinite = k.isfinite
     s0 = k.complex(0) + terminal_state[0]
     s1 = k.complex(0) + terminal_state[1]
     states = [(s0, s1)]
     # rows t = top .. a of the table (row 0 is t = a-1, which has no step)
     rows = zip(
-        range(top, model.a - 1, -1),
         reversed(table.a11[1:]), reversed(table.a12[1:]),
         reversed(table.a21[1:]), reversed(table.a22[1:]),
     )
-    for t, a11, a12, a21, a22 in rows:
+    for a11, a12, a21, a22 in rows:
         # v(t-1) = (I - A(t)) v(t)
         s0, s1 = (1 - a11) * s0 - a12 * s1, -a21 * s0 + (1 - a22) * s1
-        if check and not (isfinite(s0) and isfinite(s1)):
-            _check_finite(model, (s0, s1), t)
         states.append((s0, s1))
+    # as in _forward_states: the last state tells, the rescan names t
+    if k.needs_finite_checks and not (k.isfinite(s0) and k.isfinite(s1)):
+        for t, state in zip(range(top, model.a - 1, -1), states[1:]):
+            _check_finite(model, state, t)
     states.reverse()
     return _assemble(table, states)
 
@@ -383,8 +394,8 @@ def fundamental_matrix(model: CoefficientSet, lam, top: int) -> tuple:
     if top < model.a:
         raise ValueError("top must be at least the grid origin a")
     table = step_table(model, lam, top)
-    rows = _forward_states(table, ((1, 0), (0, 1)))
-    return tuple(((c0[0], c1[0]), (c0[1], c1[1])) for c0, c1 in rows)
+    columns = _forward_states(table, ((1, 0), (0, 1)))
+    return tuple(((c0[0], c1[0]), (c0[1], c1[1])) for c0, c1 in zip(*columns))
 
 
 def oracle_three_term(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import (
     InadmissibleLambdaError,
@@ -65,8 +66,10 @@ class CornerValues:
     D: object
 
 
-@dataclass(frozen=True)
-class WeylDisc:
+class WeylDisc(NamedTuple):
+    """The m-point circle at window end n; a named tuple, the cheapest
+    record to build, since ``classify`` builds one per N."""
+
     n: int
     center: object
     radius: object
@@ -111,7 +114,7 @@ def fundamental_pair(
 ) -> tuple[Trajectory, Trajectory]:
     """Canonical solutions phi (data sin a, -cos a) and psi (cos a, sin a);
     their Wronskian pairing is 1, so they are independent.  Both are
-    stepped in one pass; ``table``, when given, is the step table of
+    stepped in one call; ``table``, when given, is the step table of
     (model, lam) on a-1 .. top."""
     if not 0 <= alpha < math.pi:
         raise ValueError(f"alpha must lie in [0, pi), got {alpha}")
@@ -177,7 +180,7 @@ def _disc_rows(model, phi, psi, lam, n_hi):
             continue
         mixed = mixed0 + factor * w_run
         center = cplx(-mixed.imag / d_im, mixed.real / d_im)
-        discs.append(WeylDisc(n=t, center=center, radius=1 / abs(d_im)))
+        discs.append(WeylDisc(t, center, 1 / abs(d_im)))
     # an overflowed running sum stays inf or nan, so the last one tells
     if k.needs_finite_checks and not (k.isfinite(s_run) and k.isfinite(w_run)):
         raise _sums_exhausted(n_hi)
@@ -337,12 +340,13 @@ def _profile(model, traj, n_max) -> list:
 
 
 def _growth_verdict(sums, model, options) -> str:
+    """Growth test on partial sums (t, S_t) for t = a .. n_max: entry i
+    is t = a + i."""
     k = model.kernel
     a = model.a
-    by_n = dict(sums)
-    last = by_n[options.n_max]
-    tail = by_n[options.n_max - options.window]
-    half = by_n[max(a, options.n_max // 2)]
+    last = sums[options.n_max - a][1]
+    tail = sums[options.n_max - options.window - a][1]
+    half = sums[max(a, options.n_max // 2) - a][1]
     bounded = (last - tail) < k.real(options.rel_tol) * last
     divergent = last > k.real(options.divergence_factor) * half
     if bounded and not divergent:

@@ -156,9 +156,9 @@ def test_cli_refuses_non_finite_and_coerced_numbers(tmp_path, monkeypatch, capsy
 
 def test_cli_native_power_with_an_overflowed_exponent_is_an_evaluation_error(
         tmp_path, capsys):
-    """On native floats 4^t * 4^t overflows to inf by t = 256, and the
+    """On native floats 4^t * 4^t overflows to inf at t = 256, and the
     parity of an infinite exponent of a negative base has no value: exit
-    2 with an evaluation error, not a traceback."""
+    2 with an evaluation error naming the power and t, not a traceback."""
     path = tmp_path / "negpow.json"
     path.write_text(json.dumps({
         "name": "negpow", "q": "(0 - 1)^(4^t * 4^t)", "n_max": 300,
@@ -166,8 +166,24 @@ def test_cli_native_power_with_an_overflowed_exponent_is_an_evaluation_error(
     }))
     assert main(["classify", str(path), "--out", str(tmp_path)]) == 2
     captured = capsys.readouterr()
-    assert "evaluation error: cannot convert non-finite value to a rational" in captured.err
-    assert "Traceback" not in captured.err
+    assert captured.err == (
+        "evaluation error: cannot convert non-finite value to a rational "
+        "in (0 - 1)^(4^t * 4^t) at t=256\n"
+    )
+
+
+@pytest.mark.parametrize("q, message", [
+    ("sqrt(1 - t)", "square root of negative value -1.0 in sqrt(1 - t) at t=2"),
+    ("(t - 3)^(0 - 1)", "zero raised to a negative power in (t - 3)^(0 - 1) at t=3"),
+])
+def test_cli_evaluation_errors_name_the_expression_and_t(tmp_path, capsys, q, message):
+    """An element error of a coefficient names its node and first failing
+    t, as a division by zero does, on either kernel."""
+    for mode in ("big-float", "native-float"):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "bad", "q": q, "precision": {"mode": mode}}))
+        assert main(["classify", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"evaluation error: {message}\n"
 
 
 def test_resolve_scenario_missing_file():
@@ -197,6 +213,19 @@ def test_cli_classify_artifacts(tmp_path, capsys):
     ns = [int(r[0]) for r in rows[1:]]
     assert ns == sorted(ns) and len(set(ns)) == len(ns)
     assert ns[-1] == 60
+
+
+@pytest.mark.parametrize("mode, backend", [
+    ("big-float", "mpmath"), ("native-float", "native"),
+])
+def test_cli_classify_prints_the_model_backend(tmp_path, capsys, mode, backend):
+    """The backend line names the kernel the run used, as its report does."""
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps({"name": "free", "n_max": 60, "precision": {"mode": mode}}))
+    assert main(["classify", str(path), "--out", str(tmp_path)]) == 0
+    assert f"  backend: {backend}\n" in capsys.readouterr().out
+    report = json.loads((tmp_path / "free_report.json").read_text())
+    assert report["backend"] == backend
 
 
 def test_cli_classify_reports_are_byte_identical(tmp_path):

@@ -178,6 +178,14 @@ def test_round_trip_on_corpus(text):
     assert parse(to_text(node)) == node
 
 
+def _named(node, t, op, *args):
+    """op(*args), an EvaluationError naming the node and t like a division."""
+    try:
+        return op(*args)
+    except EvaluationError as err:
+        raise type(err)(f"{err} in {to_text(node)} at t={t}") from None
+
+
 def _tree_walk(node, t, kernel):
     """The one-point recursive evaluation that the window evaluator
     replaced, kept as the reference for its bits."""
@@ -188,15 +196,16 @@ def _tree_walk(node, t, kernel):
     if isinstance(node, Neg):
         return -_tree_walk(node.arg, t, kernel)
     if isinstance(node, Sqrt):
-        return real_sqrt(kernel, _tree_walk(node.arg, t, kernel))
+        return _named(node, t, real_sqrt, kernel, _tree_walk(node.arg, t, kernel))
     if isinstance(node, Div):
         den = _tree_walk(node.right, t, kernel)
         if den == 0:
             raise EvaluationError(f"division by zero in {to_text(node)} at t={t}")
         return _tree_walk(node.left, t, kernel) / den
     if isinstance(node, Pow):
-        return real_power(
-            kernel, _tree_walk(node.base, t, kernel), _tree_walk(node.exponent, t, kernel)
+        return _named(
+            node, t, real_power,
+            kernel, _tree_walk(node.base, t, kernel), _tree_walk(node.exponent, t, kernel),
         )
     left, right = _tree_walk(node.left, t, kernel), _tree_walk(node.right, t, kernel)
     if isinstance(node, Add):
@@ -243,23 +252,26 @@ def test_window_agrees_with_one_point_on_random_trees(precision):
 
 @pytest.mark.parametrize("text, first, last, precision, error, message, bad_t", [
     ("1/(t - 2)", 0, 5, BIG, EvaluationError, "division by zero in 1 / (t - 2) at t=2", 2),
-    ("sqrt(0 - t + 3)", 0, 5, BIG, EvaluationError, "square root of negative value -1.0", 4),
-    ("sqrt(0 - t + 3)", 0, 5, NATIVE, EvaluationError, "square root of negative value -1.0", 4),
+    ("sqrt(0 - t + 3)", 0, 5, BIG, EvaluationError,
+     "square root of negative value -1.0 in sqrt(0 - t + 3) at t=4", 4),
+    ("sqrt(0 - t + 3)", 0, 5, NATIVE, EvaluationError,
+     "square root of negative value -1.0 in sqrt(0 - t + 3) at t=4", 4),
     ("4^t", 0, 600, NATIVE, NativeOverflowError,
-     "overflow at native-float precision: 4.0 ^ 512.0", 512),
+     "overflow at native-float precision: 4.0 ^ 512.0 in 4^t at t=512", 512),
     ("2^t * 2^t", 500, 520, NATIVE, NativeOverflowError,
      "value of 2^t * 2^t at t=512 is not finite at this precision", 512),
     # an infinite base is refused by the power too, so no later node can
     # turn it into a finite value
     ("(2^t * 2^t)^0.5", 500, 520, NATIVE, NativeOverflowError,
-     "overflow at native-float precision: inf ^ 0.5", 512),
+     "overflow at native-float precision: inf ^ 0.5 in (2^t * 2^t)^0.5 at t=512", 512),
     ("1 / (2^t * 2^t)^0.5", 500, 520, NATIVE, NativeOverflowError,
-     "overflow at native-float precision: inf ^ 0.5", 512),
+     "overflow at native-float precision: inf ^ 0.5 in (2^t * 2^t)^0.5 at t=512", 512),
     ("(0 - 2^t * 2^t)^1", 500, 520, NATIVE, NativeOverflowError,
-     "overflow at native-float precision: inf ^ 1.0", 512),
+     "overflow at native-float precision: inf ^ 1.0 in (0 - 2^t * 2^t)^1 at t=512", 512),
     # inf - inf is nan, which is neither positive nor negative
     ("(2^t * 2^t - 2^t * 2^t)^2", 500, 520, NATIVE, NativeOverflowError,
-     "overflow at native-float precision: nan ^ 2.0", 512),
+     "overflow at native-float precision: nan ^ 2.0 in (2^t * 2^t - 2^t * 2^t)^2 at t=512",
+     512),
 ])
 def test_window_error_is_the_one_point_error(text, first, last, precision, error,
                                              message, bad_t):

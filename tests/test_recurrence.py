@@ -206,9 +206,18 @@ def test_window_errors():
 
 
 def test_native_mode_overflow_is_reported(models):
+    """ex4.2a's solutions grow like 2^(t^2): on native floats the forward
+    states leave the range at t=32 and the backward ones from (1, 0) at
+    t=116.  The steps are tested once per pass, so these pin the rescan
+    to the first non-finite state."""
     model = models["ex4.2a"].with_precision(PrecisionConfig(mode="native-float"))
-    with pytest.raises(PrecisionExhaustedError):
-        propagate(model, 1j, BoundaryData(1, 0), 120)
+    for solve, t in (
+        (lambda: propagate(model, 1j, BoundaryData(1, 0), 120), 32),
+        (lambda: fundamental_matrix(model, 1j, 120), 32),
+        (lambda: propagate_backward(model, 1j, (1, 0), 120), 116),
+    ):
+        with pytest.raises(PrecisionExhaustedError, match=f"range near t={t};"):
+            solve()
 
 
 def test_native_propagation_refuses_a_non_finite_y2_alone():
@@ -327,15 +336,17 @@ def test_left_end_refuses_a_vanishing_p_tilde():
         assert exc.value.t == -1
 
 
-def _random_left_end_cases(count, seed):
+def _random_left_end_cases(count, seed, coupled=False):
     """Seeded random models with a in {0, 1, 3}: p from a fixed list that
     never vanishes on t >= -1; q, c, h and d zero or one or two terms
     kappa b^t t^k, b in {1/2, 1, 2, 4}, k <= 2; a nonreal lam and real
-    initial data with two decimals."""
+    initial data with two decimals.  ``coupled`` adds a term kappa 4^t t^k
+    to both c and h, so that they grow together."""
     rng = random.Random(seed)
+    kappas = ["1", "2", "3", "1/2", "-1", "-2"]
 
     def term():
-        parts = [rng.choice(["1", "2", "3", "1/2", "-1", "-2"])]
+        parts = [rng.choice(kappas)]
         base = rng.choice(["(1/2)", "1", "2", "4"])
         if base != "1":
             parts.append(f"{base}^t")
@@ -352,6 +363,11 @@ def _random_left_end_cases(count, seed):
     for _ in range(count):
         exprs = {"p": rng.choice(["1", "-1", "4^t", "-(4^t)", "2^t", "t+2"])}
         exprs.update((name, coefficient()) for name in "qchd")
+        if coupled:
+            for name in "ch":
+                power = rng.randrange(3)
+                growth = "*".join([rng.choice(kappas), "4^t"] + ["t"] * power)
+                exprs[name] = f"({growth}) + {exprs[name]}"
         a = rng.choice([0, 1, 3])
         lam = complex(round(rng.uniform(-2, 2), 2), round(rng.uniform(0.1, 2), 2))
         data = BoundaryData(round(rng.uniform(-2, 2), 2), round(rng.uniform(-2, 2), 2))
@@ -387,3 +403,113 @@ def test_left_end_values_agree_with_1024_bits(precision):
             # the value exactly, as a 1024-bit scalar
             value = ref_kernel.complex(value.real, value.imag)
             assert abs(value - want) <= tol * scale, (a, exprs, lam)
+
+
+class _Mag:
+    """A 1,024-bit value with the magnitude of the terms it is built from.
+    A sum adds the magnitudes of its terms, a product multiplies them, and
+    a quotient x/y has S_x/|y| + |x| S_y/|y|^2: to first order, the
+    error a rounding of each input by a relative eps leaves is at most
+    eps times the magnitude.  A column further off than a few units of its
+    precision times the magnitude lost digits to a cancellation."""
+
+    def __init__(self, value, scale=None):
+        self.value = value
+        self.scale = float(abs(value)) if scale is None else scale
+
+    def __add__(self, other):
+        return _Mag(self.value + other.value, self.scale + other.scale)
+
+    def __sub__(self, other):
+        return _Mag(self.value - other.value, self.scale + other.scale)
+
+    def __mul__(self, other):
+        return _Mag(self.value * other.value, self.scale * other.scale)
+
+    def __neg__(self):
+        return _Mag(-self.value, self.scale)
+
+    def __truediv__(self, other):
+        size = float(abs(other.value))
+        return _Mag(self.value / other.value,
+                    self.scale / size + float(abs(self.value)) * other.scale / size**2)
+
+
+def _step_table_reference(model, lam, top) -> dict:
+    """Every step-table column on a-1 .. top as _Mag values of a 1,024-bit
+    model, by the defining formulas: a21 in the form without the
+    h^2 c^2/den^2 parts that cancel, ((q - lam) lead + h^2 p/den)/p_tilde,
+    so its magnitude is that of the terms that do not cancel."""
+    lam = _Mag(model.kernel.complex(lam.real, lam.imag))
+    one = _Mag(model.kernel.complex(1))
+    rows = []
+    alpha_prev = None
+    for t in range(model.a - 1, top + 1):
+        p, c, h, d = (_Mag(model.coeff(name, t)) for name in "pchd")
+        den = lam - d
+        p_tilde = p + (c * c - h * c) / den
+        alpha = h * c / den
+        lead = p + c * c / den
+        row = {"p_tilde": p_tilde, "alpha": alpha,
+               "r1": h * p / (den * p_tilde), "r2": (c - h) / (den * p_tilde)}
+        if alpha_prev is None:
+            lead_left = lead
+        else:
+            q = _Mag(model.coeff("q", t))
+            common = q + h * h / den
+            row.update(
+                q_tilde=common - (alpha - alpha_prev),
+                a11=-alpha / p_tilde,
+                a12=one / p_tilde,
+                a21=((q - lam) * lead + h * h * p / den) / p_tilde,
+                a22=(alpha - (common - lam)) / p_tilde,
+            )
+        rows.append(row)
+        alpha_prev = alpha
+    columns = {name: [row.get(name) for row in rows] for name in _STEP_COLUMNS}
+    columns["lead_left"] = lead_left
+    return columns
+
+
+_STEP_COLUMNS = ("p_tilde", "alpha", "q_tilde", "a11", "a12", "a21", "a22",
+                 "r1", "r2", "lead_left")
+
+
+@pytest.fixture(scope="module")
+def step_table_references():
+    """(1,024-bit model, lam, top, reference columns) of 200 seeded random
+    models and 100 strongly coupled ones, on windows a-1 .. a+8."""
+    ref_precision = PrecisionConfig(mantissa_bits=1024)
+    cases = [*_random_left_end_cases(200, 20261019),
+             *_random_left_end_cases(100, 20261020, coupled=True)]
+    out = []
+    for a, exprs, lam, _ in cases:
+        model = CoefficientSet.from_expressions(a=a, precision=ref_precision, **exprs)
+        out.append((model, lam, a + 8, _step_table_reference(model, lam, a + 8)))
+    return out
+
+
+@pytest.mark.parametrize("precision", [
+    PrecisionConfig(mantissa_bits=256),
+    PrecisionConfig(mantissa_bits=53),
+    PrecisionConfig(mode="native-float"),
+], ids=["mpmath-256", "mpmath-53", "native"])
+def test_step_table_columns_agree_with_1024_bits(precision, step_table_references):
+    """Every step-table column stays within 2^-(bits-8) of a 1,024-bit
+    evaluation, relative to the magnitudes of the terms it is built from,
+    on random and on strongly coupled models (c and h up to kappa 4^t t^2):
+    a column that cancels at leading order, as a21 once did, fails here."""
+    tol = 2.0 ** -(precision.bits - 8)
+    for ref_model, lam, top, reference in step_table_references:
+        table = step_table(ref_model.with_precision(precision), lam, top)
+        exact = ref_model.kernel.complex
+        for name in _STEP_COLUMNS:
+            got, want = getattr(table, name), reference[name]
+            pairs = [(got, want)] if name == "lead_left" else zip(got, want)
+            for i, (value, ref) in enumerate(pairs):
+                if ref is None:
+                    continue
+                # the value exactly, as a 1024-bit scalar
+                value = exact(value.real, value.imag)
+                assert abs(value - ref.value) <= tol * ref.scale, (
+                    name, ref_model.a - 1 + i, ref_model.a, lam)
