@@ -17,7 +17,7 @@ the same small protocol (duck-typed), so every solver is written once;
 
 The protocol holds only what differs between kernels, and a member that
 only forwards to a library function is that function.  A kernel object
-provides thirteen members:
+provides fourteen members:
 
 * ``name`` -- the kernel's name in reports;
 * ``workprec(bits)`` -- a context manager that runs its block at another
@@ -29,6 +29,9 @@ provides thirteen members:
 * ``real(x)`` and ``complex(re, im=0)`` -- scalars from Python ints,
   floats, ``Fraction``s or the kernel's own reals;
 * ``abs2(z)`` -- the squared modulus, without a square root;
+* ``abs_bound(z)`` -- a real between |z| and sqrt(2) |z| (up to one
+  rounding) that takes no square root: |re| + |im| on mpmath, ``abs``
+  itself on native floats, where the modulus is as cheap;
 * ``isfinite(z)``;
 * ``sqrt(x)`` of x >= 0, ``pow_positive(base, expo)`` of base > 0,
   ``sin(x)`` and ``cos(x)``; ``expr`` applies the sign rules;
@@ -91,7 +94,15 @@ class MpmathKernel:
         return self._mpf(x)
 
     def complex(self, re, im=0):
-        if type(re) is float and type(im) is float:
+        mpf = self._mpf
+        if type(re) is mpf and type(im) is mpf:
+            # two of the context's own reals, each already at its precision
+            # (or a special value), are the parts as they stand: the value
+            # mpc(re, im) gives, built without rounding them again
+            prec = self._ctx._prec_rounding[0]
+            if re._mpf_[3] <= prec and im._mpf_[3] <= prec:
+                return self._ctx.make_mpc((re._mpf_, im._mpf_))
+        elif type(re) is float and type(im) is float:
             # a float pair rounds once per part, straight to the context's
             # precision: the value mpc(mpf(re), mpf(im)) gives, built without
             # the two conversions through mpf
@@ -111,6 +122,17 @@ class MpmathKernel:
         prec, rounding = self._ctx._prec_rounding
         return self._ctx.make_mpf(
             _libmp.mpf_add(_libmp.mpf_mul(re, re), _libmp.mpf_mul(im, im), prec, rounding)
+        )
+
+    def abs_bound(self, z):
+        """|re| + |im|, rounded once: abs(z) without its square root."""
+        parts = getattr(z, "_mpc_", None)
+        if parts is None:
+            return abs(z)
+        re, im = parts
+        prec, rounding = self._ctx._prec_rounding
+        return self._ctx.make_mpf(
+            _libmp.mpf_add(_libmp.mpf_abs(re), _libmp.mpf_abs(im), prec, rounding)
         )
 
     def to_fraction(self, x) -> Fraction:
@@ -142,6 +164,8 @@ class NativeKernel:
         # an overflow gives inf here, which the finite checks report
         return z.real * z.real + z.imag * z.imag
 
+    # the modulus, a C builtin: no cheaper bound exists on machine floats
+    abs_bound = staticmethod(abs)
     sqrt = staticmethod(math.sqrt)
     sin = staticmethod(math.sin)
     cos = staticmethod(math.cos)
@@ -198,8 +222,13 @@ _DIGITS = 40
 def format_real(kernel, x) -> str:
     """Deterministic decimal rendering, identical across kernels: the
     exact value of x to 40 significant digits, formatted from its own
-    mantissa and exponent, whatever the global mpmath precision."""
-    return _libmp.to_str(kernel.to_mpf(x)._mpf_, _DIGITS)
+    mantissa and exponent, whatever the global mpmath precision.  An
+    mpmath real carries them as ``_mpf_``, which ``to_mpf`` would only
+    copy; any other scalar goes through ``to_mpf``."""
+    parts = getattr(x, "_mpf_", None)
+    if parts is None:
+        parts = kernel.to_mpf(x)._mpf_
+    return _libmp.to_str(parts, _DIGITS)
 
 
 def format_complex(kernel, z) -> dict:

@@ -109,13 +109,10 @@ def oracle_deviation(direct: Trajectory, top: int, *,
 def transfer_det_deviation(table: StepTable, top: int) -> float:
     """|det(I - A(t)) - 1| over t = a .. top, relative to the magnitudes
     of the two products that make the determinant."""
-    model = table.model
-    rows = slice(table.index(model.a), table.index(top) + 1)
     worst = 0.0
-    for a11, a12, a21, a22 in zip(
-        table.a11[rows], table.a12[rows], table.a21[rows], table.a22[rows]
-    ):
-        diag = (1 - a11) * (1 - a22)
+    # the step entries of t = a .. top: 1 - a22, a12, a21, 1 - a11
+    for m11, a12, a21, m22 in table.steps[:table.index(top)]:
+        diag = m22 * m11
         off = a12 * a21
         dev = diag - off - 1
         if dev:

@@ -26,13 +26,16 @@ h^2*c^2/den^2 parts cancel exactly, and computed apart they lose the
 whole mantissa when c and h grow together.
 Each row takes one complex reciprocal of den and one of p_tilde and
 multiplies by them wherever these formulas divide, so the entries agree
-with the quotients to within a few units in the last place.
-alpha(t-1), which q_tilde(t) needs, is the previous row.  A table is
-built per call and dropped with it; callers that step several solutions
-at one (model, lam) pass the same table along.  Every solver steps one
-or more columns through the same table, and the forward solvers form
-each step's inverse once for all of them, so the two solutions of a
-fundamental pair are one call.
+with the quotients to within a few units in the last place; a row whose
+d(t) is the previous row's value object (a constant coefficient) keeps
+that row's den and 1/den.  alpha(t-1), which q_tilde(t) needs, is the
+previous row.  A table is built per call and dropped with it; callers
+that step several solutions at one (model, lam) pass the same table
+along.  The table also keeps each step's entries (1 - a22, a12, a21,
+1 - a11), formed once: forward they are the closed-form inverse
+(I - A)^{-1}, backward they give I - A, so every solver, forward or
+backward, steps any number of columns through them, and the two
+solutions of a fundamental pair are one call.
 
 ``oracle_three_term`` is the independent check: it never touches the
 transfer matrices, solving instead the scalar three-term recurrence
@@ -72,7 +75,8 @@ class StepTable:
     None: the table has step matrices exactly for t = a .. top.  For the
     left boundary it also keeps lead_left = p + c^2/(lam - d) at a-1: that
     is p_tilde + alpha there, formed so that it does not cancel when alpha
-    nears -p_tilde.
+    nears -p_tilde.  ``steps`` holds (1 - a22, a12, a21, 1 - a11) for
+    t = a .. top, so its entry i is row i+1.
     """
 
     model: CoefficientSet
@@ -88,6 +92,7 @@ class StepTable:
     r1: tuple
     r2: tuple
     lead_left: object
+    steps: tuple
 
     def index(self, t: int) -> int:
         start = self.model.a - 1
@@ -107,7 +112,7 @@ class StepTable:
             *(col[:n] for col in (self.p_tilde, self.alpha, self.q_tilde,
                                   self.a11, self.a12, self.a21, self.a22,
                                   self.r1, self.r2)),
-            self.lead_left,
+            self.lead_left, self.steps[:n - 1],
         )
 
 
@@ -123,17 +128,20 @@ def step_table(model: CoefficientSet, lam, top: int) -> StepTable:
         raise ValueError(f"top ({top}) lies below start ({start})")
     lam = as_lambda_scalar(model, lam)
     rows = []
-    alpha_prev = None
+    steps = []
+    alpha_prev = d_prev = None
     columns = zip(
         range(start, top + 1),
         *(model.column(name, start, top) for name in "pchd"),
         (None,) + model.column("q", model.a, top),
     )
     for t, p, c, h, d, q in columns:
-        den = lam - d
-        if den == 0:
-            raise InadmissibleLambdaError(f"lam equals d({t})", t=t)
-        inv_den = 1 / den
+        if d is not d_prev:
+            den = lam - d
+            if den == 0:
+                raise InadmissibleLambdaError(f"lam equals d({t})", t=t)
+            inv_den = 1 / den
+            d_prev = d
         cc = c * c
         p_tilde = p + (cc - h * c) * inv_den
         alpha = h * c * inv_den
@@ -158,9 +166,10 @@ def step_table(model: CoefficientSet, lam, top: int) -> StepTable:
             a12 = inv_p
             a21 = ((q - lam) * lead + hh * p * inv_den) * inv_p
             a22 = (alpha - h_shift) * inv_p
+            steps.append((1 - a22, a12, a21, 1 - a11))
         rows.append((p_tilde, alpha, q_tilde, a11, a12, a21, a22, r1, r2))
         alpha_prev = alpha
-    return StepTable(model, lam, top, *zip(*rows), lead_left)
+    return StepTable(model, lam, top, *zip(*rows), lead_left, tuple(steps))
 
 
 def _full_table(model: CoefficientSet, lam, top: int, table: StepTable | None) -> StepTable:
@@ -285,12 +294,8 @@ def _forward_states(table: StepTable, starts) -> list:
     non-finite t only when one fails."""
     model = table.model
     k = model.kernel
-    # (I - A)^{-1} in closed form, once for every start; det(I - A) == 1
-    steps = [
-        (1 - a22, a12, a21, 1 - a11)
-        for a11, a12, a21, a22 in zip(table.a11[1:], table.a12[1:],
-                                      table.a21[1:], table.a22[1:])
-    ]
+    # (I - A)^{-1} in closed form, from the table's step entries; det(I - A) == 1
+    steps = table.steps
     out = []
     for s0, s1 in starts:
         s0 = k.complex(0) + s0
@@ -367,14 +372,10 @@ def propagate_backward(
     s0 = k.complex(0) + terminal_state[0]
     s1 = k.complex(0) + terminal_state[1]
     states = [(s0, s1)]
-    # rows t = top .. a of the table (row 0 is t = a-1, which has no step)
-    rows = zip(
-        reversed(table.a11[1:]), reversed(table.a12[1:]),
-        reversed(table.a21[1:]), reversed(table.a22[1:]),
-    )
-    for a11, a12, a21, a22 in rows:
-        # v(t-1) = (I - A(t)) v(t)
-        s0, s1 = (1 - a11) * s0 - a12 * s1, -a21 * s0 + (1 - a22) * s1
+    # steps of t = top .. a; v(t-1) = (I - A(t)) v(t), whose diagonal is
+    # 1 - a11 = m22 and 1 - a22 = m11
+    for m11, a12, a21, m22 in reversed(table.steps):
+        s0, s1 = m22 * s0 - a12 * s1, m11 * s1 - a21 * s0
         states.append((s0, s1))
     # as in _forward_states: the last state tells, the rescan names t
     if k.needs_finite_checks and not (k.isfinite(s0) and k.isfinite(s1)):

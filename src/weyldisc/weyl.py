@@ -237,7 +237,7 @@ def on_circle_defect(model: CoefficientSet, chi_traj: Trajectory, m, lam, n: int
     lam = as_lambda_scalar(model, lam)
     if lam.imag == 0:
         raise InadmissibleLambdaError("circle membership requires nonreal lam")
-    sums = _profile(model, chi_traj, n)
+    sums = _profile(model, chi_traj.component_columns(model.a - 1, n), n)
     total = sums[-1][1] if sums else k.real(0)
     return total - m.imag / lam.imag
 
@@ -265,11 +265,41 @@ def regular_eigen_residual(
 # Classification
 
 
+def _forward_chi_y1(model, m, states) -> list:
+    """y1(t+1) = f0 + m s0 of chi = phi + m psi for the states (f0, f1, s0,
+    s1) = (phi1(t+1), phi1q(t), psi1(t+1), psi1q(t)) in order, up to the
+    first state whose combination keeps less than half the mantissa:
+
+        |c0| + |c1| < 2^-(bits//2) (|f0| + |f1| + |m| (|s0| + |s1|)),
+
+    c0 = f0 + m s0 and c1 = f1 + m s1.  abs_bound(z) lies between |z| and
+    sqrt(2) |z|, so a state whose bounds clear twice that floor clears
+    the test, rounding and all; only the others take the moduli and
+    their six square roots, so every decision is the test's."""
+    k = model.kernel
+    m_abs = abs(m)
+    floor = k.real(2) ** (-(model.precision.bits // 2))
+    bound, floor2 = k.abs_bound, 2 * floor
+    y1 = []
+    for f0, f1, s0, s1 in states:
+        c0 = f0 + m * s0
+        c1 = f1 + m * s1
+        if bound(c0) + bound(c1) < (
+            (bound(f0) + bound(f1)) + m_abs * (bound(s0) + bound(s1))
+        ) * floor2:
+            mag = (abs(f0) + abs(f1)) + m_abs * (abs(s0) + abs(s1))
+            if abs(c0) + abs(c1) < mag * floor:
+                break
+        y1.append(c0)
+    return y1
+
+
 def _stable_chi(model, lam, phi, psi, m, n_max, radius_last, table):
     """chi = phi + m psi, by the forward combination when it keeps at least
     half the mantissa everywhere, else by backward propagation (through
     the pair's step table) matched to chi's left boundary state.  Returns
-    (trajectory or None, method).
+    (columns or None, method), where the columns are chi's y1 and y2 on
+    a-1 .. n_max, the two that its profile reads.
 
     The forward states are tested one point at a time; the combination is
     completed (y1(a-1) and y2, with the same arithmetic as
@@ -278,28 +308,14 @@ def _stable_chi(model, lam, phi, psi, m, n_max, radius_last, table):
     k = model.kernel
     bits = model.precision.bits
     m_abs = abs(m)
-    floor = k.real(2) ** (-(bits // 2))
-    y1, y1q = [], []
     states = zip(
         *phi.state_columns(model.a - 1, n_max),
         *psi.state_columns(model.a - 1, n_max),
     )
-    for f0, f1, s0, s1 in states:
-        c0 = f0 + m * s0
-        c1 = f1 + m * s1
-        mag = (abs(f0) + abs(f1)) + m_abs * (abs(s0) + abs(s1))
-        if abs(c0) + abs(c1) < mag * floor:
-            break
-        y1.append(c0)
-        y1q.append(c1)
-    else:
-        chi_fwd = Trajectory(
-            model=model, lam=phi.lam, top=phi.top,
-            y1=(phi.y1[0] + m * psi.y1[0], *y1),
-            y2=tuple(u + m * v for u, v in zip(phi.y2, psi.y2)),
-            y1q=tuple(y1q),
-        )
-        return chi_fwd, "forward"
+    y1 = _forward_chi_y1(model, m, states)
+    if len(y1) == n_max - model.a + 2:
+        y2 = tuple([u + m * v for u, v in zip(phi.y2, psi.y2)])
+        return ((phi.y1[0] + m * psi.y1[0], *y1), y2), "forward"
 
     left_target = (
         phi.y1_at(model.a) + m * psi.y1_at(model.a),
@@ -321,17 +337,22 @@ def _stable_chi(model, lam, phi, psi, m, n_max, radius_last, table):
         scale = left_target[j] / w_left[j]
         mismatch = abs(w_left[1 - j] * scale - left_target[1 - j])
         if mismatch <= thresh:
-            return w.scaled(scale), "backward"
+            # the profile reads y1 and y2 only, so y1q is not scaled
+            return (tuple([v * scale for v in w.y1]),
+                    tuple([v * scale for v in w.y2])), "backward"
     return None, "unavailable"
 
 
-def _profile(model, traj, n_max) -> list:
+def _profile(model, columns, n_max) -> list:
+    """Partial sums (t, S_t), S_t = sum of |y1(s)|^2 + |y2(s)|^2 over
+    s = a .. t, for t = a .. n_max; ``columns`` are y1 and y2 indexed
+    from a-1."""
     k = model.kernel
     abs2 = k.abs2
     total = k.real(0)
     sums = []
-    samples = zip(range(model.a, n_max + 1), *traj.component_columns(model.a, n_max))
-    for t, c1, c2 in samples:
+    y1, y2 = columns
+    for t, c1, c2 in zip(range(model.a, n_max + 1), y1[1:], y2[1:]):
         total = total + abs2(c1) + abs2(c2)
         sums.append((t, total))
     if k.needs_finite_checks and not k.isfinite(total):
@@ -384,17 +405,17 @@ def classify(
     discs, psi_sums = _disc_rows(model, phi, psi, lam, options.n_max)
     m_limit = discs[-1].center
 
-    chi_traj, chi_method = _stable_chi(
+    chi_columns, chi_method = _stable_chi(
         model, lam, phi, psi, m_limit, options.n_max, discs[-1].radius, table
     )
     psi_verdict = _growth_verdict(psi_sums, model, options)
     psi_profile = L2Profile(tuple(psi_sums), psi_verdict)
 
-    if chi_traj is None:
+    if chi_columns is None:
         chi_profile = None
         verdict, reason = "undecided", "chi profile could not be stabilized"
     else:
-        chi_sums = _profile(model, chi_traj, options.n_max)
+        chi_sums = _profile(model, chi_columns, options.n_max)
         chi_verdict = _growth_verdict(chi_sums, model, options)
         chi_profile = L2Profile(tuple(chi_sums), chi_verdict)
         if psi_verdict == "bounded" and chi_verdict == "bounded":

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath import libmp
 
 from weyldisc import ExprCoefficient, PrecisionConfig
 from weyldisc.backends import (
@@ -28,7 +29,8 @@ ALL_KERNELS = [
 # the scalar types carry the rest
 PROTOCOL_MEMBERS = {
     "name", "workprec", "needs_finite_checks", "real", "complex", "abs2",
-    "isfinite", "sqrt", "pow_positive", "sin", "cos", "to_fraction", "to_mpf",
+    "abs_bound", "isfinite", "sqrt", "pow_positive", "sin", "cos",
+    "to_fraction", "to_mpf",
 }
 PROTOCOL_METHODS = sorted(PROTOCOL_MEMBERS - {"name", "needs_finite_checks"})
 
@@ -204,3 +206,69 @@ def test_mpmath_complex_of_floats_equals_general_path(bits):
             want = kernel.complex(kernel.real(x), kernel.real(y))
             assert type(got) is type(want)
             assert got._mpc_ == want._mpc_
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+def test_abs_bound_brackets_the_modulus(kernel):
+    """abs_bound(z) lies between |z| and sqrt(2) |z|, within one rounding
+    of |re| + |im|; on native floats it is the modulus itself."""
+    bits = 256 if kernel is BIG_256 else 53
+    slack = 1 + kernel.real(2) ** -(bits - 2)
+    rng = random.Random(bits)
+    values = [(3, 4), (0, 0), (0, -2.5), (-7, 0), (1e-300, -1e300), (1, 1)] + [
+        (rng.uniform(-1, 1) * 10.0 ** rng.randint(-200, 200),
+         rng.uniform(-1, 1) * 10.0 ** rng.randint(-200, 200)) for _ in range(200)]
+    for re, im in values:
+        z = kernel.complex(re, im)
+        got, modulus = kernel.abs_bound(z), abs(z)
+        assert modulus <= got * slack
+        assert got <= modulus * kernel.sqrt(kernel.real(2)) * slack
+        if kernel is not BIG_256:
+            assert got == modulus
+    assert kernel.abs_bound(kernel.real(-3)) == 3
+
+
+def _reals_for_fast_paths(kernel):
+    """Reals of the kernel's own context at its precision (zero,
+    negatives, 1e+-384839, infinities, nan), two of its own type made at
+    512 bits, and mpfs of other contexts and precisions."""
+    k = kernel
+    huge = k.pow_positive(k.real(10), k.real(384839))
+    own = [k.real(0), k.real(1), k.real(-3.5), k.real(Fraction(1, 3)),
+           k.real(Fraction(-2, 7)), huge, -huge, 1 / huge, -1 / huge,
+           k.real(math.inf), k.real(-math.inf), k.real(math.nan)]
+    with k.workprec(512):
+        wide = [k.real(Fraction(1, 3)), -k.pow_positive(k.real(10), k.real(-384839))]
+    other = [big_kernel(512).real(Fraction(1, 3)), MpmathKernel(64).real(Fraction(-5, 3)),
+             mpmath.mpf(2) / 3]
+    return own + wide + other
+
+
+def test_mpmath_complex_of_reals_equals_general_path():
+    """Two reals of the kernel's own context at its precision are wrapped
+    as they stand; the value equals the general path's mpc(real(x),
+    real(y)) for every pair, also where a part has more bits than the
+    context (it is rounded) or comes from another context."""
+    k = MpmathKernel(256)
+    values = _reals_for_fast_paths(k)
+    for x in values:
+        for y in values:
+            got = k.complex(x, y)
+            want = k._mpc(k.real(x), k.real(y))
+            assert type(got) is type(want)
+            assert got._mpc_ == want._mpc_
+    wide = values[12]
+    assert wide._mpf_[3] > 256
+    assert k.complex(wide, k.real(0)).real._mpf_ != wide._mpf_
+
+
+def test_format_real_of_an_mpmath_real_equals_general_path():
+    """format_real reads an mpmath real's own mantissa and exponent; the
+    text equals that of its exact to_mpf value on every kernel."""
+    k = MpmathKernel(256)
+    for x in _reals_for_fast_paths(k):
+        assert format_real(k, x) == libmp.to_str(k.to_mpf(x)._mpf_, 40)
+    assert format_real(k, k.pow_positive(k.real(10), k.real(384839))).endswith("e+384839")
+    n = native_kernel()
+    for x in (0.0, -0.0, 1.5, -2.5e300, 5e-324, math.inf, -math.inf, math.nan):
+        assert format_real(n, x) == libmp.to_str(n.to_mpf(x)._mpf_, 40)

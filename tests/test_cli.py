@@ -1,5 +1,8 @@
+import ast
 import csv
+import gc
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,7 @@ from weyldisc import (
     load_scenario,
     resolve_scenario,
 )
+from weyldisc import cli
 from weyldisc.cli import _scenario_with_overrides, build_parser, main
 from weyldisc.scenarios import builtin_scenario, scenario_from_dict
 
@@ -477,3 +481,66 @@ def test_cli_refuses_a_window_too_short(tmp_path, monkeypatch, capsys, argv, mes
     assert message in captured.err
     assert list(tmp_path.iterdir()) == []
 
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("argv, code", [
+    (["classify", "free", "--n-max", "60", "--out", "{out}"], 0),
+    (["criteria", "free", "--n-max", "-5"], 2),
+    (["classify", "free", "--lambda-im", "inf"], 2),
+    (["classify"], 2),
+    (["--help"], 0),
+], ids=["returns-0", "returns-2", "refused-flag", "argparse-usage", "argparse-help"])
+def test_cli_restores_the_callers_collector_state(tmp_path, monkeypatch, capsys,
+                                                  argv, code, enabled):
+    """main pauses the cyclic collector while it runs and leaves it as the
+    caller had it: after a command that returns 0 or 2, after argparse's
+    SystemExit (a refused flag value, a missing argument, --help), and
+    with the collector enabled or disabled beforehand."""
+    monkeypatch.chdir(tmp_path)
+    argv = [arg.format(out=tmp_path) for arg in argv]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert _exit_code(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
+
+
+def test_cli_pauses_the_collector_while_a_command_runs(monkeypatch):
+    """The dispatched command runs with the collector off; an exception
+    the command does not map to an exit code still restores it."""
+    seen = []
+
+    def command(_args):
+        seen.append(gc.isenabled())
+        return 0
+
+    def failing(_args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    assert gc.isenabled()
+    monkeypatch.setitem(cli._COMMANDS, "examples", command)
+    assert main(["examples"]) == 0
+    monkeypatch.setitem(cli._COMMANDS, "examples", failing)
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["examples"])
+    assert seen == [False, False]
+    assert gc.isenabled()
+
+
+def test_no_library_module_imports_gc():
+    """Only the command line touches the collector: the library modules
+    leave the caller's collector alone."""
+    package = Path(cli.__file__).parent
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "gc" in names:
+                importers.append(path.name)
+    assert importers == ["cli.py"]

@@ -326,6 +326,94 @@ def test_cut_trajectory_is_the_shorter_solve(models):
         short.cut(13)
 
 
+RANDOM_TABLE_PRECISIONS = {
+    "mpmath-256": PrecisionConfig(mantissa_bits=256),
+    "mpmath-53": PrecisionConfig(mantissa_bits=53),
+    "native": PrecisionConfig(mode="native-float"),
+}
+
+
+def _bits(z):
+    """The exact bits of a scalar: an mpmath complex's parts, or a native
+    complex's parts in hex, the sign of a zero included."""
+    parts = getattr(z, "_mpc_", None)
+    if parts is not None:
+        return parts
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def _random_tables(precision, count, seed, top_offset):
+    """Step tables of seeded random and strongly coupled models on
+    a-1 .. a+top_offset, with the model, lam and initial data of each."""
+    cases = [*_random_left_end_cases(count, seed),
+             *_random_left_end_cases(count // 2, seed + 1, coupled=True)]
+    for a, exprs, lam, data in cases:
+        model = CoefficientSet.from_expressions(a=a, precision=precision, **exprs)
+        yield model, lam, data, step_table(model, lam, a + top_offset)
+
+
+@pytest.mark.parametrize("precision", RANDOM_TABLE_PRECISIONS.values(),
+                         ids=RANDOM_TABLE_PRECISIONS.keys())
+def test_step_entries_follow_the_table_and_its_cuts(precision):
+    """``steps`` holds (1 - a22, a12, a21, 1 - a11) of rows a .. top, and
+    a cut table keeps exactly the steps of its rows: bit for bit those of
+    a table built on the shorter window."""
+    for model, lam, _, table in _random_tables(precision, 30, 20261022, 12):
+        a = model.a
+        assert len(table.steps) == len(table.a11) - 1 == 13
+        for i, step in enumerate(table.steps, 1):
+            want = (1 - table.a22[i], table.a12[i], table.a21[i], 1 - table.a11[i])
+            assert list(map(_bits, step)) == list(map(_bits, want))
+        for top in (a - 1, a, a + 5, a + 12):
+            cut = table.cut(top)
+            shorter = step_table(model, lam, top)
+            assert len(cut.steps) == top - a + 1
+            assert cut == shorter
+            assert ([list(map(_bits, step)) for step in cut.steps]
+                    == [list(map(_bits, step)) for step in shorter.steps])
+
+
+def _old_backward_states(table, terminal):
+    """States v(t), t = a-1 .. top, stepped down from v(top) = terminal by
+    v(t-1) = (I - A(t)) v(t) written with the table's A entries."""
+    k = table.model.kernel
+    s0 = k.complex(0) + terminal[0]
+    s1 = k.complex(0) + terminal[1]
+    states = [(s0, s1)]
+    rows = zip(reversed(table.a11[1:]), reversed(table.a12[1:]),
+               reversed(table.a21[1:]), reversed(table.a22[1:]))
+    for a11, a12, a21, a22 in rows:
+        s0, s1 = (1 - a11) * s0 - a12 * s1, -a21 * s0 + (1 - a22) * s1
+        states.append((s0, s1))
+    states.reverse()
+    return states
+
+
+@pytest.mark.parametrize("precision", RANDOM_TABLE_PRECISIONS.values(),
+                         ids=RANDOM_TABLE_PRECISIONS.keys())
+def test_backward_steps_are_the_i_minus_a_form_bit_for_bit(precision):
+    """Backward stepping through the shared step entries,
+    m22 s0 - a12 s1 and m11 s1 - a21 s0, gives the bits of
+    (1 - a11) s0 - a12 s1 and -a21 s0 + (1 - a22) s1 on random tables;
+    where native floats overflow, both forms leave the range."""
+    checked = 0
+    for model, lam, data, table in _random_tables(precision, 60, 20261023, 24):
+        top = table.top
+        terminal = (data.c1, data.c2)
+        want = _old_backward_states(table, terminal)
+        try:
+            got = propagate_backward(model, lam, terminal, top, table=table)
+        except PrecisionExhaustedError:
+            assert not all(map(model.kernel.isfinite, want[0]))
+            continue
+        states = list(zip(got.y1[1:], got.y1q))
+        assert [(_bits(u), _bits(v)) for u, v in states] == [
+            (_bits(u), _bits(v)) for u, v in want]
+        checked += 1
+    assert checked >= 60
+
+
 def test_left_end_refuses_a_vanishing_p_tilde():
     """With p = 1 and c = t + 2, p_tilde(-1) = 1 + 1/lam vanishes at
     lam = -1; row a-1 of the step table refuses it on both kernels."""

@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -7,6 +8,7 @@ from weyldisc import (
     BoundaryAngles,
     BoundaryData,
     ClassifyOptions,
+    CoefficientSet,
     InadmissibleLambdaError,
     PrecisionConfig,
     PrecisionExhaustedError,
@@ -335,6 +337,99 @@ def test_backward_route_builds_no_forward_chi(models, monkeypatch, name):
     assert report.verdict == EXPECTED_VERDICTS[name]
 
 
+ROUTE_PRECISIONS = {
+    "mpmath-256": PrecisionConfig(mantissa_bits=256),
+    "mpmath-53": PrecisionConfig(mantissa_bits=53),
+    "native": PrecisionConfig(mode="native-float"),
+}
+
+
+def _reference_forward_length(model, m, states) -> int:
+    """Index of the first state that fails chi's half-mantissa test, with
+    the exact moduli throughout (the length of the forward prefix)."""
+    k = model.kernel
+    floor = k.real(2) ** (-(model.precision.bits // 2))
+    m_abs = abs(m)
+    for i, (f0, f1, s0, s1) in enumerate(states):
+        c0, c1 = f0 + m * s0, f1 + m * s1
+        if abs(c0) + abs(c1) < ((abs(f0) + abs(f1)) + m_abs * (abs(s0) + abs(s1))) * floor:
+            return i
+    return len(states)
+
+
+def _route_states(model, rng):
+    """(m, states) with chi's combinations at and around the route test's
+    threshold 2^-(bits//2) of the state magnitude.
+
+    m is a unit (1, -1, i or -i) and every product by it is exact.  With
+    phi1(t+1) = r P and psi1(t+1) = r (-P + w) / m for a real P, a unit r
+    and a small w, c0 = r w; with psi1q(t) = -phi1q(t) / m, c1 = 0 exactly.
+    An axis-aligned w (i y) makes c0 exact, so the states lie within a
+    few ulps of the threshold on both sides.  A diagonal w (y + i y) has
+    |re| + |im| = sqrt(2) |c0|, where the bound is loosest; those states
+    lie from below the threshold to past twice the bound's margin."""
+    k = model.kernel
+    bits = model.precision.bits
+    floor = k.real(2) ** (-(bits // 2))
+    units = [k.complex(1), k.complex(-1), k.complex(0, 1), k.complex(0, -1)]
+    m = rng.choice(units)
+    m_inv = m.conjugate()
+    eps = k.real(2) ** (-(bits - 1))
+
+    def state(r, p, g, w):
+        f0 = r * k.complex(p)
+        s0 = m_inv * (r * (k.complex(-p) + w))
+        return f0, g, s0, -(m_inv * g)
+
+    def threshold(r, p, g, y):
+        f0, f1, s0, s1 = state(r, p, g, k.complex(0, y))
+        return ((abs(f0) + abs(f1)) + abs(m) * (abs(s0) + abs(s1))) * floor
+
+    near, loose = [], []
+    for _ in range(12):
+        r = rng.choice(units)
+        p = k.real(rng.randint(2**20, 2**21)) / 2**20
+        g = k.complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        t0 = threshold(r, p, g, 2 * p * floor)
+        for j in range(-3, 4):
+            y = t0 + j * t0 * eps
+            near.append(state(r, p, g, k.complex(0, y)))
+        for q in (0.9, 0.95, 0.99, 0.999, 1.2, 1.41, 1.42, 1.45, 2.0, 2.9, 3.0):
+            y = t0 * k.real(q) / k.sqrt(k.real(2))
+            loose.append(state(r, p, g, k.complex(y, y)))
+    return m, near, loose
+
+
+@pytest.mark.parametrize("precision", ROUTE_PRECISIONS.values(), ids=ROUTE_PRECISIONS.keys())
+def test_forward_route_decisions_equal_the_exact_test(precision):
+    """The forward route test clears a state from the bound |re| + |im|
+    and takes the exact moduli only inside its margin, so every decision
+    and the first failing index equal those of a scan with exact abs."""
+    from weyldisc.weyl import _forward_chi_y1
+
+    model = CoefficientSet.from_expressions(precision=precision)
+    rng = random.Random(20261019)
+    for _ in range(4):
+        m, near, loose = _route_states(model, rng)
+        k = model.kernel
+        lost = (k.complex(1), k.complex(0), -m.conjugate(), k.complex(0))  # c = 0
+        outcomes = Counter()
+        for family in (near, loose):
+            for state in family:
+                want = _reference_forward_length(model, m, [state, lost])
+                got = _forward_chi_y1(model, m, [state, lost])
+                assert len(got) == want
+                assert got == [state[0] + m * state[2]][:want]
+                outcomes[family is near, want] += 1
+            for _ in range(3):
+                rng.shuffle(family)
+                want = _reference_forward_length(model, m, family)
+                assert len(_forward_chi_y1(model, m, family)) == want
+        # the near family straddles the threshold, the loose one too
+        assert outcomes[True, 0] and outcomes[True, 1]
+        assert outcomes[False, 0] and outcomes[False, 1]
+
+
 @pytest.mark.parametrize("name", ["ex4.1a", "ex4.2b"])
 def test_forward_chi_equals_the_combination(models, name):
     """The forward route's chi is phi + m psi with combined's arithmetic."""
@@ -353,7 +448,7 @@ def test_forward_chi_equals_the_combination(models, name):
     )
     want = phi.combined(psi, report.m_limit)
     assert method == "forward"
-    assert (got.y1, got.y2, got.y1q) == (want.y1, want.y2, want.y1q)
+    assert got == (want.y1, want.y2)
 
 
 def _old_disc(model, phi, psi, lam, n):
@@ -416,7 +511,7 @@ def test_native_profile_sum_turning_inf_is_typed():
     traj = Trajectory(model=model, lam=1j, top=10,
                       y1=(big,) * 13, y2=(big,) * 12, y1q=(big,) * 12)
     with pytest.raises(PrecisionExhaustedError):
-        _profile(model, traj, 10)
+        _profile(model, (traj.y1, traj.y2), 10)
 
 
 @pytest.mark.parametrize("mode", ["big-float", "native-float"])
