@@ -228,10 +228,11 @@ def test_abs_bound_brackets_the_modulus(kernel):
     assert kernel.abs_bound(kernel.real(-3)) == 3
 
 
-def _reals_for_fast_paths(kernel):
-    """Reals of the kernel's own context at its precision (zero,
-    negatives, 1e+-384839, infinities, nan), two of its own type made at
-    512 bits, and mpfs of other contexts and precisions."""
+def _reals_for_fast_paths(kernel) -> tuple:
+    """(own, wide, other): reals of the kernel's own context at its
+    precision (zero, negatives, 1e+-384839, infinities, nan), two of its
+    own type made at 512 bits, and mpfs of other contexts and
+    precisions."""
     k = kernel
     huge = k.pow_positive(k.real(10), k.real(384839))
     own = [k.real(0), k.real(1), k.real(-3.5), k.real(Fraction(1, 3)),
@@ -241,7 +242,7 @@ def _reals_for_fast_paths(kernel):
         wide = [k.real(Fraction(1, 3)), -k.pow_positive(k.real(10), k.real(-384839))]
     other = [big_kernel(512).real(Fraction(1, 3)), MpmathKernel(64).real(Fraction(-5, 3)),
              mpmath.mpf(2) / 3]
-    return own + wide + other
+    return own, wide, other
 
 
 def test_mpmath_complex_of_reals_equals_general_path():
@@ -250,23 +251,24 @@ def test_mpmath_complex_of_reals_equals_general_path():
     real(y)) for every pair, also where a part has more bits than the
     context (it is rounded) or comes from another context."""
     k = MpmathKernel(256)
-    values = _reals_for_fast_paths(k)
+    own, wide, other = _reals_for_fast_paths(k)
+    values = own + wide + other
     for x in values:
         for y in values:
             got = k.complex(x, y)
             want = k._mpc(k.real(x), k.real(y))
             assert type(got) is type(want)
             assert got._mpc_ == want._mpc_
-    wide = values[12]
-    assert wide._mpf_[3] > 256
-    assert k.complex(wide, k.real(0)).real._mpf_ != wide._mpf_
+    for x in wide:
+        assert x._mpf_[3] > 256
+        assert k.complex(x, k.real(0)).real._mpf_ != x._mpf_
 
 
 def test_format_real_of_an_mpmath_real_equals_general_path():
     """format_real reads an mpmath real's own mantissa and exponent; the
     text equals that of its exact to_mpf value on every kernel."""
     k = MpmathKernel(256)
-    for x in _reals_for_fast_paths(k):
+    for x in sum(_reals_for_fast_paths(k), []):
         assert format_real(k, x) == libmp.to_str(k.to_mpf(x)._mpf_, 40)
     assert format_real(k, k.pow_positive(k.real(10), k.real(384839))).endswith("e+384839")
     n = native_kernel()

@@ -482,7 +482,6 @@ def test_cli_refuses_a_window_too_short(tmp_path, monkeypatch, capsys, argv, mes
     assert list(tmp_path.iterdir()) == []
 
 
-
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 @pytest.mark.parametrize("argv, code", [
     (["classify", "free", "--n-max", "60", "--out", "{out}"], 0),
@@ -491,8 +490,8 @@ def test_cli_refuses_a_window_too_short(tmp_path, monkeypatch, capsys, argv, mes
     (["classify"], 2),
     (["--help"], 0),
 ], ids=["returns-0", "returns-2", "refused-flag", "argparse-usage", "argparse-help"])
-def test_cli_restores_the_callers_collector_state(tmp_path, monkeypatch, capsys,
-                                                  argv, code, enabled):
+def test_cli_restores_the_callers_collector_state(tmp_path, monkeypatch, argv, code,
+                                                  enabled):
     """main pauses the cyclic collector while it runs and leaves it as the
     caller had it: after a command that returns 0 or 2, after argparse's
     SystemExit (a refused flag value, a missing argument, --help), and
@@ -506,7 +505,6 @@ def test_cli_restores_the_callers_collector_state(tmp_path, monkeypatch, capsys,
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
-    capsys.readouterr()
 
 
 def test_cli_pauses_the_collector_while_a_command_runs(monkeypatch):
