@@ -2,18 +2,71 @@
 
 All arithmetic in the solvers runs on one of two scalar kernels:
 
-* ``mpmath`` -- Python-level big floats, one kernel per precision;
+* ``mpmath`` -- Python-level big floats that round as mpmath does, one
+  kernel per precision;
 * ``native`` -- machine ``float``/``complex``.
 
 ``PrecisionConfig.kernel`` picks the kernel of a model: ``big_kernel(bits)``
 in big-float mode, ``native_kernel()`` in native mode.  Each big-float
-kernel owns a private ``mpmath`` context at its bit count and builds its
-scalars from it, so the precision travels with the scalars: arithmetic
+kernel owns a private ``mpmath`` context at its bit count and its own
+scalar classes, so the precision travels with the scalars: arithmetic
 on them rounds at their model's precision wherever it runs, whatever the
 global ``mpmath.mp`` or another thread is set to.  Runs at different
 precisions may therefore execute concurrently.  Every kernel implements
 the same small protocol (duck-typed), so every solver is written once;
 ``perfbench/run.py --trace 1`` times a complex multiply-add on each.
+
+The big-float scalars (``weyldisc.bigfloat``) are two slotted classes
+per kernel.  A real holds a signed Python int mantissa m and an int
+exponent e, the value m * 2**e; a complex holds two such parts.  A
+result is rounded, with ``int.bit_length``, only when its mantissa is
+wider than the precision; nothing strips trailing zeros or splits off
+the sign, which is where mpmath's pure-Python libmp spends its time.
+Each operation rounds exactly as the mpmath routine it replaces, so
+every value, and every report byte, is the one mpmath computes
+("nearest" is round to nearest, ties to even; int operands are exact):
+
+==========================  ===============  ============================
+operation                   mpmath routine   rounding
+==========================  ===============  ============================
+x + y, x - y, x * y, x / y  ``mpf_add``,     nearest, once
+(reals)                     ``mpf_mul``,
+                            ``mpf_div``
+z + w, z - w, z * w         ``mpc_add``,     nearest, once per part
+                            ``mpc_mul``
+z + x, z - x (x real)       ``mpc_add_mpf``  nearest on the real part;
+                                             the imaginary part as it
+                                             stands
+x - z, 1 - z                ``mpc_sub``      nearest, once per part
+z * x, z / x                ``mpc_mul_mpf``, nearest, once per part
+                            ``mpc_div_mpf``
+z / w                       ``mpc_div``      |w|^2, ac + bd and bc - ad
+                                             toward zero at prec+10,
+                                             then each quotient nearest
+x / z, 1 / z                ``mpc_mpf_div``  |z|^2 toward zero at
+                                             prec+10, then each quotient
+                                             nearest
+abs(z)                      ``mpf_hypot``    re^2 + im^2 toward zero at
+                                             prec+4, then the square
+                                             root nearest
+``abs2(z)``,                ``mpf_add``      nearest, once
+``abs_bound(z)``
+-x, abs(x), -z,             ``mpf_neg``,     nearest
+z.conjugate()               ``mpf_abs``
+==, <, bool, float(x)       ``mpf_eq``,      exact; ``float`` as
+                            ``mpf_cmp``,     ``to_float`` at nearest
+                            ``to_float``
+==========================  ===============  ============================
+
+``mpf_add`` perturbs instead of adding when two operands lie far apart
+(leading bits more than prec+4 apart, exponents more than 100); the
+scalars do the same, so nothing is ever shifted by the full gap.  What
+stays on mpmath, on the kernel's context: ``sqrt``, ``pow_positive``,
+``sin``, ``cos``, ``**``, ``str``/``repr``, ``hash``, operands of other
+types (floats, other contexts' values), non-finite values, which are
+the context's own mpmath values, and formatting.  mpmath reads the
+scalars through ``_mpf_`` and ``_mpc_``, which give its canonical tuple
+of the same value, computed when read.
 
 The protocol holds only what differs between kernels, and a member that
 only forwards to a library function is that function.  A kernel object
@@ -54,12 +107,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 
 import mpmath
 from mpmath import libmp as _libmp
 
+from .bigfloat import Scalars
 from .errors import EvaluationError, NativeOverflowError
 
 # no compiled kernel: perfbench/run.py reads this name and reports the
@@ -68,11 +122,11 @@ gmpy2 = None
 
 
 class MpmathKernel:
-    """Big-float kernel backed by a private mpmath context at ``bits``.
+    """Big-float kernel at ``bits``: ``bigfloat`` scalars, which round as
+    mpmath does, on a private mpmath context at that precision.
 
-    The scalars are that context's ``mpf`` and ``mpc``, not the global
-    ``mpmath.mpf`` and ``mpmath.mpc``: those would round at the global
-    precision, so nothing here converts through them."""
+    Whatever stays on mpmath runs on that context, not on the global
+    ``mpmath.mp``, which rounds at the global precision."""
 
     name = "mpmath"
     needs_finite_checks = False
@@ -80,60 +134,26 @@ class MpmathKernel:
     def __init__(self, bits: int = 53):
         ctx = self._ctx = mpmath.MPContext()
         ctx.prec = bits
-        self._mpf, self._mpc = ctx.mpf, ctx.mpc
-        self.workprec = ctx.workprec
-        self.sqrt = ctx.sqrt
-        self.pow_positive = ctx.power
-        self.sin = ctx.sin
-        self.cos = ctx.cos
-        self.isfinite = ctx.isfinite
+        scalars = self._scalars = Scalars(ctx)
+        self.real, self.complex = scalars.real, scalars.complex
+        self.abs2, self.abs_bound = scalars.abs2, scalars.abs_bound
+        self.isfinite = scalars.isfinite
+        on_mpmath = scalars.on_mpmath
+        self.sqrt = on_mpmath(ctx.sqrt)
+        self.pow_positive = on_mpmath(ctx.power)
+        self.sin = on_mpmath(ctx.sin)
+        self.cos = on_mpmath(ctx.cos)
 
-    def real(self, x):
-        if isinstance(x, Fraction):
-            return self._mpf(x.numerator) / self._mpf(x.denominator)
-        return self._mpf(x)
-
-    def complex(self, re, im=0):
-        mpf = self._mpf
-        if type(re) is mpf and type(im) is mpf:
-            # two of the context's own reals, each already at its precision
-            # (or a special value), are the parts as they stand: the value
-            # mpc(re, im) gives, built without rounding them again
-            prec = self._ctx._prec_rounding[0]
-            if re._mpf_[3] <= prec and im._mpf_[3] <= prec:
-                return self._ctx.make_mpc((re._mpf_, im._mpf_))
-        elif type(re) is float and type(im) is float:
-            # a float pair rounds once per part, straight to the context's
-            # precision: the value mpc(mpf(re), mpf(im)) gives, built without
-            # the two conversions through mpf
-            prec, rounding = self._ctx._prec_rounding
-            return self._ctx.make_mpc((
-                _libmp.from_float(re, prec, rounding),
-                _libmp.from_float(im, prec, rounding),
-            ))
-        return self._mpc(self.real(re), self.real(im))
-
-    def abs2(self, z):
-        """|z|^2 as re^2 + im^2: exact squares, one rounding, no square root."""
-        parts = getattr(z, "_mpc_", None)
-        if parts is None:
-            return z * z
-        re, im = parts
-        prec, rounding = self._ctx._prec_rounding
-        return self._ctx.make_mpf(
-            _libmp.mpf_add(_libmp.mpf_mul(re, re), _libmp.mpf_mul(im, im), prec, rounding)
-        )
-
-    def abs_bound(self, z):
-        """|re| + |im|, rounded once: abs(z) without its square root."""
-        parts = getattr(z, "_mpc_", None)
-        if parts is None:
-            return abs(z)
-        re, im = parts
-        prec, rounding = self._ctx._prec_rounding
-        return self._ctx.make_mpf(
-            _libmp.mpf_add(_libmp.mpf_abs(re), _libmp.mpf_abs(im), prec, rounding)
-        )
+    @contextmanager
+    def workprec(self, bits: int):
+        """Run the block at ``bits``: values built and operations run
+        inside it round there."""
+        old = self._ctx.prec
+        self._scalars.set_prec(bits)
+        try:
+            yield
+        finally:
+            self._scalars.set_prec(old)
 
     def to_fraction(self, x) -> Fraction:
         sign, man, exp, _ = self._ctx.convert(x)._mpf_

@@ -143,8 +143,9 @@ def step_table(model: CoefficientSet, lam, top: int) -> StepTable:
             inv_den = 1 / den
             d_prev = d
         cc = c * c
-        p_tilde = p + (cc - h * c) * inv_den
-        alpha = h * c * inv_den
+        hc = h * c
+        p_tilde = p + (cc - hc) * inv_den
+        alpha = hc * inv_den
         if p_tilde == 0:
             raise InadmissibleLambdaError(
                 f"effective leading coefficient vanishes at t={t}", t=t
@@ -252,14 +253,6 @@ class Trajectory:
         return Trajectory(
             model=self.model, lam=self.lam, top=top,
             y1=self.y1[:n + 1], y2=self.y2[:n], y1q=self.y1q[:n],
-        )
-
-    def scaled(self, factor) -> "Trajectory":
-        return Trajectory(
-            model=self.model, lam=self.lam, top=self.top,
-            y1=tuple([v * factor for v in self.y1]),
-            y2=tuple([v * factor for v in self.y2]),
-            y1q=tuple([v * factor for v in self.y1q]),
         )
 
     def combined(self, other: "Trajectory", factor) -> "Trajectory":

@@ -189,12 +189,22 @@ def test_native_isfinite_matches_the_two_part_test():
         assert n.isfinite(z) is (math.isfinite(w.real) and math.isfinite(w.imag)), z
 
 
+def _reference(bits: int) -> mpmath.MPContext:
+    """A fresh mpmath context at ``bits``: the values the kernel's scalars
+    must reproduce bit for bit."""
+    ctx = mpmath.MPContext()
+    ctx.prec = bits
+    return ctx
+
+
 @pytest.mark.parametrize("bits", [30, 53, 256])
-def test_mpmath_complex_of_floats_equals_general_path(bits):
-    """The float-pair fast path gives the value of the kernel's general
-    path, complex(real(x), real(y)), exactly, also below 53 bits, where
-    each part is rounded."""
+def test_mpmath_complex_of_floats_matches_mpmath(bits):
+    """complex(x, y) of two floats is mpmath's mpc(mpf(x), mpf(y)) at the
+    kernel's precision, exactly, also below 53 bits, where each part is
+    rounded; a pair with a non-finite part is that mpmath value itself."""
     kernel = MpmathKernel(bits)
+    ref = _reference(bits)
+    own = type(kernel.complex(0))
     rng = random.Random(bits)
     special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 7,
                1e308, -1e308, math.inf, -math.inf, math.nan]
@@ -203,9 +213,9 @@ def test_mpmath_complex_of_floats_equals_general_path(bits):
     for x in values:
         for y in special + [rng.uniform(-1, 1)]:
             got = kernel.complex(x, y)
-            want = kernel.complex(kernel.real(x), kernel.real(y))
-            assert type(got) is type(want)
+            want = ref.mpc(ref.mpf(x), ref.mpf(y))
             assert got._mpc_ == want._mpc_
+            assert (type(got) is own) is (math.isfinite(x) and math.isfinite(y))
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
@@ -228,11 +238,10 @@ def test_abs_bound_brackets_the_modulus(kernel):
     assert kernel.abs_bound(kernel.real(-3)) == 3
 
 
-def _reals_for_fast_paths(kernel) -> tuple:
-    """(own, wide, other): reals of the kernel's own context at its
-    precision (zero, negatives, 1e+-384839, infinities, nan), two of its
-    own type made at 512 bits, and mpfs of other contexts and
-    precisions."""
+def _special_reals(kernel) -> tuple:
+    """(own, wide, other): reals of the kernel at its precision (zero,
+    negatives, 1e+-384839, infinities, nan), two of its own type made at
+    512 bits, and mpfs of other contexts and precisions."""
     k = kernel
     huge = k.pow_positive(k.real(10), k.real(384839))
     own = [k.real(0), k.real(1), k.real(-3.5), k.real(Fraction(1, 3)),
@@ -245,21 +254,23 @@ def _reals_for_fast_paths(kernel) -> tuple:
     return own, wide, other
 
 
-def test_mpmath_complex_of_reals_equals_general_path():
-    """Two reals of the kernel's own context at its precision are wrapped
-    as they stand; the value equals the general path's mpc(real(x),
-    real(y)) for every pair, also where a part has more bits than the
-    context (it is rounded) or comes from another context."""
+def test_mpmath_complex_of_reals_matches_mpmath():
+    """complex(x, y) of two reals is mpmath's mpc(mpf(x), mpf(y)) at the
+    kernel's precision for every pair: a part with more bits than the
+    kernel (its own, made at 512 bits) is rounded, as is one from another
+    context, and a non-finite part makes the pair that mpmath value."""
     k = MpmathKernel(256)
-    own, wide, other = _reals_for_fast_paths(k)
+    ref = _reference(256)
+    own, wide, other = _special_reals(k)
     values = own + wide + other
     for x in values:
         for y in values:
             got = k.complex(x, y)
-            want = k._mpc(k.real(x), k.real(y))
-            assert type(got) is type(want)
+            want = ref.mpc(ref.mpf(x), ref.mpf(y))
             assert got._mpc_ == want._mpc_
+            assert (type(got) is type(k.complex(0))) is ref.isfinite(want)
     for x in wide:
+        assert type(x) is type(k.real(0))
         assert x._mpf_[3] > 256
         assert k.complex(x, k.real(0)).real._mpf_ != x._mpf_
 
@@ -268,7 +279,7 @@ def test_format_real_of_an_mpmath_real_equals_general_path():
     """format_real reads an mpmath real's own mantissa and exponent; the
     text equals that of its exact to_mpf value on every kernel."""
     k = MpmathKernel(256)
-    for x in sum(_reals_for_fast_paths(k), []):
+    for x in sum(_special_reals(k), []):
         assert format_real(k, x) == libmp.to_str(k.to_mpf(x)._mpf_, 40)
     assert format_real(k, k.pow_positive(k.real(10), k.real(384839))).endswith("e+384839")
     n = native_kernel()
