@@ -242,8 +242,8 @@ _DIGITS = 40
 def format_real(kernel, x) -> str:
     """Deterministic decimal rendering, identical across kernels: the
     exact value of x to 40 significant digits, formatted from its own
-    mantissa and exponent, whatever the global mpmath precision.  An
-    mpmath real carries them as ``_mpf_``, which ``to_mpf`` would only
+    mantissa and exponent, whatever the global mpmath precision.  A
+    big-float real gives them as ``_mpf_``, which ``to_mpf`` would only
     copy; any other scalar goes through ``to_mpf``."""
     parts = getattr(x, "_mpf_", None)
     if parts is None:

@@ -106,8 +106,9 @@ def _add(ma: int, ea: int, mb: int, eb: int, prec: int) -> tuple:
 
 
 def _sum(ma: int, ea: int, mb: int, eb: int, prec: int) -> tuple:
-    """``mpf_add(a, b, prec, nearest)``: ``_add``, then ``_round``,
-    in one call."""
+    """``mpf_add(a, b, prec, nearest)``: ``_add``, then ``_round``, in
+    one call, since every sum and complex product runs through it; a
+    narrow operand far above the other is the rounded sum itself."""
     if ma and mb:
         d = ea - eb
         la = ma.bit_length()

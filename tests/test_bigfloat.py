@@ -15,6 +15,7 @@ import dataclasses
 import math
 import operator
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -256,16 +257,17 @@ def test_comparisons_agree(case):
 def test_conversions_agree(case):
     """``real`` and ``complex`` round ints, floats, Fractions and other
     contexts' values as mpmath does; a float pair rounds once per part."""
-    from fractions import Fraction
-
     k, ctx, rng = case.k, case.ctx, case.rng
     floats = [0.0, -0.0, 5e-324, -2.5, 1e308, 1 / 3] + [
         rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 300) for _ in range(40)]
     others = [(1 << 600) + 1, -(3 ** 400), Fraction(1, 3), Fraction(-(10**50) - 1, 7**40),
               mpmath.mpf(2) / 3, MpmathKernel(2 * case.bits).real(Fraction(1, 3))]
     for x in floats + others:
-        got, want = k.real(x), ctx.mpf(x) if not isinstance(x, Fraction) else (
-            ctx.mpf(x.numerator) / ctx.mpf(x.denominator))
+        got = k.real(x)
+        if isinstance(x, Fraction):
+            want = ctx.mpf(x.numerator) / ctx.mpf(x.denominator)
+        else:
+            want = ctx.mpf(x)
         assert type(got) is case.own[0]
         assert got._mpf_ == want._mpf_, x
     for x, y in zip(floats, reversed(floats)):
