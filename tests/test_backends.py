@@ -198,7 +198,7 @@ def _reference(bits: int) -> mpmath.MPContext:
 
 
 @pytest.mark.parametrize("bits", [30, 53, 256])
-def test_mpmath_complex_of_floats_matches_mpmath(bits):
+def test_mpmath_complex_of_floats_equals_general_path(bits):
     """complex(x, y) of two floats is mpmath's mpc(mpf(x), mpf(y)) at the
     kernel's precision, exactly, also below 53 bits, where each part is
     rounded; a pair with a non-finite part is that mpmath value itself."""
@@ -254,7 +254,7 @@ def _special_reals(kernel) -> tuple:
     return own, wide, other
 
 
-def test_mpmath_complex_of_reals_matches_mpmath():
+def test_mpmath_complex_of_reals_equals_general_path():
     """complex(x, y) of two reals is mpmath's mpc(mpf(x), mpf(y)) at the
     kernel's precision for every pair: a part with more bits than the
     kernel (its own, made at 512 bits) is rounded, as is one from another
