@@ -138,9 +138,8 @@ class MpmathKernel:
         self.real, self.complex = scalars.real, scalars.complex
         self.abs2, self.abs_bound = scalars.abs2, scalars.abs_bound
         self.isfinite = scalars.isfinite
+        self.sqrt, self.pow_positive = scalars.sqrt, scalars.pow_positive
         on_mpmath = scalars.on_mpmath
-        self.sqrt = on_mpmath(ctx.sqrt)
-        self.pow_positive = on_mpmath(ctx.power)
         self.sin = on_mpmath(ctx.sin)
         self.cos = on_mpmath(ctx.cos)
 
@@ -238,17 +237,82 @@ def native_kernel() -> NativeKernel:
 # significant digits of every rendered value in reports and disc CSVs
 _DIGITS = 40
 
+# libmp's to_str(x, 40) takes 43 digits from to_digits_exp, which works
+# at this many bits; it scales by a power of ten only past 2**+-3500
+_BITPREC = int((_DIGITS + 3) * math.log(10, 2)) + 10
+_SCALED = 3500
+# fixprec -> (fixdps, 10**fixdps), the decimal scaling of one binary point
+_TEN_POWERS: dict[int, tuple] = {}
+
+
+def _ten_power(fixprec: int) -> tuple:
+    fixdps = int(fixprec / math.log(10, 2) + 0.5)
+    return _TEN_POWERS.setdefault(fixprec, (fixdps, 10**fixdps))
+
+
+def _render(m: int, e: int) -> str:
+    """``libmp.to_str`` of m * 2**e at 40 digits, for a nonzero m with
+    |e + bit_length(m)| <= 3500, computed on m and e as libmp computes
+    it on the canonical tuple: e + bit_length(m) is the same for every
+    representation of the value, and so is every floor below."""
+    sign = ""
+    if m < 0:
+        sign = "-"
+        m = -m
+    # to_digits_exp: the value in fixed point at fixprec bits, then
+    # floor(value * 10**fixdps) in decimal; at least 45 digits
+    fixprec = _BITPREC - e - m.bit_length()
+    if fixprec < 0:
+        fixprec = 0
+    fixdps, scale = _TEN_POWERS.get(fixprec) or _ten_power(fixprec)
+    shift = e + fixprec
+    fixed = m << shift if shift >= 0 else m >> -shift
+    digits = str(fixed * scale >> fixprec)
+    exponent = len(digits) - fixdps - 1
+    # to_str: 40 digits, rounded half up on the 41st
+    if digits[_DIGITS] >= "5":
+        digits = str(int(digits[:_DIGITS]) + 1)
+        if len(digits) > _DIGITS:
+            digits = digits[:_DIGITS]
+            exponent += 1
+    else:
+        digits = digits[:_DIGITS]
+    # fixed point for a leading digit strictly between 10**-13 and 10**40
+    if -13 < exponent < _DIGITS:
+        if exponent < 0:
+            digits = "0" * -exponent + digits
+            split = 1
+        else:
+            split = exponent + 1
+        exponent = 0
+    else:
+        split = 1
+    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if digits[-1] == ".":
+        digits += "0"
+    if not exponent:
+        return sign + digits
+    return f"{sign}{digits}e{exponent:+d}"
+
 
 def format_real(kernel, x) -> str:
     """Deterministic decimal rendering, identical across kernels: the
-    exact value of x to 40 significant digits, formatted from its own
-    mantissa and exponent, whatever the global mpmath precision.  A
-    big-float real gives them as ``_mpf_``, which ``to_mpf`` would only
-    copy; any other scalar goes through ``to_mpf``."""
-    parts = getattr(x, "_mpf_", None)
-    if parts is None:
-        parts = kernel.to_mpf(x)._mpf_
-    return _libmp.to_str(parts, _DIGITS)
+    exact value of x to 40 significant digits as ``libmp.to_str``
+    renders it, whatever the global mpmath precision.  A big-float real
+    is rendered from its own mantissa and exponent (``_render``); a
+    machine float from its exact ``from_float`` tuple.  Zero, values
+    past 2**+-3500 and anything else go through ``to_str`` itself."""
+    if type(x) is float:
+        return _libmp.to_str(_libmp.from_float(x), _DIGITS)
+    m = getattr(x, "m", None)
+    if m is None:
+        parts = getattr(x, "_mpf_", None)
+        if parts is None:
+            parts = kernel.to_mpf(x)._mpf_
+        return _libmp.to_str(parts, _DIGITS)
+    if m and -_SCALED <= x.e + m.bit_length() <= _SCALED:
+        return _render(m, x.e)
+    return _libmp.to_str(x._mpf_, _DIGITS)
 
 
 def format_complex(kernel, z) -> dict:

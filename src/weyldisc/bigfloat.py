@@ -672,7 +672,28 @@ class Scalars:
                 return wrap(func(*[a._mp() if type(a) in own else a for a in args]))
             return call
 
+        mp_sqrt, mp_power = on_mpmath(ctx.sqrt), on_mpmath(ctx.power)
+
+        def sqrt(x):
+            """``ctx.sqrt(x)``: a positive real by ``_sqrt``, which rounds
+            as ``mpf_sqrt`` does."""
+            if type(x) is Real and x.m > 0:
+                return real(_sqrt(x.m, x.e, prec))
+            return mp_sqrt(x)
+
+        def pow_positive(base, expo):
+            """``ctx.power(base, expo)``: 2**k raised to an integral real
+            n is 2**(k*n), exactly, as ``mpf_pow_int`` gives it for a
+            mantissa of one; any other operands go to mpmath."""
+            if type(base) is Real and type(expo) is Real:
+                m, n, e = base.m, expo.m, expo.e
+                if m > 0 and not m & (m - 1) and (e >= 0 or not n or _tz(n) >= -e):
+                    n = n << e if e >= 0 else n >> -e
+                    return real((1, (base.e + m.bit_length() - 1) * n))
+            return mp_power(base, expo)
+
         own = (Real, Complex)
         self.set_prec, self.on_mpmath = set_prec, on_mpmath
         self.real, self.complex = to_real, to_complex
         self.abs2, self.abs_bound, self.isfinite = abs2, abs_bound, isfinite
+        self.sqrt, self.pow_positive = sqrt, pow_positive

@@ -11,7 +11,6 @@ machine float that is inf or nan is written as the string of its
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from pathlib import Path
@@ -51,29 +50,39 @@ def dump_report(report: dict, path: str | Path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     text = json.dumps(_strict(report), sort_keys=True, indent=2, allow_nan=False)
-    path.write_text(text + "\n")
+    _rewrite(path, text + "\n")
     return path
+
+
+def _rewrite(path: Path, text: str, newline: str | None = None) -> None:
+    """Write ``text`` to a new file at ``path``: an existing file there is
+    unlinked first, not truncated, since truncating a file whose data is
+    still being written back can block for tens of milliseconds.  A
+    symlink at ``path`` is replaced, not written through."""
+    path.unlink(missing_ok=True)
+    path.write_text(text, newline=newline)
 
 
 DISC_CSV_HEADER = ["N", "center_re", "center_im", "radius", "S_psi", "T_chi"]
 
 
 def write_disc_csv(path: str | Path, kernel, discs, psi_sums, chi_sums) -> Path:
-    """One row per disc sample; N strictly increasing by construction."""
+    """One row per disc sample; N strictly increasing by construction.
+
+    The bytes are those of ``csv.writer``'s default dialect: comma
+    separated, "\\r\\n" after every row, and no field needs quoting (an
+    int, a rendered number or, with no chi sum at N, an empty string)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     psi_by_n = dict(psi_sums)
     chi_by_n = dict(chi_sums or ())
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(DISC_CSV_HEADER)
-        for disc in discs:
-            writer.writerow([
-                disc.n,
-                format_real(kernel, disc.center.real),
-                format_real(kernel, disc.center.imag),
-                format_real(kernel, disc.radius),
-                format_real(kernel, psi_by_n[disc.n]),
-                format_real(kernel, chi_by_n[disc.n]) if disc.n in chi_by_n else "",
-            ])
+    rows = [",".join(DISC_CSV_HEADER)]
+    for disc in discs:
+        n, center = disc.n, disc.center
+        chi = chi_by_n.get(n)
+        rows.append(f"{n},{format_real(kernel, center.real)},{format_real(kernel, center.imag)},"
+                    f"{format_real(kernel, disc.radius)},{format_real(kernel, psi_by_n[n])},"
+                    f"{'' if chi is None else format_real(kernel, chi)}")
+    rows.append("")
+    _rewrite(path, "\r\n".join(rows), newline="")
     return path

@@ -8,7 +8,9 @@ random operands and the cases where rounding is delicate (exact ties,
 carries into the next binade, exact cancellation, zero operands, powers
 of two, exponents 10^6 bits apart, values wider than the precision).
 A classification at 256 bits must compute on these scalars throughout,
-with no mpmath value on its hot path.
+with no mpmath value on its hot path.  The disc-CSV renderer, powers of
+two and square roots, which run on the scalars' own integers, are
+compared with ``libmp.to_str``, ``ctx.power`` and ``ctx.sqrt``.
 """
 
 import dataclasses
@@ -22,7 +24,7 @@ import pytest
 from mpmath import libmp
 
 from weyldisc import bigfloat, builtin_names
-from weyldisc.backends import MpmathKernel
+from weyldisc.backends import MpmathKernel, format_real, native_kernel
 from weyldisc.recurrence import step_table
 from weyldisc.scenarios import builtin_scenario
 from weyldisc.weyl import ClassifyOptions, classify, fundamental_pair
@@ -341,6 +343,190 @@ def test_non_finite_values_stay_on_mpmath():
     x = k.real(3)
     assert not k.isfinite(x + inf) and not k.isfinite(x * inf)
     assert type(x / inf) is type(x) and x / inf == 0
+
+
+# ---------------------------------------------------------------------------
+# Rendering, powers of two and square roots on the scalars' own integers
+
+OWN_BITS = [53, 256, 512]
+
+
+def _own(k, m, e):
+    """The kernel's real m * 2**e as it stands: not rounded, and not
+    normalised, as results of arithmetic carry trailing zeros."""
+    x = object.__new__(type(k.real(1)))
+    x.m, x.e = m, e
+    return x
+
+
+def _to_str(m, e):
+    return libmp.to_str(libmp.from_man_exp(m, e), 40)
+
+
+def _mantissa(rng, width):
+    man = rng.getrandbits(width) | 1 << (width - 1)
+    return -man if rng.random() < 0.5 else man
+
+
+def _rendered_parts(rng) -> list:
+    """(m, e) pairs where libmp's rendering is delicate, plus seeded ones."""
+    parts = []
+    for _ in range(3000):
+        m = _mantissa(rng, rng.randint(1, 600)) << rng.choice((0, 0, 1, 9, 80))
+        top = rng.choice((rng.randint(-3500, 3500), rng.randint(-160, 160)))
+        parts.append((m, top - m.bit_length()))
+    # the leading bit where the fixed-point window starts and ends, and
+    # where libmp starts scaling by a power of ten
+    for top in (152, -152, 3499, 3500, 3501, -3500, -3501, 0, 1, 136, 153):
+        for width in (1, 2, 53, 152, 153, 600):
+            m = _mantissa(rng, width) << rng.choice((0, 5))
+            parts.append((m, top - m.bit_length()))
+    # exact powers of ten, and 40-digit ones that end in 5 (ties of the
+    # 41st digit after a 40th that is even or odd)
+    parts += [(10**j, 0) for j in range(0, 120, 3)]
+    parts += [(5**j << 7, -j - 7) for j in range(1, 60, 4)]
+    for _ in range(40):
+        tie = (rng.randrange(10**39, 10**40) * 10 + 5) * 10 ** rng.choice((0, 0, 3))
+        parts.append((tie if rng.random() < 0.5 else -tie, 0))
+    # just above such a tie, by less than libmp's 152-bit fixed point
+    # keeps: its truncation makes the 41st digit a 4, and rounds down
+    for d in range(-30, 30, 2):
+        tie = (rng.randrange(10**39, 10**40) * 10 + 5) * 10**5
+        scale = d - 45
+        if scale >= 0:
+            parts.append(((tie * 10**scale << 400) + 1, -400))
+        else:
+            parts.append((-(-(tie << 400) // 10**-scale), -400))
+    # just below a power of ten: the 43-digit truncation is all nines and
+    # rounding carries into the next decade
+    for d in range(-40, 60, 3):
+        if d >= 0:
+            parts.append((10**d << 400, -400))
+            parts.append(((10**d << 400) - 1, -400))
+        else:
+            parts.append((-((1 << 400) // 10**-d), -400))
+    return parts
+
+
+@pytest.mark.parametrize("bits", OWN_BITS)
+def test_format_real_renders_as_to_str(bits):
+    """``format_real`` of the kernel's reals is ``libmp.to_str`` at 40
+    digits of the same value, for every representation of it: any width
+    up to 600 bits, both signs, trailing zeros, leading bits at the
+    thresholds of libmp's fixed-point and scaled paths, powers of ten,
+    decimal ties, carries into a new decade and zero."""
+    k = MpmathKernel(bits)
+    rng = random.Random(bits)
+    for m, e in _rendered_parts(rng) + [(0, 0), (0, 40)]:
+        assert format_real(k, _own(k, m, e)) == _to_str(m, e), (m, e)
+    # values as the kernel computes them
+    for x in (k.real(1) / 3, -k.real(2) / 3, k.real(10) ** 30 / 7, k.real(Fraction(1, 10**13))):
+        assert format_real(k, x) == libmp.to_str(x._mpf_, 40)
+
+
+def test_format_real_of_machine_floats_is_to_str_of_their_exact_value():
+    n = native_kernel()
+    values = [5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308, 0.0, -0.0,
+              math.inf, -math.inf, math.nan, 0.1, -2.5, 1 / 3, 1e22, 1e23]
+    for x in values:
+        assert format_real(n, x) == libmp.to_str(libmp.from_float(x), 40), x
+
+
+def test_format_real_hands_only_zero_and_far_values_to_to_str(monkeypatch):
+    """Within 2**+-3500 a nonzero real is rendered from its own integers;
+    zero, values past that, where libmp scales by a power of ten, and
+    non-finite values go through ``to_str`` itself."""
+    k = MpmathKernel(256)
+    calls = []
+    to_str = libmp.to_str
+    monkeypatch.setattr(libmp, "to_str", lambda *args: calls.append(args) or to_str(*args))
+    for top in (3500, -3500, 152, -152, 0):
+        for m in (3, -(1 << 300) - 1):
+            format_real(k, _own(k, m, top - m.bit_length()))
+    assert calls == []
+    far = [_own(k, 0, 0), k.real(math.inf), k.real(math.nan)]
+    far += [_own(k, m, top - m.bit_length()) for top in (3501, -3501, 10**6) for m in (1, -7)]
+    for x in far:
+        format_real(k, x)
+    assert len(calls) == len(far)
+    assert calls[-1][0] == libmp.from_man_exp(-7, 10**6 - 3)
+
+
+@pytest.mark.parametrize("bits", OWN_BITS)
+def test_pow_positive_of_a_power_of_two_is_mpmaths(bits):
+    """2**k raised to an integral real is ``ctx.power``'s value, for
+    bases and exponents in any representation, exponents with e > 0
+    among them."""
+    k = MpmathKernel(bits)
+    ctx = mpmath.MPContext()
+    ctx.prec = bits
+    own = type(k.real(1))
+    rng = random.Random(bits)
+    for kk in range(-3, 201):
+        shift = rng.choice((0, 1, 4))
+        base = _own(k, 1 << shift, kk - shift)
+        ns = [-800, -1, 0, 1, 2, 3200] + [rng.randint(-800, 3200) for _ in range(12)]
+        for n in ns:
+            z = _tz(n) if n else 3
+            e = rng.randint(0, min(z, 3))
+            for expo in (_own(k, n, 0), _own(k, n >> e, e), _own(k, n << 2, -2)):
+                got = k.pow_positive(base, expo)
+                want = ctx.power(ctx.make_mpf(base._mpf_), ctx.make_mpf(expo._mpf_))
+                assert type(got) is own and got._mpf_ == want._mpf_, (kk, n)
+
+
+def _tz(n):
+    return (n & -n).bit_length() - 1
+
+
+def test_pow_positive_of_other_operands_runs_on_mpmath(monkeypatch):
+    """A base that is not a power of two, or an exponent that is not an
+    integer, still goes to ``ctx.power``; powers of two do not."""
+    calls = []
+    power = mpmath.MPContext.power
+    monkeypatch.setattr(mpmath.MPContext, "power",
+                        lambda ctx, x, y: calls.append((x, y)) or power(ctx, x, y))
+    for bits in OWN_BITS:
+        k = MpmathKernel(bits)
+        ctx = mpmath.MPContext()
+        ctx.prec = bits
+        two, four = k.real(2), k.real(4)
+        k.pow_positive(four, k.real(-7))
+        k.pow_positive(two, k.real(5) * 3)
+        assert calls == []
+        pairs = [(k.real(3), k.real(5)), (k.real(6), k.real(-2)), (k.real(1) / 3, k.real(2)),
+                 (two, k.real(1) / 2), (four, k.real(-5) / 2), (two, k.real(1) / 3),
+                 (k.real(10), k.real(1) / 7)]
+        for base, expo in pairs:
+            got = k.pow_positive(base, expo)
+            want = power(ctx, ctx.make_mpf(base._mpf_), ctx.make_mpf(expo._mpf_))
+            assert got._mpf_ == want._mpf_
+        assert len(calls) == len(pairs)
+        calls.clear()
+
+
+@pytest.mark.parametrize("bits", OWN_BITS)
+def test_sqrt_is_mpmaths(bits):
+    """``sqrt`` of a positive real is ``ctx.sqrt``'s value: odd and even
+    exponents, exact squares (powers of four among them), mantissas
+    narrower and wider than the precision, with trailing zeros."""
+    k = MpmathKernel(bits)
+    ctx = mpmath.MPContext()
+    ctx.prec = bits
+    own = type(k.real(1))
+    rng = random.Random(bits)
+    values = [(1, 0), (1, 1), (1, -1), (4, 0), (1, 2 * GAP), (1, -2 * GAP - 1), (2, 7)]
+    for _ in range(600):
+        m = rng.getrandbits(rng.choice((1, 3, bits // 2, bits, bits + 3, 2 * bits + 5))) | 1
+        if rng.random() < 0.4:
+            m *= m
+        e = rng.randint(-400, 400)
+        values.append((m << rng.choice((0, 0, 1, 6)), e))
+    for m, e in values:
+        x = _own(k, m, e)
+        got = k.sqrt(x)
+        assert type(got) is own and got._mpf_ == ctx.sqrt(ctx.make_mpf(x._mpf_))._mpf_, (m, e)
+    assert k.sqrt(k.real(0)) == 0 and not k.isfinite(k.sqrt(k.real(math.inf)))
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,28 @@ def test_cli_classify_reports_are_byte_identical(tmp_path):
     assert (out1 / "ex4.2b_discs.csv").read_bytes() == (out2 / "ex4.2b_discs.csv").read_bytes()
 
 
+def test_cli_classify_rerun_into_the_same_out_leaves_the_same_bytes(tmp_path):
+    """A second run rewrites its artifacts as new files, byte for byte the
+    first run's; a symlink at an artifact path is replaced by the file,
+    and what it pointed to is left alone."""
+    names = ("ex4.2b_report.json", "ex4.2b_discs.csv")
+    argv = ["classify", "ex4.2b", "--n-max", "50", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    first = {name: (tmp_path / name).read_bytes() for name in names}
+    assert main(argv) == 0
+    assert {name: (tmp_path / name).read_bytes() for name in names} == first
+    elsewhere = tmp_path / "elsewhere"
+    for name in names:
+        (tmp_path / name).unlink()
+        (tmp_path / name).symlink_to(elsewhere)
+    elsewhere.write_text("untouched")
+    assert main(argv) == 0
+    for name in names:
+        assert not (tmp_path / name).is_symlink()
+        assert (tmp_path / name).read_bytes() == first[name]
+    assert elsewhere.read_text() == "untouched"
+
+
 def test_cli_classify_strict_undecided_exit_code(tmp_path):
     scenario = {
         "name": "stuck", "p": "1", "q": "0", "c": "0", "h": "0", "d": "0",
