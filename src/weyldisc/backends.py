@@ -239,15 +239,15 @@ _DIGITS = 40
 
 # libmp's to_str(x, 40) takes 43 digits from to_digits_exp, which works
 # at this many bits; it scales by a power of ten only past 2**+-3500
-_BITPREC = int((_DIGITS + 3) * math.log(10, 2)) + 10
+_LOG2_10 = math.log(10, 2)
+_BITPREC = int((_DIGITS + 3) * _LOG2_10) + 10
 _SCALED = 3500
-# fixprec -> (fixdps, 10**fixdps), the decimal scaling of one binary point
-_TEN_POWERS: dict[int, tuple] = {}
+# fixdps -> 10**fixdps, the decimal scaling of one binary point
+_TEN_POWERS: dict[int, int] = {}
 
 
-def _ten_power(fixprec: int) -> tuple:
-    fixdps = int(fixprec / math.log(10, 2) + 0.5)
-    return _TEN_POWERS.setdefault(fixprec, (fixdps, 10**fixdps))
+def _ten_power(fixdps: int) -> int:
+    return _TEN_POWERS.setdefault(fixdps, 10**fixdps)
 
 
 def _render(m: int, e: int) -> str:
@@ -264,7 +264,8 @@ def _render(m: int, e: int) -> str:
     fixprec = _BITPREC - e - m.bit_length()
     if fixprec < 0:
         fixprec = 0
-    fixdps, scale = _TEN_POWERS.get(fixprec) or _ten_power(fixprec)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    scale = _TEN_POWERS.get(fixdps) or _ten_power(fixdps)
     shift = e + fixprec
     fixed = m << shift if shift >= 0 else m >> -shift
     digits = str(fixed * scale >> fixprec)
@@ -278,15 +279,13 @@ def _render(m: int, e: int) -> str:
     else:
         digits = digits[:_DIGITS]
     # fixed point for a leading digit strictly between 10**-13 and 10**40
+    split = 1
     if -13 < exponent < _DIGITS:
         if exponent < 0:
             digits = "0" * -exponent + digits
-            split = 1
         else:
             split = exponent + 1
         exponent = 0
-    else:
-        split = 1
     digits = (digits[:split] + "." + digits[split:]).rstrip("0")
     if digits[-1] == ".":
         digits += "0"

@@ -21,13 +21,18 @@ does the same, so that even sums of exact products, which are wider
 than the precision, round as mpmath rounds them.  Nothing is ever
 shifted by the full gap between two exponents.
 
+The kernel's ``sqrt`` of a positive real rounds with ``_sqrt``, as
+``mpf_sqrt`` does, and its ``pow_positive`` of a power of two 2**k and
+an integral real n is 2**(k*n), exactly what ``mpf_pow_int`` returns.
+
 What stays on mpmath: ``**``, ``str``/``repr``, ``hash``,
 ``complex``, operands of any other type (Python floats and complexes,
 other contexts' values) and non-finite values.  They reach these
 scalars through ``_mpf_`` and ``_mpc_``, properties that give mpmath's
 canonical tuple of the same value, computed when read; the context's
 own mpmath types carry the non-finite values.  The kernel takes
-``sqrt``, ``pow_positive``, ``sin`` and ``cos`` from mpmath too.
+``sin`` and ``cos`` from mpmath too, and ``sqrt`` and ``pow_positive``
+of any other operands.
 """
 
 from __future__ import annotations

@@ -54,13 +54,14 @@ def dump_report(report: dict, path: str | Path) -> Path:
     return path
 
 
-def _rewrite(path: Path, text: str, newline: str | None = None) -> None:
-    """Write ``text`` to a new file at ``path``: an existing file there is
-    unlinked first, not truncated, since truncating a file whose data is
-    still being written back can block for tens of milliseconds.  A
-    symlink at ``path`` is replaced, not written through."""
+def _rewrite(path: Path, text: str) -> None:
+    """Write ``text``, line endings as they stand, to a new file at
+    ``path``: an existing file there is unlinked first, not truncated,
+    since truncating a file whose data is still being written back can
+    block for tens of milliseconds.  A symlink at ``path`` is replaced,
+    not written through."""
     path.unlink(missing_ok=True)
-    path.write_text(text, newline=newline)
+    path.write_text(text, newline="")
 
 
 DISC_CSV_HEADER = ["N", "center_re", "center_im", "radius", "S_psi", "T_chi"]
@@ -84,5 +85,5 @@ def write_disc_csv(path: str | Path, kernel, discs, psi_sums, chi_sums) -> Path:
                     f"{format_real(kernel, disc.radius)},{format_real(kernel, psi_by_n[n])},"
                     f"{'' if chi is None else format_real(kernel, chi)}")
     rows.append("")
-    _rewrite(path, "\r\n".join(rows), newline="")
+    _rewrite(path, "\r\n".join(rows))
     return path

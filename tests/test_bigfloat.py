@@ -467,16 +467,12 @@ def test_pow_positive_of_a_power_of_two_is_mpmaths(bits):
         base = _own(k, 1 << shift, kk - shift)
         ns = [-800, -1, 0, 1, 2, 3200] + [rng.randint(-800, 3200) for _ in range(12)]
         for n in ns:
-            z = _tz(n) if n else 3
+            z = bigfloat._tz(n) if n else 3
             e = rng.randint(0, min(z, 3))
             for expo in (_own(k, n, 0), _own(k, n >> e, e), _own(k, n << 2, -2)):
                 got = k.pow_positive(base, expo)
                 want = ctx.power(ctx.make_mpf(base._mpf_), ctx.make_mpf(expo._mpf_))
                 assert type(got) is own and got._mpf_ == want._mpf_, (kk, n)
-
-
-def _tz(n):
-    return (n & -n).bit_length() - 1
 
 
 def test_pow_positive_of_other_operands_runs_on_mpmath(monkeypatch):
