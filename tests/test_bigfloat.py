@@ -381,8 +381,9 @@ def _rendered_parts(rng) -> list:
         for width in (1, 2, 53, 152, 153, 600):
             m = _mantissa(rng, width) << rng.choice((0, 5))
             parts.append((m, top - m.bit_length()))
-    # exact powers of ten, and 40-digit ones that end in 5 (ties of the
-    # 41st digit after a 40th that is even or odd)
+    # exact powers of ten, short exact decimals (2.5**j), and 41-digit
+    # integers that end in 5 (ties of the 41st digit after a 40th that
+    # is even or odd)
     parts += [(10**j, 0) for j in range(0, 120, 3)]
     parts += [(5**j << 7, -j - 7) for j in range(1, 60, 4)]
     for _ in range(40):
