@@ -70,13 +70,13 @@ of the same value, computed when read.
 
 The protocol holds only what differs between kernels, and a member that
 only forwards to a library function is that function.  A kernel object
-provides fourteen members:
+provides thirteen members:
 
 * ``name`` -- the kernel's name in reports;
 * ``workprec(bits)`` -- a context manager that runs its block at another
-  precision: the benchmark's multiply-add probe uses it, the library
-  never does (on mpmath it changes the kernel's own context, which other
-  threads share; on native floats it does nothing);
+  precision (on mpmath it changes the kernel's own context, which other
+  threads share; on native floats it does nothing).  The library never
+  uses it; it stays for ``perfbench/run.py``'s multiply-add probe;
 * ``needs_finite_checks`` -- True when an overflow turns into inf or
   nan instead of widening the exponent, so the solvers test for it;
 * ``real(x)`` and ``complex(re, im=0)`` -- scalars from Python ints,
@@ -88,9 +88,8 @@ provides fourteen members:
 * ``isfinite(z)``;
 * ``sqrt(x)`` of x >= 0, ``pow_positive(base, expo)`` of base > 0,
   ``sin(x)`` and ``cos(x)``; ``expr`` applies the sign rules;
-* ``to_fraction(x)`` and ``to_mpf(x)`` -- the exact value of a real
-  scalar as a ``Fraction`` or an ``mpmath.mpf``; a non-finite value is
-  an ``EvaluationError``.
+* ``to_fraction(x)`` -- the exact value of a real scalar as a
+  ``Fraction``; a non-finite value is an ``EvaluationError``.
 
 The kernel's scalar types carry the rest: ``+ - * /`` among themselves
 and with Python ints, ``**`` with an int exponent, unary minus, ``==``
@@ -99,8 +98,8 @@ real; ``z.real``, ``z.imag`` and ``z.conjugate()``, which a real
 answers too; and ``float(x)``, a real as a machine float rounded to
 nearest (an infinity past the float range, the sign of zero kept).
 ``format_real`` and ``format_complex`` below render every kernel's
-values from their exact ``to_mpf``.  Division by an exact zero raises
-``ZeroDivisionError`` on both kernels.
+values exactly, from the values alone.  Division by an exact zero
+raises ``ZeroDivisionError`` on both kernels.
 """
 
 from __future__ import annotations
@@ -116,8 +115,8 @@ from mpmath import libmp as _libmp
 from .bigfloat import Scalars
 from .errors import EvaluationError, NativeOverflowError
 
-# no compiled kernel: perfbench/run.py reads this name and reports the
-# compiled kernel as skipped, until its kernel probe is rewritten
+# no compiled kernel: kept because perfbench/run.py's kernel probe reads
+# this name to report the compiled kernel as skipped (ROADMAP item 11)
 gmpy2 = None
 
 
@@ -160,11 +159,6 @@ class MpmathKernel:
             raise EvaluationError("cannot convert non-finite value to a rational")
         frac = Fraction(int(man)) * Fraction(2) ** exp
         return -frac if sign else frac
-
-    def to_mpf(self, x) -> mpmath.mpf:
-        """x as an mpf, exactly: its own mantissa and exponent, not rounded
-        to the global precision."""
-        return mpmath.mp.make_mpf(self._ctx.convert(x)._mpf_)
 
 
 class NativeKernel:
@@ -209,9 +203,6 @@ class NativeKernel:
             raise EvaluationError("cannot convert non-finite value to a rational")
         return Fraction(x)
 
-    def to_mpf(self, x) -> mpmath.mpf:
-        return mpmath.mp.make_mpf(_libmp.from_float(float(x)))
-
 
 _NATIVE = NativeKernel()
 _BIG: dict[int, MpmathKernel] = {}
@@ -227,6 +218,7 @@ def big_kernel(bits: int) -> MpmathKernel:
 
 
 def big_backend_name() -> str:
+    # kept because perfbench/run.py names the kernel in its records with it
     return MpmathKernel.name
 
 
@@ -294,25 +286,21 @@ def _render(m: int, e: int) -> str:
     return f"{sign}{digits}e{exponent:+d}"
 
 
-def format_real(kernel, x) -> str:
+def format_real(x) -> str:
     """Deterministic decimal rendering, identical across kernels: the
     exact value of x to 40 significant digits as ``libmp.to_str``
-    renders it, whatever the global mpmath precision.  A big-float real
-    is rendered from its own mantissa and exponent (``_render``); a
-    machine float from its exact ``from_float`` tuple.  Zero, values
-    past 2**+-3500 and anything else go through ``to_str`` itself."""
+    renders it, whatever the global mpmath precision.  A machine float
+    is rendered from its exact ``from_float`` tuple; a big-float real
+    from its own mantissa and exponent (``_render``).  Zero, values past
+    2**+-3500 and non-finite values, which are the kernel context's
+    mpmath values, go through ``to_str`` itself."""
     if type(x) is float:
         return _libmp.to_str(_libmp.from_float(x), _DIGITS)
-    m = getattr(x, "m", None)
-    if m is None:
-        parts = getattr(x, "_mpf_", None)
-        if parts is None:
-            parts = kernel.to_mpf(x)._mpf_
-        return _libmp.to_str(parts, _DIGITS)
+    m = getattr(x, "m", 0)
     if m and -_SCALED <= x.e + m.bit_length() <= _SCALED:
         return _render(m, x.e)
     return _libmp.to_str(x._mpf_, _DIGITS)
 
 
-def format_complex(kernel, z) -> dict:
-    return {"re": format_real(kernel, z.real), "im": format_real(kernel, z.imag)}
+def format_complex(z) -> dict:
+    return {"re": format_real(z.real), "im": format_real(z.imag)}

@@ -13,13 +13,14 @@ every value equals, bit for bit, the one mpmath computes at the same
 precision; the table of operations and routines is in
 ``weyldisc.backends``.
 
-An int operand is exact, as mpmath converts it.  ``mpf_add`` adds two
-operands whose leading bits lie more than prec+4 apart (and whose
-exponents, trailing zeros stripped, more than 100 apart) by perturbing
-the larger one by one unit prec+4 bits below its last bit: ``_far``
-does the same, so that even sums of exact products, which are wider
-than the precision, round as mpmath rounds them.  Nothing is ever
-shifted by the full gap between two exponents.
+An int operand is exact, as mpmath converts it, on either side: ``+``
+and ``*`` commute, so each reflected one is its forward operation.
+``mpf_add`` adds two operands whose leading bits lie more than prec+4
+apart (and whose exponents, trailing zeros stripped, more than 100
+apart) by perturbing the larger one by one unit prec+4 bits below its
+last bit: ``_far`` does the same, so that even sums of exact products,
+which are wider than the precision, round as mpmath rounds them.
+Nothing is ever shifted by the full gap between two exponents.
 
 The kernel's ``sqrt`` of a positive real rounds with ``_sqrt``, as
 ``mpf_sqrt`` does, and its ``pow_positive`` of a power of two 2**k and
@@ -362,10 +363,7 @@ class Scalars:
                     return cplx(_sum(t.x, t.xe, s.m, s.e, prec), (t.y, t.ye))
                 return wrap(s._mp() + t)
 
-            def __radd__(s, t):
-                if type(t) is int:
-                    return real(_sum(s.m, s.e, t, 0, prec))
-                return wrap(t + s._mp())
+            __radd__ = __add__
 
             def __sub__(s, t):
                 tt = type(t)
@@ -393,10 +391,7 @@ class Scalars:
                     return cplx(_round(t.x * m, t.xe + e, prec), _round(t.y * m, t.ye + e, prec))
                 return wrap(s._mp() * t)
 
-            def __rmul__(s, t):
-                if type(t) is int:
-                    return real(_round(s.m * t, s.e, prec))
-                return wrap(t * s._mp())
+            __rmul__ = __mul__
 
             def __truediv__(s, t):
                 tt = type(t)
@@ -437,10 +432,6 @@ class Scalars:
                 if tt is Complex:
                     return not t.y and _eq(s.m, s.e, t.x, t.xe)
                 return s._mp() == t
-
-            def __ne__(s, t):
-                eq = s.__eq__(t)
-                return eq if eq is NotImplemented else not eq
 
             def _sign_minus(s, t):
                 """sign(s - t) for a real or int t; None for another type."""
@@ -521,10 +512,7 @@ class Scalars:
                     return cplx(_sum(s.x, s.xe, t, 0, prec), (s.y, s.ye))
                 return wrap(s._mp() + t)
 
-            def __radd__(s, t):
-                if type(t) is int:
-                    return cplx(_sum(s.x, s.xe, t, 0, prec), (s.y, s.ye))
-                return wrap(t + s._mp())
+            __radd__ = __add__
 
             def __sub__(s, t):
                 tt = type(t)
@@ -556,10 +544,7 @@ class Scalars:
                     return wrap(s._mp() * t)
                 return cplx(_round(s.x * m, s.xe + e, prec), _round(s.y * m, s.ye + e, prec))
 
-            def __rmul__(s, t):
-                if type(t) is int:
-                    return cplx(_round(s.x * t, s.xe, prec), _round(s.y * t, s.ye, prec))
-                return wrap(t * s._mp())
+            __rmul__ = __mul__
 
             def __truediv__(s, t):
                 tt = type(t)
@@ -602,10 +587,6 @@ class Scalars:
                 if tt is int:
                     return not s.y and _eq(s.x, s.xe, t, 0)
                 return s._mp() == t
-
-            def __ne__(s, t):
-                eq = s.__eq__(t)
-                return eq if eq is NotImplemented else not eq
 
             def __complex__(s):
                 return complex(s._mp())

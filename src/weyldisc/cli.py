@@ -9,8 +9,9 @@
     weyldisc check     <scenario>           run the invariant suite
 
 A scenario is a built-in name or a path to a scenario JSON file.  Exit
-codes: 0 success, 2 scenario problem, 3 inadmissible spectral parameter,
-4 precision exhausted, 5 undecided classification under --strict.
+codes: 0 success, 1 a failed invariant or an artifact that cannot be
+written, 2 scenario problem, 3 inadmissible spectral parameter, 4
+precision exhausted, 5 undecided classification under --strict.
 """
 
 from __future__ import annotations
@@ -133,7 +134,6 @@ def _scenario_with_overrides(args) -> Scenario:
 def _cmd_classify(args) -> int:
     scenario = _scenario_with_overrides(args)
     model = scenario.model()
-    kernel = model.kernel
     cross = complex(1, 1) if args.cross_check else None
     started = time.perf_counter()
     report = classify(model, scenario.lam, scenario.alpha,
@@ -142,23 +142,23 @@ def _cmd_classify(args) -> int:
 
     csv_name = f"{scenario.name}_discs.csv"
     chi_sums = report.chi_profile.partial_sums if report.chi_profile else None
-    write_disc_csv(args.out / csv_name, kernel, report.disc_samples,
+    write_disc_csv(args.out / csv_name, report.disc_samples,
                    report.psi_profile.partial_sums, chi_sums)
     ratio = ratio_limit_point_check(model, scenario.n_max)
     payload = {
         "ratio_criterion": _verdict_payload(ratio),
         "verdict": report.verdict,
         "l2_solution_count": report.l2_solution_count,
-        "m_limit": format_complex(kernel, report.m_limit),
+        "m_limit": format_complex(report.m_limit),
         "chi_method": report.chi_method,
         "psi_growth": report.psi_profile.growth_verdict,
         "chi_growth": report.chi_profile.growth_verdict if report.chi_profile else None,
-        "final_radius": format_real(kernel, report.disc_samples[-1].radius),
+        "final_radius": format_real(report.disc_samples[-1].radius),
         "disc_csv": csv_name,
         "reason": report.reason,
         "cross_check": (
             None if report.cross_check is None
-            else {"lam": format_complex(kernel, report.cross_check[0]),
+            else {"lam": format_complex(report.cross_check[0]),
                   "verdict": report.cross_check[1]}
         ),
     }
@@ -167,7 +167,7 @@ def _cmd_classify(args) -> int:
     print(f"{scenario.name}: {report.verdict}"
           + (f" ({report.reason})" if report.reason else ""))
     print(f"  l2 solutions: {report.l2_solution_count}"
-          f"  chi route: {report.chi_method}  backend: {kernel.name}")
+          f"  chi route: {report.chi_method}  backend: {model.kernel.name}")
     print(f"  report: {path}  discs: {args.out / csv_name}")
     print(f"  elapsed: {elapsed:.2f} s")
     if args.strict and report.verdict == "undecided":
@@ -210,17 +210,16 @@ def _cmd_criteria(args) -> int:
 def _cmd_ivp(args) -> int:
     scenario = _scenario_with_overrides(args)
     model = scenario.model()
-    kernel = model.kernel
     traj = propagate(model, scenario.lam, BoundaryData(args.c1, args.c2), args.N)
     rows = []
     for t in range(model.a - 1, args.N + 1):
         rows.append({
             "t": t,
-            "y1": format_complex(kernel, traj.y1_at(t)),
-            "y2": format_complex(kernel, traj.y2_at(t)),
-            "quasi_diff": format_complex(kernel, traj.y1q_at(t)),
+            "y1": format_complex(traj.y1_at(t)),
+            "y2": format_complex(traj.y2_at(t)),
+            "quasi_diff": format_complex(traj.y1q_at(t)),
         })
-    rows.append({"t": args.N + 1, "y1": format_complex(kernel, traj.y1_at(args.N + 1)),
+    rows.append({"t": args.N + 1, "y1": format_complex(traj.y1_at(args.N + 1)),
                  "y2": None, "quasi_diff": None})
     dump_report(report_body("ivp", scenario, {"c1": args.c1, "c2": args.c2,
                                               "N": args.N, "trajectory": rows}),
@@ -238,12 +237,11 @@ def _cmd_ivp(args) -> int:
 def _cmd_disc(args) -> int:
     scenario = _scenario_with_overrides(args)
     model = scenario.model()
-    kernel = model.kernel
     disc = weyl_disc(model, scenario.lam, scenario.alpha, args.N)
     payload = {
         "N": disc.n,
-        "center": format_complex(kernel, disc.center),
-        "radius": format_real(kernel, disc.radius),
+        "center": format_complex(disc.center),
+        "radius": format_real(disc.radius),
     }
     dump_report(report_body("disc", scenario, payload),
                 args.out / f"{scenario.name}_disc.json")
@@ -256,14 +254,13 @@ def _cmd_disc(args) -> int:
 def _cmd_eigen(args) -> int:
     scenario = _scenario_with_overrides(args)
     model = scenario.model()
-    kernel = model.kernel
     angles = BoundaryAngles(alpha=scenario.alpha, beta=args.beta)
     residual = regular_eigen_residual(model, scenario.lam, angles, args.N)
     mag = float(abs(residual))
     payload = {
         "N": args.N,
         "beta": args.beta,
-        "residual": format_complex(kernel, residual),
+        "residual": format_complex(residual),
         "residual_abs": mag,
     }
     dump_report(report_body("eigen", scenario, payload),
@@ -347,7 +344,8 @@ def _run(argv) -> int:
     except InadmissibleLambdaError as exc:
         print(f"inadmissible lam: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    except WeyldiscError as exc:
+    except (WeyldiscError, OSError) as exc:
+        # OSError: an artifact that cannot be written under --out
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -318,6 +318,3 @@ def spectral_gap(model: CoefficientSet, lam, horizon: int) -> SpectralPoint:
         return SpectralPoint(lam=lam, margin=0.0, decided_symbolically=True)
     return SpectralPoint(lam=lam, margin=margin_f, decided_symbolically=True)
 
-
-# spec-facing aliases
-parse_coefficient_expr = ex.parse_coefficient_expr

@@ -67,7 +67,7 @@ def _rewrite(path: Path, text: str) -> None:
 DISC_CSV_HEADER = ["N", "center_re", "center_im", "radius", "S_psi", "T_chi"]
 
 
-def write_disc_csv(path: str | Path, kernel, discs, psi_sums, chi_sums) -> Path:
+def write_disc_csv(path: str | Path, discs, psi_sums, chi_sums) -> Path:
     """One row per disc sample; N strictly increasing by construction.
 
     The bytes are those of ``csv.writer``'s default dialect: comma
@@ -81,9 +81,9 @@ def write_disc_csv(path: str | Path, kernel, discs, psi_sums, chi_sums) -> Path:
     for disc in discs:
         n, center = disc.n, disc.center
         chi = chi_by_n.get(n)
-        rows.append(f"{n},{format_real(kernel, center.real)},{format_real(kernel, center.imag)},"
-                    f"{format_real(kernel, disc.radius)},{format_real(kernel, psi_by_n[n])},"
-                    f"{'' if chi is None else format_real(kernel, chi)}")
+        rows.append(f"{n},{format_real(center.real)},{format_real(center.imag)},"
+                    f"{format_real(disc.radius)},{format_real(psi_by_n[n])},"
+                    f"{'' if chi is None else format_real(chi)}")
     rows.append("")
     _rewrite(path, "\r\n".join(rows))
     return path

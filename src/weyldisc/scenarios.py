@@ -211,6 +211,8 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"scenario file {path} does not exist")
     try:
         data = json.loads(path.read_text())
+    except OSError as exc:
+        raise ScenarioError(f"scenario file {path} cannot be read ({exc.strerror})") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON ({exc})") from exc
     return scenario_from_dict(data, fallback_name=path.stem)

@@ -30,7 +30,7 @@ ALL_KERNELS = [
 PROTOCOL_MEMBERS = {
     "name", "workprec", "needs_finite_checks", "real", "complex", "abs2",
     "abs_bound", "isfinite", "sqrt", "pow_positive", "sin", "cos",
-    "to_fraction", "to_mpf",
+    "to_fraction",
 }
 PROTOCOL_METHODS = sorted(PROTOCOL_MEMBERS - {"name", "needs_finite_checks"})
 
@@ -141,11 +141,10 @@ def test_big_precision_actually_applies():
 def test_formatting_is_backend_independent():
     k = BIG_256
     x = k.real(1) / 3
-    text = format_real(k, x)
+    text = format_real(x)
     assert text.startswith("0.3333333333")
-    n = native_kernel()
-    assert format_real(n, 0.5) == "0.5"
-    entry = format_complex(n, complex(0, 1))
+    assert format_real(0.5) == "0.5"
+    entry = format_complex(complex(0, 1))
     assert entry == {"re": "0.0", "im": "1.0"}
 
 
@@ -155,8 +154,8 @@ def test_formatting_uses_the_working_precision_value():
     k = BIG_256
     third = k.real(1) / 3
     z = k.complex(1, -1) / 3
-    assert format_real(k, third) == "0." + "3" * 40
-    assert format_complex(k, z) == {"re": "0." + "3" * 40, "im": "-0." + "3" * 40}
+    assert format_real(third) == "0." + "3" * 40
+    assert format_complex(z) == {"re": "0." + "3" * 40, "im": "-0." + "3" * 40}
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
@@ -174,7 +173,7 @@ def test_abs2_is_the_squared_modulus(kernel):
 def test_huge_exponents_format():
     k = BIG_256
     big = k.pow_positive(k.real(4), k.real(20000))
-    text = format_real(k, big)
+    text = format_real(big)
     assert "e+12041" in text
 
 
@@ -277,11 +276,11 @@ def test_mpmath_complex_of_reals_equals_general_path():
 
 def test_format_real_of_an_mpmath_real_equals_general_path():
     """format_real reads an mpmath real's own mantissa and exponent; the
-    text equals that of its exact to_mpf value on every kernel."""
+    text equals that of its exact value on every kernel: ``_mpf_`` on
+    mpmath, ``from_float`` on native floats."""
     k = MpmathKernel(256)
     for x in sum(_special_reals(k), []):
-        assert format_real(k, x) == libmp.to_str(k.to_mpf(x)._mpf_, 40)
-    assert format_real(k, k.pow_positive(k.real(10), k.real(384839))).endswith("e+384839")
-    n = native_kernel()
+        assert format_real(x) == libmp.to_str(x._mpf_, 40)
+    assert format_real(k.pow_positive(k.real(10), k.real(384839))).endswith("e+384839")
     for x in (0.0, -0.0, 1.5, -2.5e300, 5e-324, math.inf, -math.inf, math.nan):
-        assert format_real(n, x) == libmp.to_str(n.to_mpf(x)._mpf_, 40)
+        assert format_real(x) == libmp.to_str(libmp.from_float(x), 40)

@@ -17,14 +17,16 @@ import dataclasses
 import math
 import operator
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import libmp
 
-from weyldisc import bigfloat, builtin_names
-from weyldisc.backends import MpmathKernel, format_real, native_kernel
+from weyldisc import bigfloat, builtin_names, cli
+from weyldisc.backends import MpmathKernel, big_kernel, format_real
 from weyldisc.recurrence import step_table
 from weyldisc.scenarios import builtin_scenario
 from weyldisc.weyl import ClassifyOptions, classify, fundamental_pair
@@ -419,18 +421,17 @@ def test_format_real_renders_as_to_str(bits):
     k = MpmathKernel(bits)
     rng = random.Random(bits)
     for m, e in _rendered_parts(rng) + [(0, 0), (0, 40)]:
-        assert format_real(k, _own(k, m, e)) == _to_str(m, e), (m, e)
+        assert format_real(_own(k, m, e)) == _to_str(m, e), (m, e)
     # values as the kernel computes them
     for x in (k.real(1) / 3, -k.real(2) / 3, k.real(10) ** 30 / 7, k.real(Fraction(1, 10**13))):
-        assert format_real(k, x) == libmp.to_str(x._mpf_, 40)
+        assert format_real(x) == libmp.to_str(x._mpf_, 40)
 
 
 def test_format_real_of_machine_floats_is_to_str_of_their_exact_value():
-    n = native_kernel()
     values = [5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308, 0.0, -0.0,
               math.inf, -math.inf, math.nan, 0.1, -2.5, 1 / 3, 1e22, 1e23]
     for x in values:
-        assert format_real(n, x) == libmp.to_str(libmp.from_float(x), 40), x
+        assert format_real(x) == libmp.to_str(libmp.from_float(x), 40), x
 
 
 def test_format_real_hands_only_zero_and_far_values_to_to_str(monkeypatch):
@@ -443,12 +444,12 @@ def test_format_real_hands_only_zero_and_far_values_to_to_str(monkeypatch):
     monkeypatch.setattr(libmp, "to_str", lambda *args: calls.append(args) or to_str(*args))
     for top in (3500, -3500, 152, -152, 0):
         for m in (3, -(1 << 300) - 1):
-            format_real(k, _own(k, m, top - m.bit_length()))
+            format_real(_own(k, m, top - m.bit_length()))
     assert calls == []
     far = [_own(k, 0, 0), k.real(math.inf), k.real(math.nan)]
     far += [_own(k, m, top - m.bit_length()) for top in (3501, -3501, 10**6) for m in (1, -7)]
     for x in far:
-        format_real(k, x)
+        format_real(x)
     assert len(calls) == len(far)
     assert calls[-1][0] == libmp.from_man_exp(-7, 10**6 - 3)
 
@@ -554,3 +555,49 @@ def test_classification_runs_on_the_kernel_scalars(name):
         report.chi_profile.partial_sums if report.chi_profile else ())
     assert {type(s) for _, s in sums} == {real}
     assert type(report.m_limit) is cplx
+
+
+# What still reaches mpmath in one in-process `classify --n-max 200` and
+# one `check` at 256 bits, per built-in: the scalars' ``_mp`` conversions
+# by calling method, ``to_str`` calls from ``format_real`` (zeros and
+# values past 2**+-3500) and the kernel's ``sin``/``cos``.  The powers
+# are ``k.real(2) ** n`` scalings in the chi and corner routes.
+REACH = {
+    ("classify", "free"): {"Real.__pow__": 2, "to_str": 1, "sin": 1, "cos": 1},
+    ("classify", "ex4.1a"): {"Real.__pow__": 1, "to_str": 2, "sin": 1, "cos": 1},
+    ("classify", "ex4.1b"): {"Real.__pow__": 2, "to_str": 1, "sin": 1, "cos": 1},
+    ("classify", "ex4.2a"): {"Real.__pow__": 2, "to_str": 318, "sin": 1, "cos": 1},
+    ("classify", "ex4.2b"): {"Real.__pow__": 1, "sin": 1, "cos": 1},
+    **{("check", name): {"Real.__pow__": 2, "sin": 8, "cos": 8} for name in builtin_names()},
+}
+
+
+@pytest.mark.parametrize("command, name", sorted(REACH))
+def test_what_reaches_mpmath_is_counted(command, name, tmp_path, monkeypatch, capsys):
+    """Exactly the pinned conversions, renderings and trigonometric calls
+    leave the scalars, so that no new fallback appears silently."""
+    k = big_kernel(256)
+    counts = Counter()
+    for cls in (type(k.real(1)), type(k.complex(1, 1))):
+        def counted(s, _mp=cls._mp, _cls=cls.__name__):
+            counts[f"{_cls}.{sys._getframe(1).f_code.co_name}"] += 1
+            return _mp(s)
+        monkeypatch.setattr(cls, "_mp", counted)
+    to_str = libmp.to_str
+
+    def counted_to_str(*args):
+        if sys._getframe(1).f_code.co_name == "format_real":
+            counts["to_str"] += 1
+        return to_str(*args)
+    monkeypatch.setattr(libmp, "to_str", counted_to_str)
+    for trig in ("sin", "cos"):
+        def counted_trig(x, _f=getattr(k, trig), _trig=trig):
+            counts[_trig] += 1
+            return _f(x)
+        monkeypatch.setattr(k, trig, counted_trig)
+    argv = [command, name, "--bits", "256"]
+    if command == "classify":
+        argv += ["--n-max", "200", "--out", str(tmp_path)]
+    cli.main(argv)  # check exits 1 on ex4.2a, whose disc_corner_route fails
+    capsys.readouterr()
+    assert counts == REACH[command, name]

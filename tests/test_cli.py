@@ -72,7 +72,7 @@ def test_scenario_file_round_trip(tmp_path):
     s = load_scenario(path)
     assert s.name == "custom" and s.a == 1 and s.lam == 0.5 + 2j
     model = s.model()
-    assert float(model.kernel.to_mpf(model.coeff("d", 2))) == 3.0
+    assert float(model.coeff("d", 2)) == 3.0
 
 
 @pytest.mark.parametrize("body, fragment", [
@@ -193,6 +193,35 @@ def test_cli_evaluation_errors_name_the_expression_and_t(tmp_path, capsys, q, me
 def test_resolve_scenario_missing_file():
     with pytest.raises(ScenarioError, match="does not exist"):
         resolve_scenario("no-such-scenario")
+
+
+def test_cli_unreadable_scenario_file_is_a_scenario_problem(tmp_path, capsys):
+    """A scenario path that is a directory exits 2 with one line naming
+    it, not a traceback."""
+    path = tmp_path / "dir.json"
+    path.mkdir()
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"scenario error: scenario file {path} cannot be read (Is a directory)\n"
+
+
+@pytest.mark.parametrize("out, blocked", [
+    ("out", "out/free_report.json"),  # the report path is a directory
+    ("file/out", "file"),  # --out lies under a regular file
+])
+def test_cli_unwritable_artifact_is_one_error_line(tmp_path, monkeypatch, capsys, out, blocked):
+    """An artifact that cannot be written exits 1 with one ``error:``
+    line naming the path, not a traceback."""
+    monkeypatch.chdir(tmp_path)
+    if blocked == "file":
+        Path(blocked).touch()
+    else:
+        Path(blocked).mkdir(parents=True)
+    assert main(["classify", "free", "--n-max", "40", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(out if blocked == "file" else blocked) in err
 
 
 def test_cli_examples(capsys):

@@ -38,8 +38,8 @@ def test_free_model_limit_point_closed_form(models, classify_memo):
     # the center approximates the limit point within the final radius,
     # which at N=200 has shrunk far below the 256-bit accuracy of the
     # comparison itself
-    assert float(k.to_mpf(radius)) < 1e-90
-    tol = max(2 * float(k.to_mpf(radius)), 1e-70)
+    assert float(radius) < 1e-90
+    tol = max(2 * float(radius), 1e-70)
     assert fdiff(report.m_limit, want) <= tol
 
 
@@ -56,7 +56,7 @@ def test_free_model_disc_centers_converge_to_closed_form(models):
     want = (ratio * sa + ca) / (-ratio * ca + sa)
     for disc in report.disc_samples[-3:]:
         gap = fabs(disc.center - want)
-        assert gap <= max(2 * float(k.to_mpf(disc.radius)), 1e-70)
+        assert gap <= max(2 * float(disc.radius), 1e-70)
 
 
 def test_h_coupled_family_effective_equation_at_zero(models):

@@ -138,7 +138,7 @@ def _reference_witnesses(model, weight, horizon):
     def sup(lo, hi, fn):
         worst = 0.0
         for t in range(lo, hi + 1):
-            worst = max(worst, float(k.to_mpf(fn(t))))
+            worst = max(worst, float(fn(t)))
         return worst
 
     return {

@@ -91,9 +91,7 @@ def _value(text, t, precision=BIG):
 
 
 def _eval_float(text, t, precision=BIG):
-    value = _value(text, t, precision)
-    k = precision.kernel
-    return float(k.to_mpf(value))
+    return float(_value(text, t, precision))
 
 
 def test_eval_integer_power():

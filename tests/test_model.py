@@ -178,7 +178,7 @@ def test_table_coefficient_range_error():
         h=ExprCoefficient.parse("0"),
         d=table,
     )
-    assert float(model.kernel.to_mpf(model.coeff("d", 2))) == 3.0
+    assert float(model.coeff("d", 2)) == 3.0
     with pytest.raises(CoefficientRangeError):
         model.coeff("d", 4)
 

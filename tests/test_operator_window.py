@@ -91,7 +91,6 @@ def _reference_rows(model, y1, y2, t):
 
 def _reference_residual(model, traj, t):
     """The relative residual at t with every scale term recomputed."""
-    k = model.kernel
     lam = traj.lam
     row1, row2 = _reference_rows(model, traj.y1_at, traj.y2_at, t)
     row2 = row2 - lam * traj.y2_at(t)
@@ -102,7 +101,7 @@ def _reference_residual(model, traj, t):
         + abs(lam * traj.y2_at(t))
         + 1
     )
-    worst = float(k.to_mpf(abs(row2) / scale2))
+    worst = float(abs(row2) / scale2)
     if row1 is not None:
         row1 = row1 - lam * traj.y1_at(t)
         scale1 = (
@@ -115,7 +114,7 @@ def _reference_residual(model, traj, t):
             + abs(lam * traj.y1_at(t))
             + 1
         )
-        worst = max(worst, float(k.to_mpf(abs(row1) / scale1)))
+        worst = max(worst, float(abs(row1) / scale1))
     return worst
 
 

@@ -85,10 +85,9 @@ def test_disc_nesting_first_steps(models):
     free = models["free"]
     d0 = weyl_disc(free, 1j, 0.0, 0)
     d1 = weyl_disc(free, 1j, 0.0, 1)
-    k = free.kernel
-    assert float(k.to_mpf(d1.radius)) <= float(k.to_mpf(d0.radius))
+    assert float(d1.radius) <= float(d0.radius)
     gap = abs(d1.center - d0.center)
-    assert float(k.to_mpf(gap - (d0.radius - d1.radius))) <= 1e-70
+    assert float(gap - (d0.radius - d1.radius)) <= 1e-70
 
 
 def test_m_point_values_and_circle_membership(models):
@@ -115,7 +114,7 @@ def test_m_sweep_stays_on_circle(models):
         beta = math.pi * i / 8
         z = math.inf if beta == 0 else k.cos(beta) / k.sin(beta)
         m_val = m_point(corner, z)
-        dev = abs(float(k.to_mpf(abs(m_val - disc.center) / disc.radius)) - 1)
+        dev = abs(float(abs(m_val - disc.center) / disc.radius) - 1)
         assert dev < 1e-40
         defect = on_circle_defect(free, chi(pair, m_val), m_val, 1j, 8)
         assert fabs(defect) < 1e-40
@@ -150,14 +149,14 @@ def test_on_circle_defect_sign(models):
     k = free.kernel
     # center lies strictly inside: defect negative
     center_defect = on_circle_defect(free, chi(pair, disc.center), disc.center, 1j, 6)
-    assert float(k.to_mpf(center_defect.real)) < 0
+    assert float(center_defect.real) < 0
     # a circle point of the *larger* window N'=9 is inside at N=6 but on at 9
     pair9 = fundamental_pair(free, 1j, 0.0, 12)
     corner9 = corner_values(pair9, 9)
     m9 = m_point(corner9, k.real(0.7))
     inner = on_circle_defect(free, chi(pair9, m9), m9, 1j, 6)
     outer = on_circle_defect(free, chi(pair9, m9), m9, 1j, 9)
-    assert float(k.to_mpf(inner.real)) < 0
+    assert float(inner.real) < 0
     assert fabs(outer) < 1e-40
     # at n = a-1 the sum is empty
     empty = on_circle_defect(free, chi(pair9, m9), m9, 1j, -1)
