@@ -61,10 +61,12 @@ z.conjugate()               ``mpf_abs``
 ``mpf_add`` perturbs instead of adding when two operands lie far apart
 (leading bits more than prec+4 apart, exponents more than 100); the
 scalars do the same, so nothing is ever shifted by the full gap.  What
-stays on mpmath, on the kernel's context: ``sqrt``, ``pow_positive``,
-``sin``, ``cos``, ``**``, ``str``/``repr``, ``hash``, operands of other
-types (floats, other contexts' values), non-finite values, which are
-the context's own mpmath values, and formatting.  mpmath reads the
+stays on mpmath, on the kernel's context: ``sin``, ``cos``, the square
+roots and powers that ``bigfloat`` does not compute itself (it takes
+square roots of positive reals and powers of two to integral powers),
+``str``/``repr``, ``hash``, operands of other types (floats, other
+contexts' values), non-finite values, which are the context's own
+mpmath values, and formatting.  mpmath reads the
 scalars through ``_mpf_`` and ``_mpc_``, which give its canonical tuple
 of the same value, computed when read.
 

@@ -23,10 +23,11 @@ which are wider than the precision, round as mpmath rounds them.
 Nothing is ever shifted by the full gap between two exponents.
 
 The kernel's ``sqrt`` of a positive real rounds with ``_sqrt``, as
-``mpf_sqrt`` does, and its ``pow_positive`` of a power of two 2**k and
-an integral real n is 2**(k*n), exactly what ``mpf_pow_int`` returns.
+``mpf_sqrt`` does.  Its ``pow_positive`` of a power of two 2**k and an
+integral real n, and a real 2**k ``**`` an int n, are 2**(k*n), exactly
+what ``mpf_pow_int`` returns.
 
-What stays on mpmath: ``**``, ``str``/``repr``, ``hash``,
+What stays on mpmath: any other ``**``, ``str``/``repr``, ``hash``,
 ``complex``, operands of any other type (Python floats and complexes,
 other contexts' values) and non-finite values.  They reach these
 scalars through ``_mpf_`` and ``_mpc_``, properties that give mpmath's
@@ -409,6 +410,10 @@ class Scalars:
                 return wrap(t / s._mp())
 
             def __pow__(s, t):
+                m = s.m
+                if type(t) is int and m > 0 and not m & (m - 1):
+                    # 2**k to an int power: 2**(k*t), as mpf_pow_int gives it
+                    return real((1, (s.e + m.bit_length() - 1) * t))
                 return wrap(s._mp() ** t)
 
             def __rpow__(s, t):

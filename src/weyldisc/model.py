@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import expr as ex
 from . import growth
@@ -77,6 +78,10 @@ class ExprCoefficient:
     def value(self, t: int, kernel):
         return self.column(t, t, kernel)[0]
 
+    def is_zero(self) -> bool:
+        """Whether the formula is the literal 0; ``0*t`` is not."""
+        return self.ast == ex.Num(0)
+
     def text(self) -> str:
         return ex.to_text(self.ast)
 
@@ -108,6 +113,10 @@ class TableCoefficient:
 
     def value(self, t: int, kernel):
         return self.column(t, t, kernel)[0]
+
+    def is_zero(self) -> bool:
+        """Whether every value is 0; the declared range still holds."""
+        return not any(self.values)
 
     def text(self) -> str:
         head = ", ".join(str(v) for v in self.values[:4])
@@ -173,6 +182,23 @@ class CoefficientSet:
     @property
     def kernel(self):
         return self.precision.kernel
+
+    @cached_property
+    def zeros(self) -> frozenset:
+        """The names among c, h, d and q whose coefficient is identically
+        zero: the literal 0 or a table of zeros.  The solvers drop the
+        products of these, which on the int-backed big-float scalars
+        changes no value (x + 0 is x and 0 * x is 0 exactly).  Empty on
+        native floats, where 0 * inf is nan and a zero carries a sign."""
+        if self.precision.mode == "native-float":
+            return frozenset()
+        return frozenset(name for name in "chdq" if getattr(self, name).is_zero())
+
+    @property
+    def decoupled(self) -> bool:
+        """Whether c and h are both in ``zeros``: then y1 solves the scalar
+        three-term recurrence alone and every solution has y2 = 0."""
+        return "c" in self.zeros and "h" in self.zeros
 
     def column(self, name: str, first: int, last: int) -> tuple:
         """Real scalar values of one coefficient at t = first .. last.

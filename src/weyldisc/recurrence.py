@@ -37,6 +37,20 @@ along.  The table also keeps each step's entries (1 - a22, a12, a21,
 backward, steps any number of columns through them, and the two
 solutions of a fundamental pair are one call.
 
+A coefficient in ``model.zeros`` (c, h, d or q written as the literal 0,
+or a table of zeros, on the big-float kernel) has its products dropped
+wherever they are formed.  A zero c or h makes alpha and a11 vanish and
+p_tilde = lead, which stays complex, so 1/p_tilde is still the complex
+reciprocal; a zero c also leaves q_tilde = common, and a zero h leaves
+common = q, r1 = 0 and a21 = (q - lam) lead/p_tilde.  With c = h = 0
+every solution has y2 = 0, and y2 is not reconstructed.
+``operator_window`` keeps an exact zero among the terms in place of each
+dropped product.  Each pruned formula is the general one with its
+exact-zero terms left out, in the same order; on the int-backed scalars
+x + 0 is x and 0 * x is 0, so no value changes.  Native floats form
+every product: there 0 * inf is nan and a zero carries a sign, so a
+dropped term could change a value.
+
 ``oracle_three_term`` is the independent check: it never touches the
 transfer matrices, solving instead the scalar three-term recurrence
 
@@ -127,6 +141,12 @@ def step_table(model: CoefficientSet, lam, top: int) -> StepTable:
     if top < start:
         raise ValueError(f"top ({top}) lies below start ({start})")
     lam = as_lambda_scalar(model, lam)
+    # a zero c or h makes alpha = h c/(lam - d) vanish, and with it a11;
+    # their terms are dropped and an exact zero stands in their place
+    no_c, no_h = "c" in model.zeros, "h" in model.zeros
+    no_alpha, decoupled = no_c or no_h, no_c and no_h
+    zero = model.kernel.complex(0)
+    one = 1 - zero
     rows = []
     steps = []
     alpha_prev = d_prev = None
@@ -140,34 +160,56 @@ def step_table(model: CoefficientSet, lam, top: int) -> StepTable:
             den = lam - d
             if den == 0:
                 raise InadmissibleLambdaError(f"lam equals d({t})", t=t)
-            inv_den = 1 / den
+            if not decoupled:
+                inv_den = 1 / den
             d_prev = d
-        cc = c * c
-        hc = h * c
-        p_tilde = p + (cc - hc) * inv_den
-        alpha = hc * inv_den
+        if no_alpha:
+            # p_tilde = lead, still complex: 1/p_tilde is the complex
+            # reciprocal, which rounds otherwise than a real 1/p
+            alpha = zero
+            p_tilde = lead = p + zero if no_c else p + c * c * inv_den
+        else:
+            cc = c * c
+            hc = h * c
+            p_tilde = p + (cc - hc) * inv_den
+            alpha = hc * inv_den
+            lead = p + cc * inv_den
         if p_tilde == 0:
             raise InadmissibleLambdaError(
                 f"effective leading coefficient vanishes at t={t}", t=t
             )
-        lead = p + cc * inv_den
         inv_p = 1 / p_tilde
-        inv_denp = inv_den * inv_p
-        r1 = h * p * inv_denp
-        r2 = (c - h) * inv_denp
+        if decoupled:
+            r1 = r2 = zero
+        else:
+            inv_denp = inv_den * inv_p
+            r1 = zero if no_h else h * p * inv_denp
+            r2 = (c - h) * inv_denp
         if alpha_prev is None:
             q_tilde = a11 = a12 = a21 = a22 = None
             lead_left = lead
         else:
-            hh = h * h
-            common = q + hh * inv_den
-            q_tilde = common - (alpha - alpha_prev)
-            h_shift = common - lam
-            a11 = -alpha * inv_p
+            if no_h:
+                # common = q + h^2/den is q, kept complex as every column,
+                # and a21 loses its h^2 p/den
+                common = q + zero
+                h_shift = common - lam
+                a21 = h_shift * lead * inv_p
+            else:
+                hh = h * h
+                common = q + hh * inv_den
+                h_shift = common - lam
+                a21 = ((q - lam) * lead + hh * p * inv_den) * inv_p
             a12 = inv_p
-            a21 = ((q - lam) * lead + hh * p * inv_den) * inv_p
-            a22 = (alpha - h_shift) * inv_p
-            steps.append((1 - a22, a12, a21, 1 - a11))
+            if no_alpha:
+                q_tilde, a11, m22 = common, zero, one
+                a22 = -h_shift * inv_p
+            else:
+                q_tilde = common - (alpha - alpha_prev)
+                a11 = -alpha * inv_p
+                a22 = (alpha - h_shift) * inv_p
+                m22 = 1 - a11
+            steps.append((1 - a22, a12, a21, m22))
         rows.append((p_tilde, alpha, q_tilde, a11, a12, a21, a22, r1, r2))
         alpha_prev = alpha
     return StepTable(model, lam, top, *zip(*rows), lead_left, tuple(steps))
@@ -262,7 +304,8 @@ class Trajectory:
         return Trajectory(
             model=self.model, lam=self.lam, top=self.top,
             y1=tuple([u + factor * v for u, v in zip(self.y1, other.y1)]),
-            y2=tuple([u + factor * v for u, v in zip(self.y2, other.y2)]),
+            y2=self.y2 if self.model.decoupled else tuple(
+                [u + factor * v for u, v in zip(self.y2, other.y2)]),
             y1q=tuple([u + factor * v for u, v in zip(self.y1q, other.y1q)]),
         )
 
@@ -319,8 +362,11 @@ def _assemble(table: StepTable, states: list) -> Trajectory:
     y1 = [(table.lead_left * y1_a - y1q_left) / table.p_tilde[0]]
     y1 += [st[0] for st in states]
     y1q = [st[1] for st in states]
-    y2 = [r1 * s0 + r2 * s1 for r1, r2, (s0, s1) in zip(table.r1, table.r2, states)]
     k = model.kernel
+    if model.decoupled:
+        y2 = [k.complex(0)] * len(states)
+    else:
+        y2 = [r1 * s0 + r2 * s1 for r1, r2, (s0, s1) in zip(table.r1, table.r2, states)]
     if k.needs_finite_checks and not all(
         all(map(k.isfinite, seq)) for seq in (y1, y2, y1q)
     ):
@@ -486,6 +532,10 @@ def operator_window(model: CoefficientSet, y1, y2, first: int, last: int):
     dy1(t), p dy1(t) and c y2(t) are the previous terms at t+1.
     """
     y1_cols = _pair_window(model, first, last, y1, y2)
+    # the products of a zero coefficient are an exact zero among the terms
+    # and are left out of the rows' sums
+    use_c, use_h, use_d, use_q = (name not in model.zeros for name in "chdq")
+    zero = model.kernel.complex(0)
     # from a on, row 1 reads p and c at first-1 (the previous terms); at
     # a-1 it is None and reads no q
     lead = int(first >= model.a)
@@ -494,7 +544,7 @@ def operator_window(model: CoefficientSet, y1, y2, first: int, last: int):
     if lead:
         i = first - (model.a - 1)
         pd_prev = p_col[0] * (y1[i] - y1[i - 1])
-        cy2_prev = c_col[0] * y2[i - 1]
+        cy2_prev = c_col[0] * y2[i - 1] if use_c else zero
     columns = zip(
         p_col[lead:], c_col[lead:],
         model.column("h", first, last), model.column("d", first, last),
@@ -503,18 +553,30 @@ def operator_window(model: CoefficientSet, y1, y2, first: int, last: int):
     )
     for p_t, c_t, h_t, d_t, q_t, y1_t, y1_next, y2_t in columns:
         dy1 = y1_next - y1_t
-        cd = c_t * dy1
-        hy1 = h_t * y1_t
-        dy2 = d_t * y2_t
-        row2 = cd + hy1 + dy2
+        row2 = cd = hy1 = dy2 = zero
+        if use_c:
+            row2 = cd = c_t * dy1
+        if use_h:
+            hy1 = h_t * y1_t
+            row2 = hy1 if row2 is zero else row2 + hy1
+        if use_d:
+            dy2 = d_t * y2_t
+            row2 = dy2 if row2 is zero else row2 + dy2
         pd = p_t * dy1
-        cy2 = c_t * y2_t
+        cy2 = c_t * y2_t if use_c else zero
         if q_t is None:
             row1 = qy1 = hy2 = None
         else:
-            qy1 = q_t * y1_t
-            hy2 = h_t * y2_t
-            row1 = -(pd - pd_prev) + qy1 - (cy2 - cy2_prev) + hy2
+            row1 = -(pd - pd_prev)
+            qy1 = hy2 = zero
+            if use_q:
+                qy1 = q_t * y1_t
+                row1 = row1 + qy1
+            if use_c:
+                row1 = row1 - (cy2 - cy2_prev)
+            if use_h:
+                hy2 = h_t * y2_t
+                row1 = row1 + hy2
         yield row1, row2, (pd_prev, pd, qy1, cy2_prev, cy2, hy2, cd, hy1, dy2)
         pd_prev, cy2_prev = pd, cy2
 

@@ -171,9 +171,13 @@ def _disc_rows(model, phi, psi, lam, n_hi):
         *psi.component_columns(model.a, n_hi),
         *phi.component_columns(model.a, n_hi),
     )
+    coupled = not model.decoupled  # else y2 = 0 adds nothing
     for t, s1, s2, p1, p2 in samples:
-        s_run = s_run + abs2(s1) + abs2(s2)
-        w_run = w_run + s1.conjugate() * p1 + s2.conjugate() * p2
+        s_run = s_run + abs2(s1)
+        w_run = w_run + s1.conjugate() * p1
+        if coupled:
+            s_run = s_run + abs2(s2)
+            w_run = w_run + s2.conjugate() * p2
         psi_sums.append((t, s_run))
         d_im = d_im0 + two_im * s_run
         if d_im == 0:
@@ -314,7 +318,8 @@ def _stable_chi(model, lam, phi, psi, m, n_max, radius_last, table):
     )
     y1 = _forward_chi_y1(model, m, states)
     if len(y1) == n_max - model.a + 2:
-        y2 = tuple([u + m * v for u, v in zip(phi.y2, psi.y2)])
+        y2 = phi.y2 if model.decoupled else tuple(
+            [u + m * v for u, v in zip(phi.y2, psi.y2)])
         return ((phi.y1[0] + m * psi.y1[0], *y1), y2), "forward"
 
     left_target = (
@@ -338,8 +343,8 @@ def _stable_chi(model, lam, phi, psi, m, n_max, radius_last, table):
         mismatch = abs(w_left[1 - j] * scale - left_target[1 - j])
         if mismatch <= thresh:
             # the profile reads y1 and y2 only, so y1q is not scaled
-            return (tuple([v * scale for v in w.y1]),
-                    tuple([v * scale for v in w.y2])), "backward"
+            y2 = w.y2 if model.decoupled else tuple([v * scale for v in w.y2])
+            return (tuple([v * scale for v in w.y1]), y2), "backward"
     return None, "unavailable"
 
 
@@ -352,8 +357,11 @@ def _profile(model, columns, n_max) -> list:
     total = k.real(0)
     sums = []
     y1, y2 = columns
+    coupled = not model.decoupled  # else y2 = 0 adds nothing
     for t, c1, c2 in zip(range(model.a, n_max + 1), y1[1:], y2[1:]):
-        total = total + abs2(c1) + abs2(c2)
+        total = total + abs2(c1)
+        if coupled:
+            total = total + abs2(c2)
         sums.append((t, total))
     if k.needs_finite_checks and not k.isfinite(total):
         raise _sums_exhausted(n_max)

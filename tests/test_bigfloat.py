@@ -477,6 +477,28 @@ def test_pow_positive_of_a_power_of_two_is_mpmaths(bits):
                 assert type(got) is own and got._mpf_ == want._mpf_, (kk, n)
 
 
+@pytest.mark.parametrize("bits", OWN_BITS)
+def test_int_power_of_a_power_of_two_is_mpmaths(bits, monkeypatch):
+    """``x ** n`` of a power of two x, in any representation, and an int
+    n with |n| <= 4096 is the value of mpmath's ``**`` and leaves the
+    scalars for no mpmath value; other bases still go to mpmath."""
+    k = MpmathKernel(bits)
+    ctx = mpmath.MPContext()
+    ctx.prec = bits
+    own = type(k.real(1))
+    bases = [_own(k, 1, 0), _own(k, 1, 2), _own(k, 8, -4), _own(k, 1, -300),
+             _own(k, 1 << 5, 295), k.real(1) / 3, k.real(-2)]
+    ns = range(-4096, 4097)
+    wanted = [[(ctx.make_mpf(base._mpf_) ** n)._mpf_ for n in ns] for base in bases]
+    conversions = Counter()
+    mp = own._mp
+    monkeypatch.setattr(own, "_mp", lambda s: conversions.update([s.m]) or mp(s))
+    for base, want in zip(bases, wanted):
+        assert [(base ** n)._mpf_ for n in ns] == want, base
+    # only the last two bases, which are not positive powers of two
+    assert conversions == Counter({bases[-2].m: len(ns), -2: len(ns)})
+
+
 def test_pow_positive_of_other_operands_runs_on_mpmath(monkeypatch):
     """A base that is not a power of two, or an exponent that is not an
     integer, still goes to ``ctx.power``; powers of two do not."""
@@ -560,15 +582,16 @@ def test_classification_runs_on_the_kernel_scalars(name):
 # What still reaches mpmath in one in-process `classify --n-max 200` and
 # one `check` at 256 bits, per built-in: the scalars' ``_mp`` conversions
 # by calling method, ``to_str`` calls from ``format_real`` (zeros and
-# values past 2**+-3500) and the kernel's ``sin``/``cos``.  The powers
-# are ``k.real(2) ** n`` scalings in the chi and corner routes.
+# values past 2**+-3500) and the kernel's ``sin``/``cos``.  The
+# ``k.real(2) ** n`` scalings of the chi and corner routes stay on the
+# scalars.
 REACH = {
-    ("classify", "free"): {"Real.__pow__": 2, "to_str": 1, "sin": 1, "cos": 1},
-    ("classify", "ex4.1a"): {"Real.__pow__": 1, "to_str": 2, "sin": 1, "cos": 1},
-    ("classify", "ex4.1b"): {"Real.__pow__": 2, "to_str": 1, "sin": 1, "cos": 1},
-    ("classify", "ex4.2a"): {"Real.__pow__": 2, "to_str": 318, "sin": 1, "cos": 1},
-    ("classify", "ex4.2b"): {"Real.__pow__": 1, "sin": 1, "cos": 1},
-    **{("check", name): {"Real.__pow__": 2, "sin": 8, "cos": 8} for name in builtin_names()},
+    ("classify", "free"): {"to_str": 1, "sin": 1, "cos": 1},
+    ("classify", "ex4.1a"): {"to_str": 2, "sin": 1, "cos": 1},
+    ("classify", "ex4.1b"): {"to_str": 1, "sin": 1, "cos": 1},
+    ("classify", "ex4.2a"): {"to_str": 318, "sin": 1, "cos": 1},
+    ("classify", "ex4.2b"): {"sin": 1, "cos": 1},
+    **{("check", name): {"sin": 8, "cos": 8} for name in builtin_names()},
 }
 
 

@@ -17,7 +17,7 @@ from weyldisc import (
 )
 from weyldisc.recurrence import max_relative_residual, propagate_columns, y2_relation
 
-from conftest import fabs, fdiff
+from conftest import _random_left_end_cases, fabs, fdiff
 
 
 def test_step_matrix_free_model(models):
@@ -428,44 +428,6 @@ def test_left_end_refuses_a_vanishing_p_tilde():
         with pytest.raises(InadmissibleLambdaError) as exc:
             propagate(model, -1, BoundaryData(1, 0), 5)
         assert exc.value.t == -1
-
-
-def _random_left_end_cases(count, seed, coupled=False):
-    """Seeded random models with a in {0, 1, 3}: p from a fixed list that
-    never vanishes on t >= -1; q, c, h and d zero or one or two terms
-    kappa b^t t^k, b in {1/2, 1, 2, 4}, k <= 2; a nonreal lam and real
-    initial data with two decimals.  ``coupled`` adds a term kappa 4^t t^k
-    to both c and h, so that they grow together."""
-    rng = random.Random(seed)
-    kappas = ["1", "2", "3", "1/2", "-1", "-2"]
-
-    def term():
-        parts = [rng.choice(kappas)]
-        base = rng.choice(["(1/2)", "1", "2", "4"])
-        if base != "1":
-            parts.append(f"{base}^t")
-        power = rng.randrange(3)
-        if power:
-            parts.append("t" if power == 1 else f"t^{power}")
-        return "(" + "*".join(parts) + ")"
-
-    def coefficient():
-        if rng.random() < 0.35:
-            return "0"
-        return " + ".join(term() for _ in range(rng.randint(1, 2)))
-
-    for _ in range(count):
-        exprs = {"p": rng.choice(["1", "-1", "4^t", "-(4^t)", "2^t", "t+2"])}
-        exprs.update((name, coefficient()) for name in "qchd")
-        if coupled:
-            for name in "ch":
-                power = rng.randrange(3)
-                growth = "*".join([rng.choice(kappas), "4^t"] + ["t"] * power)
-                exprs[name] = f"({growth}) + {exprs[name]}"
-        a = rng.choice([0, 1, 3])
-        lam = complex(round(rng.uniform(-2, 2), 2), round(rng.uniform(0.1, 2), 2))
-        data = BoundaryData(round(rng.uniform(-2, 2), 2), round(rng.uniform(-2, 2), 2))
-        yield a, exprs, lam, data
 
 
 @pytest.mark.parametrize("precision", [
