@@ -39,11 +39,11 @@ solutions of a fundamental pair are one call.
 
 A coefficient in ``model.zeros`` (c, h, d or q written as the literal 0,
 or a table of zeros, on the big-float kernel) has its products dropped
-wherever they are formed.  A zero c or h makes alpha and a11 vanish and
-p_tilde = lead, which stays complex, so 1/p_tilde is still the complex
-reciprocal; a zero c also leaves q_tilde = common, and a zero h leaves
-common = q, r1 = 0 and a21 = (q - lam) lead/p_tilde.  With c = h = 0
-every solution has y2 = 0, and y2 is not reconstructed.
+wherever they are formed.  A zero c or h makes alpha and a11 vanish, so
+q_tilde = common and p_tilde = lead, which stays complex: 1/p_tilde is
+still the complex reciprocal.  A zero h also leaves common = q, r1 = 0
+and a21 = (q - lam) lead/p_tilde.  With c = h = 0 every solution has
+y2 = 0, and y2 is not reconstructed.
 ``operator_window`` keeps an exact zero among the terms in place of each
 dropped product.  Each pruned formula is the general one with its
 exact-zero terms left out, in the same order; on the int-backed scalars
