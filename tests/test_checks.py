@@ -136,3 +136,30 @@ def test_pairing_lines_cover_their_windows(models):
     bent = dataclasses.replace(psi, y1=psi.y1[:1] + (psi.y1[1] * 3,) + psi.y1[2:])
     assert checks.pair_det_deviation(phi, bent, 20) == base
     assert checks.wronskian_deviation(phi, bent, 20) > 0.1
+
+
+def test_run_suite_steps_three_data_at_nonzero_alpha(models, monkeypatch):
+    """Away from alpha = 0 the variation-of-parameters basis is stepped
+    from (0, -1) and (1, 0) next to the (1, 1) column, on the same lam
+    table as the pair."""
+    columns = []
+    forward = recurrence._forward_states
+
+    def counting_forward(table, starts):
+        starts = list(starts)
+        columns.append((complex(table.lam), len(starts)))
+        return forward(table, starts)
+
+    monkeypatch.setattr(recurrence, "_forward_states", counting_forward)
+    results = checks.run_suite(models["free"], 1j, 0.7, top=40)
+    assert all(r.passed for r in results)
+    assert sum(n for lam, n in columns if lam == 1j) == 5
+    assert sum(n for lam, n in columns if lam == 2j) == 2
+
+
+def test_wronskian_refuses_solutions_at_two_lams(models):
+    model = models["free"]
+    phi, _ = weyl.fundamental_pair(model, 1j, 0.0, 10)
+    _, psi = weyl.fundamental_pair(model, 2j, 0.0, 10)
+    with pytest.raises(ValueError, match="same lam"):
+        checks.wronskian_deviation(phi, psi, 10)

@@ -436,7 +436,13 @@ def test_cli_check_statuses_on_builtins(capsys, name):
     """Status of every invariant and the exit code at top 40.  Statuses,
     not digits: the printed defects sit at roundoff level.  ex4.2a's
     disc_corner_route failure is the known one."""
-    code = main(["check", name])
+    _assert_builtin_check_statuses(capsys, name)
+
+
+def _assert_builtin_check_statuses(capsys, name, *flags):
+    """Every invariant of `check name *flags` holds but ex4.2a's
+    disc_corner_route, and the exit code says so."""
+    code = main(["check", name, *flags])
     out = capsys.readouterr().out
     lines = _check_lines(out)
     assert list(lines) == INVARIANTS
@@ -445,6 +451,13 @@ def test_cli_check_statuses_on_builtins(capsys, name):
     assert failing == expected
     assert f"{name}: {15 - len(expected)}/15 invariants hold" in out
     assert code == (1 if expected else 0)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_cli_check_statuses_at_nonzero_alpha(capsys, name):
+    """At alpha = 0.7 the statuses are those at alpha = 0: every invariant
+    holds but ex4.2a's disc_corner_route, on the three-datum basis."""
+    _assert_builtin_check_statuses(capsys, name, "--alpha", "0.7")
 
 
 def test_cli_check_reports_a_singular_vop_matching_system(capsys):

@@ -167,3 +167,68 @@ def test_witnesses_are_the_per_t_sups(weight, horizon):
     got = {"K": ratio.witnesses["K"], **{key: weighted.witnesses[key] for key in want if key != "K"}}
     assert got == want
     assert want["k4"] > 0 or horizon <= 1
+
+
+def test_ratio_criterion_needs_both_classes():
+    assert ratio_limit_point_check(_table_model(c=[1] * 12), 10).outcome == "unknown"
+    model = _table_model(p=[1] * 12)
+    coupled = CoefficientSet(a=0, p=model.p, q=model.q, c=ExprCoefficient.parse("1"),
+                             h=model.h, d=model.d)
+    verdict = ratio_limit_point_check(coupled, 10)
+    assert verdict.outcome == "unknown"
+    assert verdict.reason == "coupling/leading coefficient has no certified asymptotics"
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("p", "positivity of p beyond the horizon could not be certified"),
+    ("c", "c has no certified asymptotics"),
+    ("h", "h has no certified asymptotics"),
+    ("q", "q has no certified asymptotics"),
+])
+def test_weighted_criterion_table_coefficient_is_unknown(name, reason):
+    verdict = weighted_limit_point_check(_table_model(**{name: [1] * 12}), "1", 10)
+    assert (verdict.outcome, verdict.failing_condition) == ("unknown", None)
+    assert verdict.reason == reason
+
+
+def test_weighted_criterion_p_negative_past_the_horizon():
+    model = CoefficientSet.from_expressions(a=0, p="100 - t")
+    verdict = weighted_limit_point_check(model, "1", 50)
+    assert (verdict.outcome, verdict.failing_condition) == ("fails", "p_positive")
+    assert verdict.witnesses["p_violation_t"] is None
+
+
+def test_weighted_criterion_p_vanishing_past_the_horizon():
+    """p = (t - 50)^2 is positive up to the horizon 20 and eventually; the
+    exact scan between them finds its zero, as a longer horizon would."""
+    model = CoefficientSet.from_expressions(a=0, p="t^2 - 100*t + 2500")
+    for horizon in (20, 60):
+        verdict = weighted_limit_point_check(model, "1", horizon)
+        assert (verdict.outcome, verdict.failing_condition) == ("fails", "p_positive")
+        assert verdict.witnesses["p_violation_t"] == 50
+
+
+def test_weighted_criterion_sqrt_weight_variation_is_unknown(models):
+    verdict = weighted_limit_point_check(models["free"], "sqrt(t + 1)", 20)
+    assert verdict.outcome == "unknown"
+    assert verdict.reason == "variation of a sqrt-wrapped weight is not certified"
+
+
+def test_weighted_criterion_coupling_dominates_the_series():
+    # c^2 = t^4 outgrows p^2 = 1: the terms 1/(t sqrt(t^2 + 1)) converge
+    model = CoefficientSet.from_expressions(a=0, p="1", c="t^2")
+    verdict = weighted_limit_point_check(model, "t^2 + 1", 30)
+    assert (verdict.outcome, verdict.failing_condition) == ("fails", "weighted_series_divergence")
+    assert weighted_limit_point_check(
+        CoefficientSet.from_expressions(a=0, p="1"), "t^2 + 1", 30).outcome == "holds"
+
+
+def test_weighted_criterion_below_the_grid_origin(models):
+    """A horizon below a scans nothing: a zero weight reads unknown and a
+    zero p fails its eventual sign."""
+    verdict = weighted_limit_point_check(models["free"], "0", -1)
+    assert verdict.outcome == "unknown"
+    assert verdict.reason == "weight has no certified asymptotics"
+    zero_p = CoefficientSet.from_expressions(a=0, p="0")
+    verdict = weighted_limit_point_check(zero_p, "1", -1)
+    assert (verdict.outcome, verdict.failing_condition) == ("fails", "p_positive")

@@ -149,3 +149,44 @@ def test_order_comparison_with_radical_bases():
     c = GrowthOrder(((F(4), F(1, 2)),), F(0))
     d = GrowthOrder(((F(2), F(1)),), F(0))
     assert order_cmp(c, d) == 0
+
+
+def test_negative_and_large_integer_powers():
+    # a negative power inverts only a single t-free term
+    assert cls("(t + 1)^(-1)") is None
+    assert cls("t^(-1)") is None
+    assert cls("(2^t)^(-2)").terms == ((F(1), F(1, 4), 0),)
+    # integer powers stop at 64
+    assert cls("t^64").terms == ((F(1), F(1), 64),)
+    assert cls("t^65") is None
+    assert cls("2^(-70)") is None
+
+
+def test_unrecognized_operands_and_exponents():
+    assert cls("t^t + 1") is None
+    assert cls("2 * t^t") is None
+    assert cls("t^t / 2") is None
+    assert cls("(t^t)^2") is None
+    assert cls("1 / (t - t)") is None  # zero divisor
+    assert cls("2^(t/2)") is None  # non-integer exponent slope
+    assert cls("0 / t").is_zero
+    assert cls("t / t^2") is None  # negative t-power
+
+
+def test_sqrt_of_unrecognized_or_eventually_negative():
+    assert cls("sqrt(t^t)") is None
+    assert cls("sqrt(1 - 4^t)") is None
+    assert cls("sqrt(0)").is_zero and not cls("sqrt(0)").sqrt_wrapped
+
+
+def test_eventual_sign_of_zero_and_sqrt_classes():
+    assert eventual_sign(cls("2^t - 2^t"), 3) == (0, 3)
+    assert eventual_sign(cls("0"), -2) == (0, 1)
+    # sqrt(4^t - 100): positive from the radicand's domination index on
+    assert eventual_sign(cls("sqrt(4^t - 100)"), 0) == (1, 4)
+    assert eventual_sign(cls("4^t - 100"), 0) == (1, 4)
+
+
+def test_ratio_over_a_zero_denominator_is_undecided():
+    assert ratio_bounded(order_of(cls("1")), order_of(cls("0"))) is None
+    assert ratio_bounded(order_of(cls("0")), order_of(cls("0"))) is True

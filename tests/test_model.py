@@ -12,6 +12,7 @@ from weyldisc import (
     PrecisionConfig,
     PrecisionExhaustedError,
     TableCoefficient,
+    asymptotic_class,
     builtin_names,
     builtin_scenario,
     classify,
@@ -22,7 +23,8 @@ from weyldisc import (
     step_table,
 )
 from weyldisc.checks import run_suite
-from weyldisc.model import ExprCoefficient, m_excl_column
+from weyldisc.expr import parse_coefficient_expr
+from weyldisc.model import ExprCoefficient, m_excl_column, m_excl_growth_class
 
 from conftest import fabs, fdiff
 
@@ -136,6 +138,11 @@ def test_spectral_gap_examples(models):
 
     one = spectral_gap(models["free"], 1j, 40)
     assert one.margin == pytest.approx(1.0, rel=1e-12)
+
+
+def test_spectral_gap_refuses_a_horizon_below_the_origin(models):
+    with pytest.raises(ValueError, match="horizon"):
+        spectral_gap(models["free"], 1j, -1)
 
 
 def test_spectral_gap_monotone_in_horizon(models):
@@ -272,3 +279,45 @@ def test_solvers_read_coefficients_only_as_columns(monkeypatch, mode):
                 run()
             except PrecisionExhaustedError:
                 assert (name, mode) == ("ex4.2a", "native-float")
+
+
+def _m_excl_class(**exprs):
+    return m_excl_growth_class(CoefficientSet.from_expressions(a=0, **exprs))
+
+
+def _class(text):
+    return asymptotic_class(parse_coefficient_expr(text))
+
+
+def test_m_excl_class_of_recognized_coefficients():
+    # c^2 - h*c = 4^t - t 2^t over p = 2^t leaves 2^t - t
+    assert _m_excl_class(p="2^t", c="2^t", h="t", d="1") == _class("1 - 2^t + t")
+    # a sqrt c squares to its radicand
+    assert _m_excl_class(c="sqrt(t + 1)") == _class("0 - t - 1")
+    # a vanishing c^2 - h*c leaves d, whatever p is
+    assert _m_excl_class(p="t + 1", c="t", h="t", d="sqrt(t + 1)") == _class("sqrt(t + 1)")
+    assert _m_excl_class(p="sqrt(t + 1)", d="4^t") == _class("4^t")
+
+
+def test_m_excl_class_is_none_without_a_closed_form():
+    table = TableCoefficient(start=-1, values=(Fraction(1),) * 4)
+    one = ExprCoefficient.parse("1")
+    model = CoefficientSet(a=0, p=one, q=one, c=one, h=one, d=table)
+    assert m_excl_growth_class(model) is None
+    assert _m_excl_class(d="t^t") is None
+    assert _m_excl_class(c="t", h="sqrt(t + 1)") is None  # h*c keeps a sqrt
+    assert _m_excl_class(c="1", d="sqrt(t + 1)") is None
+    assert _m_excl_class(c="1", p="sqrt(t + 1)") is None
+    assert _m_excl_class(c="1", p="t + 1") is None  # p has two terms
+    assert _m_excl_class(c="1", p="t + 2 - 2") is None  # 1/t is no exponential polynomial
+
+
+def test_spectral_gap_without_a_closed_form_is_a_horizon_margin():
+    table = TableCoefficient(start=-1, values=(Fraction(3),) * 12)
+    one = ExprCoefficient.parse("1")
+    model = CoefficientSet(a=0, p=one, q=one, c=ExprCoefficient.parse("0"), h=one, d=table)
+    point = spectral_gap(model, 1.0, 10)
+    assert point.margin == 2.0 and not point.decided_symbolically
+    # m_excl = -1/(t + 2) has no closed form: only the horizon is checked
+    point = spectral_gap(CoefficientSet.from_expressions(a=0, p="t + 2", c="1"), 1.0, 10)
+    assert point.margin == 1.0 and not point.decided_symbolically
