@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .backends import big_backend_name  # noqa: E402
 from .criteria import (
     CriterionVerdict,
-    asymptotic_class,
     ratio_limit_point_check,
     weighted_limit_point_check,
 )
@@ -33,6 +32,7 @@ from .errors import (
 )
 from .expr import parse_coefficient_expr, to_text
 from .growth import GrowthClass
+from .growth import class_of_expr as asymptotic_class
 from .model import (
     CoefficientSet,
     ExprCoefficient,

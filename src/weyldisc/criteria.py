@@ -14,6 +14,8 @@ witness but never certify them; certification happens through the exact
 growth classes of the coefficients (dominant-term comparison and the
 divergence decision table: a reciprocal series sum 1/f diverges exactly
 when f's dominant base is below 1, or equals 1 with t-power at most 1).
+Those classes and their exponential-polynomial arithmetic belong to
+``growth``; this module reads them only through its public functions.
 Whenever a certificate is unavailable the verdict is ``unknown``, never
 a guess, and a definite verdict can never flip under a longer horizon.
 """
@@ -23,12 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import expr as ex
 from . import growth
 from .errors import EvaluationError
 from .model import Coefficient, CoefficientSet, ExprCoefficient
-
-asymptotic_class = growth.class_of_expr
 
 
 @dataclass(frozen=True)
@@ -103,30 +102,21 @@ def _certify_positive(model: CoefficientSet, coeff: Coefficient, horizon: int):
         return None, None
     if sign[0] <= 0:
         return False, None
-    # positive beyond sign[1]; verify the remaining front exactly
-    front_end = max(sign[1], model.a)
-    if front_end > horizon:
-        poly = cls.poly()
-        for t in range(max(horizon + 1, model.a), front_end + 1):
-            value = growth.exact_value(poly, t)
-            if cls.sqrt_wrapped:
-                if value < 0:
-                    return False, t
-                continue
-            if not value > 0:
-                return False, t
+    # positive from sign[1] >= a on; verify the front past the scan exactly
+    for t in range(max(horizon + 1, model.a), sign[1] + 1):
+        if not growth.positive_at(cls, t):
+            return False, t
     return True, None
 
 
 def weighted_limit_point_check(
-    model: CoefficientSet, weight: Coefficient | ex.CoefficientExpr,
-    horizon: int = 200,
+    model: CoefficientSet, weight: Coefficient | str, horizon: int = 200,
 ) -> CriterionVerdict:
-    """Weight-sequence criterion; ``weight`` is the positive sequence M."""
+    """Weight-sequence criterion; ``weight`` is the positive sequence M, an
+    expression string or a coefficient (a table has no certified
+    asymptotics, so it reads ``unknown``)."""
     if isinstance(weight, str):
         weight = ExprCoefficient.parse(weight)
-    elif not isinstance(weight, ExprCoefficient):
-        weight = ExprCoefficient(weight)
     witnesses: dict = {"N": model.a}
 
     # M > 0 wherever we can see it; a witnessed violation is an input error
@@ -157,16 +147,18 @@ def weighted_limit_point_check(
 
 
 def _weighted_conditions(
-    model: CoefficientSet, weight: ExprCoefficient
+    model: CoefficientSet, weight: Coefficient
 ) -> tuple[str, str | None, str | None]:
     """(outcome, failing_condition, reason) of the weighted criterion's
-    four conditions, decided from the exact growth classes for positive p."""
+    four conditions, decided from the exact growth classes for a p that
+    ``_certify_positive`` certified (so p's class is known and nonzero)."""
     m_cls = weight.growth_class()
     c_cls = model.c.growth_class()
     h_cls = model.h.growth_class()
     q_cls = model.q.growth_class()
     p_cls = model.p.growth_class()
 
+    # a zero M passes the positivity scan only when the horizon is below a
     if m_cls is None or m_cls.is_zero:
         return "unknown", None, "weight has no certified asymptotics"
     m_order = growth.order_of(m_cls)
@@ -175,7 +167,7 @@ def _weighted_conditions(
     for cls, name in ((c_cls, "c"), (h_cls, "h")):
         if cls is None:
             return "unknown", None, f"{name} has no certified asymptotics"
-        if growth.ratio_bounded(growth.order_of(cls), m_order) is not True:
+        if not growth.ratio_bounded(growth.order_of(cls), m_order):
             return "fails", "coupling_bound", None
 
     # condition 2: q bounded below by a multiple of -M
@@ -186,27 +178,22 @@ def _weighted_conditions(
         if sign is None:
             return "unknown", None, "sign of q could not be certified"
         if sign[0] < 0:
-            if growth.ratio_bounded(growth.order_of(q_cls), m_order) is not True:
+            if not growth.ratio_bounded(growth.order_of(q_cls), m_order):
                 return "fails", "potential_lower_bound", None
 
     # condition 3: normalized variation of M stays bounded
-    if p_cls is None:
-        return "unknown", None, "p has no certified asymptotics"
     p_order = growth.order_of(p_cls)
-    if p_order is None:
-        raise EvaluationError("p is identically zero")  # p != 0 by contract
-    if m_cls.sqrt_wrapped:
+    nabla_m = growth.nabla_class(m_cls)
+    if nabla_m is None:
         return "unknown", None, "variation of a sqrt-wrapped weight is not certified"
-    nabla_m = growth.nabla_poly(m_cls.poly())
-    if nabla_m:
-        nabla_cls = growth._class_from_poly(nabla_m)
-        num_order = p_order.pow(Fraction(1, 2)).mul(growth.order_of(nabla_cls))
+    if not nabla_m.is_zero:
+        num_order = p_order.pow(Fraction(1, 2)).mul(growth.order_of(nabla_m))
         den_order = m_order.pow(Fraction(3, 2))
         if growth.order_cmp(num_order, den_order) > 0:
             return "fails", "weight_variation", None
 
     # condition 4: divergence of sum 1/((p^2+c^2)^(1/4) sqrt(M))
-    c_order = growth.order_of(c_cls) if not c_cls.is_zero else None
+    c_order = growth.order_of(c_cls)
     pc_order = p_order.pow(Fraction(2))
     if c_order is not None:
         c_sq = c_order.pow(Fraction(2))

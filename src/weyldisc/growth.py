@@ -10,13 +10,17 @@ range, is a ratio of two coefficients bounded, does a reciprocal series
 diverge -- are decidable exactly with rational arithmetic.  Everything
 outside the family is reported as unrecognized (None), never guessed.
 
-The internal representation of an exponential polynomial is a dict
-mapping (base, power) -> coefficient with all entries nonzero.
+This module owns the exponential-polynomial form: the dict ``ExpPoly``
+mapping (base, power) -> coefficient, all entries nonzero, is read and
+built only here.  The other modules hold ``GrowthClass`` values, combine
+them with ``class_mul``, ``class_sub``, ``class_div`` and ``nabla_class``,
+compare them through their ``GrowthOrder`` and ask ``eventual_sign``,
+``positive_at`` and ``closure_contains``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb, lcm
 
@@ -52,14 +56,11 @@ def _mul(p: ExpPoly, q: ExpPoly) -> ExpPoly:
     return _clean(out)
 
 
-def _scale(p: ExpPoly, factor: Fraction) -> ExpPoly:
-    return _clean({key: c * factor for key, c in p.items()})
-
-
-def _div_single(p: ExpPoly, single: ExpPoly) -> ExpPoly | None:
-    if not p:
-        return {}
-    ((b0, k0), c0), = single.items()
+def _div(p: ExpPoly, q: ExpPoly) -> ExpPoly | None:
+    """p / q for a single-term q that no t-power of p falls below."""
+    if len(q) != 1:
+        return None
+    ((b0, k0), c0), = q.items()
     if any(k < k0 for (_, k) in p):
         return None
     return {(b / b0, k - k0): c / c0 for (b, k), c in p.items()}
@@ -67,13 +68,8 @@ def _div_single(p: ExpPoly, single: ExpPoly) -> ExpPoly | None:
 
 def _int_pow(p: ExpPoly, n: int) -> ExpPoly | None:
     if n < 0:
-        if len(p) != 1:
-            return None
-        ((b, k), c), = p.items()
-        if k != 0:
-            return None
-        p = {(1 / b, 0): 1 / c}
-        n = -n
+        inverse = _div(_const_poly(Fraction(1)), p)
+        return None if inverse is None else _int_pow(inverse, -n)
     if n > _MAX_INT_EXPONENT:
         return None
     out = _const_poly(Fraction(1))
@@ -97,53 +93,43 @@ def _linear_int_parts(p: ExpPoly) -> tuple[int, int] | None:
     return int(u), int(v)
 
 
+def _pow(base: ExpPoly, expo: ExpPoly) -> ExpPoly | None:
+    """base^expo for an integer expo, or a positive constant base raised
+    to an affine exponent u*t + v."""
+    linear = _linear_int_parts(expo)
+    if linear is None:
+        return None
+    u, v = linear
+    if u == 0:
+        return _int_pow(base, v)
+    c = base.get((Fraction(1), 0))
+    if len(base) == 1 and c is not None and c > 0:
+        return {(c**u, 0): c**v}
+    return None
+
+
+# how each operator node combines the normal forms of its children
+_COMBINE = {
+    ex.Neg: lambda p: _add({}, p, -1),
+    ex.Add: _add,
+    ex.Sub: lambda p, q: _add(p, q, -1),
+    ex.Mul: _mul,
+    ex.Div: _div,
+    ex.Pow: _pow,
+}
+
+
 def poly_of(node: ex.CoefficientExpr) -> ExpPoly | None:
     """Exponential-polynomial normal form of an AST, or None."""
     if isinstance(node, ex.Num):
         return _const_poly(node.value)
     if isinstance(node, ex.Var):
         return {(Fraction(1), 1): Fraction(1)}
-    if isinstance(node, ex.Neg):
-        inner = poly_of(node.arg)
-        return None if inner is None else _scale(inner, Fraction(-1))
-    if isinstance(node, ex.Add) or isinstance(node, ex.Sub):
-        left = poly_of(node.left)
-        right = poly_of(node.right)
-        if left is None or right is None:
-            return None
-        return _add(left, right, 1 if isinstance(node, ex.Add) else -1)
-    if isinstance(node, ex.Mul):
-        left = poly_of(node.left)
-        right = poly_of(node.right)
-        if left is None or right is None:
-            return None
-        return _mul(left, right)
-    if isinstance(node, ex.Div):
-        left = poly_of(node.left)
-        right = poly_of(node.right)
-        if left is None or right is None or not right:
-            return None
-        if len(right) == 1:
-            return _div_single(left, right)
+    combine = _COMBINE.get(type(node))  # Sqrt handled only at the top level
+    if combine is None:
         return None
-    if isinstance(node, ex.Pow):
-        base = poly_of(node.base)
-        expo = poly_of(node.exponent)
-        if base is None or expo is None:
-            return None
-        linear = _linear_int_parts(expo)
-        if linear is None:
-            return None
-        u, v = linear
-        if u == 0:
-            return _int_pow(base, v)
-        # constant positive base raised to an affine exponent
-        if len(base) == 1 and (Fraction(1), 0) in base:
-            c = base[(Fraction(1), 0)]
-            if c > 0:
-                return {(c**u, 0): c**v}
-        return None
-    return None  # Sqrt handled only at the top level
+    parts = [poly_of(getattr(node, f.name)) for f in fields(node)]
+    return None if None in parts else combine(*parts)
 
 
 @dataclass(frozen=True)
@@ -179,16 +165,80 @@ def _class_from_poly(poly: ExpPoly, sqrt_wrapped: bool = False) -> GrowthClass:
 
 
 def class_of_expr(node: ex.CoefficientExpr) -> GrowthClass | None:
-    if isinstance(node, ex.Sqrt):
-        inner = poly_of(node.arg)
-        if inner is None:
-            return None
-        cls = _class_from_poly(inner, sqrt_wrapped=True)
-        if cls.terms and cls.dominant[0] < 0:
-            return None  # eventually negative under a sqrt: not evaluable
-        return cls
-    poly = poly_of(node)
-    return None if poly is None else _class_from_poly(poly)
+    wrapped = isinstance(node, ex.Sqrt)
+    poly = poly_of(node.arg if wrapped else node)
+    if poly is None:
+        return None
+    cls = _class_from_poly(poly, sqrt_wrapped=wrapped)
+    if cls.sqrt_wrapped and cls.dominant[0] < 0:
+        return None  # eventually negative under a sqrt: not evaluable
+    return cls
+
+
+# ---------------------------------------------------------------------------
+# Class arithmetic.  Each takes and gives GrowthClass or None (no closed
+# form), so a formula of classes reads as written and None carries through.
+
+
+def class_mul(a: GrowthClass | None, b: GrowthClass | None) -> GrowthClass | None:
+    """a * b: a zero class gives zero and a sqrt class times itself its
+    radicand; any other product with a sqrt class has no closed form."""
+    if a is None or b is None:
+        return None
+    if a.is_zero or b.is_zero:
+        return GrowthClass(())
+    if a.sqrt_wrapped or b.sqrt_wrapped:
+        return GrowthClass(a.terms) if a == b else None
+    return _class_from_poly(_mul(a.poly(), b.poly()))
+
+
+def class_sub(a: GrowthClass | None, b: GrowthClass | None) -> GrowthClass | None:
+    """a - b; a sqrt class survives only a zero b."""
+    if a is None or b is None:
+        return None
+    if b.is_zero:
+        return a
+    if a.sqrt_wrapped or b.sqrt_wrapped:
+        return None
+    return _class_from_poly(_add(a.poly(), b.poly(), -1))
+
+
+def class_div(a: GrowthClass | None, b: GrowthClass | None) -> GrowthClass | None:
+    """a / b: zero over any class is zero; otherwise b must be a single
+    unwrapped term that no t-power of an unwrapped a falls below."""
+    if a is None or b is None:
+        return None
+    if a.is_zero:
+        return a
+    if a.sqrt_wrapped or b.sqrt_wrapped:
+        return None
+    quot = _div(a.poly(), b.poly())
+    return None if quot is None else _class_from_poly(quot)
+
+
+def shift_poly(poly: ExpPoly) -> ExpPoly:
+    """The poly of t -> f(t-1)."""
+    out: ExpPoly = {}
+    for (b, k), c in poly.items():
+        base_coeff = c / b
+        for j in range(k + 1):
+            binom = Fraction(comb(k, j) * ((-1) ** (k - j)))
+            key = (b, j)
+            out[key] = out.get(key, Fraction(0)) + base_coeff * binom
+    return _clean(out)
+
+
+def nabla_class(cls: GrowthClass) -> GrowthClass | None:
+    """f(t) - f(t-1); None for a sqrt class, whose difference has no
+    closed form."""
+    if cls.sqrt_wrapped:
+        return None
+    poly = cls.poly()
+    return _class_from_poly(_add(poly, shift_poly(poly), -1))
+
+
+# ---------------------------------------------------------------------------
+# Exact values and eventual signs.
 
 
 def exact_value(poly: ExpPoly, t: int) -> Fraction:
@@ -198,11 +248,14 @@ def exact_value(poly: ExpPoly, t: int) -> Fraction:
     return total
 
 
-def dominant_of(poly: ExpPoly) -> tuple[Fraction, Fraction, int] | None:
-    if not poly:
-        return None
-    (b, k) = max(poly)
-    return (poly[(b, k)], b, k)
+def positive_at(cls: GrowthClass, t: int) -> bool:
+    """Whether f(t) > 0, exactly; sqrt(v) > 0 exactly when v > 0."""
+    return exact_value(cls.poly(), t) > 0
+
+
+def _first(test, t: int) -> int | None:
+    """The first s >= t with ``test(s)``; None past _SCAN_LIMIT steps."""
+    return next((s for s in range(t, t + _SCAN_LIMIT) if test(s)), None)
 
 
 def _term_abs(c: Fraction, b: Fraction, k: int, t: int) -> Fraction:
@@ -214,40 +267,29 @@ def _ratio_nonincreasing_at(bi: Fraction, ki: int, bd: Fraction, kd: int, t: int
     return bi * Fraction(t + 1, t) ** (ki - kd) <= bd
 
 
-def domination_index(poly: ExpPoly, t_start: int) -> int | None:
+def _domination_index(cls: GrowthClass, t_start: int) -> int | None:
     """Smallest T >= max(t_start, 1) with  sum of non-dominant |terms|
-    <= |dominant|/2  for every t >= T.  None if the scan cap is hit."""
-    dom = dominant_of(poly)
-    if dom is None:
-        return max(t_start, 1)
-    cd, bd, kd = dom
-    rest = [(c, b, k) for (b, k), c in poly.items() if (b, k) != (bd, kd)]
-    if not rest:
-        return max(t_start, 1)
-    t = max(t_start, 1)
-    for _ in range(_SCAN_LIMIT):
-        if all(_ratio_nonincreasing_at(b, k, bd, kd, t) for _, b, k in rest):
-            total = sum(_term_abs(c, b, k, t) for c, b, k in rest)
-            if total * 2 <= _term_abs(cd, bd, kd, t):
-                return t
-        t += 1
-    return None
+    <= |dominant|/2  for every t >= T, for a nonzero class.  None if the
+    scan cap is hit."""
+    (cd, bd, kd), *rest = cls.terms
+
+    def dominated(t):
+        return all(_ratio_nonincreasing_at(b, k, bd, kd, t) for _, b, k in rest) and (
+            2 * sum(_term_abs(c, b, k, t) for c, b, k in rest) <= _term_abs(cd, bd, kd, t)
+        )
+
+    return _first(dominated, max(t_start, 1))
 
 
 def eventual_sign(cls: GrowthClass, t_start: int) -> tuple[int, int] | None:
-    """(sign, T) such that sign(f(t)) = sign for all t >= T, or None."""
+    """(sign, T) such that sign(f(t)) = sign for all t >= T, or None.  A
+    sqrt class takes its radicand's sign, positive from ``class_of_expr``."""
     if cls.is_zero:
         return (0, max(t_start, 1))
-    if cls.sqrt_wrapped:
-        inner = eventual_sign(GrowthClass(cls.terms), t_start)
-        if inner is None or inner[0] < 0:
-            return None
-        return (1 if inner[0] > 0 else 0, inner[1])
-    T = domination_index(cls.poly(), t_start)
+    T = _domination_index(cls, t_start)
     if T is None:
         return None
-    c, _, _ = cls.dominant
-    return (1 if c > 0 else -1, T)
+    return (1 if cls.dominant[0] > 0 else -1, T)
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +343,6 @@ def order_cmp(a: GrowthOrder, b: GrowthOrder) -> int:
     return 1 if a.power > b.power else -1
 
 
-def base_cmp_to_one(a: GrowthOrder) -> int:
-    return _base_cmp(a, ORDER_ONE)
-
-
 def order_of(cls: GrowthClass) -> GrowthOrder | None:
     """None for the zero class."""
     if cls.is_zero:
@@ -325,29 +363,12 @@ def ratio_bounded(num: GrowthOrder | None, den: GrowthOrder | None) -> bool | No
 
 def recip_sum_diverges(order: GrowthOrder) -> bool:
     """Does sum of 1/f(t) diverge, for positive f of the given order?"""
-    base = base_cmp_to_one(order)
+    base = _base_cmp(order, ORDER_ONE)
     if base < 0:
         return True  # terms themselves blow up
     if base > 0:
         return False  # geometric decay of 1/f
     return order.power <= 1
-
-
-def shift_poly(poly: ExpPoly) -> ExpPoly:
-    """The poly of t -> f(t-1)."""
-    out: ExpPoly = {}
-    for (b, k), c in poly.items():
-        base_coeff = c / b
-        for j in range(k + 1):
-            binom = Fraction(comb(k, j) * ((-1) ** (k - j)))
-            key = (b, j)
-            out[key] = out.get(key, Fraction(0)) + base_coeff * binom
-    return _clean(out)
-
-
-def nabla_poly(poly: ExpPoly) -> ExpPoly:
-    """f(t) - f(t-1)."""
-    return _add(poly, shift_poly(poly), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -366,42 +387,29 @@ def closure_contains(
         if value < 0:
             return False
         return closure_contains(GrowthClass(cls.terms), value * value, t_start)
-    poly = cls.poly()
-    if not poly:
+    if cls.is_zero:
         return value == 0
-    cd, bd, kd = dominant_of(poly)
-    growing = bd > 1 or (bd == 1 and kd >= 1)
-    if growing:
-        T = domination_index(poly, t_start)
-        if T is None:
-            return None
+    poly = cls.poly()
+    cd, bd, kd = cls.dominant
+    if bd > 1 or (bd == 1 and kd >= 1):
         # beyond T the modulus exceeds |dominant(t)|/2, which increases
-        bound_t = T
-        for _ in range(_SCAN_LIMIT):
-            if _term_abs(cd, bd, kd, bound_t) > 2 * abs(value):
-                break
-            bound_t += 1
-        else:
-            return None
-        return any(
-            exact_value(poly, t) == value for t in range(t_start, bound_t + 1)
-        )
-    # no growing term: limit is the constant part
-    limit = poly.get((Fraction(1), 0), Fraction(0))
-    if value == limit:
-        return True
-    decay = [(c, b, k) for (b, k), c in poly.items() if b != 1]
-    delta = abs(value - limit)
-    t = max(t_start, 1)
-    for _ in range(_SCAN_LIMIT):
-        all_decreasing = all(
-            b * Fraction(t + 1, t) ** k <= 1 for _, b, k in decay
-        )
-        if all_decreasing and sum(
-            _term_abs(c, b, k, t) for c, b, k in decay
-        ) < delta:
-            break
-        t += 1
+        T = _domination_index(cls, t_start)
+        end = None if T is None else _first(
+            lambda t: _term_abs(cd, bd, kd, t) > 2 * abs(value), T)
     else:
+        # no growing term: limit is the constant part
+        limit = poly.get((Fraction(1), 0), Fraction(0))
+        if value == limit:
+            return True
+        decay = [(c, b, k) for c, b, k in cls.terms if b != 1]
+        delta = abs(value - limit)
+
+        def settled(t):
+            return all(b * Fraction(t + 1, t) ** k <= 1 for _, b, k in decay) and (
+                sum(_term_abs(c, b, k, t) for c, b, k in decay) < delta
+            )
+
+        end = _first(settled, max(t_start, 1))
+    if end is None:
         return None
-    return any(exact_value(poly, s) == value for s in range(t_start, t + 1))
+    return any(exact_value(poly, t) == value for t in range(t_start, end + 1))

@@ -20,7 +20,10 @@ lam is admissible when it avoids the closures of the ranges of d and
 m_excl; there p_tilde and its reciprocal stay well defined, because
 p_tilde * (lam - d) = p * (lam - m_excl).  ``recurrence.step_table``
 computes the lam-dependent ones; ``m_excl_column`` gives the lam-free
-m_excl on a window.
+m_excl on a window.  For real lam ``spectral_gap`` decides admissibility
+for all t from m_excl's exact class, the formula above written in
+``growth``'s class arithmetic; ``growth`` alone owns the
+exponential-polynomial form behind it.
 """
 
 from __future__ import annotations
@@ -267,43 +270,9 @@ def m_excl_column(model: CoefficientSet, first: int, last: int) -> list:
 
 def m_excl_growth_class(model: CoefficientSet) -> growth.GrowthClass | None:
     """Exact normal form of d - (c^2 - h*c)/p when the coefficients allow it."""
-    d_cls = model.d.growth_class()
-    c_cls = model.c.growth_class()
-    h_cls = model.h.growth_class()
-    p_cls = model.p.growth_class()
-    if d_cls is None or c_cls is None or h_cls is None or p_cls is None:
-        return None
-    c_sq = _class_square(c_cls)
-    hc = _class_mul(h_cls, c_cls)
-    if c_sq is None or hc is None:
-        return None
-    num = growth._add(c_sq, hc, -1)
-    if not num:
-        return d_cls  # off-diagonal part vanishes identically
-    if d_cls.sqrt_wrapped or p_cls.sqrt_wrapped:
-        return None
-    if len(p_cls.poly()) != 1:
-        return None
-    quot = growth._div_single(num, p_cls.poly())
-    if quot is None:
-        return None
-    return growth._class_from_poly(growth._add(d_cls.poly(), quot, -1))
-
-
-def _class_square(cls: growth.GrowthClass) -> growth.ExpPoly | None:
-    if cls.is_zero:
-        return {}
-    if cls.sqrt_wrapped:
-        return cls.poly()
-    return growth._mul(cls.poly(), cls.poly())
-
-
-def _class_mul(a: growth.GrowthClass, b: growth.GrowthClass) -> growth.ExpPoly | None:
-    if a.is_zero or b.is_zero:
-        return {}
-    if a.sqrt_wrapped or b.sqrt_wrapped:
-        return None
-    return growth._mul(a.poly(), b.poly())
+    d, c, h, p = (getattr(model, name).growth_class() for name in "dchp")
+    num = growth.class_sub(growth.class_mul(c, c), growth.class_mul(h, c))
+    return growth.class_sub(d, growth.class_div(num, p))
 
 
 def spectral_gap(model: CoefficientSet, lam, horizon: int) -> SpectralPoint:

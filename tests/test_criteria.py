@@ -198,14 +198,30 @@ def test_weighted_criterion_p_negative_past_the_horizon():
     assert verdict.witnesses["p_violation_t"] is None
 
 
-def test_weighted_criterion_p_vanishing_past_the_horizon():
-    """p = (t - 50)^2 is positive up to the horizon 20 and eventually; the
-    exact scan between them finds its zero, as a longer horizon would."""
-    model = CoefficientSet.from_expressions(a=0, p="t^2 - 100*t + 2500")
-    for horizon in (20, 60):
+@pytest.mark.parametrize("p, zero_t, horizons", [
+    ("t^2 - 100*t + 2500", 50, (20, 60)),
+    # sqrt(v) > 0 exactly when v > 0
+    ("sqrt((t - 250)^2)", 250, (200, 300)),
+])
+def test_weighted_criterion_p_vanishing_past_the_horizon(p, zero_t, horizons):
+    """p is positive up to the shorter horizon and eventually; the exact
+    scan between them finds its zero, as the longer horizon does."""
+    model = CoefficientSet.from_expressions(a=0, p=p)
+    for horizon in horizons:
         verdict = weighted_limit_point_check(model, "1", horizon)
         assert (verdict.outcome, verdict.failing_condition) == ("fails", "p_positive")
-        assert verdict.witnesses["p_violation_t"] == 50
+        assert verdict.witnesses["p_violation_t"] == zero_t
+
+
+def test_weighted_criterion_weight_is_a_string_or_a_coefficient(models):
+    model = models["ex4.2a"]
+    parsed = weighted_limit_point_check(model, ExprCoefficient.parse("t + 1"), 40)
+    assert parsed == weighted_limit_point_check(model, "t + 1", 40)
+    table = TableCoefficient(start=0, values=(Fraction(1),) * 41)
+    verdict = weighted_limit_point_check(model, table, 40)
+    assert (verdict.outcome, verdict.failing_condition) == ("unknown", None)
+    assert verdict.reason == "weight has no certified asymptotics"
+    assert verdict.witnesses["k4"] == 0.0
 
 
 def test_weighted_criterion_sqrt_weight_variation_is_unknown(models):

@@ -4,9 +4,12 @@ from weyldisc import asymptotic_class
 from weyldisc.expr import parse_coefficient_expr as parse
 from weyldisc.growth import (
     GrowthOrder,
+    class_div,
+    class_mul,
+    class_sub,
     closure_contains,
     eventual_sign,
-    nabla_poly,
+    nabla_class,
     order_cmp,
     order_of,
     poly_of,
@@ -73,7 +76,7 @@ def test_shift_and_nabla():
     shifted = shift_poly(poly)
     # f(t-1) = 4^t/4 + t^2 - 2t + 1
     assert shifted == {(F(4), 0): F(1, 4), (F(1), 2): F(1), (F(1), 1): F(-2), (F(1), 0): F(1)}
-    grad = nabla_poly(poly)
+    grad = nabla_class(cls("4^t + t^2")).poly()
     assert grad == {(F(4), 0): F(3, 4), (F(1), 1): F(2), (F(1), 0): F(-1)}
 
 
@@ -190,3 +193,24 @@ def test_eventual_sign_of_zero_and_sqrt_classes():
 def test_ratio_over_a_zero_denominator_is_undecided():
     assert ratio_bounded(order_of(cls("1")), order_of(cls("0"))) is None
     assert ratio_bounded(order_of(cls("0")), order_of(cls("0"))) is True
+
+
+def test_class_arithmetic():
+    root = cls("sqrt(t + 1)")
+    # a zero class gives zero, a sqrt class times itself its radicand
+    assert class_mul(root, root) == cls("t + 1")
+    assert class_mul(root, cls("0")).is_zero
+    assert class_mul(root, cls("sqrt(t + 2)")) is None
+    assert class_mul(root, cls("t")) is None
+    assert class_mul(cls("2^t"), cls("t + 1")) == cls("t*2^t + 2^t")
+    assert class_sub(root, cls("0")) == root
+    assert class_sub(root, cls("1")) is None
+    assert class_sub(cls("4^t"), cls("4^t")).is_zero
+    assert class_sub(cls("0"), cls("t")) == cls("0 - t")
+    assert class_div(cls("0"), root).is_zero
+    assert class_div(cls("4^t + t*2^t"), cls("2^t")) == cls("2^t + t")
+    assert class_div(cls("1"), cls("t")) is None
+    assert class_div(cls("1"), cls("t + 1")) is None
+    assert class_div(root, cls("2")) is None
+    for op in (class_mul, class_sub, class_div):
+        assert op(None, cls("1")) is None and op(cls("1"), None) is None

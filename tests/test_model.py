@@ -299,12 +299,20 @@ def test_m_excl_class_of_recognized_coefficients():
     assert _m_excl_class(p="sqrt(t + 1)", d="4^t") == _class("4^t")
 
 
+def test_m_excl_class_of_equal_sqrt_couplings():
+    """c = h = sqrt(t + 1): c^2 - h*c vanishes and m_excl is d."""
+    assert _m_excl_class(c="sqrt(t + 1)", h="sqrt(t + 1)", d="2^t") == _class("2^t")
+    assert _m_excl_class(c="sqrt(t + 1)", h="sqrt(t + 2)") is None
+
+
 def test_m_excl_class_is_none_without_a_closed_form():
     table = TableCoefficient(start=-1, values=(Fraction(1),) * 4)
     one = ExprCoefficient.parse("1")
     model = CoefficientSet(a=0, p=one, q=one, c=one, h=one, d=table)
     assert m_excl_growth_class(model) is None
     assert _m_excl_class(d="t^t") is None
+    assert _m_excl_class(c="t^t") is None
+    assert _m_excl_class(h="t^t") is None
     assert _m_excl_class(c="t", h="sqrt(t + 1)") is None  # h*c keeps a sqrt
     assert _m_excl_class(c="1", d="sqrt(t + 1)") is None
     assert _m_excl_class(c="1", p="sqrt(t + 1)") is None
