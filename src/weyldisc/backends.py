@@ -48,7 +48,10 @@ x / z, 1 / z                ``mpc_mpf_div``  |z|^2 toward zero at
                                              nearest
 abs(z)                      ``mpf_hypot``    re^2 + im^2 toward zero at
                                              prec+4, then the square
-                                             root nearest
+                                             root nearest, from an
+                                             integer root of at least
+                                             prec+2 bits and a sticky
+                                             bit (``mpf_sqrt``)
 ``abs2(z)``,                ``mpf_add``      nearest, once
 ``abs_bound(z)``
 -x, abs(x), -z,             ``mpf_neg``,     nearest
@@ -82,7 +85,9 @@ provides thirteen members:
 * ``needs_finite_checks`` -- True when an overflow turns into inf or
   nan instead of widening the exponent, so the solvers test for it;
 * ``real(x)`` and ``complex(re, im=0)`` -- scalars from Python ints,
-  floats, ``Fraction``s or the kernel's own reals;
+  floats, ``Fraction``s or the kernel's own reals, rounded to nearest
+  as ``ctx.mpf`` rounds them; ``complex`` builds each part as ``real``
+  would;
 * ``abs2(z)`` -- the squared modulus, without a square root;
 * ``abs_bound(z)`` -- a real between |z| and sqrt(2) |z| (up to one
   rounding) that takes no square root: |re| + |im| on mpmath, ``abs``

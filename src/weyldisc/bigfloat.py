@@ -23,7 +23,9 @@ which are wider than the precision, round as mpmath rounds them.
 Nothing is ever shifted by the full gap between two exponents.
 
 The kernel's ``sqrt`` of a positive real rounds with ``_sqrt``, as
-``mpf_sqrt`` does.  Its ``pow_positive`` of a power of two 2**k and an
+``mpf_sqrt`` does, and ``abs`` of a complex runs ``mpf_hypot``'s steps,
+the same root among them, in one frame.  ``complex`` builds each part
+from the (m, e) that ``real`` rounds, with no intermediate real.  Its ``pow_positive`` of a power of two 2**k and an
 integral real n, and a real 2**k ``**`` an int n, are 2**(k*n), exactly
 what ``mpf_pow_int`` returns.
 
@@ -45,6 +47,7 @@ from mpmath import libmp
 
 _FZERO = libmp.fzero
 _new = object.__new__
+_isfinite, _isqrt = math.isfinite, math.isqrt
 
 
 def _tz(m: int) -> int:
@@ -185,17 +188,6 @@ def _sqrt(m: int, e: int, prec: int) -> tuple:
     return _round(s, (e - k) >> 1, prec)
 
 
-def _hypot(a: int, ea: int, b: int, eb: int, prec: int) -> tuple:
-    """``mpf_hypot(a, b, prec, nearest)``, the modulus of a + ib."""
-    if not b:
-        return _round(abs(a), ea, prec)
-    if not a:
-        return _round(abs(b), eb, prec)
-    wp = prec + 4
-    m, e = _trunc(*_add(a * a, ea + ea, b * b, eb + eb, wp), wp)
-    return _sqrt(m, e, prec)
-
-
 def _cdiv(a, ea, b, eb, c, ec, d, ed, prec) -> tuple:
     """``mpc_div``: (a + ib) / (c + id) as two (m, e) pairs."""
     wp = prec + 10
@@ -277,12 +269,6 @@ def _float(m: int, e: int) -> float:
         return math.ldexp(m, e)
     except OverflowError:
         return math.inf if m > 0 else -math.inf
-
-
-def _from_float(x: float) -> tuple:
-    """(m, e) of a finite float, exactly."""
-    num, den = x.as_integer_ratio()
-    return num, 1 - den.bit_length()
 
 
 class Scalars:
@@ -578,7 +564,57 @@ class Scalars:
                 return cplx(_round(-s.x, s.xe, prec), _round(-s.y, s.ye, prec))
 
             def __abs__(s):
-                return real(_hypot(s.x, s.xe, s.y, s.ye, prec))
+                # mpf_hypot in one frame: the exact squares summed as _add
+                # sums them at prec+4, truncated there, an integer root of
+                # at least 2*prec+4 bits with a sticky bit, one rounding
+                a, b = s.x, s.y
+                if not b:
+                    return real(_round(abs(a), s.xe, prec))
+                if not a:
+                    return real(_round(abs(b), s.ye, prec))
+                wp = prec + 4
+                a *= a
+                b *= b
+                ea = s.xe + s.xe
+                eb = s.ye + s.ye
+                d = ea - eb
+                delta = d + a.bit_length() - b.bit_length()
+                if delta > wp + 4:
+                    m, e = _far(a, ea, b, eb, wp)
+                elif delta < -4 - wp:
+                    m, e = _far(b, eb, a, ea, wp)
+                elif d >= 0:
+                    m, e = (a << d) + b, eb
+                else:
+                    m, e = a + (b << -d), ea
+                n = m.bit_length() - wp
+                if n > 0:
+                    m >>= n
+                    e += n
+                if e & 1:
+                    m <<= 1
+                    e -= 1
+                k = 2 * prec + 4 - m.bit_length()
+                if k > 0:
+                    k += k & 1
+                    m <<= k
+                else:
+                    k = 0
+                r = _isqrt(m)
+                if r * r != m:
+                    r = (r << 1) | 1
+                    k += 2
+                e = (e - k) >> 1
+                # r has at least prec+2 bits: q keeps the half bit
+                n = r.bit_length() - prec
+                q = r >> (n - 1)
+                z = _new(Real)
+                if q & 1 and (q & 2 or r & ((1 << (n - 1)) - 1)):
+                    z.m = (q >> 1) + 1
+                else:
+                    z.m = q >> 1
+                z.e = e + n
+                return z
 
             def __bool__(s):
                 return s.x != 0 or s.y != 0
@@ -605,24 +641,47 @@ class Scalars:
             def __repr__(s):
                 return repr(s._mp())
 
+        def exact(x):
+            """(m, e) of a finite float, an int or a real of these classes,
+            unrounded; None for any other value."""
+            tx = type(x)
+            if tx is float:
+                if _isfinite(x):
+                    n, d = x.as_integer_ratio()
+                    return n, 1 - d.bit_length()
+            elif tx is int:
+                return x, 0
+            elif tx is Real:
+                return x.m, x.e
+            return None
+
         def to_real(x):
             """``ctx.mpf(x)``: x rounded at the precision; a Fraction is
             its numerator divided by its denominator, each rounded
             first, as the kernel has always converted one."""
-            tx = type(x)
-            if tx is int:
-                return real(_round(x, 0, prec))
-            if tx is float:
-                if math.isfinite(x):
-                    return real(_round(*_from_float(x), prec))
-            elif tx is Real:
-                return real(_round(x.m, x.e, prec))
-            elif getattr(x, "denominator", None) is not None:
+            me = exact(x)
+            if me is not None:
+                return real(_round(*me, prec))
+            if getattr(x, "denominator", None) is not None:
                 return to_real(x.numerator) / to_real(x.denominator)
             return wrap(mpf_type(x))
 
         def to_complex(re, im=0):
-            """``ctx.mpc(to_real(re), to_real(im))``."""
+            """``ctx.mpc(to_real(re), to_real(im))``: a complex of two
+            finite floats, ints or reals of these classes is built from
+            their (m, e) pairs, each rounded once, as ``to_real`` rounds
+            it; any other part takes the route through ``to_real``."""
+            if type(re) is float and type(im) is float and _isfinite(re) and _isfinite(im):
+                # the random draws' pair first, exact() inlined
+                n, d = re.as_integer_ratio()
+                u, v = im.as_integer_ratio()
+                z = _new(Complex)
+                z.x, z.xe = _round(n, 1 - d.bit_length(), prec)
+                z.y, z.ye = _round(u, 1 - v.bit_length(), prec)
+                return z
+            x, y = exact(re), exact(im)
+            if x is not None and y is not None:
+                return cplx(_round(*x, prec), _round(*y, prec))
             x, y = to_real(re), to_real(im)
             if type(x) is Real and type(y) is Real:
                 return cplx((x.m, x.e), (y.m, y.e))

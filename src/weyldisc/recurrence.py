@@ -43,9 +43,14 @@ wherever they are formed.  A zero c or h makes alpha and a11 vanish, so
 q_tilde = common and p_tilde = lead, which stays complex: 1/p_tilde is
 still the complex reciprocal.  A zero h also leaves common = q, r1 = 0
 and a21 = (q - lam) lead/p_tilde.  With c = h = 0 every solution has
-y2 = 0, and y2 is not reconstructed.
+y2 = 0, and y2 is not reconstructed.  With a11 = 0 the steps' diagonal
+entry m22 = 1 - a11 is the exact 1, and the steppers leave out the
+product by it; the y2 relation and the quasi-difference leave out the
+terms of a zero c or h.
 ``operator_window`` keeps an exact zero among the terms in place of each
-dropped product.  Each pruned formula is the general one with its
+dropped product, and the residual sweeps leave it out of the rows'
+scales; they also leave out lam y2 wherever y2(t) is an exact zero,
+tested by value on either kernel (a zero term moves no magnitude).  Each pruned formula is the general one with its
 exact-zero terms left out, in the same order; on the int-backed scalars
 x + 0 is x and 0 * x is 0, so no value changes.  Native floats form
 every product: there 0 * inf is nan and a zero carries a sign, so a
@@ -253,6 +258,13 @@ class Trajectory:
     def a(self) -> int:
         return self.model.a
 
+    @property
+    def y2_vanishes(self) -> bool:
+        """Whether y2 is the exact zero throughout, as on every solution of
+        a decoupled model (tested by value): the sums over y2's products
+        then leave them out."""
+        return self.model.decoupled and not any(self.y2)
+
     def _idx(self, t: int, hi: int, what: str) -> int:
         if t < self.a - 1 or t > hi:
             raise WindowError(
@@ -320,6 +332,12 @@ def _check_finite(model: CoefficientSet, state: tuple, t: int) -> None:
         )
 
 
+def _unit_m22(model: CoefficientSet) -> bool:
+    """Whether every step's m22 = 1 - a11 is the exact complex 1: a zero c
+    or h makes a11 vanish, and the steppers leave out the product by it."""
+    return "c" in model.zeros or "h" in model.zeros
+
+
 def _forward_states(table: StepTable, starts) -> list:
     """States v(t), t = a-1 .. top, of every initial state in ``starts``:
     one list per start, entry t-(a-1) the state at t.
@@ -332,14 +350,20 @@ def _forward_states(table: StepTable, starts) -> list:
     k = model.kernel
     # (I - A)^{-1} in closed form, from the table's step entries; det(I - A) == 1
     steps = table.steps
+    unit_m22 = _unit_m22(model)
     out = []
     for s0, s1 in starts:
         s0 = k.complex(0) + s0
         s1 = k.complex(0) + s1
         states = [(s0, s1)]
-        for m11, a12, a21, m22 in steps:
-            s0, s1 = m11 * s0 + a12 * s1, a21 * s0 + m22 * s1
-            states.append((s0, s1))
+        if unit_m22:
+            for m11, a12, a21, _ in steps:
+                s0, s1 = m11 * s0 + a12 * s1, a21 * s0 + s1
+                states.append((s0, s1))
+        else:
+            for m11, a12, a21, m22 in steps:
+                s0, s1 = m11 * s0 + a12 * s1, a21 * s0 + m22 * s1
+                states.append((s0, s1))
         out.append(states)
     isfinite = k.isfinite
     if k.needs_finite_checks and not all(
@@ -365,6 +389,9 @@ def _assemble(table: StepTable, states: list) -> Trajectory:
     k = model.kernel
     if model.decoupled:
         y2 = [k.complex(0)] * len(states)
+    elif "h" in model.zeros:
+        # r1 is the exact zero
+        y2 = [r2 * s1 for r2, (_, s1) in zip(table.r2, states)]
     else:
         y2 = [r1 * s0 + r2 * s1 for r1, r2, (s0, s1) in zip(table.r1, table.r2, states)]
     if k.needs_finite_checks and not all(
@@ -413,9 +440,14 @@ def propagate_backward(
     states = [(s0, s1)]
     # steps of t = top .. a; v(t-1) = (I - A(t)) v(t), whose diagonal is
     # 1 - a11 = m22 and 1 - a22 = m11
-    for m11, a12, a21, m22 in reversed(table.steps):
-        s0, s1 = m22 * s0 - a12 * s1, m11 * s1 - a21 * s0
-        states.append((s0, s1))
+    if _unit_m22(model):
+        for m11, a12, a21, _ in reversed(table.steps):
+            s0, s1 = s0 - a12 * s1, m11 * s1 - a21 * s0
+            states.append((s0, s1))
+    else:
+        for m11, a12, a21, m22 in reversed(table.steps):
+            s0, s1 = m22 * s0 - a12 * s1, m11 * s1 - a21 * s0
+            states.append((s0, s1))
     # as in _forward_states: the last state tells, the rescan names t
     if k.needs_finite_checks and not (k.isfinite(s0) and k.isfinite(s1)):
         for t, state in zip(range(top, model.a - 1, -1), states[1:]):
@@ -491,12 +523,21 @@ def y2_relation(model: CoefficientSet, lam, y1, first: int, last: int) -> tuple:
     equation row solved for y2), c/(lam-d) dy1 + h/(lam-d) y1, for
     t = first .. last; ``y1`` is indexed from a-1 and reaches last+1."""
     y1_t, y1_next, _ = _pair_window(model, first, last, y1, y1)  # no y2 yet
+    # a zero c or h drops its term; with both zero y2 is the exact zero
+    use_c, use_h = "c" not in model.zeros, "h" not in model.zeros
+    if not (use_c or use_h):
+        return (model.kernel.complex(0),) * len(y1_t)
     out = []
     for c, h, d, cur, nxt in zip(
         *(model.column(name, first, last) for name in "chd"), y1_t, y1_next
     ):
         den = lam - d
-        out.append(c / den * (nxt - cur) + h / den * cur)
+        if not use_h:
+            out.append(c / den * (nxt - cur))
+        elif not use_c:
+            out.append(h / den * cur)
+        else:
+            out.append(c / den * (nxt - cur) + h / den * cur)
     return tuple(out)
 
 
@@ -505,6 +546,11 @@ def quasi_difference(model: CoefficientSet, y1, y2, first: int, last: int) -> tu
     ``y1`` and ``y2`` are indexed from a-1, y1 reaching last+1 and y2
     last."""
     y1_t, y1_next, y2_t = _pair_window(model, first, last, y1, y2)
+    if "c" in model.zeros:
+        return tuple(
+            p * (nxt - cur)
+            for p, cur, nxt in zip(model.column("p", first, last), y1_t, y1_next)
+        )
     return tuple(
         p * (nxt - cur) + c * v
         for p, c, cur, nxt, v in zip(
@@ -595,6 +641,10 @@ def relative_residuals(model: CoefficientSet, traj: Trajectory, first: int,
     """
     out = []
     lam = traj.lam
+    # the products of a coefficient in model.zeros are exact zeros among the
+    # terms, and a zero y2(t) makes lam y2 one: each is left out of its row
+    # and scale, which keep the order of the general sums
+    use_c, use_h, use_d, use_q = (name not in model.zeros for name in "chdq")
     # |p dy1| and |c y2| at the previous t, or None where not formed
     abs_pd = abs_cy2 = None
     walk = zip(
@@ -603,12 +653,17 @@ def relative_residuals(model: CoefficientSet, traj: Trajectory, first: int,
     )
     for (row1, row2, terms), y1_t, y2_t in walk:
         pd_prev, pd, qy1, cy2_prev, cy2, hy2, cd, hy1, dy2 = terms
-        ly2 = lam * y2_t
-        row2 = row2 - ly2
+        ly2 = None
+        if y2_t:
+            ly2 = lam * y2_t
+            row2 = row2 - ly2
         worst = 0.0
         if row2:
-            scale2 = abs(cd) + abs(hy1) + abs(dy2) + abs(ly2) + 1
-            worst = float(abs(row2) / scale2)
+            scale2 = None
+            for use, term in ((use_c, cd), (use_h, hy1), (use_d, dy2), (ly2 is not None, ly2)):
+                if use:
+                    scale2 = abs(term) if scale2 is None else scale2 + abs(term)
+            worst = float(abs(row2) / (scale2 + 1))
         abs_pd_prev, abs_cy2_prev = abs_pd, abs_cy2
         abs_pd = abs_cy2 = None
         if row1 is not None:
@@ -616,12 +671,18 @@ def relative_residuals(model: CoefficientSet, traj: Trajectory, first: int,
             row1 = row1 - ly1
             if row1:
                 if abs_pd_prev is None:
-                    abs_pd_prev, abs_cy2_prev = abs(pd_prev), abs(cy2_prev)
-                abs_pd, abs_cy2 = abs(pd), abs(cy2)
-                scale1 = (
-                    abs_pd + abs_pd_prev + abs(qy1) + abs_cy2 + abs_cy2_prev
-                    + abs(hy2) + abs(ly1) + 1
-                )
+                    abs_pd_prev = abs(pd_prev)
+                    abs_cy2_prev = abs(cy2_prev) if use_c else None
+                abs_pd = abs(pd)
+                scale1 = abs_pd + abs_pd_prev
+                if use_q:
+                    scale1 = scale1 + abs(qy1)
+                if use_c:
+                    abs_cy2 = abs(cy2)
+                    scale1 = scale1 + abs_cy2 + abs_cy2_prev
+                if use_h:
+                    scale1 = scale1 + abs(hy2)
+                scale1 = scale1 + abs(ly1) + 1
                 worst = max(worst, float(abs(row1) / scale1))
         out.append(worst)
     return out

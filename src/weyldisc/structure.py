@@ -14,6 +14,12 @@ identity that holds exactly in exact arithmetic:
 * the variation-of-parameters reconstruction of a solution at lam from a
   basis at lam0, with the matching constants recovered from a 2x2 system
   at the first two usable points.
+
+As in ``recurrence``, a product that is an exact zero is left out of
+each sum, which keeps its order: Green's formula drops the operator's
+second row where c, h and d are in ``model.zeros`` and c y2 where c is,
+and the Lagrange identity and the reconstruction drop the products of
+y2 where the trajectories' y2 vanish (``Trajectory.y2_vanishes``).
 """
 
 from __future__ import annotations
@@ -57,6 +63,10 @@ def green_terms(model: CoefficientSet, y, z, top: int) -> tuple:
     k = model.kernel
     y1, y2 = [v[0] for v in y], [v[1] for v in y]
     z1, z2 = [v[0] for v in z], [v[1] for v in z]
+    # operator_window's exact zeros: row 2 when c, h and d are all zero,
+    # c y2 when c is; their products are left out of the sums
+    use_row2 = not {"c", "h", "d"} <= model.zeros
+    use_c = "c" not in model.zeros
     inner = k.complex(0)
     rows = []
     walk = zip(
@@ -65,15 +75,21 @@ def green_terms(model: CoefficientSet, y, z, top: int) -> tuple:
     )
     for i, ((ly1, ly2, y_terms), (lz1, lz2, z_terms)) in enumerate(walk, 1):
         rows.append(((ly1, ly2), (lz1, lz2)))
-        inner += z1[i].conjugate() * ly1 + z2[i].conjugate() * ly2
-        inner -= lz1.conjugate() * y1[i] + lz2.conjugate() * y2[i]
+        if use_row2:
+            inner += z1[i].conjugate() * ly1 + z2[i].conjugate() * ly2
+            inner -= lz1.conjugate() * y1[i] + lz2.conjugate() * y2[i]
+        else:
+            inner += z1[i].conjugate() * ly1
+            inner -= lz1.conjugate() * y1[i]
         if i == 1:
             # p dy1 + c y2 at a-1: the previous terms at t = a
-            y_left = y_terms[0] + y_terms[3]
-            z_left = z_terms[0] + z_terms[3]
+            y_left, z_left = y_terms[0], z_terms[0]
+            if use_c:
+                y_left, z_left = y_left + y_terms[3], z_left + z_terms[3]
     # p dy1 + c y2 at top: the current terms of the last row
-    y_top = y_terms[1] + y_terms[4]
-    z_top = z_terms[1] + z_terms[4]
+    y_top, z_top = y_terms[1], z_terms[1]
+    if use_c:
+        y_top, z_top = y_top + y_terms[4], z_top + z_terms[4]
     n = len(rows)
     boundary = (y1[n + 1] * z_top.conjugate() - y_top * z1[n + 1].conjugate()) - (
         y1[1] * z_left.conjugate() - y_left * z1[1].conjugate()
@@ -116,9 +132,13 @@ def lagrange_identity_defect(
     model = phi.model
     k = model.kernel
     total = k.complex(0)
-    for p1, p2, s1, s2 in zip(*phi.component_columns(model.a, top),
-                              *psi.component_columns(model.a, top)):
-        total += s1.conjugate() * p1 + s2.conjugate() * p2
+    columns = (*phi.component_columns(model.a, top), *psi.component_columns(model.a, top))
+    if phi.y2_vanishes and psi.y2_vanishes:
+        for p1, s1 in zip(columns[0], columns[2]):
+            total += s1.conjugate() * p1
+    else:
+        for p1, p2, s1, s2 in zip(*columns):
+            total += s1.conjugate() * p1 + s2.conjugate() * p2
     lhs = (phi.lam - psi.lam.conjugate()) * total
     rhs = bracket(phi, psi, top) - bracket(phi, psi, model.a - 1)
     return lhs - rhs
@@ -174,14 +194,20 @@ def vop_reconstruct(
     # z from anchor+1: sums[j] holds (f, g) summed up to t = anchor+j
     f = g = k.complex(0)
     sums = [(f, g)]
-    for z1, z2, f1, f2, g1, g2 in zip(
-        *z.component_columns(anchor + 1, t_check),
-        *phi.component_columns(anchor + 1, t_check),
-        *psi.component_columns(anchor + 1, t_check),
-    ):
-        f += f1 * z1 + f2 * z2
-        g += g1 * z1 + g2 * z2
-        sums.append((f, g))
+    columns = (*z.component_columns(anchor + 1, t_check),
+               *phi.component_columns(anchor + 1, t_check),
+               *psi.component_columns(anchor + 1, t_check))
+    no_y2 = z.y2_vanishes and phi.y2_vanishes and psi.y2_vanishes
+    if no_y2:
+        for z1, f1, g1 in zip(*columns[0::2]):
+            f += f1 * z1
+            g += g1 * z1
+            sums.append((f, g))
+    else:
+        for z1, z2, f1, f2, g1, g2 in zip(*columns):
+            f += f1 * z1 + f2 * z2
+            g += g1 * z1 + g2 * z2
+            sums.append((f, g))
 
     def rhs_first(t: int):
         f, g = sums[t - 1 - anchor]
@@ -205,6 +231,8 @@ def vop_reconstruct(
         * (psi.y1_at(t_check) * f_prev - phi.y1_at(t_check) * g_prev)
     )
 
+    if no_y2:
+        return VopResult(k1=k1, k2=k2, defect_y1=defect_y1, defect_y2=k.complex(0))
     f_full, g_full = sums[-1]
     m_val = m_excl_column(model, t_check, t_check)[0]
     ratio = (lam0 - m_val) / (lam - m_val)

@@ -550,6 +550,106 @@ def test_sqrt_is_mpmaths(bits):
 
 
 # ---------------------------------------------------------------------------
+# The modulus and the conversions, against mpmath's tuples
+
+DIFF_BITS = [53, 128, 256, 512]
+
+
+def _own_complex(k, x, xe, y, ye):
+    """The kernel's complex of two (m, e) pairs as they stand."""
+    z = object.__new__(type(k.complex(1)))
+    z.x, z.xe, z.y, z.ye = x, xe, y, ye
+    return z
+
+
+@pytest.mark.parametrize("bits", DIFF_BITS)
+def test_abs_is_mpf_hypot(bits, monkeypatch):
+    """``abs`` of a complex is ``mpc_abs``, which is ``mpf_hypot``: a zero
+    part, squares more than prec+4 bits apart (where ``_far`` perturbs
+    the larger one), mantissas wider than the precision and with
+    trailing zeros, negative parts and exponents past +-10^5."""
+    k = MpmathKernel(bits)
+    own = type(k.real(1))
+    rng = random.Random(bits + 1)
+    far = []
+    monkeypatch.setattr(bigfloat, "_far", lambda *a: far.append(a) or FAR(*a))
+    parts = []
+    for _ in range(800):
+        width = rng.choice((1, 3, bits // 2, bits, bits + 4, 2 * bits + 5))
+        x = _mantissa(rng, width) << rng.choice((0, 0, 3, 150))
+        y = _mantissa(rng, rng.choice((1, 2, bits, 2 * bits + 5))) << rng.choice((0, 0, 7))
+        xe = rng.choice((rng.randint(-300, 300), rng.randint(10**5, 2 * 10**5),
+                         -rng.randint(10**5, 2 * 10**5)))
+        # the squares' leading bits close, near the prec+4 threshold, or far apart
+        top = xe + x.bit_length() - y.bit_length() + rng.choice(
+            (0, 1, -1, bits // 2 + 4, bits // 2 + 5, -bits // 2 - 5, bits + 60, -GAP))
+        parts.append((x, xe, y, top - rng.randint(0, 2)))
+    m = _mantissa(rng, bits)
+    parts += [(m, 5, 0, 0), (0, 0, m, -10**5 - 3), (-m, 10**5 + 1, 0, 7), (0, 0, 0, 0)]
+    for x, xe, y, ye in parts:
+        z = _own_complex(k, x, xe, y, ye)
+        got = abs(z)
+        want = libmp.mpc_abs(z._mpc_, bits, "n")
+        assert type(got) is own and got._mpf_ == want, (x, xe, y, ye)
+        assert want == libmp.mpf_hypot(*z._mpc_, bits, "n")
+    assert far, "no modulus summed squares far apart"
+
+
+FAR = bigfloat._far
+
+
+@pytest.mark.parametrize("bits", DIFF_BITS)
+def test_complex_and_real_build_their_parts_as_mpmath(bits):
+    """``k.real(x)`` is ``ctx.mpf(x)`` and ``k.complex(x, y)`` is
+    ``ctx.mpc(ctx.mpf(x), ctx.mpf(y))``, tuple for tuple, for every pair
+    of floats (-0.0, the least subnormal, values near 2^+-1000), ints
+    wider than the precision, the kernel's reals made at another
+    precision, another kernel's reals and Fractions; a finite part of
+    the complex holds the integers ``k.real`` gives it.  inf and nan
+    still reach mpmath and come back as its values."""
+    k = MpmathKernel(bits)
+    ctx = mpmath.MPContext()
+    ctx.prec = bits
+    own = (type(k.real(1)), type(k.complex(1)))
+    rng = random.Random(bits + 2)
+    with k.workprec(2 * bits):
+        wide = [k.real(1) / 3, -k.real(7) ** 3 / 11]
+    with k.workprec(bits // 2 + 1):
+        narrow = [k.real(2) / 3]
+    finite = [
+        0.0, -0.0, 5e-324, -5e-324, 2.0**1000, -(2.0**-1000),
+        math.nextafter(2.0**1000, math.inf), math.nextafter(2.0**-1000, 0.0),
+        1.7976931348623157e308, rng.uniform(-1, 1), 1 / 3,
+        0, 1, -7, (1 << (2 * bits)) + 1, -(3**400),
+        *wide, *narrow, MpmathKernel(2 * bits).real(Fraction(1, 3)),
+        Fraction(1, 3), Fraction(-(10**50) - 1, 7**40), mpmath.mpf(2) / 3,
+    ]
+    special = [math.inf, -math.inf, math.nan]
+
+    def ref(x):
+        if isinstance(x, Fraction):
+            return ctx.mpf(x.numerator) / ctx.mpf(x.denominator)
+        return ctx.mpf(x)
+
+    for x in finite + special:
+        got = k.real(x)
+        assert (type(got) is own[0]) is (x in finite)
+        assert got._mpf_ == ref(x)._mpf_, x
+    for x in finite + special:
+        for y in finite + special:
+            got = k.complex(x, y)
+            want = ctx.mpc(ref(x), ref(y))
+            assert got._mpc_ == want._mpc_, (x, y)
+            if x in special or y in special:
+                assert type(got) not in own and not k.isfinite(got), (x, y)
+                continue
+            assert type(got) is own[1], (x, y)
+            re, im = k.real(x), k.real(y)
+            assert (got.x, got.xe, got.y, got.ye) == (re.m, re.e, im.m, im.e), (x, y)
+    assert k.complex(0.5)._mpc_ == ctx.mpc(0.5)._mpc_
+
+
+# ---------------------------------------------------------------------------
 # No silent fallback on the hot path
 
 

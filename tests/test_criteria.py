@@ -42,6 +42,34 @@ def test_ratio_criterion_fails_on_unbounded_coupling(models):
     assert verdict.failing_condition == "coupling_ratio_bound"
 
 
+@pytest.mark.parametrize("c", ["0", "1"])
+@pytest.mark.parametrize("p, zero_t, horizons", [
+    ("t^2 - 100*t + 2500", 50, (20, 60)),
+    ("sqrt((t - 250)^2)", 250, (200, 300)),
+])
+def test_ratio_criterion_p_vanishing(p, zero_t, horizons, c):
+    """A zero of p fails the ratio criterion, coupled or not: the longer
+    horizon finds it on p's column, the shorter by the exact scan of p*p
+    past the horizon, and both name it."""
+    model = CoefficientSet.from_expressions(a=0, p=p, c=c)
+    for horizon in horizons:
+        verdict = ratio_limit_point_check(model, horizon)
+        assert (verdict.outcome, verdict.failing_condition) == ("fails", "p_nonvanishing")
+        assert verdict.witnesses["p_violation_t"] == zero_t
+
+
+def test_ratio_criterion_p_vanishing_in_a_table():
+    """A table p is scanned on a .. horizon: a zero there fails, one past
+    the horizon leaves the verdict unknown, and p(a-1) is not on the
+    criterion's grid."""
+    model = _table_model(p=[1, 1, 1, 0] + [1] * 8)
+    verdict = ratio_limit_point_check(model, 10)
+    assert (verdict.outcome, verdict.failing_condition) == ("fails", "p_nonvanishing")
+    assert verdict.witnesses["p_violation_t"] == 2
+    assert ratio_limit_point_check(model, 1).outcome == "unknown"
+    assert ratio_limit_point_check(_table_model(p=[0] + [1] * 11), 10).outcome == "unknown"
+
+
 def test_ratio_criterion_table_is_unknown():
     model = _table_model(p=[1] * 12)
     verdict = ratio_limit_point_check(model, 10)

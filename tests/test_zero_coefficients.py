@@ -4,10 +4,14 @@ On the big-float kernel the solvers drop every product of a c, h, d or q
 that is the literal 0 or a table of zeros (``CoefficientSet.zeros``).
 The same model with each such zero spelled ``0*t`` has an empty zero
 set and forms every product, so the two must agree value for value:
-step tables, classification evidence and check-suite defects.
+step tables, classification evidence, check-suite defects and the raw
+values of every routine that drops a product (the steppers' unit m22,
+the y2 relation, the quasi-difference, the residuals, Green's formula,
+the Lagrange identity and the variation of parameters).
 """
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,8 +26,20 @@ from weyldisc import (
     classify,
     step_table,
 )
-from weyldisc.checks import run_suite
-from weyldisc.model import TableCoefficient
+from weyldisc.checks import random_pair_sequences, run_suite
+from weyldisc.errors import WeyldiscError
+from weyldisc.model import TableCoefficient, as_lambda_scalar
+from weyldisc.recurrence import (
+    BoundaryData,
+    Trajectory,
+    fundamental_matrix,
+    propagate_backward,
+    propagate_columns,
+    quasi_difference,
+    relative_residuals,
+    y2_relation,
+)
+from weyldisc.structure import green_terms, lagrange_identity_defect, vop_reconstruct
 
 from conftest import _random_left_end_cases
 
@@ -54,11 +70,62 @@ def _suite_values(results) -> list:
     return [(r.name, r.worst) for r in results]
 
 
+def _flat(value):
+    """A value's exact identity, through tuples, lists and trajectories."""
+    if isinstance(value, Trajectory):
+        return _flat((value.y1, value.y2, value.y1q))
+    if isinstance(value, (tuple, list)):
+        return [_flat(v) for v in value]
+    for attr in ("_mpc_", "_mpf_"):
+        if hasattr(value, attr):
+            return getattr(value, attr)
+    return value
+
+
+def _outcome(func, *args):
+    try:
+        return _flat(func(*args))
+    except (WeyldiscError, ZeroDivisionError) as exc:
+        return type(exc).__name__
+
+
+def _routine_values(model: CoefficientSet, lam, top: int) -> list:
+    """The raw results of the routines that drop zero products, on the
+    solutions at lam and lam + i and on seeded random sequences."""
+    k = model.kernel
+    a = model.a
+    lam = as_lambda_scalar(model, lam)
+    table = step_table(model, lam, top)
+    phi, psi = propagate_columns(table, (BoundaryData(1, 0), BoundaryData(0, 1)))
+    (other,) = propagate_columns(step_table(model, lam + k.complex(0, 1), top),
+                                 (BoundaryData(1, 1),))
+    rng = random.Random(top)
+    y, z = random_pair_sequences(model, top, rng)
+    n = top + 1 - (a - 1)
+    draws = [k.complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3 * n + 1)]
+    junk = Trajectory(model=model, lam=lam, top=top, y1=tuple(draws[:n + 1]),
+                      y2=tuple(draws[n + 1:2 * n + 1]), y1q=tuple(draws[2 * n + 1:]))
+    return [
+        _outcome(propagate_backward, model, lam, psi.state(top), top),
+        _outcome(fundamental_matrix, model, lam, top),
+        _outcome(y2_relation, model, lam, psi.y1, a - 1, top),
+        _outcome(quasi_difference, model, psi.y1, psi.y2, a - 1, top),
+        _outcome(quasi_difference, model, junk.y1, junk.y2, a - 1, top),
+        _outcome(relative_residuals, model, psi, a - 1, top),
+        _outcome(relative_residuals, model, junk, a - 1, top),
+        _outcome(green_terms, model, y, z, top),
+        _outcome(lagrange_identity_defect, psi, other, top),
+        _outcome(lambda *args: list(vars(vop_reconstruct(*args)).values()),
+                 (phi, psi), other, a, top),
+    ]
+
+
 def _agree(pruned: CoefficientSet, full: CoefficientSet, lam, top: int, n_max: int,
            suite_top: int, pairs: int) -> None:
     assert pruned.zeros and not full.zeros
     assert _table_values(step_table(pruned, lam, top)) == _table_values(
         step_table(full, lam, top))
+    assert _routine_values(pruned, lam, top) == _routine_values(full, lam, top)
     options = ClassifyOptions(n_max=n_max)
     assert _report_values(classify(pruned, lam, 0.0, options)) == _report_values(
         classify(full, lam, 0.0, options))
