@@ -16,9 +16,10 @@ divergence decision table: a reciprocal series sum 1/f diverges exactly
 when f's dominant base is below 1, or equals 1 with t-power at most 1).
 Those classes and their exponential-polynomial arithmetic belong to
 ``growth``; this module reads them only through its public functions.
-Both criteria need p nonzero on the whole grid: the ratio criterion
-finds a zero of p on the model's column up to the horizon and past it
-by the exact class of p*p, the weighted one tests p > 0 the same way.
+Both criteria need p nonzero on the whole grid from a: the ratio
+criterion finds a zero of p from the exact class of p*p, or on p's
+column up to the horizon when p has no class; the weighted one tests
+p > 0 on the column and past the horizon from p's class.
 Whenever a certificate is unavailable the verdict is ``unknown``, never
 a guess, and a definite verdict can never flip under a longer horizon.
 """
@@ -105,29 +106,23 @@ def ratio_limit_point_check(model: CoefficientSet, horizon: int = 200) -> Criter
 def _certify_nonvanishing(model: CoefficientSet, p_cls, horizon: int):
     """(verdict, witness_t) for p(t) != 0 at every t >= a: False with the
     first t where p vanishes, True if p never does, None if only the
-    scanned range could be checked.  Up to the horizon the model's column
-    of p answers; past it p*p, positive exactly where p is nonzero, is
-    scanned exactly up to where its dominant term decides its sign."""
-    try:
-        # the model keeps p's column from a-1 and refuses one with a zero
-        model.column("p", model.a, horizon)
-    except EvaluationError:
-        # find the zero on a .. horizon; an error there is raised again
+    scanned range could be checked.  With an exact class, p*p (positive
+    exactly where p is nonzero) is scanned exactly from a up to where its
+    dominant term fixes its sign, whatever the horizon, and p itself is
+    never evaluated; without one, p's column on a .. horizon is scanned
+    and nothing past it is certified."""
+    if p_cls is None:
         values = model.p.column(model.a, horizon, model.kernel)
         bad = next((t for t, v in enumerate(values, model.a) if not v), None)
-        if bad is not None:
-            return False, bad
+        return (None, None) if bad is None else (False, bad)
     square = growth.class_mul(p_cls, p_cls)
-    sign = None if square is None else growth.eventual_sign(square, model.a)
+    sign = growth.eventual_sign(square, model.a)
     if sign is None:
         return None, None
-    start = max(horizon + 1, model.a)
     if sign[0] <= 0:  # p is the zero class
-        return False, start
-    for t in range(start, sign[1]):
-        if not growth.positive_at(square, t):
-            return False, t
-    return True, None
+        return False, model.a
+    bad = next((t for t in range(model.a, sign[1]) if not growth.positive_at(square, t)), None)
+    return (True, None) if bad is None else (False, bad)
 
 
 def _certify_positive(model: CoefficientSet, coeff: Coefficient, horizon: int):
