@@ -8,7 +8,7 @@ from weyldisc import (
     ratio_limit_point_check,
     weighted_limit_point_check,
 )
-from weyldisc.errors import EvaluationError
+from weyldisc.errors import CoefficientRangeError, EvaluationError
 from weyldisc.model import ExprCoefficient
 
 
@@ -60,14 +60,18 @@ def test_ratio_criterion_p_vanishing(p, zero_t, horizons, c):
 
 def test_ratio_criterion_p_vanishing_in_a_table():
     """A table p is scanned on a .. horizon: a zero there fails, one past
-    the horizon leaves the verdict unknown, and p(a-1) is not on the
-    criterion's grid."""
+    the horizon leaves the verdict unknown, p(a-1) is not on the
+    criterion's grid, and a horizon past the table's end is its range
+    error, as in the weighted criterion."""
     model = _table_model(p=[1, 1, 1, 0] + [1] * 8)
     verdict = ratio_limit_point_check(model, 10)
     assert (verdict.outcome, verdict.failing_condition) == ("fails", "p_nonvanishing")
     assert verdict.witnesses["p_violation_t"] == 2
     assert ratio_limit_point_check(model, 1).outcome == "unknown"
     assert ratio_limit_point_check(_table_model(p=[0] + [1] * 11), 10).outcome == "unknown"
+    for check in (ratio_limit_point_check, lambda m, h: weighted_limit_point_check(m, "1", h)):
+        with pytest.raises(CoefficientRangeError, match="evaluated at t=11"):
+            check(_table_model(p=[1] * 12), 20)
 
 
 def test_ratio_criterion_table_is_unknown():
