@@ -227,12 +227,8 @@ def lagrange_relative_defect(model, phi, psi, top: int, *, residuals=None) -> fl
         scale = scale + abs(phi.y1q_at(n)) * abs(psi.y1_at(n + 1))
     gap = abs(phi.lam - psi.lam.conjugate())
     columns = (*phi.component_columns(model.a, top), *psi.component_columns(model.a, top))
-    if phi.y2_vanishes and psi.y2_vanishes:
-        for p1, s1 in zip(columns[0], columns[2]):
-            scale = scale + gap * abs(p1) * abs(s1)
-    else:
-        for p1, p2, s1, s2 in zip(*columns):
-            scale = scale + gap * (abs(p1) + abs(p2)) * (abs(s1) + abs(s2))
+    for p1, p2, s1, s2 in zip(*columns):
+        scale = scale + gap * (abs(p1) + abs(p2)) * (abs(s1) + abs(s2))
     return float(abs(defect) / scale)
 
 
@@ -401,16 +397,10 @@ def vop_worst(basis: tuple[Trajectory, Trajectory], solutions, anchor: int,
         window = (anchor + 1, t_check)
         columns = (*z.component_columns(*window), *phi.component_columns(*window),
                    *psi.component_columns(*window))
-        if z.y2_vanishes and phi.y2_vanishes and psi.y2_vanishes:
-            for z1, f1, g1 in zip(*columns[0::2]):
-                z_mag = abs(z1)
-                term_mag = term_mag + abs(f1) * z_mag
-                term_mag = term_mag + abs(g1) * z_mag
-        else:
-            for z1, z2, f1, f2, g1, g2 in zip(*columns):
-                z_mag = abs(z1) + abs(z2)
-                term_mag = term_mag + (abs(f1) + abs(f2)) * z_mag
-                term_mag = term_mag + (abs(g1) + abs(g2)) * z_mag
+        for z1, z2, f1, f2, g1, g2 in zip(*columns):
+            z_mag = abs(z1) + abs(z2)
+            term_mag = term_mag + (abs(f1) + abs(f2)) * z_mag
+            term_mag = term_mag + (abs(g1) + abs(g2)) * z_mag
         k_mag = abs(res.k1) + abs(res.k2)
         for at, defect in defects:
             basis_mag = abs(at(psi, t_check)) + abs(at(phi, t_check))

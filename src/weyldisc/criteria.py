@@ -19,7 +19,8 @@ Those classes and their exponential-polynomial arithmetic belong to
 Both criteria need p nonzero on the whole grid from a: the ratio
 criterion finds a zero of p from the exact class of p*p, or on p's
 column up to the horizon when p has no class; the weighted one tests
-p > 0 on the column and past the horizon from p's class.
+p > 0 on the column and past the horizon from p's class.  Both refuse
+a horizon below a, which would scan no value.
 Whenever a certificate is unavailable the verdict is ``unknown``, never
 a guess, and a definite verdict can never flip under a longer horizon.
 """
@@ -53,6 +54,7 @@ def _sup(fn, *columns) -> float:
 
 def ratio_limit_point_check(model: CoefficientSet, horizon: int = 200) -> CriterionVerdict:
     """Bounded |c/p| plus divergent sum of 1/|p| force the limit point case."""
+    _require_horizon(model, horizon)
     c_cls = model.c.growth_class()
     p_cls = model.p.growth_class()
     witnesses: dict = {"N": model.a}
@@ -103,6 +105,12 @@ def ratio_limit_point_check(model: CoefficientSet, horizon: int = 200) -> Criter
     )
 
 
+def _require_horizon(model: CoefficientSet, horizon: int) -> None:
+    """Refuse a horizon below the grid origin, where no value is scanned."""
+    if horizon < model.a:
+        raise ValueError("horizon must be at least the grid origin a")
+
+
 def _certify_nonvanishing(model: CoefficientSet, p_cls, horizon: int):
     """(verdict, witness_t) for p(t) != 0 at every t >= a: False with the
     first t where p vanishes, True if p never does, None if only the
@@ -139,10 +147,9 @@ def _certify_positive(model: CoefficientSet, coeff: Coefficient, horizon: int):
     sign = growth.eventual_sign(cls, model.a)
     if sign is None:
         return None, None
-    if sign[0] <= 0:
-        return False, None
-    # positive from sign[1] >= a on; verify the front past the scan exactly
-    for t in range(max(horizon + 1, model.a), sign[1] + 1):
+    # of sign sign[0] from sign[1] on; the exact scan of the front past
+    # the column names the first value <= 0 whenever sign[0] <= 0
+    for t in range(horizon + 1, sign[1] + 1):
         if not growth.positive_at(cls, t):
             return False, t
     return True, None
@@ -154,6 +161,7 @@ def weighted_limit_point_check(
     """Weight-sequence criterion; ``weight`` is the positive sequence M, an
     expression string or a coefficient (a table has no certified
     asymptotics, so it reads ``unknown``)."""
+    _require_horizon(model, horizon)
     if isinstance(weight, str):
         weight = ExprCoefficient.parse(weight)
     witnesses: dict = {"N": model.a}
@@ -197,8 +205,7 @@ def _weighted_conditions(
     q_cls = model.q.growth_class()
     p_cls = model.p.growth_class()
 
-    # a zero M passes the positivity scan only when the horizon is below a
-    if m_cls is None or m_cls.is_zero:
+    if m_cls is None:
         return "unknown", None, "weight has no certified asymptotics"
     m_order = growth.order_of(m_cls)
 

@@ -37,24 +37,36 @@ along.  The table also keeps each step's entries (1 - a22, a12, a21,
 backward, steps any number of columns through them, and the two
 solutions of a fundamental pair are one call.
 
-A coefficient in ``model.zeros`` (c, h, d or q written as the literal 0,
-or a table of zeros, on the big-float kernel) has its products dropped
-wherever they are formed.  A zero c or h makes alpha and a11 vanish, so
-q_tilde = common and p_tilde = lead, which stays complex: 1/p_tilde is
-still the complex reciprocal.  A zero h also leaves common = q, r1 = 0
-and a21 = (q - lam) lead/p_tilde.  With c = h = 0 every solution has
-y2 = 0, and y2 is not reconstructed.  With a11 = 0 the steps' diagonal
-entry m22 = 1 - a11 is the exact 1, and the steppers leave out the
-product by it; the y2 relation and the quasi-difference leave out the
-terms of a zero c or h.
-``operator_window`` keeps an exact zero among the terms in place of each
-dropped product, and the residual sweeps leave it out of the rows'
-scales; they also leave out lam y2 wherever y2(t) is an exact zero,
-tested by value on either kernel (a zero term moves no magnitude).  Each pruned formula is the general one with its
-exact-zero terms left out, in the same order; on the int-backed scalars
-x + 0 is x and 0 * x is 0, so no value changes.  Native floats form
-every product: there 0 * inf is nan and a zero carries a sign, so a
-dropped term could change a value.
+Exact zeros.  A coefficient in ``model.zeros`` (c, h, d or q written as
+the literal 0, or a table of zeros, on the big-float kernel) has its
+products dropped in these places, and only there:
+
+* the step table: a zero c or h makes alpha and a11 vanish, so q_tilde =
+  common and p_tilde = lead, which stays complex (1/p_tilde is still the
+  complex reciprocal); a zero h also leaves common = q, r1 = 0 and
+  a21 = (q - lam) lead/p_tilde;
+* the steppers: with a11 = 0 the steps' diagonal entry m22 = 1 - a11 is
+  the exact 1, and the product by it is left out;
+* ``_assemble``: with c = h = 0 (``model.decoupled``) every solution has
+  y2 = 0, and y2 is not reconstructed; with h = 0 it has no r1 term;
+* ``y2_relation`` and ``quasi_difference`` leave out the terms of a zero
+  c or h;
+* ``operator_window`` keeps an exact zero among the terms in place of
+  each dropped product, and ``relative_residuals`` leaves it out of the
+  rows' scales, as it leaves out lam y2 wherever y2(t) is an exact zero
+  (tested by value on either kernel: a zero term moves no magnitude);
+* ``structure.green_terms`` leaves out the operator's second row where
+  c, h and d are zero, and c y2 where c is;
+* ``weyl``'s disc sums and ``classify``'s chi leave out the y2 of a
+  decoupled model's solutions.
+
+No routine assumes y2 = 0 of a trajectory it is given: the Lagrange
+identity, the variation of parameters, ``Trajectory.combined``,
+``weyl.chi`` and ``weyl.on_circle_defect`` form every term.  Each pruned
+formula is the general one with its exact-zero terms left out, in the
+same order; on the int-backed scalars x + 0 is x and 0 * x is 0, so no
+value changes.  Native floats form every product: there 0 * inf is nan
+and a zero carries a sign, so a dropped term could change a value.
 
 ``oracle_three_term`` is the independent check: it never touches the
 transfer matrices, solving instead the scalar three-term recurrence
@@ -258,13 +270,6 @@ class Trajectory:
     def a(self) -> int:
         return self.model.a
 
-    @property
-    def y2_vanishes(self) -> bool:
-        """Whether y2 is the exact zero throughout, as on every solution of
-        a decoupled model (tested by value): the sums over y2's products
-        then leave them out."""
-        return self.model.decoupled and not any(self.y2)
-
     def _idx(self, t: int, hi: int, what: str) -> int:
         if t < self.a - 1 or t > hi:
             raise WindowError(
@@ -316,8 +321,7 @@ class Trajectory:
         return Trajectory(
             model=self.model, lam=self.lam, top=self.top,
             y1=tuple([u + factor * v for u, v in zip(self.y1, other.y1)]),
-            y2=self.y2 if self.model.decoupled else tuple(
-                [u + factor * v for u, v in zip(self.y2, other.y2)]),
+            y2=tuple([u + factor * v for u, v in zip(self.y2, other.y2)]),
             y1q=tuple([u + factor * v for u, v in zip(self.y1q, other.y1q)]),
         )
 
@@ -356,14 +360,9 @@ def _forward_states(table: StepTable, starts) -> list:
         s0 = k.complex(0) + s0
         s1 = k.complex(0) + s1
         states = [(s0, s1)]
-        if unit_m22:
-            for m11, a12, a21, _ in steps:
-                s0, s1 = m11 * s0 + a12 * s1, a21 * s0 + s1
-                states.append((s0, s1))
-        else:
-            for m11, a12, a21, m22 in steps:
-                s0, s1 = m11 * s0 + a12 * s1, a21 * s0 + m22 * s1
-                states.append((s0, s1))
+        for m11, a12, a21, m22 in steps:
+            s0, s1 = m11 * s0 + a12 * s1, a21 * s0 + (s1 if unit_m22 else m22 * s1)
+            states.append((s0, s1))
         out.append(states)
     isfinite = k.isfinite
     if k.needs_finite_checks and not all(
@@ -440,14 +439,10 @@ def propagate_backward(
     states = [(s0, s1)]
     # steps of t = top .. a; v(t-1) = (I - A(t)) v(t), whose diagonal is
     # 1 - a11 = m22 and 1 - a22 = m11
-    if _unit_m22(model):
-        for m11, a12, a21, _ in reversed(table.steps):
-            s0, s1 = s0 - a12 * s1, m11 * s1 - a21 * s0
-            states.append((s0, s1))
-    else:
-        for m11, a12, a21, m22 in reversed(table.steps):
-            s0, s1 = m22 * s0 - a12 * s1, m11 * s1 - a21 * s0
-            states.append((s0, s1))
+    unit_m22 = _unit_m22(model)
+    for m11, a12, a21, m22 in reversed(table.steps):
+        s0, s1 = (s0 if unit_m22 else m22 * s0) - a12 * s1, m11 * s1 - a21 * s0
+        states.append((s0, s1))
     # as in _forward_states: the last state tells, the rescan names t
     if k.needs_finite_checks and not (k.isfinite(s0) and k.isfinite(s1)):
         for t, state in zip(range(top, model.a - 1, -1), states[1:]):

@@ -14,12 +14,6 @@ identity that holds exactly in exact arithmetic:
 * the variation-of-parameters reconstruction of a solution at lam from a
   basis at lam0, with the matching constants recovered from a 2x2 system
   at the first two usable points.
-
-As in ``recurrence``, a product that is an exact zero is left out of
-each sum, which keeps its order: Green's formula drops the operator's
-second row where c, h and d are in ``model.zeros`` and c y2 where c is,
-and the Lagrange identity and the reconstruction drop the products of
-y2 where the trajectories' y2 vanish (``Trajectory.y2_vanishes``).
 """
 
 from __future__ import annotations
@@ -133,12 +127,8 @@ def lagrange_identity_defect(
     k = model.kernel
     total = k.complex(0)
     columns = (*phi.component_columns(model.a, top), *psi.component_columns(model.a, top))
-    if phi.y2_vanishes and psi.y2_vanishes:
-        for p1, s1 in zip(columns[0], columns[2]):
-            total += s1.conjugate() * p1
-    else:
-        for p1, p2, s1, s2 in zip(*columns):
-            total += s1.conjugate() * p1 + s2.conjugate() * p2
+    for p1, p2, s1, s2 in zip(*columns):
+        total += s1.conjugate() * p1 + s2.conjugate() * p2
     lhs = (phi.lam - psi.lam.conjugate()) * total
     rhs = bracket(phi, psi, top) - bracket(phi, psi, model.a - 1)
     return lhs - rhs
@@ -197,17 +187,10 @@ def vop_reconstruct(
     columns = (*z.component_columns(anchor + 1, t_check),
                *phi.component_columns(anchor + 1, t_check),
                *psi.component_columns(anchor + 1, t_check))
-    no_y2 = z.y2_vanishes and phi.y2_vanishes and psi.y2_vanishes
-    if no_y2:
-        for z1, f1, g1 in zip(*columns[0::2]):
-            f += f1 * z1
-            g += g1 * z1
-            sums.append((f, g))
-    else:
-        for z1, z2, f1, f2, g1, g2 in zip(*columns):
-            f += f1 * z1 + f2 * z2
-            g += g1 * z1 + g2 * z2
-            sums.append((f, g))
+    for z1, z2, f1, f2, g1, g2 in zip(*columns):
+        f += f1 * z1 + f2 * z2
+        g += g1 * z1 + g2 * z2
+        sums.append((f, g))
 
     def rhs_first(t: int):
         f, g = sums[t - 1 - anchor]
@@ -231,8 +214,6 @@ def vop_reconstruct(
         * (psi.y1_at(t_check) * f_prev - phi.y1_at(t_check) * g_prev)
     )
 
-    if no_y2:
-        return VopResult(k1=k1, k2=k2, defect_y1=defect_y1, defect_y2=k.complex(0))
     f_full, g_full = sums[-1]
     m_val = m_excl_column(model, t_check, t_check)[0]
     ratio = (lam0 - m_val) / (lam - m_val)

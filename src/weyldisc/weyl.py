@@ -350,18 +350,17 @@ def _stable_chi(model, lam, phi, psi, m, n_max, radius_last, table):
 
 def _profile(model, columns, n_max) -> list:
     """Partial sums (t, S_t), S_t = sum of |y1(s)|^2 + |y2(s)|^2 over
-    s = a .. t, for t = a .. n_max; ``columns`` are y1 and y2 indexed
-    from a-1."""
+    s = a .. t, for t = a .. n_max; ``columns`` are the components summed,
+    indexed from a-1: y1 and y2, or y1 alone where y2 is known to be the
+    exact zero."""
     k = model.kernel
     abs2 = k.abs2
     total = k.real(0)
     sums = []
-    y1, y2 = columns
-    coupled = not model.decoupled  # else y2 = 0 adds nothing
-    for t, c1, c2 in zip(range(model.a, n_max + 1), y1[1:], y2[1:]):
-        total = total + abs2(c1)
-        if coupled:
-            total = total + abs2(c2)
+    rows = zip(*(column[1:] for column in columns))
+    for t, row in zip(range(model.a, n_max + 1), rows):
+        for value in row:
+            total = total + abs2(value)
         sums.append((t, total))
     if k.needs_finite_checks and not k.isfinite(total):
         raise _sums_exhausted(n_max)
@@ -423,7 +422,9 @@ def classify(
         chi_profile = None
         verdict, reason = "undecided", "chi profile could not be stabilized"
     else:
-        chi_sums = _profile(model, chi_columns, options.n_max)
+        # a decoupled model's chi has y2 = 0, which adds nothing
+        summed = chi_columns[:1] if model.decoupled else chi_columns
+        chi_sums = _profile(model, summed, options.n_max)
         chi_verdict = _growth_verdict(chi_sums, model, options)
         chi_profile = L2Profile(tuple(chi_sums), chi_verdict)
         if psi_verdict == "bounded" and chi_verdict == "bounded":

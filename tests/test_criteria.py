@@ -187,12 +187,19 @@ def _reference_witnesses(model, weight, horizon):
 @pytest.mark.parametrize("horizon", [-2, 0, 1, 30, 250])
 def test_witnesses_are_the_per_t_sups(weight, horizon):
     """The windowed witnesses equal the sups of their per-t formulas, bit
-    for bit, including where the k4 range stops at a+200 and where the
-    horizon lies below a on a model that already holds longer columns."""
+    for bit, including where the k4 range stops at a+200, on a model that
+    already holds longer columns.  A horizon below a is refused by both
+    criteria."""
     model = CoefficientSet.from_expressions(
         a=1, p="t + 1", q="0 - t + 3", c="2^(0 - t) + 1", h="sqrt(t)", d="1"
     )
     weighted_limit_point_check(model, weight, 40)
+    if horizon < model.a:
+        with pytest.raises(ValueError, match="horizon must be at least the grid origin a"):
+            ratio_limit_point_check(model, horizon)
+        with pytest.raises(ValueError, match="horizon must be at least the grid origin a"):
+            weighted_limit_point_check(model, weight, horizon)
+        return
     want = _reference_witnesses(model, weight, horizon)
     ratio = ratio_limit_point_check(model, horizon)
     weighted = weighted_limit_point_check(model, weight, horizon)
@@ -227,7 +234,7 @@ def test_weighted_criterion_p_negative_past_the_horizon():
     model = CoefficientSet.from_expressions(a=0, p="100 - t")
     verdict = weighted_limit_point_check(model, "1", 50)
     assert (verdict.outcome, verdict.failing_condition) == ("fails", "p_positive")
-    assert verdict.witnesses["p_violation_t"] is None
+    assert verdict.witnesses["p_violation_t"] == 100
 
 
 @pytest.mark.parametrize("p, zero_t, horizons", [
@@ -272,11 +279,14 @@ def test_weighted_criterion_coupling_dominates_the_series():
 
 
 def test_weighted_criterion_below_the_grid_origin(models):
-    """A horizon below a scans nothing: a zero weight reads unknown and a
-    zero p fails its eventual sign."""
-    verdict = weighted_limit_point_check(models["free"], "0", -1)
-    assert verdict.outcome == "unknown"
-    assert verdict.reason == "weight has no certified asymptotics"
+    """A horizon below a would scan no value of M or p, so both criteria
+    refuse it, as ``spectral_gap`` does; from a on a zero weight is an
+    input error."""
     zero_p = CoefficientSet.from_expressions(a=0, p="0")
-    verdict = weighted_limit_point_check(zero_p, "1", -1)
-    assert (verdict.outcome, verdict.failing_condition) == ("fails", "p_positive")
+    for model, weight in ((models["free"], "0"), (zero_p, "1")):
+        with pytest.raises(ValueError, match="horizon must be at least the grid origin a"):
+            weighted_limit_point_check(model, weight, -1)
+        with pytest.raises(ValueError, match="horizon must be at least the grid origin a"):
+            ratio_limit_point_check(model, -1)
+    with pytest.raises(EvaluationError, match=r"weight M\(0\) is not positive"):
+        weighted_limit_point_check(models["free"], "0", 0)

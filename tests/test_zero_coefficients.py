@@ -1,13 +1,9 @@
 """Identically zero coefficients.
 
-On the big-float kernel the solvers drop every product of a c, h, d or q
-that is the literal 0 or a table of zeros (``CoefficientSet.zeros``).
-The same model with each such zero spelled ``0*t`` has an empty zero
-set and forms every product, so the two must agree value for value:
-step tables, classification evidence, check-suite defects and the raw
-values of every routine that drops a product (the steppers' unit m22,
-the y2 relation, the quasi-difference, the residuals, Green's formula,
-the Lagrange identity and the variation of parameters).
+A model whose c, h, d or q is the literal 0 or a table of zeros
+(``CoefficientSet.zeros``) must agree value for value with the same
+model with each such zero spelled ``0*t``, which forms every product;
+``recurrence``'s module docstring lists where products are dropped.
 """
 
 import dataclasses
@@ -40,6 +36,7 @@ from weyldisc.recurrence import (
     y2_relation,
 )
 from weyldisc.structure import green_terms, lagrange_identity_defect, vop_reconstruct
+from weyldisc.weyl import chi, on_circle_defect
 
 from conftest import _random_left_end_cases
 
@@ -209,3 +206,27 @@ def test_a_zero_c_keeps_the_complex_reciprocal(h):
     pruned = CoefficientSet.from_expressions(precision=precision, **exprs)
     full = CoefficientSet.from_expressions(precision=precision, **_respelled(exprs))
     _agree(pruned, full, 0.5 + 1j, 60, 60, 20, 3)
+
+
+def test_a_given_trajectory_keeps_every_term():
+    """A trajectory handed to a routine is taken as it is, whatever the
+    model's zeros: on free (c = h = 0) a hand-built y2 = 1 enters
+    ``Trajectory.combined``, ``chi`` and ``on_circle_defect`` as with the
+    zeros spelled ``0*t``."""
+    scenario = builtin_scenario("free")
+    spelled = dataclasses.replace(scenario, **_respelled(
+        {c: getattr(scenario, c) for c in "pqchd"}))
+    n = 5
+    got = []
+    for model in (scenario.model(), spelled.model()):
+        k = model.kernel
+        one, lam = k.complex(1), k.complex(0, 1)
+        count = n + 2 - model.a
+        traj = Trajectory(model=model, lam=lam, top=n, y1=(one,) * (count + 1),
+                          y2=(one,) * count, y1q=(one,) * count)
+        combined = traj.combined(traj, 2)
+        assert set(combined.y2) == {k.complex(3)}
+        defect = on_circle_defect(model, traj, k.complex(0), lam, n)
+        assert float(defect) == 2.0 * (n + 1 - model.a)
+        got.append(_flat([combined, chi((traj, traj), k.complex(2)), defect]))
+    assert got[0] == got[1]
