@@ -39,34 +39,38 @@ solutions of a fundamental pair are one call.
 
 Exact zeros.  A coefficient in ``model.zeros`` (c, h, d or q written as
 the literal 0, or a table of zeros, on the big-float kernel) has its
-products dropped in these places, and only there:
+products dropped in five places, kept where a workload pays for them.
+Each names the scalar operations it saves per pass over the five
+built-ins at 256 bits, and how much longer a pass took without it: the
+median of 20 interleaved rounds of in-process passes, with the number of
+rounds the pruned code won (2-core x86_64, Python 3.11):
 
 * the step table: a zero c or h makes alpha and a11 vanish, so q_tilde =
   common and p_tilde = lead, which stays complex (1/p_tilde is still the
   complex reciprocal); a zero h also leaves common = q, r1 = 0 and
-  a21 = (q - lam) lead/p_tilde;
+  a21 = (q - lam) lead/p_tilde (80,153 per classify-800 pass, +19.1%,
+  20 of 20);
 * the steppers: with a11 = 0 the steps' diagonal entry m22 = 1 - a11 is
-  the exact 1, and the product by it is left out;
+  the exact 1, and the product by it is left out (10,413, +3.4%, 19 of
+  20);
 * ``_assemble``: with c = h = 0 (``model.decoupled``) every solution has
-  y2 = 0, and y2 is not reconstructed; with h = 0 it has no r1 term;
-* ``y2_relation`` and ``quasi_difference`` leave out the terms of a zero
-  c or h;
+  y2 = 0, and y2 is not reconstructed; with h = 0 it has no r1 term
+  (22,456, +4.5%, 17 of 20);
 * ``operator_window`` keeps an exact zero among the terms in place of
-  each dropped product, and ``relative_residuals`` leaves it out of the
-  rows' scales, as it leaves out lam y2 wherever y2(t) is an exact zero
-  (tested by value on either kernel: a zero term moves no magnitude);
-* ``structure.green_terms`` leaves out the operator's second row where
-  c, h and d are zero, and c y2 where c is;
+  each dropped product (46,010 per check-40 pass, +10.6%, 18 of 20);
 * ``weyl``'s disc sums and ``classify``'s chi leave out the y2 of a
-  decoupled model's solutions.
+  decoupled model's solutions (20,029 per classify-800 pass, +5.0%,
+  16 of 20).
 
-No routine assumes y2 = 0 of a trajectory it is given: the Lagrange
-identity, the variation of parameters, ``Trajectory.combined``,
-``weyl.chi`` and ``weyl.on_circle_defect`` form every term.  Each pruned
-formula is the general one with its exact-zero terms left out, in the
-same order; on the int-backed scalars x + 0 is x and 0 * x is 0, so no
-value changes.  Native floats form every product: there 0 * inf is nan
-and a zero carries a sign, so a dropped term could change a value.
+Every other routine runs the general formula on the exact zeros it is
+handed: ``y2_relation``, ``quasi_difference``, ``relative_residuals``,
+Green's formula, the Lagrange identity, the variation of parameters,
+``Trajectory.combined``, ``weyl.chi`` and ``weyl.on_circle_defect`` form
+every term, and assume y2 = 0 of no trajectory.  Each pruned formula is
+the general one with its exact-zero terms left out, in the same order;
+on the int-backed scalars x + 0 is x and 0 * x is 0, so no value
+changes.  Native floats form every product: there 0 * inf is nan and a
+zero carries a sign, so a dropped term could change a value.
 
 ``oracle_three_term`` is the independent check: it never touches the
 transfer matrices, solving instead the scalar three-term recurrence
@@ -518,21 +522,12 @@ def y2_relation(model: CoefficientSet, lam, y1, first: int, last: int) -> tuple:
     equation row solved for y2), c/(lam-d) dy1 + h/(lam-d) y1, for
     t = first .. last; ``y1`` is indexed from a-1 and reaches last+1."""
     y1_t, y1_next, _ = _pair_window(model, first, last, y1, y1)  # no y2 yet
-    # a zero c or h drops its term; with both zero y2 is the exact zero
-    use_c, use_h = "c" not in model.zeros, "h" not in model.zeros
-    if not (use_c or use_h):
-        return (model.kernel.complex(0),) * len(y1_t)
     out = []
     for c, h, d, cur, nxt in zip(
         *(model.column(name, first, last) for name in "chd"), y1_t, y1_next
     ):
         den = lam - d
-        if not use_h:
-            out.append(c / den * (nxt - cur))
-        elif not use_c:
-            out.append(h / den * cur)
-        else:
-            out.append(c / den * (nxt - cur) + h / den * cur)
+        out.append(c / den * (nxt - cur) + h / den * cur)
     return tuple(out)
 
 
@@ -541,11 +536,6 @@ def quasi_difference(model: CoefficientSet, y1, y2, first: int, last: int) -> tu
     ``y1`` and ``y2`` are indexed from a-1, y1 reaching last+1 and y2
     last."""
     y1_t, y1_next, y2_t = _pair_window(model, first, last, y1, y2)
-    if "c" in model.zeros:
-        return tuple(
-            p * (nxt - cur)
-            for p, cur, nxt in zip(model.column("p", first, last), y1_t, y1_next)
-        )
     return tuple(
         p * (nxt - cur) + c * v
         for p, c, cur, nxt, v in zip(
@@ -631,15 +621,12 @@ def relative_residuals(model: CoefficientSet, traj: Trajectory, first: int,
     the terms it sums, plus 1; the value at t is the larger of the two
     rows (row 2 alone at t = a-1).  A row that is exactly zero (false as
     a truth value) reads 0.0 without its scale: its terms are finite, so
-    the scale is finite and at least 1.  |p dy1| and |c y2| of a scaled row 1 serve again as the
-    previous-term magnitudes at t+1.
+    the scale is finite and at least 1.  Each scale sums the magnitudes
+    left to right in the order of the row's terms.  |p dy1| and |c y2| of
+    a scaled row 1 serve again as the previous-term magnitudes at t+1.
     """
     out = []
     lam = traj.lam
-    # the products of a coefficient in model.zeros are exact zeros among the
-    # terms, and a zero y2(t) makes lam y2 one: each is left out of its row
-    # and scale, which keep the order of the general sums
-    use_c, use_h, use_d, use_q = (name not in model.zeros for name in "chdq")
     # |p dy1| and |c y2| at the previous t, or None where not formed
     abs_pd = abs_cy2 = None
     walk = zip(
@@ -648,16 +635,11 @@ def relative_residuals(model: CoefficientSet, traj: Trajectory, first: int,
     )
     for (row1, row2, terms), y1_t, y2_t in walk:
         pd_prev, pd, qy1, cy2_prev, cy2, hy2, cd, hy1, dy2 = terms
-        ly2 = None
-        if y2_t:
-            ly2 = lam * y2_t
-            row2 = row2 - ly2
+        ly2 = lam * y2_t
+        row2 = row2 - ly2
         worst = 0.0
         if row2:
-            scale2 = None
-            for use, term in ((use_c, cd), (use_h, hy1), (use_d, dy2), (ly2 is not None, ly2)):
-                if use:
-                    scale2 = abs(term) if scale2 is None else scale2 + abs(term)
+            scale2 = abs(cd) + abs(hy1) + abs(dy2) + abs(ly2)
             worst = float(abs(row2) / (scale2 + 1))
         abs_pd_prev, abs_cy2_prev = abs_pd, abs_cy2
         abs_pd = abs_cy2 = None
@@ -666,18 +648,10 @@ def relative_residuals(model: CoefficientSet, traj: Trajectory, first: int,
             row1 = row1 - ly1
             if row1:
                 if abs_pd_prev is None:
-                    abs_pd_prev = abs(pd_prev)
-                    abs_cy2_prev = abs(cy2_prev) if use_c else None
-                abs_pd = abs(pd)
-                scale1 = abs_pd + abs_pd_prev
-                if use_q:
-                    scale1 = scale1 + abs(qy1)
-                if use_c:
-                    abs_cy2 = abs(cy2)
-                    scale1 = scale1 + abs_cy2 + abs_cy2_prev
-                if use_h:
-                    scale1 = scale1 + abs(hy2)
-                scale1 = scale1 + abs(ly1) + 1
+                    abs_pd_prev, abs_cy2_prev = abs(pd_prev), abs(cy2_prev)
+                abs_pd, abs_cy2 = abs(pd), abs(cy2)
+                scale1 = (abs_pd + abs_pd_prev + abs(qy1) + abs_cy2 + abs_cy2_prev
+                          + abs(hy2) + abs(ly1) + 1)
                 worst = max(worst, float(abs(row1) / scale1))
         out.append(worst)
     return out

@@ -57,10 +57,6 @@ def green_terms(model: CoefficientSet, y, z, top: int) -> tuple:
     k = model.kernel
     y1, y2 = [v[0] for v in y], [v[1] for v in y]
     z1, z2 = [v[0] for v in z], [v[1] for v in z]
-    # operator_window's exact zeros: row 2 when c, h and d are all zero,
-    # c y2 when c is; their products are left out of the sums
-    use_row2 = not {"c", "h", "d"} <= model.zeros
-    use_c = "c" not in model.zeros
     inner = k.complex(0)
     rows = []
     walk = zip(
@@ -69,21 +65,13 @@ def green_terms(model: CoefficientSet, y, z, top: int) -> tuple:
     )
     for i, ((ly1, ly2, y_terms), (lz1, lz2, z_terms)) in enumerate(walk, 1):
         rows.append(((ly1, ly2), (lz1, lz2)))
-        if use_row2:
-            inner += z1[i].conjugate() * ly1 + z2[i].conjugate() * ly2
-            inner -= lz1.conjugate() * y1[i] + lz2.conjugate() * y2[i]
-        else:
-            inner += z1[i].conjugate() * ly1
-            inner -= lz1.conjugate() * y1[i]
+        inner += z1[i].conjugate() * ly1 + z2[i].conjugate() * ly2
+        inner -= lz1.conjugate() * y1[i] + lz2.conjugate() * y2[i]
         if i == 1:
             # p dy1 + c y2 at a-1: the previous terms at t = a
-            y_left, z_left = y_terms[0], z_terms[0]
-            if use_c:
-                y_left, z_left = y_left + y_terms[3], z_left + z_terms[3]
+            y_left, z_left = y_terms[0] + y_terms[3], z_terms[0] + z_terms[3]
     # p dy1 + c y2 at top: the current terms of the last row
-    y_top, z_top = y_terms[1], z_terms[1]
-    if use_c:
-        y_top, z_top = y_top + y_terms[4], z_top + z_terms[4]
+    y_top, z_top = y_terms[1] + y_terms[4], z_terms[1] + z_terms[4]
     n = len(rows)
     boundary = (y1[n + 1] * z_top.conjugate() - y_top * z1[n + 1].conjugate()) - (
         y1[1] * z_left.conjugate() - y_left * z1[1].conjugate()

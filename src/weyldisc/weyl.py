@@ -201,7 +201,10 @@ def _sums_exhausted(t: int) -> PrecisionExhaustedError:
 
 
 def weyl_disc(model: CoefficientSet, lam, alpha: float, n: int) -> WeylDisc:
-    """Center and radius of the m-point circle at window end n."""
+    """Center and radius of the m-point circle at window end n; the first
+    disc is at n = a."""
+    if n < model.a:
+        raise ValueError("top must be at least the grid origin a")
     lam = as_lambda_scalar(model, lam)
     if lam.imag == 0:
         raise InadmissibleLambdaError("Weyl discs require a nonreal lam")

@@ -310,6 +310,23 @@ def test_cli_exit_code_scenario_error(tmp_path, capsys):
     assert main(["classify", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("a", [0, 5])
+def test_cli_disc_below_the_grid_origin_is_a_scenario_error(tmp_path, monkeypatch,
+                                                           capsys, a):
+    """`disc --N a-1` names the window problem and exits 2, as `ivp` does,
+    and writes no report."""
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps({"name": "shifted", "a": a, "p": "1"}))
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.chdir(out)
+    assert main(["disc", str(path), "--N", str(a - 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "top must be at least the grid origin a" in captured.err
+    assert list(out.iterdir()) == []
+
+
 def test_cli_exit_code_inadmissible(tmp_path):
     # real lam on the excluded set: d == 1 everywhere for ex4.1a
     code = main(["classify", "ex4.1a", "--lambda-re", "1", "--lambda-im", "0",

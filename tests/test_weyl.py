@@ -81,6 +81,16 @@ def test_weyl_disc_rejects_real_lam(models):
         weyl_disc(models["free"], 2.0, 0.0, 5)
 
 
+@pytest.mark.parametrize("a", [0, 5])
+def test_weyl_disc_refuses_a_window_below_the_grid_origin(a):
+    """The first disc is at N = a: at N = a-1 weyl_disc refuses the window
+    as propagate does, before it steps anything."""
+    model = CoefficientSet.from_expressions(a=a, p="1")
+    with pytest.raises(ValueError, match="top must be at least the grid origin a"):
+        weyl_disc(model, 1j, 0.0, a - 1)
+    assert weyl_disc(model, 1j, 0.0, a).n == a
+
+
 def test_disc_nesting_first_steps(models):
     free = models["free"]
     d0 = weyl_disc(free, 1j, 0.0, 0)
