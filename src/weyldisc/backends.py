@@ -59,6 +59,10 @@ z.conjugate()               ``mpf_abs``
 ==, <, bool, float(x)       ``mpf_eq``,      exact; ``float`` as
                             ``mpf_cmp``,     ``to_float`` at nearest
                             ``to_float``
+``format_real(x)``          ``to_str`` at    43 digits toward zero, then
+                            40 digits        40 half up; past 2**+-3500
+                                             x / 10**b toward zero at
+                                             152 bits first
 ==========================  ===============  ============================
 
 ``mpf_add`` perturbs instead of adding when two operands lie far apart
@@ -69,8 +73,11 @@ roots and powers that ``bigfloat`` does not compute itself (it takes
 square roots of positive reals and powers of two to integral powers),
 ``str``/``repr``, ``hash``, operands of other types (floats, other
 contexts' values), non-finite values, which are the context's own
-mpmath values, and formatting.  mpmath reads the
-scalars through ``_mpf_`` and ``_mpc_``, which give its canonical tuple
+mpmath values, and the rendering of zero and non-finite values.
+``format_real`` renders every other value from its own integers, also
+past 2**+-3500, where it runs ``to_digits_exp``'s division by a power
+of ten; it reads libmp's ln 2 and ln 10 once per bit count.  mpmath
+reads the scalars through ``_mpf_`` and ``_mpc_``, which give its canonical tuple
 of the same value, computed when read.
 
 The protocol holds only what differs between kernels, and a member that
@@ -237,23 +244,34 @@ def native_kernel() -> NativeKernel:
 _DIGITS = 40
 
 # libmp's to_str(x, 40) takes 43 digits from to_digits_exp, which works
-# at this many bits; it scales by a power of ten only past 2**+-3500
+# at this many bits; past 2**+-3500 it first divides by a power of ten
 _LOG2_10 = math.log(10, 2)
 _BITPREC = int((_DIGITS + 3) * _LOG2_10) + 10
 _SCALED = 3500
-# fixdps -> 10**fixdps, the decimal scaling of one binary point
-_TEN_POWERS: dict[int, int] = {}
+# mpf_pow_int raises ten's mantissa 5 exactly while 3 * n < 1000
+_EXACT_TEN_POWER = 333
+# fixprec -> (fixdps, 10**fixdps), the decimal scaling of a binary point
+_FIXED: dict[int, tuple] = {}
+# expprec -> libmp's ln 2 and ln 10 at expprec bits, as (man, exp) pairs
+_LOGS: dict[int, tuple] = {}
+# (workprec, down) -> 10**(2**i) as (man, exp) for i below the bit count
+# of every exponent of that workprec: mpf_pow_int's chain of squares,
+# each truncated to workprec bits toward zero (down) or away from it
+_SQUARES: dict[tuple, list] = {}
+# the digit after each one; a 9 carries into the digit before it
+_NEXT_DIGIT = dict(zip("012345678", "123456789"))
 
 
-def _ten_power(fixdps: int) -> int:
-    return _TEN_POWERS.setdefault(fixdps, 10**fixdps)
+def _fixed_scale(fixprec: int) -> tuple:
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    return _FIXED.setdefault(fixprec, (fixdps, 10**fixdps))
 
 
-def _render(m: int, e: int) -> str:
-    """``libmp.to_str`` of m * 2**e at 40 digits, for a nonzero m with
-    |e + bit_length(m)| <= 3500, computed on m and e as libmp computes
-    it on the canonical tuple: e + bit_length(m) is the same for every
-    representation of the value, and so is every floor below."""
+def _render(m: int, e: int, exponent: int = 0) -> str:
+    """``libmp.to_str`` at 40 digits of a nonzero m * 2**e, scaled by
+    10**exponent, computed on m and e as ``to_digits_exp`` computes its
+    unscaled branch on the canonical tuple: e + bit_length(m) is the same
+    for every representation of the value, and so is every floor below."""
     sign = ""
     if m < 0:
         sign = "-"
@@ -263,17 +281,18 @@ def _render(m: int, e: int) -> str:
     fixprec = _BITPREC - e - m.bit_length()
     if fixprec < 0:
         fixprec = 0
-    fixdps = int(fixprec / _LOG2_10 + 0.5)
-    scale = _TEN_POWERS.get(fixdps) or _ten_power(fixdps)
+    fixdps, scale = _FIXED.get(fixprec) or _fixed_scale(fixprec)
     shift = e + fixprec
     fixed = m << shift if shift >= 0 else m >> -shift
     digits = str(fixed * scale >> fixprec)
-    exponent = len(digits) - fixdps - 1
+    exponent += len(digits) - fixdps - 1
     # to_str: 40 digits, rounded half up on the 41st
     if digits[_DIGITS] >= "5":
-        digits = str(int(digits[:_DIGITS]) + 1)
-        if len(digits) > _DIGITS:
-            digits = digits[:_DIGITS]
+        head = digits[:_DIGITS].rstrip("9")
+        if head:
+            digits = head[:-1] + _NEXT_DIGIT[head[-1]] + "0" * (_DIGITS - len(head))
+        else:
+            digits = "1" + "0" * (_DIGITS - 1)
             exponent += 1
     else:
         digits = digits[:_DIGITS]
@@ -293,20 +312,114 @@ def _render(m: int, e: int) -> str:
     return f"{sign}{digits}e{exponent:+d}"
 
 
+def _logs(expprec: int) -> tuple:
+    ln2, ln10 = _libmp.mpf_ln2(expprec), _libmp.mpf_ln10(expprec)
+    return _LOGS.setdefault(expprec, ((ln2[1], ln2[2]), (ln10[1], ln10[2])))
+
+
+def _squares(workprec: int, down: bool, count: int) -> list:
+    sm, se = 5, 1
+    chain = [(sm, se)]
+    for _ in range(count - 1):
+        sm, se = sm * sm, se + se
+        excess = sm.bit_length() - workprec
+        if excess > 0:
+            sm = sm >> excess if down else -(-sm >> excess)
+            se += excess
+        chain.append((sm, se))
+    return _SQUARES.setdefault((workprec, down), chain)
+
+
+def _ten_power(n: int, prec: int, down: bool) -> tuple:
+    """``mpf_pow_int(ften, n, prec, rnd)`` of an int n >= 0 as (man, exp),
+    rnd toward zero (``down``) or away from it: 10**n exactly for a small
+    n, else the product of the squares at n's set bits, each product
+    truncated to workprec bits in rnd's direction; then the result is
+    rounded to prec bits the same way."""
+    if n <= _EXACT_TEN_POWER:
+        pm, pe = 5**n, n
+    else:
+        count = n.bit_length()
+        workprec = prec + 4 * count + 4
+        pm, pe = 1, 0
+        for sm, se in _SQUARES.get((workprec, down)) or _squares(workprec, down, count):
+            if n & 1:
+                pm, pe = pm * sm, pe + se
+                excess = pm.bit_length() - workprec
+                if excess > 0:
+                    pm = pm >> excess if down else -(-pm >> excess)
+                    pe += excess
+            n >>= 1
+    excess = pm.bit_length() - prec
+    if excess > 0:
+        pm = pm >> excess if down else -(-pm >> excess)
+        pe += excess
+    return pm, pe
+
+
+def _quotient(m: int, e: int, d: int, f: int) -> tuple:
+    """``mpf_div`` of m * 2**e by d * 2**f at 152 bits toward zero, for
+    positive m and d: the floor of a quotient of 153 or 154 bits, then
+    truncated, which is the exact quotient truncated."""
+    k = _BITPREC + 1 + d.bit_length() - m.bit_length()
+    q = (m << k) // d if k >= 0 else (m >> -k) // d
+    n = q.bit_length() - _BITPREC
+    return q >> n, e - f - k + n
+
+
+def _decimal_exponent(exp: int) -> int:
+    """``to_digits_exp``'s b = to_int(exp * ln2 / ln10), the quotient
+    toward zero at expprec = bitcount(|exp|) + 5 bits: no integer lies
+    between that quotient and the exact one, so b is the exact one's
+    integer part."""
+    size = abs(exp)
+    expprec = size.bit_length() + 5
+    (m2, e2), (m10, e10) = _LOGS.get(expprec) or _logs(expprec)
+    num, shift = size * m2, e2 - e10
+    b = (num << shift) // m10 if shift >= 0 else num // (m10 << -shift)
+    return b if exp >= 0 else -b
+
+
+def _power_of_ten(b: int) -> tuple:
+    """``mpf_pow_int(ften, b, 152)`` as (man, exp): a negative b's power
+    is 1 over the power of -b at 157 bits, rounded away from zero."""
+    if b >= 0:
+        return _ten_power(b, _BITPREC, True)
+    return _quotient(1, 0, *_ten_power(-b, _BITPREC + 5, False))
+
+
+def _render_far(m: int, e: int) -> str:
+    """``libmp.to_str`` at 40 digits of a nonzero m * 2**e past 2**+-3500,
+    where ``to_digits_exp`` first divides the value by 10**b, b from the
+    canonical exponent (trailing zeros stripped): the same b, power of
+    ten and quotient, computed on m and e."""
+    b = _decimal_exponent(e + (m & -m).bit_length() - 1)
+    qm, qe = _quotient(abs(m), e, *_power_of_ten(b))
+    return _render(-qm if m < 0 else qm, qe, b)
+
+
 def format_real(x) -> str:
     """Deterministic decimal rendering, identical across kernels: the
     exact value of x to 40 significant digits as ``libmp.to_str``
-    renders it, whatever the global mpmath precision.  A machine float
-    is rendered from its exact ``from_float`` tuple; a big-float real
-    from its own mantissa and exponent (``_render``).  Zero, values past
-    2**+-3500 and non-finite values, which are the kernel context's
-    mpmath values, go through ``to_str`` itself."""
+    renders it, whatever the global mpmath precision.  A nonzero finite
+    value is rendered from its own integers: a machine float from its
+    exact ``as_integer_ratio``, a big-float real from its mantissa and
+    exponent, scaled by a power of ten past 2**+-3500 as libmp scales it
+    (``_render_far``).  Only zero and non-finite values go through
+    ``to_str`` itself; on a big-float kernel the non-finite ones are the
+    context's own mpmath values."""
     if type(x) is float:
+        if x and math.isfinite(x):
+            m, d = x.as_integer_ratio()
+            return _render(m, 1 - d.bit_length())
         return _libmp.to_str(_libmp.from_float(x), _DIGITS)
     m = getattr(x, "m", 0)
-    if m and -_SCALED <= x.e + m.bit_length() <= _SCALED:
-        return _render(m, x.e)
-    return _libmp.to_str(x._mpf_, _DIGITS)
+    if not m:
+        return _libmp.to_str(x._mpf_, _DIGITS)
+    e = x.e
+    if -_SCALED <= e + m.bit_length() <= _SCALED:
+        return _render(m, e)
+    return _render_far(m, e)
 
 
 def format_complex(z) -> dict:

@@ -36,7 +36,9 @@ scalars through ``_mpf_`` and ``_mpc_``, properties that give mpmath's
 canonical tuple of the same value, computed when read; the context's
 own mpmath types carry the non-finite values.  The kernel takes
 ``sin`` and ``cos`` from mpmath too, and ``sqrt`` and ``pow_positive``
-of any other operands.
+of any other operands.  Rendering is not among them:
+``backends.format_real`` prints every nonzero finite real from ``m``
+and ``e``, and hands only zero and non-finite values to ``libmp.to_str``.
 """
 
 from __future__ import annotations

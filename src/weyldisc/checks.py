@@ -19,7 +19,7 @@ only where a check reads them.
 
 Defects are normalized by the magnitude of the terms entering each
 identity, so a PASS means "the identity holds to roughly the working
-precision", independent of how violently the solutions grow.  Three
+precision", independent of how violently the solutions grow.  Four
 rules keep the suite to the big-float work its printed values read:
 
 * a zero defect is never scaled.  A defect (or residual row) that is
@@ -32,7 +32,10 @@ rules keep the suite to the big-float work its printed values read:
   variation-of-parameters line is the pair itself, and the oracle line
   starts from the basis' second solution;
 * the windows count from the grid origin a: each line reads the same
-  offsets from a on a model on a .. a+40 as on one on 0 .. 40.
+  offsets from a on a model on a .. a+40 as on one on 0 .. 40;
+* the m-point sweep forms each chi = phi + m psi only where its
+  on-circle sum reads it, y1 and y2 on a-1 .. n, and not the
+  quasi-differences that ``weyl.chi`` forms too.
 """
 
 from __future__ import annotations
@@ -64,12 +67,11 @@ from .structure import (
     vop_reconstruct,
 )
 from .weyl import (
+    _circle_defect,
     _disc_rows,
-    chi,
     corner_values,
     fundamental_pair,
     m_point,
-    on_circle_defect,
 )
 
 
@@ -338,6 +340,9 @@ def m_sweep_worst(phi: Trajectory, psi: Trajectory, discs, top: int, betas: int 
     disc = usable[-1] if usable else discs[0]
     n = disc.n
     corner = corner_values((phi, psi), n)
+    # chi = phi + m psi is read only through its y1 and y2 on a-1 .. n
+    components = list(zip(phi.component_columns(model.a - 1, n),
+                          psi.component_columns(model.a - 1, n)))
     worst = 0.0
     for i in range(betas):
         beta = math.pi * i / betas
@@ -347,8 +352,8 @@ def m_sweep_worst(phi: Trajectory, psi: Trajectory, discs, top: int, betas: int 
             worst,
             abs(float(abs(m_val - disc.center) / disc.radius) - 1.0),
         )
-        chi_traj = chi((phi, psi), m_val)
-        defect = on_circle_defect(model, chi_traj, m_val, lam_s, n)
+        columns = [[u + m_val * v for u, v in zip(f, g)] for f, g in components]
+        defect = _circle_defect(model, columns, m_val, lam_s, n)
         scale = abs(m_val.imag / lam_s.imag) + 1
         worst = max(worst, float(abs(defect) / scale))
     return worst

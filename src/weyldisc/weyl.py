@@ -240,11 +240,17 @@ def chi(pair: tuple[Trajectory, Trajectory], m) -> Trajectory:
 def on_circle_defect(model: CoefficientSet, chi_traj: Trajectory, m, lam, n: int):
     """sum_{t=a}^{n} |chi(t)|^2 - Im(m)/Im(lam): zero when m lies on the
     n-th circle, negative when it lies inside."""
+    return _circle_defect(model, chi_traj.component_columns(model.a - 1, n), m, lam, n)
+
+
+def _circle_defect(model: CoefficientSet, columns, m, lam, n: int):
+    """``on_circle_defect`` from chi's components y1 and y2 on a-1 .. n
+    alone, the only values it reads."""
     k = model.kernel
     lam = as_lambda_scalar(model, lam)
     if lam.imag == 0:
         raise InadmissibleLambdaError("circle membership requires nonreal lam")
-    sums = _profile(model, chi_traj.component_columns(model.a - 1, n), n)
+    sums = _profile(model, columns, n)
     total = sums[-1][1] if sums else k.real(0)
     return total - m.imag / lam.imag
 

@@ -1,8 +1,17 @@
+import os
 import random
 
 import pytest
+from hypothesis import settings
 
 from weyldisc import BoundaryData, builtin_names, builtin_scenario, classify
+
+# Hypothesis properties run derandomized, with no example database, so a
+# run tests the same examples every time; CI selects the larger profile
+# with HYPOTHESIS_PROFILE=ci
+settings.register_profile("dev", derandomize=True, database=None, max_examples=100, deadline=None)
+settings.register_profile("ci", derandomize=True, database=None, max_examples=1000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
 # verdicts the classifier must reproduce for the built-in families
 EXPECTED_VERDICTS = {

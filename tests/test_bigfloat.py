@@ -434,24 +434,27 @@ def test_format_real_of_machine_floats_is_to_str_of_their_exact_value():
         assert format_real(x) == libmp.to_str(libmp.from_float(x), 40), x
 
 
-def test_format_real_hands_only_zero_and_far_values_to_to_str(monkeypatch):
-    """Within 2**+-3500 a nonzero real is rendered from its own integers;
-    zero, values past that, where libmp scales by a power of ten, and
-    non-finite values go through ``to_str`` itself."""
+def test_format_real_hands_only_zero_and_non_finite_values_to_to_str(monkeypatch):
+    """A nonzero finite real is rendered from its own integers, within
+    2**+-3500 and past it, where libmp first divides by a power of ten,
+    and so is a machine float; only zero and non-finite values go
+    through ``to_str`` itself."""
     k = MpmathKernel(256)
     calls = []
     to_str = libmp.to_str
     monkeypatch.setattr(libmp, "to_str", lambda *args: calls.append(args) or to_str(*args))
-    for top in (3500, -3500, 152, -152, 0):
-        for m in (3, -(1 << 300) - 1):
-            format_real(_own(k, m, top - m.bit_length()))
+    for top in (3500, -3500, 152, -152, 0, 3501, -3501, 10**6, -10**6):
+        for m in (1, 3, -7, -(1 << 300) - 1, 5 << 90):
+            e = top - m.bit_length()
+            assert format_real(_own(k, m, e)) == to_str(libmp.from_man_exp(m, e), 40), (m, e)
+    for x in (0.1, -2.5e300, 5e-324):
+        assert format_real(x) == to_str(libmp.from_float(x), 40)
     assert calls == []
-    far = [_own(k, 0, 0), k.real(math.inf), k.real(math.nan)]
-    far += [_own(k, m, top - m.bit_length()) for top in (3501, -3501, 10**6) for m in (1, -7)]
-    for x in far:
+    edges = [_own(k, 0, 0), _own(k, 0, 40), k.real(math.inf), k.real(math.nan)]
+    edges += [0.0, -0.0, math.inf, -math.inf, math.nan]
+    for x in edges:
         format_real(x)
-    assert len(calls) == len(far)
-    assert calls[-1][0] == libmp.from_man_exp(-7, 10**6 - 3)
+    assert len(calls) == len(edges)
 
 
 @pytest.mark.parametrize("bits", OWN_BITS)
@@ -681,15 +684,15 @@ def test_classification_runs_on_the_kernel_scalars(name):
 
 # What still reaches mpmath in one in-process `classify --n-max 200` and
 # one `check` at 256 bits, per built-in: the scalars' ``_mp`` conversions
-# by calling method, ``to_str`` calls from ``format_real`` (zeros and
-# values past 2**+-3500) and the kernel's ``sin``/``cos``.  The
+# by calling method, ``to_str`` calls from ``format_real`` (zeros) and
+# the kernel's ``sin``/``cos``.  The
 # ``k.real(2) ** n`` scalings of the chi and corner routes stay on the
 # scalars.
 REACH = {
     ("classify", "free"): {"to_str": 1, "sin": 1, "cos": 1},
     ("classify", "ex4.1a"): {"to_str": 2, "sin": 1, "cos": 1},
     ("classify", "ex4.1b"): {"to_str": 1, "sin": 1, "cos": 1},
-    ("classify", "ex4.2a"): {"to_str": 318, "sin": 1, "cos": 1},
+    ("classify", "ex4.2a"): {"to_str": 1, "sin": 1, "cos": 1},
     ("classify", "ex4.2b"): {"sin": 1, "cos": 1},
     **{("check", name): {"sin": 8, "cos": 8} for name in builtin_names()},
 }
