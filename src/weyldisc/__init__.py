@@ -65,7 +65,6 @@ from .structure import (
     green_defect,
     lagrange_identity_defect,
     vop_reconstruct,
-    wronskian,
 )
 from .weyl import (
     BoundaryAngles,

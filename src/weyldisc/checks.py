@@ -125,7 +125,8 @@ def transfer_det_deviation(table: StepTable, top: int) -> float:
 def _pairing_worst(phi: Trajectory, psi: Trajectory, first: int, top: int) -> float:
     """Largest |AD - BC - 1| / (|AD| + |BC| + 1) over t = first .. top, with
     (A, B) and (C, D) the states (y1(t+1), y1q(t)) of phi and psi: AD - BC
-    is the pair's transfer determinant and their ``structure.wronskian``."""
+    is the pair's transfer determinant and their conjugation-free Wronskian
+    pairing phi1(t+1) psi1q(t) - phi1q(t) psi1(t+1)."""
     worst = 0.0
     for a_v, b_v, c_v, d_v in zip(*phi.state_columns(first, top),
                                   *psi.state_columns(first, top)):

@@ -12,7 +12,7 @@ state reconstruction below, as on every other row.
 Everything a propagation needs at one (model, lam) comes from a step
 table: ``step_table`` reads the coefficient columns, walks t = a-1 .. top
 once and keeps, per t, the derived quantities (p_tilde, alpha, q_tilde),
-the entries of A(t) and the y2-reconstruction coefficients
+the step entries formed from A(t) and the y2-reconstruction coefficients
 
     y2(t) = r1(t) y1(t+1) + r2(t) y1q(t),
     r1 = h*p/(den*p_tilde),  r2 = (c - h)/(den*p_tilde),
@@ -31,7 +31,7 @@ d(t) is the previous row's value object (a constant coefficient) keeps
 that row's den and 1/den.  alpha(t-1), which q_tilde(t) needs, is the
 previous row.  A table is built per call and dropped with it; callers
 that step several solutions at one (model, lam) pass the same table
-along.  The table also keeps each step's entries (1 - a22, a12, a21,
+along.  A(t) is kept only as each step's entries (1 - a22, a12, a21,
 1 - a11), formed once: forward they are the closed-form inverse
 (I - A)^{-1}, backward they give I - A, so every solver, forward or
 backward, steps any number of columns through them, and the two
@@ -42,8 +42,11 @@ the literal 0, or a table of zeros, on the big-float kernel) has its
 products dropped in five places, kept where a workload pays for them.
 Each names the scalar operations it saves per pass over the five
 built-ins at 256 bits, and how much longer a pass took without it: the
-median of 20 interleaved rounds of in-process passes, with the number of
-rounds the pruned code won (2-core x86_64, Python 3.11):
+median of 20 interleaved rounds of in-process passes (12 for the
+steppers, ``_assemble`` and ``weyl``, with their gain on single built-ins,
+each 12 of 12 and past the quartile spread), with the number of rounds the
+pruned code won (2-core x86_64, Python 3.11).  Without those three sites
+a pass took +9.1% longer (12 of 12):
 
 * the step table: a zero c or h makes alpha and a11 vanish, so q_tilde =
   common and p_tilde = lead, which stays complex (1/p_tilde is still the
@@ -51,16 +54,16 @@ rounds the pruned code won (2-core x86_64, Python 3.11):
   a21 = (q - lam) lead/p_tilde (80,153 per classify-800 pass, +19.1%,
   20 of 20);
 * the steppers: with a11 = 0 the steps' diagonal entry m22 = 1 - a11 is
-  the exact 1, and the product by it is left out (10,413, +3.4%, 19 of
-  20);
+  the exact 1, and the product by it is left out (10,413, +2.3%, 10 of
+  12; free +3.7%);
 * ``_assemble``: with c = h = 0 (``model.decoupled``) every solution has
   y2 = 0, and y2 is not reconstructed; with h = 0 it has no r1 term
-  (22,456, +4.5%, 17 of 20);
+  (22,456, +3.5%, 12 of 12; free +9.7%, ex4.2b's h = 0 +2.7%);
 * ``operator_window`` keeps an exact zero among the terms in place of
   each dropped product (46,010 per check-40 pass, +10.6%, 18 of 20);
 * ``weyl``'s disc sums and ``classify``'s chi leave out the y2 of a
-  decoupled model's solutions (20,029 per classify-800 pass, +5.0%,
-  16 of 20).
+  decoupled model's solutions (20,029 per classify-800 pass, +1.2%,
+  11 of 12; free +5.5%, ex4.1a +6.2%).
 
 Every other routine runs the general formula on the exact zeros it is
 handed: ``y2_relation``, ``quasi_difference``, ``relative_residuals``,
@@ -106,12 +109,12 @@ class StepTable:
     """Per-t quantities of one (model, lam) for t = a-1 .. top, one column
     per quantity, indexed by t - (a-1).
 
-    The first row has no predecessor, so its q_tilde and step entries are
-    None: the table has step matrices exactly for t = a .. top.  For the
-    left boundary it also keeps lead_left = p + c^2/(lam - d) at a-1: that
-    is p_tilde + alpha there, formed so that it does not cancel when alpha
-    nears -p_tilde.  ``steps`` holds (1 - a22, a12, a21, 1 - a11) for
-    t = a .. top, so its entry i is row i+1.
+    The first row has no predecessor, so its q_tilde is None and it has
+    no step: ``steps`` holds the entries (1 - a22, a12, a21, 1 - a11) of
+    I - A(t)'s inverse for t = a .. top, so its entry i is row i+1; A(t)
+    itself is kept in no other form.  For the left boundary the table also
+    keeps lead_left = p + c^2/(lam - d) at a-1: that is p_tilde + alpha
+    there, formed so that it does not cancel when alpha nears -p_tilde.
     """
 
     model: CoefficientSet
@@ -120,10 +123,6 @@ class StepTable:
     p_tilde: tuple
     alpha: tuple
     q_tilde: tuple
-    a11: tuple
-    a12: tuple
-    a21: tuple
-    a22: tuple
     r1: tuple
     r2: tuple
     lead_left: object
@@ -145,15 +144,15 @@ class StepTable:
         return StepTable(
             self.model, self.lam, top,
             *(col[:n] for col in (self.p_tilde, self.alpha, self.q_tilde,
-                                  self.a11, self.a12, self.a21, self.a22,
                                   self.r1, self.r2)),
             self.lead_left, self.steps[:n - 1],
         )
 
 
 def step_table(model: CoefficientSet, lam, top: int) -> StepTable:
-    """Walk t = a-1 .. top once and tabulate every derived quantity, step
-    matrix and y2 coefficient on the way.
+    """Walk t = a-1 .. top once and tabulate p_tilde, alpha, q_tilde, the
+    step entries and the y2 coefficients on the way; a11 and a22 are
+    formed in each row only to build its step.
 
     Raises InadmissibleLambdaError where lam equals d(t) or p_tilde(t)
     vanishes.
@@ -207,7 +206,7 @@ def step_table(model: CoefficientSet, lam, top: int) -> StepTable:
             r1 = zero if no_h else h * p * inv_denp
             r2 = (c - h) * inv_denp
         if alpha_prev is None:
-            q_tilde = a11 = a12 = a21 = a22 = None
+            q_tilde = None
             lead_left = lead
         else:
             if no_h:
@@ -223,7 +222,7 @@ def step_table(model: CoefficientSet, lam, top: int) -> StepTable:
                 a21 = ((q - lam) * lead + hh * p * inv_den) * inv_p
             a12 = inv_p
             if no_alpha:
-                q_tilde, a11, m22 = common, zero, one
+                q_tilde, m22 = common, one
                 a22 = -h_shift * inv_p
             else:
                 q_tilde = common - (alpha - alpha_prev)
@@ -231,7 +230,7 @@ def step_table(model: CoefficientSet, lam, top: int) -> StepTable:
                 a22 = (alpha - h_shift) * inv_p
                 m22 = 1 - a11
             steps.append((1 - a22, a12, a21, m22))
-        rows.append((p_tilde, alpha, q_tilde, a11, a12, a21, a22, r1, r2))
+        rows.append((p_tilde, alpha, q_tilde, r1, r2))
         alpha_prev = alpha
     return StepTable(model, lam, top, *zip(*rows), lead_left, tuple(steps))
 

@@ -9,8 +9,9 @@ identity that holds exactly in exact arithmetic:
 * the Lagrange identity for solutions at two spectral parameters;
 * constancy of the conjugation-free Wronskian pairing for two solutions
   at one parameter (the overline in the usual statement cancels one
-  conjugation, which is easy to misread: this module's ``wronskian`` is
-  bilinear, not sesquilinear, and equals 1 for the canonical pair);
+  conjugation, which is easy to misread: the pairing is bilinear, not
+  sesquilinear, and equals 1 for the canonical pair), checked as
+  ``checks.wronskian_deviation``;
 * the variation-of-parameters reconstruction of a solution at lam from a
   basis at lam0, with the matching constants recovered from a 2x2 system
   at the first two usable points.
@@ -120,15 +121,6 @@ def lagrange_identity_defect(
     lhs = (phi.lam - psi.lam.conjugate()) * total
     rhs = bracket(phi, psi, top) - bracket(phi, psi, model.a - 1)
     return lhs - rhs
-
-
-def wronskian(phi: Trajectory, psi: Trajectory, t: int):
-    """Conjugation-free pairing phi1(t+1) psi1q(t) - phi1q(t) psi1(t+1);
-    constant in t for two solutions at one lam, and 1 for the canonical
-    boundary-angle pair."""
-    if phi.lam != psi.lam:
-        raise ValueError("wronskian requires both solutions at the same lam")
-    return phi.y1_at(t + 1) * psi.y1q_at(t) - phi.y1q_at(t) * psi.y1_at(t + 1)
 
 
 @dataclass(frozen=True)

@@ -116,6 +116,8 @@ def fundamental_pair(
     their Wronskian pairing is 1, so they are independent.  Both are
     stepped in one call; ``table``, when given, is the step table of
     (model, lam) on a-1 .. top."""
+    if top < model.a:
+        raise ValueError("top must be at least the grid origin a")
     if not 0 <= alpha < math.pi:
         raise ValueError(f"alpha must lie in [0, pi), got {alpha}")
     table = _full_table(model, lam, top, table)
@@ -264,6 +266,8 @@ def regular_eigen_residual(
     boundary value problem exactly when this residual vanishes; for
     nonreal lam it never does.
     """
+    if n < model.a:
+        raise ValueError("top must be at least the grid origin a")
     k = model.kernel
     lam = as_lambda_scalar(model, lam)
     point = spectral_gap(model, lam, n + 1)
@@ -407,7 +411,7 @@ def classify(
     options = options or ClassifyOptions()
     if options.n_max < model.a + options.window + 4:
         raise ValueError(
-            "n_max must exceed a + window + 4 for the trailing-window tests"
+            "n_max must be at least a + window + 4 for the trailing-window tests"
         )
     lam = as_lambda_scalar(model, lam)
     # a nonreal lam is admissible (the excluded values are real), so no

@@ -327,6 +327,26 @@ def test_cli_disc_below_the_grid_origin_is_a_scenario_error(tmp_path, monkeypatc
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("a", [0, 5])
+def test_cli_eigen_below_the_grid_origin_is_a_scenario_error(tmp_path, monkeypatch,
+                                                            capsys, a):
+    """`eigen --N a-1` and `--N a-2` name the window problem in one message
+    and exit 2, as `disc` and `ivp` do, and write no report."""
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps({"name": "shifted", "a": a, "p": "1"}))
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.chdir(out)
+    for n in (a - 1, a - 2):
+        argv = ["eigen", str(path), "--lambda-re", "0.5", "--lambda-im", "0",
+                "--N", str(n)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "scenario error: top must be at least the grid origin a\n"
+    assert list(out.iterdir()) == []
+
+
 def test_cli_exit_code_inadmissible(tmp_path):
     # real lam on the excluded set: d == 1 everywhere for ex4.1a
     code = main(["classify", "ex4.1a", "--lambda-re", "1", "--lambda-im", "0",

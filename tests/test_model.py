@@ -35,7 +35,7 @@ def test_free_model_derived_values(models):
     assert fdiff(row.p_tilde[-1], 1) == 0
     assert fabs(row.alpha[-1]) == 0
     # a21 = (h_shift - alpha) alpha / p_tilde + h_shift, and alpha = 0
-    assert fdiff(row.a21[-1], -1j) == 0
+    assert fdiff(row.steps[-1][2], -1j) == 0
     assert fabs(m_excl_column(free, 0, 0)[0]) == 0
 
 

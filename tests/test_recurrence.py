@@ -22,19 +22,20 @@ from conftest import _random_left_end_cases, fabs, fdiff
 
 def test_step_matrix_free_model(models):
     free = models["free"]
-    row = step_table(free, 1j, 0)
-    a11, a12, a21, a22 = row.a11[-1], row.a12[-1], row.a21[-1], row.a22[-1]
-    assert fabs(a11) == 0
+    # the step entries (1 - a22, a12, a21, 1 - a11)
+    m11, a12, a21, m22 = step_table(free, 1j, 0).steps[-1]
+    assert fdiff(m11, 1 - 1j) == 0
     assert fdiff(a12, 1) == 0
     assert fdiff(a21, -1j) == 0
-    assert fdiff(a22, 1j) == 0
-    assert fdiff((1 - a11) * (1 - a22) - a12 * a21, 1) == 0
+    assert fdiff(m22, 1) == 0
+    assert fdiff(m22 * m11 - a12 * a21, 1) == 0
 
 
 def test_step_matrix_zero_coupling_kills_corner(models):
-    # alpha = h c / (lam - d) vanishes whenever c or h does
+    # alpha = h c / (lam - d) vanishes whenever c or h does, and with it
+    # a11: the step's m22 = 1 - a11 is the exact 1
     for name in ("ex4.1a", "ex4.1b", "ex4.2b"):
-        assert fabs(step_table(models[name], 1j, 2).a11[-1]) == 0
+        assert fdiff(step_table(models[name], 1j, 2).steps[-1][3], 1) == 0
 
 
 def test_step_matrix_rejects_excluded_lam(models):
@@ -277,10 +278,25 @@ def test_foreign_step_table_is_refused(models):
         propagate_backward(model, 1j, (1, 0), 10, table=step_table(model, 2j, 10))
 
 
+_STEP_ENTRIES = ("m11", "a12", "a21", "m22")
+
+
+def _named_columns(table) -> dict:
+    """The table's per-t columns by name, with the step entries (1 - a22,
+    a12, a21, 1 - a11) as columns m11, a12, a21 and m22 that are None at
+    row a-1, as q_tilde is."""
+    columns = {name: getattr(table, name)
+               for name in ("p_tilde", "alpha", "q_tilde", "r1", "r2")}
+    for name, column in zip(_STEP_ENTRIES, zip(*table.steps)):
+        columns[name] = (None, *column)
+    return columns
+
+
 @pytest.mark.parametrize("name", ["free", "ex4.1a", "ex4.1b", "ex4.2a", "ex4.2b"])
 def test_step_table_matches_the_division_formulas(models, name):
     """Multiplying by the reciprocals of lam - d and p_tilde gives the
-    quotients of the defining formulas to within 2^-(bits-8)."""
+    quotients of the defining formulas to within 2^-(bits-8); the step
+    entries are 1 - a22, a12, a21 and 1 - a11 of those quotients."""
     from weyldisc import step_table
 
     model = models[name]
@@ -288,6 +304,7 @@ def test_step_table_matches_the_division_formulas(models, name):
     tol = 2.0 ** (-(model.precision.bits - 8))
     top = 40
     table = step_table(model, 0.5 + 1j, top)
+    columns = _named_columns(table)
     lam = table.lam
     alpha_prev = None
     for i, t in enumerate(range(model.a - 1, top + 1)):
@@ -310,12 +327,12 @@ def test_step_table_matches_the_division_formulas(models, name):
             common = model.coeff("q", t) + h * h / den
             want["q_tilde"] = common - (alpha - alpha_prev)
             h_shift = common - lam
-            want["a11"] = -alpha / p_tilde
+            want["m11"] = 1 - (alpha - h_shift) / p_tilde
             want["a12"] = 1 / p_tilde
             want["a21"] = (h_shift - alpha) * alpha / p_tilde + h_shift
-            want["a22"] = (alpha - h_shift) / p_tilde
+            want["m22"] = 1 - -alpha / p_tilde
         for column, value in want.items():
-            got = getattr(table, column)[i]
+            got = columns[column][i]
             assert fdiff(got, value) <= tol * (fabs(value) + 1), (column, t)
         alpha_prev = alpha
 
@@ -362,15 +379,12 @@ def _random_tables(precision, count, seed, top_offset):
 @pytest.mark.parametrize("precision", RANDOM_TABLE_PRECISIONS.values(),
                          ids=RANDOM_TABLE_PRECISIONS.keys())
 def test_step_entries_follow_the_table_and_its_cuts(precision):
-    """``steps`` holds (1 - a22, a12, a21, 1 - a11) of rows a .. top, and
-    a cut table keeps exactly the steps of its rows: bit for bit those of
-    a table built on the shorter window."""
+    """``steps`` holds one step for each of rows a .. top, and a cut table
+    keeps exactly the steps of its rows: bit for bit those of a table
+    built on the shorter window."""
     for model, lam, _, table in _random_tables(precision, 30, 20261022, 12):
         a = model.a
-        assert len(table.steps) == len(table.a11) - 1 == 13
-        for i, step in enumerate(table.steps, 1):
-            want = (1 - table.a22[i], table.a12[i], table.a21[i], 1 - table.a11[i])
-            assert list(map(_bits, step)) == list(map(_bits, want))
+        assert len(table.steps) == len(table.p_tilde) - 1 == 13
         for top in (a - 1, a, a + 5, a + 12):
             cut = table.cut(top)
             shorter = step_table(model, lam, top)
@@ -382,15 +396,15 @@ def test_step_entries_follow_the_table_and_its_cuts(precision):
 
 def _old_backward_states(table, terminal):
     """States v(t), t = a-1 .. top, stepped down from v(top) = terminal by
-    v(t-1) = (I - A(t)) v(t) written with the table's A entries."""
+    v(t-1) = (I - A(t)) v(t) written row by row from the step entries
+    (m11, a12, a21, m22) = (1 - a22, a12, a21, 1 - a11): always the product
+    by m22, and each sum in the matrix's own order."""
     k = table.model.kernel
     s0 = k.complex(0) + terminal[0]
     s1 = k.complex(0) + terminal[1]
     states = [(s0, s1)]
-    rows = zip(reversed(table.a11[1:]), reversed(table.a12[1:]),
-               reversed(table.a21[1:]), reversed(table.a22[1:]))
-    for a11, a12, a21, a22 in rows:
-        s0, s1 = (1 - a11) * s0 - a12 * s1, -a21 * s0 + (1 - a22) * s1
+    for m11, a12, a21, m22 in reversed(table.steps):
+        s0, s1 = m22 * s0 - a12 * s1, -a21 * s0 + m11 * s1
         states.append((s0, s1))
     states.reverse()
     return states
@@ -400,8 +414,9 @@ def _old_backward_states(table, terminal):
                          ids=RANDOM_TABLE_PRECISIONS.keys())
 def test_backward_steps_are_the_i_minus_a_form_bit_for_bit(precision):
     """Backward stepping through the shared step entries,
-    m22 s0 - a12 s1 and m11 s1 - a21 s0, gives the bits of
-    (1 - a11) s0 - a12 s1 and -a21 s0 + (1 - a22) s1 on random tables;
+    m22 s0 - a12 s1 and m11 s1 - a21 s0 with the product by a unit m22
+    left out, gives the bits of (1 - a11) s0 - a12 s1 and
+    -a21 s0 + (1 - a22) s1 with every product formed, on random tables;
     where native floats overflow, both forms leave the range."""
     checked = 0
     for model, lam, data, table in _random_tables(precision, 60, 20261023, 24):
@@ -495,7 +510,9 @@ def _step_table_reference(model, lam, top) -> dict:
     """Every step-table column on a-1 .. top as _Mag values of a 1,024-bit
     model, by the defining formulas: a21 in the form without the
     h^2 c^2/den^2 parts that cancel, ((q - lam) lead + h^2 p/den)/p_tilde,
-    so its magnitude is that of the terms that do not cancel."""
+    so its magnitude is that of the terms that do not cancel.  The step
+    entries are named as in ``_named_columns``; 1 - a22 and 1 - a11 carry
+    the 1 in their magnitudes."""
     lam = _Mag(model.kernel.complex(lam.real, lam.imag))
     one = _Mag(model.kernel.complex(1))
     rows = []
@@ -515,10 +532,10 @@ def _step_table_reference(model, lam, top) -> dict:
             common = q + h * h / den
             row.update(
                 q_tilde=common - (alpha - alpha_prev),
-                a11=-alpha / p_tilde,
+                m11=one - (alpha - (common - lam)) / p_tilde,
                 a12=one / p_tilde,
                 a21=((q - lam) * lead + h * h * p / den) / p_tilde,
-                a22=(alpha - (common - lam)) / p_tilde,
+                m22=one - -alpha / p_tilde,
             )
         rows.append(row)
         alpha_prev = alpha
@@ -527,8 +544,8 @@ def _step_table_reference(model, lam, top) -> dict:
     return columns
 
 
-_STEP_COLUMNS = ("p_tilde", "alpha", "q_tilde", "a11", "a12", "a21", "a22",
-                 "r1", "r2", "lead_left")
+_STEP_COLUMNS = ("p_tilde", "alpha", "q_tilde", *_STEP_ENTRIES, "r1", "r2",
+                 "lead_left")
 
 
 @pytest.fixture(scope="module")
@@ -551,17 +568,20 @@ def step_table_references():
     PrecisionConfig(mode="native-float"),
 ], ids=["mpmath-256", "mpmath-53", "native"])
 def test_step_table_columns_agree_with_1024_bits(precision, step_table_references):
-    """Every step-table column stays within 2^-(bits-8) of a 1,024-bit
-    evaluation, relative to the magnitudes of the terms it is built from,
-    on random and on strongly coupled models (c and h up to kappa 4^t t^2):
-    a column that cancels at leading order, as a21 once did, fails here."""
+    """Every step-table column and step entry stays within 2^-(bits-8) of
+    a 1,024-bit evaluation, relative to the magnitudes of the terms it is
+    built from, on random and on strongly coupled models (c and h up to
+    kappa 4^t t^2): a column that cancels at leading order, as a21 once
+    did, fails here."""
     tol = 2.0 ** -(precision.bits - 8)
     for ref_model, lam, top, reference in step_table_references:
         table = step_table(ref_model.with_precision(precision), lam, top)
+        columns = _named_columns(table)
         exact = ref_model.kernel.complex
         for name in _STEP_COLUMNS:
-            got, want = getattr(table, name), reference[name]
-            pairs = [(got, want)] if name == "lead_left" else zip(got, want)
+            want = reference[name]
+            pairs = ([(table.lead_left, want)] if name == "lead_left"
+                     else zip(columns[name], want))
             for i, (value, ref) in enumerate(pairs):
                 if ref is None:
                     continue

@@ -13,12 +13,12 @@ from weyldisc import (
     propagate,
     quasi_difference,
     vop_reconstruct,
-    wronskian,
 )
 from weyldisc.checks import (
     bracket_antisymmetry_worst,
     green_random_worst,
     lagrange_relative_defect,
+    wronskian_deviation,
 )
 from weyldisc.recurrence import Trajectory
 
@@ -161,22 +161,18 @@ def test_lagrange_rejects_non_solutions(models):
 
 
 def test_wronskian_canonical_pair_is_one(models):
+    # the pairing phi1(t+1) psi1q(t) - phi1q(t) psi1(t+1) is 1 on every t
+    # of a-1 .. 39, relative to its products' magnitudes plus 1
     for name, model in models.items():
         phi, psi = _pair(model, 1j, 40)
-        for t in (-1, 0, 7, 25, 39):
-            w = wronskian(phi, psi, t)
-            scale = (
-                fabs(phi.y1_at(t + 1)) * fabs(psi.y1q_at(t))
-                + fabs(phi.y1q_at(t)) * fabs(psi.y1_at(t + 1))
-                + 1
-            )
-            assert fdiff(w, 1) <= scale * 1e-70, name
+        assert wronskian_deviation(phi, psi, 39) <= 1e-70, name
 
 
 def test_wronskian_of_equal_solutions_vanishes(models):
     free = models["free"]
     _, psi = _pair(free, 1j, 10)
-    assert fabs(wronskian(psi, psi, 4)) == 0
+    for y1_next, y1q in zip(*psi.state_columns(free.a - 1, 10)):
+        assert fabs(y1_next * y1q - y1q * y1_next) == 0
 
 
 def test_wronskian_requires_matching_lam(models):
@@ -184,7 +180,7 @@ def test_wronskian_requires_matching_lam(models):
     _, psi = _pair(free, 1j, 10)
     other = propagate(free, 2j, BoundaryData(1, 0), 10)
     with pytest.raises(ValueError, match="same lam"):
-        wronskian(psi, other, 3)
+        wronskian_deviation(psi, other, 3)
 
 
 def test_vop_trivial_when_parameters_match(models):

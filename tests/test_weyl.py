@@ -24,8 +24,8 @@ from weyldisc import (
     propagate,
     regular_eigen_residual,
     weyl_disc,
-    wronskian,
 )
+from weyldisc.checks import wronskian_deviation
 from weyldisc.recurrence import max_relative_residual, step_table
 from weyldisc.structure import bracket
 
@@ -46,14 +46,8 @@ def test_fundamental_pair_initial_data(models):
 def test_fundamental_pair_wronskian_long_window(models):
     model = models["ex4.1a"]
     phi, psi = fundamental_pair(model, 1j, 0.0, 100)
-    for t in range(-1, 100):
-        w = wronskian(phi, psi, t)
-        scale = (
-            fabs(phi.y1_at(t + 1)) * fabs(psi.y1q_at(t))
-            + fabs(phi.y1q_at(t)) * fabs(psi.y1_at(t + 1))
-            + 1
-        )
-        assert fdiff(w, 1) <= scale * 1e-70
+    # the pairing is 1 on t = -1 .. 99, relative to its products plus 1
+    assert wronskian_deviation(phi, psi, 99) <= 1e-70
 
 
 def test_corner_values_free_model(models):
@@ -226,6 +220,17 @@ def test_classify_validates_window(models):
         classify(models["free"], 1j, 0.0, ClassifyOptions(n_max=20, window=32))
 
 
+def test_classify_window_bound_is_inclusive(models):
+    """n_max = a + window + 4 is the shortest window classify accepts, and
+    the message says so."""
+    model = models["free"]
+    bound = model.a + 32 + 4
+    report = classify(model, 1j, 0.0, ClassifyOptions(n_max=bound, window=32))
+    assert report.disc_samples[-1].n == bound
+    with pytest.raises(ValueError, match=r"n_max must be at least a \+ window \+ 4"):
+        classify(model, 1j, 0.0, ClassifyOptions(n_max=bound - 1, window=32))
+
+
 def test_eigen_residual_linear_in_lam(models):
     free = models["free"]
     angles = BoundaryAngles(0.0, 0.0)
@@ -251,6 +256,21 @@ def test_eigen_residual_matches_oracle(models):
 def test_eigen_rejects_inadmissible(models):
     with pytest.raises(InadmissibleLambdaError):
         regular_eigen_residual(models["free"], 0.0, BoundaryAngles(0.0, 0.0), 4)
+
+
+@pytest.mark.parametrize("a", [0, 5])
+def test_eigen_residual_refuses_a_window_below_the_grid_origin(a):
+    """Every N below a is refused with the window message, as propagate
+    refuses it, and so is a fundamental pair on a-1 .. a-1: no residual
+    is read off an empty window."""
+    model = CoefficientSet.from_expressions(a=a, p="1")
+    angles = BoundaryAngles(0.0, 0.0)
+    for n in (a - 1, a - 2):
+        with pytest.raises(ValueError, match="top must be at least the grid origin a"):
+            regular_eigen_residual(model, 0.5, angles, n)
+    with pytest.raises(ValueError, match="top must be at least the grid origin a"):
+        fundamental_pair(model, 0.5, 0.0, a - 1)
+    assert fabs(regular_eigen_residual(model, 0.5, angles, a)) > 0
 
 
 def test_boundary_angle_validation():

@@ -44,7 +44,7 @@ PRECISIONS = {
     "mpmath-256": PrecisionConfig(mantissa_bits=256),
     "mpmath-53": PrecisionConfig(mantissa_bits=53),
 }
-_COLUMNS = ("p_tilde", "alpha", "q_tilde", "a11", "a12", "a21", "a22", "r1", "r2")
+_COLUMNS = ("p_tilde", "alpha", "q_tilde", "r1", "r2")
 
 
 def _respelled(exprs: dict) -> dict:
