@@ -71,11 +71,12 @@ from .weyl import (
     ClassificationReport,
     ClassifyOptions,
     CornerValues,
+    Decision,
     L2Profile,
     WeylDisc,
-    chi,
     classify,
     corner_values,
+    decide,
     fundamental_pair,
     m_point,
     on_circle_defect,

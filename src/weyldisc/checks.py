@@ -35,7 +35,7 @@ rules keep the suite to the big-float work its printed values read:
   offsets from a on a model on a .. a+40 as on one on 0 .. 40;
 * the m-point sweep forms each chi = phi + m psi only where its
   on-circle sum reads it, y1 and y2 on a-1 .. n, and not the
-  quasi-differences that ``weyl.chi`` forms too.
+  quasi-differences that ``Trajectory.combined`` forms too.
 """
 
 from __future__ import annotations
@@ -67,11 +67,11 @@ from .structure import (
     vop_reconstruct,
 )
 from .weyl import (
-    _circle_defect,
     _disc_rows,
     corner_values,
     fundamental_pair,
     m_point,
+    on_circle_defect,
 )
 
 
@@ -354,7 +354,7 @@ def m_sweep_worst(phi: Trajectory, psi: Trajectory, discs, top: int, betas: int 
             abs(float(abs(m_val - disc.center) / disc.radius) - 1.0),
         )
         columns = [[u + m_val * v for u, v in zip(f, g)] for f, g in components]
-        defect = _circle_defect(model, columns, m_val, lam_s, n)
+        defect = on_circle_defect(model, columns, m_val, lam_s, n)
         scale = abs(m_val.imag / lam_s.imag) + 1
         worst = max(worst, float(abs(defect) / scale))
     return worst

@@ -68,8 +68,8 @@ a pass took +9.1% longer (12 of 12):
 Every other routine runs the general formula on the exact zeros it is
 handed: ``y2_relation``, ``quasi_difference``, ``relative_residuals``,
 Green's formula, the Lagrange identity, the variation of parameters,
-``Trajectory.combined``, ``weyl.chi`` and ``weyl.on_circle_defect`` form
-every term, and assume y2 = 0 of no trajectory.  Each pruned formula is
+``Trajectory.combined`` and ``weyl.on_circle_defect`` form every term,
+and assume y2 = 0 of no trajectory.  Each pruned formula is
 the general one with its exact-zero terms left out, in the same order;
 on the int-backed scalars x + 0 is x and 0 * x is 0, so no value
 changes.  Native floats form every product: there 0 * inf is nan and a

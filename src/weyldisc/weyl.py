@@ -84,6 +84,16 @@ class L2Profile:
     growth_verdict: str  # bounded | divergent | undecided
 
 
+class Decision(NamedTuple):
+    """``decide``'s verdict, the reason when it is undecided, and the two
+    growth words (chi's None when no stable chi was found)."""
+
+    verdict: str  # LPC | LCC | undecided
+    reason: str | None
+    psi_growth: str
+    chi_growth: str | None
+
+
 @dataclass(frozen=True)
 class ClassifyOptions:
     n_max: int = 200
@@ -91,6 +101,12 @@ class ClassifyOptions:
     divergence_factor: float = 1e6
     window: int = 32
     cross_check_lambda: complex | None = None
+
+    def __post_init__(self):
+        if not 0 < self.rel_tol < 1:
+            raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
+        if not self.divergence_factor > 1:
+            raise ValueError(f"divergence_factor must exceed 1, got {self.divergence_factor}")
 
 
 @dataclass(frozen=True)
@@ -102,10 +118,13 @@ class ClassificationReport:
     psi_profile: L2Profile
     chi_profile: L2Profile | None
     m_limit: object
-    l2_solution_count: int | None
     chi_method: str  # forward | backward | unavailable
     reason: str | None = None
     cross_check: tuple | None = None  # (lam, verdict) of the second run
+
+    @property
+    def l2_solution_count(self) -> int | None:  # square-summable solutions
+        return {"LCC": 2, "LPC": 1}.get(self.verdict)
 
 
 def fundamental_pair(
@@ -233,21 +252,11 @@ def m_point(corner: CornerValues, z):
     return -(corner.A * z + corner.B) / den
 
 
-def chi(pair: tuple[Trajectory, Trajectory], m) -> Trajectory:
-    """The combination phi + m * psi, including quasi-differences."""
-    phi, psi = pair
-    return phi.combined(psi, m)
-
-
-def on_circle_defect(model: CoefficientSet, chi_traj: Trajectory, m, lam, n: int):
-    """sum_{t=a}^{n} |chi(t)|^2 - Im(m)/Im(lam): zero when m lies on the
-    n-th circle, negative when it lies inside."""
-    return _circle_defect(model, chi_traj.component_columns(model.a - 1, n), m, lam, n)
-
-
-def _circle_defect(model: CoefficientSet, columns, m, lam, n: int):
-    """``on_circle_defect`` from chi's components y1 and y2 on a-1 .. n
-    alone, the only values it reads."""
+def on_circle_defect(model: CoefficientSet, columns, m, lam, n: int):
+    """sum_{t=a}^{n} |chi(t)|^2 - Im(m)/Im(lam) for chi = phi + m psi,
+    from chi's components ``columns`` = (y1, y2) on a-1 .. n, the only
+    values it reads: zero when m lies on the n-th circle, negative when
+    it lies inside."""
     k = model.kernel
     lam = as_lambda_scalar(model, lam)
     if lam.imag == 0:
@@ -380,34 +389,55 @@ def _profile(model, columns, n_max) -> list:
     return sums
 
 
-def _growth_verdict(sums, model, options) -> str:
-    """Growth test on partial sums (t, S_t) for t = a .. n_max: entry i
-    is t = a + i."""
-    k = model.kernel
-    a = model.a
-    last = sums[options.n_max - a][1]
-    tail = sums[options.n_max - options.window - a][1]
-    half = sums[max(a, options.n_max // 2) - a][1]
-    bounded = (last - tail) < k.real(options.rel_tol) * last
-    divergent = last > k.real(options.divergence_factor) * half
-    if bounded and not divergent:
-        return "bounded"
-    if divergent and not bounded:
-        return "divergent"
-    return "undecided"
+# the (psi, chi) growth words that decide a verdict; any other pair is undecided
+_VERDICTS = {("bounded", "bounded"): "LCC", ("divergent", "bounded"): "LPC"}
+
+
+def _reads(sums, a: int, options: ClassifyOptions) -> tuple:
+    """(S_N, S_{N-window}, S_mid) from the partial sums (t, S_t) on
+    t = a .. N = n_max, entry i being t = a + i; mid = a + (N - a)//2."""
+    n = options.n_max - a
+    return sums[n][1], sums[n - options.window][1], sums[n // 2][1]
+
+
+def decide(psi_reads, chi_reads, kernel, options: ClassifyOptions,
+           cross: str | None = None) -> Decision:
+    """The verdict from psi's and chi's ``_reads`` (chi's None when no
+    stable chi was found) and ``cross``, the verdict at the cross-check
+    lam.  A sum is bounded when S_N - S_{N-window} < rel_tol S_N, and
+    divergent when S_N > divergence_factor S_mid; LCC is psi and chi
+    bounded, LPC psi divergent and chi bounded.  A decided verdict that
+    a decided ``cross`` contradicts is undecided (README)."""
+    rel_tol = kernel.real(options.rel_tol)
+    factor = kernel.real(options.divergence_factor)
+
+    def growth(reads):
+        last, tail, mid = reads
+        bounded, divergent = (last - tail) < rel_tol * last, last > factor * mid
+        return "undecided" if bounded == divergent else "bounded" if bounded else "divergent"
+
+    psi_growth = growth(psi_reads)
+    chi_growth = None if chi_reads is None else growth(chi_reads)
+    verdict = _VERDICTS.get((psi_growth, chi_growth), "undecided")
+    reason = None
+    if chi_growth is None:
+        reason = "chi profile could not be stabilized"
+    elif verdict == "undecided":
+        reason = (f"psi profile {psi_growth}, chi profile {chi_growth}; "
+                  "raise n_max or mantissa_bits")
+    elif cross not in (None, "undecided", verdict):
+        reason = f"verdicts disagree between lam values: {verdict} vs {cross}"
+        verdict = "undecided"
+    return Decision(verdict, reason, psi_growth, chi_growth)
 
 
 def classify(
     model: CoefficientSet, lam, alpha: float = 0.0,
     options: ClassifyOptions | None = None,
 ) -> ClassificationReport:
-    """Limit-type verdict at lam with full disc and profile evidence.
-
-    LCC when both the psi and chi partial sums pass the bounded test (all
-    solutions square-summable); LPC when psi diverges while chi stays
-    bounded (exactly one square-summable direction); undecided otherwise,
-    in which case raising n_max or the precision usually resolves it.
-    """
+    """Limit-type verdict at lam with full disc and profile evidence: solves
+    for the pair, its discs, a stable chi and the two profiles, and leaves
+    the verdict to ``decide``."""
     options = options or ClassifyOptions()
     if options.n_max < model.a + options.window + 4:
         raise ValueError(
@@ -428,58 +458,26 @@ def classify(
     chi_columns, chi_method = _stable_chi(
         model, lam, phi, psi, m_limit, options.n_max, discs[-1].radius, table
     )
-    psi_verdict = _growth_verdict(psi_sums, model, options)
-    psi_profile = L2Profile(tuple(psi_sums), psi_verdict)
-
-    if chi_columns is None:
-        chi_profile = None
-        verdict, reason = "undecided", "chi profile could not be stabilized"
-    else:
+    chi_sums = chi_reads = None
+    if chi_columns is not None:
         # a decoupled model's chi has y2 = 0, which adds nothing
         summed = chi_columns[:1] if model.decoupled else chi_columns
         chi_sums = _profile(model, summed, options.n_max)
-        chi_verdict = _growth_verdict(chi_sums, model, options)
-        chi_profile = L2Profile(tuple(chi_sums), chi_verdict)
-        if psi_verdict == "bounded" and chi_verdict == "bounded":
-            verdict, reason = "LCC", None
-        elif psi_verdict == "divergent" and chi_verdict == "bounded":
-            verdict, reason = "LPC", None
-        else:
-            verdict = "undecided"
-            reason = (
-                f"psi profile {psi_verdict}, chi profile {chi_verdict}; "
-                "raise n_max or mantissa_bits"
-            )
+        chi_reads = _reads(chi_sums, model.a, options)
 
     cross = None
     if options.cross_check_lambda is not None:
-        sub = classify(
-            model, options.cross_check_lambda, alpha,
-            replace(options, cross_check_lambda=None),
-        )
+        sub = classify(model, options.cross_check_lambda, alpha,
+                       replace(options, cross_check_lambda=None))
         cross = (sub.lam, sub.verdict)
-        if (
-            verdict != "undecided"
-            and sub.verdict != "undecided"
-            and sub.verdict != verdict
-        ):
-            reason = (
-                f"verdicts disagree between lam values: {verdict} vs "
-                f"{sub.verdict}"
-            )
-            verdict = "undecided"
-
-    counts = {"LCC": 2, "LPC": 1}
+    decision = decide(_reads(psi_sums, model.a, options), chi_reads,
+                      model.kernel, options, cross and cross[1])
     return ClassificationReport(
-        lam=lam,
-        alpha=alpha,
-        verdict=verdict,
+        lam=lam, alpha=alpha, verdict=decision.verdict,
         disc_samples=tuple(discs),
-        psi_profile=psi_profile,
-        chi_profile=chi_profile,
-        m_limit=m_limit,
-        l2_solution_count=counts.get(verdict),
-        chi_method=chi_method,
-        reason=reason,
+        psi_profile=L2Profile(tuple(psi_sums), decision.psi_growth),
+        chi_profile=None if chi_sums is None
+        else L2Profile(tuple(chi_sums), decision.chi_growth),
+        m_limit=m_limit, chi_method=chi_method, reason=decision.reason,
         cross_check=cross,
     )

@@ -113,6 +113,30 @@ def test_scenario_numbers_keep_their_json_values():
     assert s.to_dict()["thresholds"]["divergence_factor"] == 10.0
 
 
+@pytest.mark.parametrize("thresholds, named", [
+    ({"rel_tol": 2, "divergence_factor": 1e300}, "rel_tol"),
+    ({"rel_tol": -1}, "rel_tol"),
+    ({"rel_tol": 0}, "rel_tol"),
+    ({"divergence_factor": 0.5}, "divergence_factor"),
+])
+def test_classify_refuses_thresholds_that_cannot_decide(tmp_path, monkeypatch, capsys,
+                                                        thresholds, named):
+    """A rel_tol outside (0, 1) or a divergence_factor of at most 1 is a
+    scenario problem (exit 2) that names the field, and no report is
+    written: rel_tol 2 with divergence_factor 1e300 would call the free
+    model, which is limit point, LCC."""
+    path = tmp_path / "t1.json"
+    path.write_text(json.dumps({"name": "t1", "p": "1", "thresholds": thresholds}))
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.chdir(out)
+    assert _exit_code(["classify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
+    assert list(out.iterdir()) == []
+
+
 def _exit_code(argv) -> int:
     """main's exit code, also where argparse refuses a flag."""
     try:

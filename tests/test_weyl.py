@@ -14,7 +14,6 @@ from weyldisc import (
     PrecisionExhaustedError,
     builtin_names,
     builtin_scenario,
-    chi,
     classify,
     corner_values,
     fundamental_pair,
@@ -108,6 +107,13 @@ def test_m_point_values_and_circle_membership(models):
     assert fdiff(abs(m_inf - disc.center), 0.5) < 1e-70
 
 
+def _circle_defect(model, pair, m, lam, n):
+    """``on_circle_defect`` of chi = phi + m psi, read from chi's y1 and y2."""
+    phi, psi = pair
+    columns = phi.combined(psi, m).component_columns(model.a - 1, n)
+    return on_circle_defect(model, columns, m, lam, n)
+
+
 def test_m_sweep_stays_on_circle(models):
     free = models["free"]
     pair = fundamental_pair(free, 1j, 0.0, 12)
@@ -120,28 +126,28 @@ def test_m_sweep_stays_on_circle(models):
         m_val = m_point(corner, z)
         dev = abs(float(abs(m_val - disc.center) / disc.radius) - 1)
         assert dev < 1e-40
-        defect = on_circle_defect(free, chi(pair, m_val), m_val, 1j, 8)
+        defect = _circle_defect(free, pair, m_val, 1j, 8)
         assert fabs(defect) < 1e-40
 
 
 def test_chi_with_zero_m_is_phi(models):
     free = models["free"]
     pair = fundamental_pair(free, 1j, 0.0, 6)
-    combo = chi(pair, 0)
+    combo = pair[0].combined(pair[1], 0)
     assert all(fdiff(a, b) == 0 for a, b in zip(combo.y1, pair[0].y1))
 
 
 def test_chi_first_component(models):
     free = models["free"]
     pair = fundamental_pair(free, 1j, 0.0, 6)
-    combo = chi(pair, free.kernel.complex(0, 1))
+    combo = pair[0].combined(pair[1], free.kernel.complex(0, 1))
     assert fdiff(combo.y1_at(0), 1j) == 0
 
 
 def test_chi_solves_the_equation(models):
     model = models["ex4.2b"]
     pair = fundamental_pair(model, 1j, 0.25, 30)
-    combo = chi(pair, model.kernel.complex(0.3, 0.8))
+    combo = pair[0].combined(pair[1], model.kernel.complex(0.3, 0.8))
     assert max_relative_residual(model, combo) < 1e-70
 
 
@@ -152,18 +158,18 @@ def test_on_circle_defect_sign(models):
     corner = corner_values(pair, 6)
     k = free.kernel
     # center lies strictly inside: defect negative
-    center_defect = on_circle_defect(free, chi(pair, disc.center), disc.center, 1j, 6)
+    center_defect = _circle_defect(free, pair, disc.center, 1j, 6)
     assert float(center_defect.real) < 0
     # a circle point of the *larger* window N'=9 is inside at N=6 but on at 9
     pair9 = fundamental_pair(free, 1j, 0.0, 12)
     corner9 = corner_values(pair9, 9)
     m9 = m_point(corner9, k.real(0.7))
-    inner = on_circle_defect(free, chi(pair9, m9), m9, 1j, 6)
-    outer = on_circle_defect(free, chi(pair9, m9), m9, 1j, 9)
+    inner = _circle_defect(free, pair9, m9, 1j, 6)
+    outer = _circle_defect(free, pair9, m9, 1j, 9)
     assert float(inner.real) < 0
     assert fabs(outer) < 1e-40
     # at n = a-1 the sum is empty
-    empty = on_circle_defect(free, chi(pair9, m9), m9, 1j, -1)
+    empty = _circle_defect(free, pair9, m9, 1j, -1)
     assert empty == -m9.imag
 
 

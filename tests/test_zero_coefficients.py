@@ -36,7 +36,7 @@ from weyldisc.recurrence import (
     y2_relation,
 )
 from weyldisc.structure import green_terms, lagrange_identity_defect, vop_reconstruct
-from weyldisc.weyl import chi, on_circle_defect
+from weyldisc.weyl import on_circle_defect
 
 from conftest import _random_left_end_cases
 
@@ -211,7 +211,7 @@ def test_a_zero_c_keeps_the_complex_reciprocal(h):
 def test_a_given_trajectory_keeps_every_term():
     """A trajectory handed to a routine is taken as it is, whatever the
     model's zeros: on free (c = h = 0) a hand-built y2 = 1 enters
-    ``Trajectory.combined``, ``chi`` and ``on_circle_defect`` as with the
+    ``Trajectory.combined`` and ``on_circle_defect`` as with the
     zeros spelled ``0*t``."""
     scenario = builtin_scenario("free")
     spelled = dataclasses.replace(scenario, **_respelled(
@@ -226,7 +226,8 @@ def test_a_given_trajectory_keeps_every_term():
                           y2=(one,) * count, y1q=(one,) * count)
         combined = traj.combined(traj, 2)
         assert set(combined.y2) == {k.complex(3)}
-        defect = on_circle_defect(model, traj, k.complex(0), lam, n)
+        columns = traj.component_columns(model.a - 1, n)
+        defect = on_circle_defect(model, columns, k.complex(0), lam, n)
         assert float(defect) == 2.0 * (n + 1 - model.a)
-        got.append(_flat([combined, chi((traj, traj), k.complex(2)), defect]))
+        got.append(_flat([combined, traj.combined(traj, k.complex(2)), defect]))
     assert got[0] == got[1]
