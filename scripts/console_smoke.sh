@@ -12,7 +12,8 @@ set -euo pipefail
 
 WEYLDISC=${WEYLDISC:-weyldisc}
 weyldisc() {
-  $WEYLDISC "$@"
+  # `command` skips this function, so the default runs the console script
+  command $WEYLDISC "$@"
 }
 
 root=$(mktemp -d)

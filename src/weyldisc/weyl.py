@@ -107,6 +107,8 @@ class ClassifyOptions:
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
         if not self.divergence_factor > 1:
             raise ValueError(f"divergence_factor must exceed 1, got {self.divergence_factor}")
+        if not self.window >= 1:
+            raise ValueError(f"window must be at least 1, got {self.window}")
 
 
 @dataclass(frozen=True)
@@ -440,9 +442,8 @@ def classify(
     the verdict to ``decide``."""
     options = options or ClassifyOptions()
     if options.n_max < model.a + options.window + 4:
-        raise ValueError(
-            "n_max must be at least a + window + 4 for the trailing-window tests"
-        )
+        raise ValueError("n_max must be at least a + window + 4"
+                         " for the trailing-window tests")
     lam = as_lambda_scalar(model, lam)
     # a nonreal lam is admissible (the excluded values are real), so no
     # horizon scan is needed; the step table still refuses an exact hit

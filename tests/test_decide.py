@@ -129,6 +129,7 @@ def test_growth_words_do_not_depend_on_the_origin(mode):
     ("rel_tol", float("nan")),
     ("divergence_factor", 0.5), ("divergence_factor", 1.0),
     ("divergence_factor", -3.0), ("divergence_factor", float("nan")),
+    ("window", 0), ("window", -3),
 ])
 def test_options_refuse_thresholds_that_cannot_decide(field, value):
     with pytest.raises(ValueError, match=field):
