@@ -114,17 +114,18 @@ for bits in 53 512; do
   grep -q "chi route: forward" route.out
   rm route.out
 done
-# a literal 0 coefficient's products are dropped on big floats; with
-# the zeros spelled 0*t every product is formed, and neither the
-# disc CSVs nor the check output may change (free: c = h = d = q = 0,
-# ex4.1a: c = h = 0 with d = 1, ex4.1b: c = 0, ex4.2a: c = h = 0 on
-# the backward chi route, ex4.2b: h = 0); ex4.2a's check exits 1 on
-# its known FAIL lines with either spelling
-echo '{"name": "free", "p": "1", "q": "0*t", "c": "0*t", "h": "0*t", "d": "0*t"}' > "$scenarios/free-spelled.json"
-echo '{"name": "ex4.1a", "p": "-(4^t)", "q": "4^t", "c": "0*t", "h": "0*t", "d": "1"}' > "$scenarios/ex4.1a-spelled.json"
-echo '{"name": "ex4.1b", "p": "-(4^t)", "q": "4^t", "c": "0*t", "h": "2^t + 2^(-t)", "d": "1"}' > "$scenarios/ex4.1b-spelled.json"
-echo '{"name": "ex4.2a", "p": "1", "q": "4^t", "c": "0*t", "h": "0*t", "d": "4^t"}' > "$scenarios/ex4.2a-spelled.json"
-echo '{"name": "ex4.2b", "p": "1", "q": "4^t", "c": "sqrt(4^(2*t) + 4^t)", "h": "0*t", "d": "4^t"}' > "$scenarios/ex4.2b-spelled.json"
+# a literal 0 or 1 coefficient's products are left out on big floats;
+# with the zeros spelled 0*t and the ones 1+0*t every product is
+# formed, and neither the disc CSVs nor the check output may change
+# (free: c = h = d = q = 0 with p = 1, ex4.1a: c = h = 0 with d = 1,
+# ex4.1b: c = 0 with d = 1, ex4.2a: c = h = 0 with p = 1 on the
+# backward chi route, ex4.2b: h = 0 with p = 1); ex4.2a's check exits
+# 1 on its known FAIL lines with either spelling
+echo '{"name": "free", "p": "1+0*t", "q": "0*t", "c": "0*t", "h": "0*t", "d": "0*t"}' > "$scenarios/free-spelled.json"
+echo '{"name": "ex4.1a", "p": "-(4^t)", "q": "4^t", "c": "0*t", "h": "0*t", "d": "1+0*t"}' > "$scenarios/ex4.1a-spelled.json"
+echo '{"name": "ex4.1b", "p": "-(4^t)", "q": "4^t", "c": "0*t", "h": "2^t + 2^(-t)", "d": "1+0*t"}' > "$scenarios/ex4.1b-spelled.json"
+echo '{"name": "ex4.2a", "p": "1+0*t", "q": "4^t", "c": "0*t", "h": "0*t", "d": "4^t"}' > "$scenarios/ex4.2a-spelled.json"
+echo '{"name": "ex4.2b", "p": "1+0*t", "q": "4^t", "c": "sqrt(4^(2*t) + 4^t)", "h": "0*t", "d": "4^t"}' > "$scenarios/ex4.2b-spelled.json"
 for bits in 256 53 512; do
   for name in free ex4.1a ex4.1b ex4.2a ex4.2b; do
     weyldisc classify "$name" --n-max 200 --bits "$bits" --out "zeros$bits" > /dev/null

@@ -252,6 +252,14 @@ _SCALED = 3500
 _EXACT_TEN_POWER = 333
 # fixprec -> (fixdps, 10**fixdps), the decimal scaling of a binary point
 _FIXED: dict[int, tuple] = {}
+# _render converts only the leading digits, at least _KEEP, of an integer
+# part of _LONG_TOP bits (about 180 digits) or more, where one division
+# costs less than str() of the rest; it cuts multiples of _CUT_STEP
+# digits, so _TENS (cut -> 10**cut) holds at most 14 powers of ten
+_KEEP = 50
+_CUT_STEP = 64
+_LONG_TOP = 600
+_TENS: dict[int, int] = {}
 # expprec -> libmp's ln 2 and ln 10 at expprec bits, as (man, exp) pairs
 _LOGS: dict[int, tuple] = {}
 # (workprec, down) -> 10**(2**i) as (man, exp) for i below the bit count
@@ -278,14 +286,23 @@ def _render(m: int, e: int, exponent: int = 0) -> str:
         m = -m
     # to_digits_exp: the value in fixed point at fixprec bits, then
     # floor(value * 10**fixdps) in decimal; at least 45 digits
-    fixprec = _BITPREC - e - m.bit_length()
+    top = e + m.bit_length()
+    fixprec = _BITPREC - top
     if fixprec < 0:
         fixprec = 0
     fixdps, scale = _FIXED.get(fixprec) or _fixed_scale(fixprec)
     shift = e + fixprec
     fixed = m << shift if shift >= 0 else m >> -shift
-    digits = str(fixed * scale >> fixprec)
-    exponent += len(digits) - fixdps - 1
+    value = fixed * scale >> fixprec
+    # only the leading digits and their count are read, and str() takes
+    # time quadratic in the digit count: a long integer part (fixprec 0)
+    # drops all but 51 to 115 of its digits first
+    cut = 0
+    if top >= _LONG_TOP:
+        cut = (int((top - 1) / _LOG2_10) - _KEEP) // _CUT_STEP * _CUT_STEP
+        value //= _TENS.get(cut) or _TENS.setdefault(cut, 10**cut)
+    digits = str(value)
+    exponent += len(digits) + cut - fixdps - 1
     # to_str: 40 digits, rounded half up on the 41st
     if digits[_DIGITS] >= "5":
         head = digits[:_DIGITS].rstrip("9")

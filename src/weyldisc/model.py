@@ -85,6 +85,11 @@ class ExprCoefficient:
         """Whether the formula is the literal 0; ``0*t`` is not."""
         return self.ast == ex.Num(0)
 
+    def is_one(self) -> bool:
+        """Whether the formula is the literal 1; ``1+0*t``, ``t^0`` and
+        ``2/2`` are not."""
+        return self.ast == ex.Num(1)
+
     def text(self) -> str:
         return ex.to_text(self.ast)
 
@@ -120,6 +125,10 @@ class TableCoefficient:
     def is_zero(self) -> bool:
         """Whether every value is 0; the declared range still holds."""
         return not any(self.values)
+
+    def is_one(self) -> bool:
+        """Whether every value is 1; the declared range still holds."""
+        return all(v == 1 for v in self.values)
 
     def text(self) -> str:
         head = ", ".join(str(v) for v in self.values[:4])
@@ -196,6 +205,17 @@ class CoefficientSet:
         if self.precision.mode == "native-float":
             return frozenset()
         return frozenset(name for name in "chdq" if getattr(self, name).is_zero())
+
+    @cached_property
+    def ones(self) -> frozenset:
+        """The names among p and d whose coefficient is identically one:
+        the literal 1 or a table of ones.  The solvers leave out the
+        products by these, which on the big-float scalars changes no value
+        (1 * x is x exactly).  Empty on native floats, where (1+0j) * z
+        can turn a signed zero or an infinity into something else."""
+        if self.precision.mode == "native-float":
+            return frozenset()
+        return frozenset(name for name in "pd" if getattr(self, name).is_one())
 
     @property
     def decoupled(self) -> bool:

@@ -37,9 +37,11 @@ along.  A(t) is kept only as each step's entries (1 - a22, a12, a21,
 backward, steps any number of columns through them, and the two
 solutions of a fundamental pair are one call.
 
-Exact zeros.  A coefficient in ``model.zeros`` (c, h, d or q written as
-the literal 0, or a table of zeros, on the big-float kernel) has its
-products dropped in five places, kept where a workload pays for them.
+Exact zeros and ones.  A coefficient in ``model.zeros`` (c, h, d or q
+written as the literal 0, or a table of zeros, on the big-float kernel)
+has its products dropped in five places, and one in ``model.ones`` (p or
+d written as the literal 1, or a table of ones) in three more, kept
+where a workload pays for them.
 Each names the scalar operations it saves per pass over the five
 built-ins at 256 bits, and how much longer a pass took without it: the
 median of 20 interleaved rounds of in-process passes (12 for the
@@ -65,15 +67,33 @@ a pass took +9.1% longer (12 of 12):
   decoupled model's solutions (20,029 per classify-800 pass, +1.2%,
   11 of 12; free +5.5%, ex4.1a +6.2%).
 
-Every other routine runs the general formula on the exact zeros it is
-handed: ``y2_relation``, ``quasi_difference``, ``relative_residuals``,
-Green's formula, the Lagrange identity, the variation of parameters,
-``Trajectory.combined`` and ``weyl.on_circle_defect`` form every term,
-and assume y2 = 0 of no trajectory.  Each pruned formula is
-the general one with its exact-zero terms left out, in the same order;
-on the int-backed scalars x + 0 is x and 0 * x is 0, so no value
-changes.  Native floats form every product: there 0 * inf is nan and a
-zero carries a sign, so a dropped term could change a value.
+The exact ones were measured alike: 16 interleaved rounds, each the
+fastest of 5 in-process passes in a fresh interpreter, on a machine
+whose passes varied by 20% to 40% from round to round.  Without all
+three sites a classify-800 pass forms 12,820 more scalar operations
+(5.6%) and a check-40 pass 7,268 more (4.4%):
+
+* the step table: a p in ``ones`` with a zero c makes p_tilde = lead the
+  exact 1, so 1/p_tilde is not formed, and a22 = -h_shift; with a zero
+  h too, a21 = h_shift (8,014 per classify-800 pass, +6.6%, 11 of 16);
+* the steppers: a12 = 1/p_tilde is then the exact 1, and the product by
+  it is left out (4,806, +4.6%, 11 of 16);
+* ``operator_window``: a p in ``ones`` makes p dy1 the difference dy1
+  (the seed at first-1 too), and a d in ``ones`` makes d y2 the value y2
+  (6,030 per check-40 pass, +18.6%, 13 of 16; +6.1% between the
+  fastest rounds).
+
+Every other routine runs the general formula on the exact zeros and
+ones it is handed: ``y2_relation``, ``quasi_difference``,
+``relative_residuals``, Green's formula, the Lagrange identity, the
+variation of parameters, ``Trajectory.combined`` and
+``weyl.on_circle_defect`` form every term, and assume y2 = 0 of no
+trajectory.  Each pruned formula is the general one with its exact-zero
+terms and factors of one left out, in the same order; on the int-backed
+scalars x + 0 is x, 0 * x is 0 and 1 * x is x, so no value changes.
+Native floats form every product: there 0 * inf is nan and a zero
+carries a sign, and (1+0j) * z can turn a signed zero or an infinity
+into something else, so a dropped term or factor could change a value.
 
 ``oracle_three_term`` is the independent check: it never touches the
 transfer matrices, solving instead the scalar three-term recurrence
@@ -165,6 +185,9 @@ def step_table(model: CoefficientSet, lam, top: int) -> StepTable:
     # their terms are dropped and an exact zero stands in their place
     no_c, no_h = "c" in model.zeros, "h" in model.zeros
     no_alpha, decoupled = no_c or no_h, no_c and no_h
+    # a p in ``ones`` with a zero c makes p_tilde the exact 1, and with it
+    # 1/p_tilde; the products by it are left out
+    unit_p = _unit_a12(model)
     zero = model.kernel.complex(0)
     one = 1 - zero
     rows = []
@@ -187,7 +210,8 @@ def step_table(model: CoefficientSet, lam, top: int) -> StepTable:
             # p_tilde = lead, still complex: 1/p_tilde is the complex
             # reciprocal, which rounds otherwise than a real 1/p
             alpha = zero
-            p_tilde = lead = p + zero if no_c else p + c * c * inv_den
+            p_tilde = lead = (one if unit_p else p + zero if no_c
+                              else p + c * c * inv_den)
         else:
             cc = c * c
             hc = h * c
@@ -198,7 +222,7 @@ def step_table(model: CoefficientSet, lam, top: int) -> StepTable:
             raise InadmissibleLambdaError(
                 f"effective leading coefficient vanishes at t={t}", t=t
             )
-        inv_p = 1 / p_tilde
+        inv_p = one if unit_p else 1 / p_tilde
         if decoupled:
             r1 = r2 = zero
         else:
@@ -214,7 +238,7 @@ def step_table(model: CoefficientSet, lam, top: int) -> StepTable:
                 # and a21 loses its h^2 p/den
                 common = q + zero
                 h_shift = common - lam
-                a21 = h_shift * lead * inv_p
+                a21 = h_shift if unit_p else h_shift * lead * inv_p
             else:
                 hh = h * h
                 common = q + hh * inv_den
@@ -223,7 +247,7 @@ def step_table(model: CoefficientSet, lam, top: int) -> StepTable:
             a12 = inv_p
             if no_alpha:
                 q_tilde, m22 = common, one
-                a22 = -h_shift * inv_p
+                a22 = -h_shift if unit_p else -h_shift * inv_p
             else:
                 q_tilde = common - (alpha - alpha_prev)
                 a11 = -alpha * inv_p
@@ -345,6 +369,13 @@ def _unit_m22(model: CoefficientSet) -> bool:
     return "c" in model.zeros or "h" in model.zeros
 
 
+def _unit_a12(model: CoefficientSet) -> bool:
+    """Whether every step's a12 = 1/p_tilde is the exact complex 1: a p in
+    ``model.ones`` with a zero c leaves p_tilde = p, and the steppers leave
+    out the product by it."""
+    return "p" in model.ones and "c" in model.zeros
+
+
 def _forward_states(table: StepTable, starts) -> list:
     """States v(t), t = a-1 .. top, of every initial state in ``starts``:
     one list per start, entry t-(a-1) the state at t.
@@ -357,14 +388,15 @@ def _forward_states(table: StepTable, starts) -> list:
     k = model.kernel
     # (I - A)^{-1} in closed form, from the table's step entries; det(I - A) == 1
     steps = table.steps
-    unit_m22 = _unit_m22(model)
+    unit_m22, unit_a12 = _unit_m22(model), _unit_a12(model)
     out = []
     for s0, s1 in starts:
         s0 = k.complex(0) + s0
         s1 = k.complex(0) + s1
         states = [(s0, s1)]
         for m11, a12, a21, m22 in steps:
-            s0, s1 = m11 * s0 + a12 * s1, a21 * s0 + (s1 if unit_m22 else m22 * s1)
+            s0, s1 = (m11 * s0 + (s1 if unit_a12 else a12 * s1),
+                      a21 * s0 + (s1 if unit_m22 else m22 * s1))
             states.append((s0, s1))
         out.append(states)
     isfinite = k.isfinite
@@ -442,9 +474,10 @@ def propagate_backward(
     states = [(s0, s1)]
     # steps of t = top .. a; v(t-1) = (I - A(t)) v(t), whose diagonal is
     # 1 - a11 = m22 and 1 - a22 = m11
-    unit_m22 = _unit_m22(model)
+    unit_m22, unit_a12 = _unit_m22(model), _unit_a12(model)
     for m11, a12, a21, m22 in reversed(table.steps):
-        s0, s1 = (s0 if unit_m22 else m22 * s0) - a12 * s1, m11 * s1 - a21 * s0
+        s0, s1 = ((s0 if unit_m22 else m22 * s0) - (s1 if unit_a12 else a12 * s1),
+                  m11 * s1 - a21 * s0)
         states.append((s0, s1))
     # as in _forward_states: the last state tells, the rescan names t
     if k.needs_finite_checks and not (k.isfinite(s0) and k.isfinite(s1)):
@@ -565,6 +598,8 @@ def operator_window(model: CoefficientSet, y1, y2, first: int, last: int):
     # the products of a zero coefficient are an exact zero among the terms
     # and are left out of the rows' sums
     use_c, use_h, use_d, use_q = (name not in model.zeros for name in "chdq")
+    # and the products by a coefficient in ``ones`` are their other factor
+    unit_p, unit_d = (name in model.ones for name in "pd")
     zero = model.kernel.complex(0)
     # from a on, row 1 reads p and c at first-1 (the previous terms); at
     # a-1 it is None and reads no q
@@ -573,7 +608,8 @@ def operator_window(model: CoefficientSet, y1, y2, first: int, last: int):
     pd_prev = cy2_prev = None
     if lead:
         i = first - (model.a - 1)
-        pd_prev = p_col[0] * (y1[i] - y1[i - 1])
+        dy1_prev = y1[i] - y1[i - 1]
+        pd_prev = dy1_prev if unit_p else p_col[0] * dy1_prev
         cy2_prev = c_col[0] * y2[i - 1] if use_c else zero
     columns = zip(
         p_col[lead:], c_col[lead:],
@@ -590,9 +626,9 @@ def operator_window(model: CoefficientSet, y1, y2, first: int, last: int):
             hy1 = h_t * y1_t
             row2 = hy1 if row2 is zero else row2 + hy1
         if use_d:
-            dy2 = d_t * y2_t
+            dy2 = y2_t if unit_d else d_t * y2_t
             row2 = dy2 if row2 is zero else row2 + dy2
-        pd = p_t * dy1
+        pd = dy1 if unit_p else p_t * dy1
         cy2 = c_t * y2_t if use_c else zero
         if q_t is None:
             row1 = qy1 = hy2 = None

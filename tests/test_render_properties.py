@@ -29,36 +29,41 @@ TOPS = st.one_of(
 
 
 @st.composite
-def kernel_reals(draw):
+def kernel_reals(draw, tops=TOPS):
     """A kernel real m * 2**e as arithmetic leaves it: any width up to the
-    precision, either sign, trailing zeros, and a drawn leading bit."""
+    precision, either sign, trailing zeros, and a leading bit from
+    ``tops``."""
     bits = draw(st.sampled_from(sorted(KERNELS)))
     width = draw(st.integers(1, bits))
     m = draw(st.integers(1 << (width - 1), (1 << width) - 1))
     m <<= draw(st.sampled_from((0, 0, 1, 9, 80)))
     m = draw(st.sampled_from((m, -m)))
-    e = draw(TOPS) - m.bit_length()
+    e = draw(tops) - m.bit_length()
     x = object.__new__(type(KERNELS[bits].real(1)))
     x.m, x.e = m, e
     return x
 
 
+POWERS = st.one_of(st.integers(-60, 10), st.integers(1060, 5000),
+                   st.integers(-5000, -1060))
+
+
 @st.composite
-def decimal_edges(draw):
+def decimal_edges(draw, powers=POWERS):
     """A 41-digit decimal whose 41st digit rounds up (a tie ending in 5,
     or a run of nines that carries into the digit before it, or into a
     new decade), times 10**B, give or take a unit of the mantissa: the
     exact value for B >= 0, and for B < 0 a binary mantissa of 1,024
-    bits.  B puts the leading digit in the fixed-point range, next to
-    it, or past 2**+-3500, where the power of ten's and the quotient's
-    truncations decide which way the 41st digit rounds."""
+    bits.  B, from ``powers``, puts the leading digit by default in the
+    fixed-point range, next to it, or past 2**+-3500, where the power of
+    ten's and the quotient's truncations decide which way the 41st digit
+    rounds."""
     head = draw(st.integers(1, 40))
     digits = draw(st.one_of(
         st.integers(10**39, 10**40 - 1).map(lambda d: 10 * d + 5),
         st.integers(10 ** (head - 1) + 1, 10**head).map(lambda p: p * 10 ** (41 - head) - 1),
     ))
-    power = draw(st.one_of(st.integers(-60, 10), st.integers(1060, 5000),
-                           st.integers(-5000, -1060)))
+    power = draw(powers)
     if power >= 0:
         m, e = digits * 5**power, power
     else:
@@ -78,6 +83,14 @@ def test_format_real_of_a_kernel_real_is_to_str(x):
 
 @given(decimal_edges())
 def test_format_real_rounds_decimal_edges_as_to_str(x):
+    assert format_real(x) == libmp.to_str(x._mpf_, 40)
+
+
+@given(st.one_of(kernel_reals(st.integers(600, 3500)),
+                 decimal_edges(st.integers(140, 1010))))
+def test_format_real_of_a_long_integer_part_is_to_str(x):
+    """Where the integer part has about 180 digits or more, ``_render``
+    converts only its leading digits; the text is still ``to_str``'s."""
     assert format_real(x) == libmp.to_str(x._mpf_, 40)
 
 
